@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .eventlog import EventClass, EventLog, ObjectType, format_timestamp
 from .model import ProcessModel
-from .replay import apply_event, replay
+from .replay import apply_event
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,6 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
-    final = replay(log)
-    if model != final:
-        raise ValueError("model is not the final model of the log")
-
-    created_seq, created_at = _creation_index(log)
 
     # Forward replay, recording each (split, join) pair the first time it
     # qualifies. Only creates and deletes can complete or break a block,
@@ -171,9 +166,12 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
         for s, j, members in find_block_pairs(current):
             if (s, j) not in first_completed:
                 first_completed[(s, j)] = (ev.seq, members)
+    if current != model:
+        raise ValueError("model is not the final model of the log")
 
+    created_seq, created_at = _creation_index(log)
     blocks: list[Block] = []
-    for s, j, _ in find_block_pairs(final):
+    for s, j, _ in find_block_pairs(model):
         seq, members = first_completed[(s, j)]
         stamps = [created_at[oid] for oid in members]
         blocks.append(
@@ -209,13 +207,11 @@ def max_simul_block(blocks: list[Block]) -> int:
     return best
 
 
-def perc_blocks_as_whole(blocks: list[Block], log: EventLog) -> Fraction | None:
+def perc_blocks_as_whole(blocks: list[Block]) -> Fraction | None:
     """Fraction of blocks built without foreign node creates interleaved.
 
     None when there are no blocks: the ratio is undefined, not zero.
     """
     if not blocks:
         return None
-    created_seq, _ = _creation_index(log)
-    whole = sum(1 for b in blocks if _is_whole(log, b.members, created_seq))
-    return Fraction(whole, len(blocks))
+    return Fraction(sum(1 for b in blocks if b.whole), len(blocks))

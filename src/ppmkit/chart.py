@@ -8,6 +8,7 @@ a session that used the whole window fills the whole width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, quoteattr
 
@@ -32,6 +33,15 @@ class PPMChartSpec:
     height: float | None = None  # None: rows * row_height
     row_height: float = 20.0
     colors: dict[str, str] = field(default_factory=_default_colors)
+
+    def __post_init__(self):
+        sizes = {"window": self.window, "width": self.width,
+                 "height": self.height, "row_height": self.row_height}
+        for name, value in sizes.items():
+            if value is None and name == "height":
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 _CLASS_KEY = {

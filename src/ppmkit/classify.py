@@ -122,26 +122,30 @@ class SessionReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
-        blocks = tuple(
-            Block(
-                split=b["split"],
-                join=b["join"],
-                members=frozenset(b["members"]),
-                completion_seq=0,  # not serialized; JSON-level round-trip only
-                interval=(
-                    parse_timestamp(b["interval"][0]),
-                    parse_timestamp(b["interval"][1]),
-                ),
-                whole=b["whole"],
+        """Rebuild from to_dict output; a missing key raises ValueError naming it."""
+        try:
+            blocks = tuple(
+                Block(
+                    split=b["split"],
+                    join=b["join"],
+                    members=frozenset(b["members"]),
+                    completion_seq=0,  # not serialized; JSON-level round-trip only
+                    interval=(
+                        parse_timestamp(b["interval"][0]),
+                        parse_timestamp(b["interval"][1]),
+                    ),
+                    whole=b["whole"],
+                )
+                for b in data["blocks"]
             )
-            for b in data["blocks"]
-        )
-        return cls(
-            session_id=data["session_id"],
-            metrics=SessionMetrics.from_dict(data["metrics"]),
-            blocks=blocks,
-            verdict=PerspicuityVerdict.from_dict(data["verdict"]),
-        )
+            return cls(
+                session_id=data["session_id"],
+                metrics=SessionMetrics.from_dict(data["metrics"]),
+                blocks=blocks,
+                verdict=PerspicuityVerdict.from_dict(data["verdict"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc.args[0]!r}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "SessionReport":

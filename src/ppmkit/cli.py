@@ -19,7 +19,6 @@ from .chart import PPMChartSpec, render_ppmchart
 from .classify import SessionReport, classify_model, classify_session
 from .eventlog import (
     EventLog,
-    LogFormatError,
     expand_reconnect,
     format_timestamp,
     parse_log,
@@ -36,6 +35,13 @@ from .stats import compare_groups, render_table
 def _read_log(path: str) -> EventLog:
     p = Path(path)
     return parse_log(p.read_text(encoding="utf-8"), session_id=p.stem)
+
+
+def _load_json(path: Path, from_json):
+    try:
+        return from_json(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -127,9 +133,7 @@ def _cmd_classify(args) -> int:
     if args.model:
         if args.log:
             raise ValueError("--log and --model are mutually exclusive")
-        model = ProcessModel.from_json(
-            Path(args.model).read_text(encoding="utf-8")
-        )
+        model = _load_json(Path(args.model), ProcessModel.from_json)
         verdict = classify_model(model, max_states=args.max_states)
         _write_or_print(_dump(verdict.to_dict()), args.out)
         return 0
@@ -158,9 +162,7 @@ def _cmd_stats(args) -> int:
     paths = sorted(report_dir.glob("*.json"))
     if not paths:
         raise ValueError(f"no .json reports in {args.reports}")
-    reports = [
-        SessionReport.from_json(p.read_text(encoding="utf-8")) for p in paths
-    ]
+    reports = [_load_json(p, SessionReport.from_json) for p in paths]
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
     comparison = compare_groups(
         reports, exclude_unknown=args.exclude_unknown, metrics=metrics
@@ -229,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="compare metric distributions between groups")
     p.add_argument("--reports", required=True, help="directory of session report JSON")
-    p.add_argument("--group-by", choices=["perspicuity"], default="perspicuity")
     p.add_argument("--exclude-unknown", action="store_true",
                    help="drop sessions whose soundness check hit the state cap")
     p.add_argument("--metric", default="all", choices=("all",) + METRIC_NAMES)
@@ -252,9 +253,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LogFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,47 +71,24 @@ class EventClass(Enum):
     RECONNECT = "Reconnect"
 
 
-_NODE_TYPES = {
-    "START_EVENT": ObjectType.START_EVENT,
-    "END_EVENT": ObjectType.END_EVENT,
-    "ACTIVITY": ObjectType.ACTIVITY,
-    "XOR": ObjectType.XOR,
-    "AND": ObjectType.AND,
-}
-
-# Object type implied by each event kind.
+# Object type and action class implied by each event kind: the noun and
+# the verb of its name (NAME_/RENAME_ are OTHER), except that bendpoint
+# edits and edge-label drags all count as moving the edge.
 KIND_OBJECT_TYPE: dict[EventKind, ObjectType] = {}
+KIND_CLASS: dict[EventKind, EventClass] = {}
 for _kind in EventKind:
-    _name = _kind.value
-    if _name.endswith("_EDGE") or "_EDGE_" in _name:
+    _verb, _noun = _kind.value.split("_", 1)
+    if _noun.startswith("EDGE_"):
         KIND_OBJECT_TYPE[_kind] = ObjectType.EDGE
+        KIND_CLASS[_kind] = EventClass.MOVE
     else:
-        _suffix = _name.split("_", 1)[1]
-        KIND_OBJECT_TYPE[_kind] = _NODE_TYPES[_suffix]
-
-# Bendpoint operations and edge-label moves all count as moving the edge.
-_CLASS_OVERRIDES = {
-    EventKind.CREATE_EDGE_BENDPOINT: EventClass.MOVE,
-    EventKind.MOVE_EDGE_BENDPOINT: EventClass.MOVE,
-    EventKind.DELETE_EDGE_BENDPOINT: EventClass.MOVE,
-    EventKind.MOVE_EDGE_LABEL: EventClass.MOVE,
-    EventKind.RECONNECT_EDGE: EventClass.RECONNECT,
-}
+        KIND_OBJECT_TYPE[_kind] = ObjectType(_noun)
+        KIND_CLASS[_kind] = EventClass.__members__.get(_verb, EventClass.OTHER)
 
 
 def classify(kind: EventKind) -> EventClass:
     """Map an event kind to its action class. Total over EventKind."""
-    override = _CLASS_OVERRIDES.get(kind)
-    if override is not None:
-        return override
-    prefix = kind.value.split("_", 1)[0]
-    if prefix == "CREATE":
-        return EventClass.CREATE
-    if prefix == "MOVE":
-        return EventClass.MOVE
-    if prefix == "DELETE":
-        return EventClass.DELETE
-    return EventClass.OTHER  # NAME_* / RENAME_*
+    return KIND_CLASS[kind]
 
 
 class LogFormatError(ValueError):
@@ -181,13 +158,13 @@ class ModelingEvent:
 
     @property
     def event_class(self) -> EventClass:
-        return classify(self.kind)
+        return KIND_CLASS[self.kind]
 
     def is_create(self) -> bool:
-        return classify(self.kind) is EventClass.CREATE
+        return KIND_CLASS[self.kind] is EventClass.CREATE
 
     def is_delete(self) -> bool:
-        return classify(self.kind) is EventClass.DELETE
+        return KIND_CLASS[self.kind] is EventClass.DELETE
 
 
 @dataclass(frozen=True)
@@ -199,52 +176,55 @@ class EventLog:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        self._check_order()
-        self._check_lifecycle()
-
-    def _check_order(self):
-        prev = None
-        for ev in self.events:
-            if prev is not None:
-                if ev.seq <= prev.seq:
-                    raise ValueError(
-                        f"seq not strictly increasing: {prev.seq} then {ev.seq}"
-                    )
-                if ev.timestamp < prev.timestamp:
-                    raise ValueError(f"timestamp regression at seq {ev.seq}")
-            prev = ev
-
-    def _check_lifecycle(self):
-        # Every action needs a live object: created, not (yet) deleted.
-        # Delete-then-recreate of an id is allowed here only back to back,
-        # which is exactly what reconnect expansion emits; parse_log is
-        # stricter and refuses recreation in raw input altogether.
-        alive: dict[str, ObjectType] = {}
-        dead: set[str] = set()
-        for ev in self.events:
-            oid = ev.object_id
-            if ev.is_create():
-                if oid in alive:
-                    raise ValueError(f"duplicate create of object {oid} at seq {ev.seq}")
-                alive[oid] = ev.object_type
-                dead.discard(oid)
-            else:
-                if oid not in alive:
-                    verb = "deleted" if oid in dead else "unknown"
-                    raise ValueError(f"action on {verb} object {oid} at seq {ev.seq}")
-                if alive[oid] is not ev.object_type:
-                    raise ValueError(f"object {oid} changes type at seq {ev.seq}")
-                if ev.is_delete():
-                    del alive[oid]
-                    dead.add(oid)
-                elif ev.kind is EventKind.RECONNECT_EDGE:
-                    pass  # delete + create of the same edge, stays alive
+        invalid = _first_invalid(self.events)
+        if invalid is not None:
+            index, reason = invalid
+            raise ValueError(f"{reason} at seq {self.events[index].seq}")
 
     def __len__(self) -> int:
         return len(self.events)
 
     def has_reconnects(self) -> bool:
         return any(ev.kind is EventKind.RECONNECT_EDGE for ev in self.events)
+
+
+def _first_invalid(events, strict: bool = False) -> tuple[int, str] | None:
+    """Index and reason of the first event breaking the order or lifecycle
+    rules, or None when the sequence is valid.
+
+    Seq numbers strictly increase and timestamps never go back. Every
+    action needs a live object of the type it was created with: created,
+    not (yet) deleted. A deleted id may be created again, which is what
+    reconnect expansion emits; `strict`, for raw input, refuses that.
+    """
+    alive: dict[str, ObjectType] = {}
+    dead: set[str] = set()
+    prev = None
+    for index, ev in enumerate(events):
+        if prev is not None:
+            if ev.seq <= prev.seq:
+                return index, f"seq not strictly increasing ({prev.seq} then {ev.seq})"
+            if ev.timestamp < prev.timestamp:
+                return index, "timestamp regression"
+        prev = ev
+        oid = ev.object_id
+        event_class = KIND_CLASS[ev.kind]
+        if event_class is EventClass.CREATE:
+            if oid in alive:
+                return index, f"duplicate create of object {oid}"
+            if strict and oid in dead:
+                return index, f"recreation of deleted object {oid}"
+            alive[oid] = ev.object_type
+            dead.discard(oid)
+        elif oid not in alive:
+            verb = "deleted" if oid in dead else "unknown"
+            return index, f"action on {verb} object {oid}"
+        elif alive[oid] is not ev.object_type:
+            return index, f"object {oid} changes type"
+        elif event_class is EventClass.DELETE:
+            del alive[oid]
+            dead.add(oid)
+    return None
 
 
 def _parse_row(row: list[str], line: int) -> ModelingEvent:
@@ -296,8 +276,8 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
 
     Raises LogFormatError with a 1-based line number on any malformed row,
     unknown event name, seq or timestamp disorder, missing edge endpoints,
-    action on a never-created or deleted object, or recreation of a
-    previously deleted object id.
+    action on a never-created or deleted object, an object changing type,
+    or recreation of a previously deleted object id.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8")
@@ -312,36 +292,16 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
         raise LogFormatError(f"bad header {','.join(header)!r}", 1)
 
     events: list[ModelingEvent] = []
-    prev: ModelingEvent | None = None
-    alive: set[str] = set()
-    dead: set[str] = set()
+    lines: list[int] = []
     for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        ev = _parse_row(row, line)
-        if prev is not None and ev.seq <= prev.seq:
-            raise LogFormatError(f"seq not strictly increasing ({prev.seq} then {ev.seq})", line)
-        if prev is not None and ev.timestamp < prev.timestamp:
-            raise LogFormatError("timestamp regression", line)
-        oid = ev.object_id
-        if ev.is_create():
-            if oid in alive:
-                raise LogFormatError(f"duplicate create of object {oid}", line)
-            if oid in dead:
-                raise LogFormatError(f"recreation of deleted object {oid}", line)
-            alive.add(oid)
-        else:
-            if oid not in alive:
-                raise LogFormatError(f"action on unknown object {oid}", line)
-            if ev.is_delete():
-                alive.discard(oid)
-                dead.add(oid)
-        prev = ev
-        events.append(ev)
-    try:
-        return EventLog(session_id=session_id, events=tuple(events))
-    except ValueError as exc:  # object-type flips and similar cross-row issues
-        raise LogFormatError(str(exc)) from None
+        if row:
+            events.append(_parse_row(row, line))
+            lines.append(line)
+    invalid = _first_invalid(events, strict=True)
+    if invalid is not None:
+        index, reason = invalid
+        raise LogFormatError(reason, lines[index])
+    return EventLog(session_id=session_id, events=tuple(events))
 
 
 def serialize_log(log: EventLog) -> str:

@@ -141,7 +141,7 @@ def compute_session_metrics(log: EventLog, blocks: list[Block] | None = None) ->
         blocks = detect_blocks(replay(log), log)
     return SessionMetrics(
         max_simul_block=max_simul_block(blocks),
-        perc_num_block_as_a_whole=perc_blocks_as_whole(blocks, log),
+        perc_num_block_as_a_whole=perc_blocks_as_whole(blocks),
         avg_move_on_moved_elements=avg_move_on_moved_elements(log),
         perc_num_elements_with_moves=perc_num_elements_with_moves(log),
         tot_time=tot_time(log),

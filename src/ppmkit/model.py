@@ -183,27 +183,31 @@ class ProcessModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessModel":
+        """Rebuild from to_dict output; a missing key raises ValueError naming it."""
         model = cls()
-        for nd in data.get("nodes", []):
-            model.add_node(
-                Node(
-                    id=nd["id"],
-                    type=ObjectType(nd["type"]),
-                    label=nd.get("label"),
-                    position=(int(nd.get("x", 0)), int(nd.get("y", 0))),
+        try:
+            for nd in data.get("nodes", []):
+                model.add_node(
+                    Node(
+                        id=nd["id"],
+                        type=ObjectType(nd["type"]),
+                        label=nd.get("label"),
+                        position=(int(nd.get("x", 0)), int(nd.get("y", 0))),
+                    )
                 )
-            )
-        for ed in data.get("edges", []):
-            model.add_edge(
-                Edge(
-                    id=ed["id"],
-                    source=ed["source"],
-                    target=ed["target"],
-                    label=ed.get("label"),
-                    bendpoints=tuple((int(x), int(y)) for x, y in ed.get("bendpoints", [])),
+            for ed in data.get("edges", []):
+                model.add_edge(
+                    Edge(
+                        id=ed["id"],
+                        source=ed["source"],
+                        target=ed["target"],
+                        label=ed.get("label"),
+                        bendpoints=tuple((int(x), int(y)) for x, y in ed.get("bendpoints", [])),
+                    )
                 )
-            )
-        return model
+            return model
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc.args[0]!r}") from None
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)

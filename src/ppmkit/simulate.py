@@ -73,7 +73,6 @@ class SimulationProfile:
     mean_gap: float
     p_defect: float = 0.0
     seed: int = 0
-    template: ProcessModel | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.block_interleave_prob <= 1.0:
@@ -286,7 +285,7 @@ def _emit_moves(b: _SessionBuilder, target: ProcessModel, move_rate: float,
 def simulate(profile: SimulationProfile, session_id: str = "") -> EventLog:
     """Generate one session log. Deterministic for a fixed profile."""
     rng = SplitMix64(profile.seed)
-    target = (profile.template or default_template()).copy()
+    target = default_template()
 
     defective = rng.random() < profile.p_defect
     if defective:

@@ -9,9 +9,12 @@ Slow and dumb on purpose.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import networkx as nx
 
+from ppmkit.blocks import Block
+from ppmkit.eventlog import EventLog, ObjectType
 from ppmkit.model import ProcessModel
 from ppmkit.wfnet import Transition, WFNet
 
@@ -143,6 +146,33 @@ def brute_force_soundness(net: WFNet) -> str:
     if fired != {t.id for t in net.transitions}:
         return "Unsound"
     return "Sound"
+
+
+def whole_share(blocks: list[Block], log: EventLog) -> Fraction | None:
+    """Share of blocks built as a whole, recomputed from the log.
+
+    A block is whole when no foreign node is created between the first and
+    the last create of its members; edge creates never count. Rescans the
+    whole log per block instead of reading the flag detection stored.
+    """
+    if not blocks:
+        return None
+    created_seq: dict[str, int] = {}
+    for ev in log.events:
+        if ev.is_create():
+            created_seq.setdefault(ev.object_id, ev.seq)
+    whole = 0
+    for block in blocks:
+        spans = [created_seq[oid] for oid in block.members]
+        lo, hi = min(spans), max(spans)
+        whole += not any(
+            ev.is_create()
+            and ev.object_type is not ObjectType.EDGE
+            and lo < ev.seq < hi
+            and ev.object_id not in block.members
+            for ev in log.events
+        )
+    return Fraction(whole, len(blocks))
 
 
 def t_p_value(t: float, df: int) -> float:

@@ -190,7 +190,7 @@ class TestDetectBlocks:
         blocks = detect_blocks(replay(log), log)
         assert len(blocks) == 1
         assert blocks[0].whole is False
-        assert perc_blocks_as_whole(blocks, log) == 0
+        assert perc_blocks_as_whole(blocks) == 0
 
 
 def mk_block(start_s, end_s, tag):
@@ -219,8 +219,8 @@ class TestMaxSimulBlock:
         assert max_simul_block(blocks) == 3
 
 
-def test_perc_whole_none_without_blocks(churn_log):
-    assert perc_blocks_as_whole([], churn_log) is None
+def test_perc_whole_none_without_blocks():
+    assert perc_blocks_as_whole([]) is None
 
 
 @given(order=st.permutations(range(6)))

@@ -123,6 +123,13 @@ def test_window_too_small(diamond_log):
         render_ppmchart(diamond_log, PPMChartSpec(window=60.0))
 
 
+@pytest.mark.parametrize("field", ["window", "width", "height", "row_height"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+def test_geometry_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        PPMChartSpec(**{field: value})
+
+
 def test_window_equal_to_span_allowed(diamond_log):
     svg = render_ppmchart(diamond_log, PPMChartSpec(window=95.0))
     assert min(float(x) for x, *_ in dots_of(svg)) == 0.0

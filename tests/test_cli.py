@@ -168,6 +168,14 @@ class TestClassify:
         _, out, _ = run(capsys, "classify", "--log", DIAMOND)
         assert json.loads(out)["verdict"]["stage"] == "StateSpaceExceeded"
 
+    def test_model_node_without_id_exits_1(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"nodes": [{"type": "ACTIVITY"}]}))
+        code, out, err = run(capsys, "classify", "--model", str(model_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {model_path}: missing key 'id'\n"
+
     def test_directory_mode(self, capsys, tmp_path):
         logs = tmp_path / "logs"
         logs.mkdir()
@@ -199,6 +207,14 @@ class TestChart:
         code, _, err = run(capsys, "chart", "--log", DIAMOND, "--window", "10")
         assert code == 1
         assert "pass a larger window" in err
+
+    @pytest.mark.parametrize("flag", ["--window", "--width", "--height"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_geometry_must_be_finite_and_positive(self, capsys, flag, value):
+        code, out, err = run(capsys, "chart", "--log", DIAMOND, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite and positive" in err
 
     def test_geometry_flags(self, capsys):
         _, out, _ = run(capsys, "chart", "--log", CHURN,
@@ -268,6 +284,17 @@ class TestSimulateAndStats:
         code, _, err = run(capsys, "stats", "--reports", str(reports))
         assert code == 1
         assert "group non-perspicuous is empty" in err
+
+    def test_stats_report_without_blocks_exits_1(self, capsys, tmp_path):
+        reports = self.prepare_reports(capsys, tmp_path, sessions=2)
+        broken = sorted(reports.glob("*.json"))[0]
+        data = json.loads(broken.read_text())
+        del data["blocks"]
+        broken.write_text(json.dumps(data))
+        code, out, err = run(capsys, "stats", "--reports", str(reports))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {broken}: missing key 'blocks'\n"
 
     def test_stats_no_reports(self, capsys, tmp_path):
         empty = tmp_path / "none"

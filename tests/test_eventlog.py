@@ -8,6 +8,7 @@ from ppmkit.eventlog import (
     CSV_HEADER,
     EventClass,
     EventKind,
+    KIND_CLASS,
     EventLog,
     LogFormatError,
     ModelingEvent,
@@ -70,6 +71,37 @@ class TestEventKinds:
 
     def test_reconnect_is_its_own_class(self):
         assert classify(EventKind.RECONNECT_EDGE) is EventClass.RECONNECT
+
+    def test_kind_class_table(self):
+        expected = {
+            "CREATE_START_EVENT": EventClass.CREATE,
+            "CREATE_END_EVENT": EventClass.CREATE,
+            "CREATE_ACTIVITY": EventClass.CREATE,
+            "CREATE_XOR": EventClass.CREATE,
+            "CREATE_AND": EventClass.CREATE,
+            "CREATE_EDGE": EventClass.CREATE,
+            "MOVE_START_EVENT": EventClass.MOVE,
+            "MOVE_END_EVENT": EventClass.MOVE,
+            "MOVE_ACTIVITY": EventClass.MOVE,
+            "MOVE_XOR": EventClass.MOVE,
+            "MOVE_AND": EventClass.MOVE,
+            "MOVE_EDGE_LABEL": EventClass.MOVE,
+            "CREATE_EDGE_BENDPOINT": EventClass.MOVE,
+            "MOVE_EDGE_BENDPOINT": EventClass.MOVE,
+            "DELETE_EDGE_BENDPOINT": EventClass.MOVE,
+            "DELETE_START_EVENT": EventClass.DELETE,
+            "DELETE_END_EVENT": EventClass.DELETE,
+            "DELETE_ACTIVITY": EventClass.DELETE,
+            "DELETE_XOR": EventClass.DELETE,
+            "DELETE_AND": EventClass.DELETE,
+            "DELETE_EDGE": EventClass.DELETE,
+            "RECONNECT_EDGE": EventClass.RECONNECT,
+            "NAME_ACTIVITY": EventClass.OTHER,
+            "RENAME_ACTIVITY": EventClass.OTHER,
+            "NAME_EDGE": EventClass.OTHER,
+            "RENAME_EDGE": EventClass.OTHER,
+        }
+        assert {kind.value: cls for kind, cls in KIND_CLASS.items()} == expected
 
     def test_plain_grid(self):
         assert classify(EventKind.CREATE_XOR) is EventClass.CREATE
@@ -190,6 +222,28 @@ class TestParseLog:
         ]
         with pytest.raises(LogFormatError, match="recreation of deleted object"):
             parse_log("\n".join(rows) + "\n")
+
+    def test_type_flip_names_its_line(self):
+        rows = [
+            CSV_HEADER,
+            "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,",
+            "2,2010-11-15T10:00:01.000Z,MOVE_XOR,a,XOR,5,5,,,",
+        ]
+        with pytest.raises(LogFormatError, match="object a changes type at line 3") as err:
+            parse_log("\n".join(rows) + "\n")
+        assert err.value.line == 3
+
+    def test_action_after_delete_names_its_line(self):
+        rows = [
+            CSV_HEADER,
+            "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,",
+            "2,2010-11-15T10:00:01.000Z,DELETE_ACTIVITY,a,ACTIVITY,,,,,",
+            "",
+            "3,2010-11-15T10:00:02.000Z,MOVE_ACTIVITY,a,ACTIVITY,5,5,,,",
+        ]
+        with pytest.raises(LogFormatError, match="action on deleted object a at line 5") as err:
+            parse_log("\n".join(rows) + "\n")
+        assert err.value.line == 5
 
     def test_blank_lines_skipped(self):
         data = (CSV_HEADER + "\n\n"

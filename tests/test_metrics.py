@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import event_logs
+from oracles import whole_share
+from ppmkit.blocks import detect_blocks
 from ppmkit.eventlog import EventLog, expand_reconnect
 from ppmkit.metrics import (
     METRIC_NAMES,
@@ -17,6 +20,8 @@ from ppmkit.metrics import (
     tot_time,
     _seconds,
 )
+from ppmkit.replay import replay
+from ppmkit.simulate import PROFILES, simulate
 
 
 def test_diamond_fixture_exact(diamond_log):
@@ -133,3 +138,12 @@ def test_metrics_well_formed(log):
     assert m.tot_time >= m.tot_create_time >= 0
     expanded = expand_reconnect(log)
     assert compute_session_metrics(expanded) == m
+
+
+@given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_whole_share_matches_oracle(profile, seed):
+    log = simulate(dataclasses.replace(PROFILES[profile], seed=seed))
+    blocks = detect_blocks(replay(log), log)
+    expected = whole_share(blocks, log)
+    assert compute_session_metrics(log).perc_num_block_as_a_whole == expected
