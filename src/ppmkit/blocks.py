@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .eventlog import EventClass, EventLog, ObjectType, format_timestamp
 from .model import ProcessModel
-from .replay import apply_event
+from .replay import apply_event, replay
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,24 @@ def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,
     return found
 
 
+def _block_members(model: ProcessModel, s: str, j: str,
+                   descendants: set[str]) -> frozenset[str] | None:
+    """The members of the block from split `s` to join `j`, or None when
+    the pair is no block; `descendants` is everything reachable from `s`."""
+    if j == s or j not in descendants:
+        return None
+    if edge_disjoint_path_count(model, s, j) < 2:
+        return None
+    interior = (descendants & _reach(model, j, forward=False)) - {s, j}
+    members = interior | {s, j}
+    sealed = all(
+        e.source in members and e.target in members
+        for v in interior
+        for e in model.in_edges(v) + model.out_edges(v)
+    )
+    return frozenset(members) if sealed else None
+
+
 def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]]]:
     """All (split, join, member nodes) blocks present in a model.
 
@@ -102,19 +120,9 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     for s in splits:
         descendants = _reach(model, s, forward=True)
         for j in joins:
-            if j == s or j not in descendants:
-                continue
-            if edge_disjoint_path_count(model, s, j) < 2:
-                continue
-            interior = (descendants & _reach(model, j, forward=False)) - {s, j}
-            members = interior | {s, j}
-            sealed = all(
-                e.source in members and e.target in members
-                for v in interior
-                for e in model.in_edges(v) + model.out_edges(v)
-            )
-            if sealed:
-                out.append((s, j, frozenset(members)))
+            members = _block_members(model, s, j, descendants)
+            if members is not None:
+                out.append((s, j, members))
     return out
 
 
@@ -143,36 +151,40 @@ def _creation_index(log: EventLog) -> tuple[dict[str, int], dict[str, datetime]]
     return created_seq, created_at
 
 
-def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
-    """Find the model's blocks and date them against the log that built it.
+def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
+    """Replay the log; return the final model and its blocks, dated.
 
-    The log must have reconnect events expanded already, and `model` must be
-    what replaying the log produces; anything else is a caller bug. Members
-    are the nodes present when the pair first qualified, so later edits
-    neither extend a block's interval nor change its whole-block status.
+    Only pairs that are blocks in the final model are ever reported, so
+    only those are tested while replaying forward, each until it first
+    qualifies. Only creates and deletes can complete or break a block, so
+    moves and renames trigger no test.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
-
-    # Forward replay, recording each (split, join) pair the first time it
-    # qualifies. Only creates and deletes can complete or break a block,
-    # so moves and renames trigger no re-scan.
+    final = replay(log)
+    pending = [(s, j) for s, j, _ in find_block_pairs(final)]
     first_completed: dict[tuple[str, str], tuple[int, frozenset[str]]] = {}
     current = ProcessModel()
     for ev in log.events:
+        if not pending:
+            break
         apply_event(current, ev)
         if ev.event_class not in (EventClass.CREATE, EventClass.DELETE):
             continue
-        for s, j, members in find_block_pairs(current):
-            if (s, j) not in first_completed:
+        for s, j in pending:
+            # An unstrict log may recreate a deleted id as another type.
+            if not (s in current.nodes and j in current.nodes
+                    and current.is_gateway(s) and current.is_gateway(j)
+                    and current.out_degree(s) >= 2 and current.in_degree(j) >= 2):
+                continue
+            members = _block_members(current, s, j, _reach(current, s, forward=True))
+            if members is not None:
                 first_completed[(s, j)] = (ev.seq, members)
-    if current != model:
-        raise ValueError("model is not the final model of the log")
+        pending = [pair for pair in pending if pair not in first_completed]
 
     created_seq, created_at = _creation_index(log)
     blocks: list[Block] = []
-    for s, j, _ in find_block_pairs(model):
-        seq, members = first_completed[(s, j)]
+    for (s, j), (seq, members) in first_completed.items():
         stamps = [created_at[oid] for oid in members]
         blocks.append(
             Block(
@@ -185,6 +197,20 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
             )
         )
     blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
+    return final, blocks
+
+
+def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
+    """Find the model's blocks and date them against the log that built it.
+
+    The log must have reconnect events expanded already, and `model` must be
+    what replaying the log produces; anything else is a caller bug. Members
+    are the nodes present when the pair first qualified, so later edits
+    neither extend a block's interval nor change its whole-block status.
+    """
+    final, blocks = _replay_and_date(log)
+    if final != model:
+        raise ValueError("model is not the final model of the log")
     return blocks
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blocks import Block, detect_blocks
+from .blocks import Block, _replay_and_date
 from .eventlog import EventLog, expand_reconnect, parse_timestamp
 from .metrics import SessionMetrics, compute_session_metrics
 from .model import ProcessModel
 from .normalize import AppliedRule, NormalizationOutcome, normalize
-from .replay import replay
 from .soundness import SOUND, UNKNOWN, SoundnessReport, Violation, check_soundness
 from .wfnet import to_wfnet
 
@@ -122,7 +121,8 @@ class SessionReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
-        """Rebuild from to_dict output; a missing key raises ValueError naming it."""
+        """Rebuild from to_dict output; a missing key or a value of the
+        wrong type raises ValueError."""
         try:
             blocks = tuple(
                 Block(
@@ -146,6 +146,8 @@ class SessionReport:
             )
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"wrong value type: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "SessionReport":
@@ -155,13 +157,12 @@ class SessionReport:
 def classify_session(log: EventLog, max_states: int | None = None) -> SessionReport:
     """Replay, measure, and classify one session end to end."""
     expanded = expand_reconnect(log)
-    final = replay(expanded)
-    blocks = tuple(detect_blocks(final, expanded))
-    metrics = compute_session_metrics(expanded, blocks=list(blocks))
+    final, blocks = _replay_and_date(expanded)
+    metrics = compute_session_metrics(expanded, blocks=blocks)
     verdict = classify_model(final, max_states)
     return SessionReport(
         session_id=log.session_id,
         metrics=metrics,
-        blocks=blocks,
+        blocks=tuple(blocks),
         verdict=verdict,
     )

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import Block, detect_blocks, max_simul_block, perc_blocks_as_whole
+from .blocks import Block, _replay_and_date, max_simul_block, perc_blocks_as_whole
 from .eventlog import EventClass, EventLog, expand_reconnect
-from .replay import replay
 
 #: JSON field order for SessionMetrics.
 METRIC_NAMES = (
@@ -138,7 +137,7 @@ def compute_session_metrics(log: EventLog, blocks: list[Block] | None = None) ->
     """
     log = expand_reconnect(log)
     if blocks is None:
-        blocks = detect_blocks(replay(log), log)
+        _, blocks = _replay_and_date(log)
     return SessionMetrics(
         max_simul_block=max_simul_block(blocks),
         perc_num_block_as_a_whole=perc_blocks_as_whole(blocks),

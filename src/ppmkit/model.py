@@ -59,6 +59,12 @@ class ProcessModel:
     def __init__(self, nodes=(), edges=()):
         self.nodes: dict[str, Node] = {}
         self.edges: dict[str, Edge] = {}
+        # Per node, its incoming and outgoing edge ids, each mapped to the
+        # edge's rank in `edges`; kept in rank order, so queries answer in
+        # the insertion order of `edges` without scanning it.
+        self._in: dict[str, dict[str, int]] = {}
+        self._out: dict[str, dict[str, int]] = {}
+        self._next_rank = 0
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -70,34 +76,49 @@ class ProcessModel:
         if node.id in self.nodes or node.id in self.edges:
             raise ValueError(f"duplicate object id {node.id}")
         self.nodes[node.id] = node
+        self._in[node.id] = {}
+        self._out[node.id] = {}
 
     def add_edge(self, edge: Edge):
         if edge.id in self.edges or edge.id in self.nodes:
             raise ValueError(f"duplicate object id {edge.id}")
+        self._check_ends(edge)
+        self.edges[edge.id] = edge
+        self._link(edge, self._next_rank)
+        self._next_rank += 1
+
+    def _check_ends(self, edge: Edge):
         if edge.source not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown source {edge.source}")
         if edge.target not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown target {edge.target}")
-        self.edges[edge.id] = edge
+
+    def _link(self, edge: Edge, rank: int):
+        for index, node_id in ((self._out, edge.source), (self._in, edge.target)):
+            incident = index[node_id]
+            incident[edge.id] = rank
+            if any(r > rank for r in incident.values()):  # a retargeted edge
+                index[node_id] = dict(sorted(incident.items(), key=lambda item: item[1]))
+
+    def _unlink(self, edge: Edge) -> int:
+        del self._in[edge.target][edge.id]
+        return self._out[edge.source].pop(edge.id)
 
     def remove_node(self, node_id: str) -> list[str]:
         """Remove a node and every incident edge; returns removed edge ids."""
         if node_id not in self.nodes:
             raise KeyError(node_id)
-        cascade = [
-            eid
-            for eid, e in self.edges.items()
-            if e.source == node_id or e.target == node_id
-        ]
+        incident = {**self._in[node_id], **self._out[node_id]}
+        cascade = sorted(incident, key=incident.__getitem__)
         for eid in cascade:
-            del self.edges[eid]
-        del self.nodes[node_id]
+            self._unlink(self.edges.pop(eid))
+        del self.nodes[node_id], self._in[node_id], self._out[node_id]
         return cascade
 
     def remove_edge(self, edge_id: str):
         if edge_id not in self.edges:
             raise KeyError(edge_id)
-        del self.edges[edge_id]
+        self._unlink(self.edges.pop(edge_id))
 
     def update_node(self, node_id: str, **changes) -> Node:
         node = replace(self.nodes[node_id], **changes)
@@ -105,17 +126,21 @@ class ProcessModel:
         return node
 
     def update_edge(self, edge_id: str, **changes) -> Edge:
-        edge = replace(self.edges[edge_id], **changes)
+        old = self.edges[edge_id]
+        edge = replace(old, **changes)
+        if (edge.source, edge.target) != (old.source, old.target):
+            self._check_ends(edge)
+            self._link(edge, self._unlink(old))
         self.edges[edge_id] = edge
         return edge
 
     # -- queries ----------------------------------------------------------
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges.values() if e.target == node_id]
+        return [self.edges[eid] for eid in self._in.get(node_id, ())]
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges.values() if e.source == node_id]
+        return [self.edges[eid] for eid in self._out.get(node_id, ())]
 
     def predecessors(self, node_id: str) -> list[str]:
         return [e.source for e in self.in_edges(node_id)]
@@ -124,10 +149,10 @@ class ProcessModel:
         return [e.target for e in self.out_edges(node_id)]
 
     def in_degree(self, node_id: str) -> int:
-        return len(self.in_edges(node_id))
+        return len(self._in.get(node_id, ()))
 
     def out_degree(self, node_id: str) -> int:
-        return len(self.out_edges(node_id))
+        return len(self._out.get(node_id, ()))
 
     def is_gateway(self, node_id: str) -> bool:
         return self.nodes[node_id].type in GATEWAY_TYPES
@@ -145,6 +170,9 @@ class ProcessModel:
         clone = ProcessModel()
         clone.nodes = dict(self.nodes)
         clone.edges = dict(self.edges)
+        clone._in = {n: dict(incident) for n, incident in self._in.items()}
+        clone._out = {n: dict(incident) for n, incident in self._out.items()}
+        clone._next_rank = self._next_rank
         return clone
 
     def __eq__(self, other) -> bool:
@@ -183,7 +211,8 @@ class ProcessModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessModel":
-        """Rebuild from to_dict output; a missing key raises ValueError naming it."""
+        """Rebuild from to_dict output; a missing key or a value of the
+        wrong type raises ValueError."""
         model = cls()
         try:
             for nd in data.get("nodes", []):
@@ -208,6 +237,8 @@ class ProcessModel:
             return model
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"wrong value type: {exc}") from None
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)

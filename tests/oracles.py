@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import networkx as nx
 
-from ppmkit.blocks import Block
-from ppmkit.eventlog import EventLog, ObjectType
-from ppmkit.model import ProcessModel
+from ppmkit.blocks import Block, find_block_pairs
+from ppmkit.eventlog import EventClass, EventLog, ObjectType
+from ppmkit.model import Edge, ProcessModel
+from ppmkit.replay import apply_event
 from ppmkit.wfnet import Transition, WFNet
 
 
@@ -148,6 +149,22 @@ def brute_force_soundness(net: WFNet) -> str:
     return "Sound"
 
 
+def _built_whole(members: frozenset[str], log: EventLog) -> bool:
+    created_seq: dict[str, int] = {}
+    for ev in log.events:
+        if ev.is_create():
+            created_seq.setdefault(ev.object_id, ev.seq)
+    spans = [created_seq[oid] for oid in members]
+    lo, hi = min(spans), max(spans)
+    return not any(
+        ev.is_create()
+        and ev.object_type is not ObjectType.EDGE
+        and lo < ev.seq < hi
+        and ev.object_id not in members
+        for ev in log.events
+    )
+
+
 def whole_share(blocks: list[Block], log: EventLog) -> Fraction | None:
     """Share of blocks built as a whole, recomputed from the log.
 
@@ -157,22 +174,53 @@ def whole_share(blocks: list[Block], log: EventLog) -> Fraction | None:
     """
     if not blocks:
         return None
-    created_seq: dict[str, int] = {}
+    return Fraction(sum(_built_whole(b.members, log) for b in blocks), len(blocks))
+
+
+def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
+    """The final model's blocks, dated by rescanning every gateway pair.
+
+    After every create or delete, every split x join pair of the model as
+    it stands is tested; a pair's first qualifying event dates it. Then
+    the pairs that are blocks of the final model are reported. The log
+    must have its reconnect events expanded.
+    """
+    first_completed: dict[tuple[str, str], tuple[int, frozenset[str]]] = {}
+    current = ProcessModel()
+    for ev in log.events:
+        apply_event(current, ev)
+        if ev.event_class not in (EventClass.CREATE, EventClass.DELETE):
+            continue
+        for s, j, members in find_block_pairs(current):
+            first_completed.setdefault((s, j), (ev.seq, members))
+
+    created_at = {}
     for ev in log.events:
         if ev.is_create():
-            created_seq.setdefault(ev.object_id, ev.seq)
-    whole = 0
-    for block in blocks:
-        spans = [created_seq[oid] for oid in block.members]
-        lo, hi = min(spans), max(spans)
-        whole += not any(
-            ev.is_create()
-            and ev.object_type is not ObjectType.EDGE
-            and lo < ev.seq < hi
-            and ev.object_id not in block.members
-            for ev in log.events
-        )
-    return Fraction(whole, len(blocks))
+            created_at.setdefault(ev.object_id, ev.timestamp)
+    blocks = []
+    for s, j, _ in find_block_pairs(current):
+        seq, members = first_completed[(s, j)]
+        stamps = [created_at[oid] for oid in members]
+        blocks.append(Block(split=s, join=j, members=members, completion_seq=seq,
+                            interval=(min(stamps), max(stamps)),
+                            whole=_built_whole(members, log)))
+    blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
+    return blocks
+
+
+def scan_adjacency(model: ProcessModel, node_id: str) -> dict:
+    """A node's edges, neighbours and degrees by scanning every edge."""
+    ins: list[Edge] = [e for e in model.edges.values() if e.target == node_id]
+    outs: list[Edge] = [e for e in model.edges.values() if e.source == node_id]
+    return {
+        "in_edges": ins,
+        "out_edges": outs,
+        "predecessors": [e.source for e in ins],
+        "successors": [e.target for e in outs],
+        "in_degree": len(ins),
+        "out_degree": len(outs),
+    }
 
 
 def t_p_value(t: float, df: int) -> float:

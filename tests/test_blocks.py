@@ -1,10 +1,12 @@
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE
+from conftest import BASE, event_logs
+from oracles import blocks_dated_all_pairs
 from ppmkit.blocks import (
     Block,
     detect_blocks,
@@ -19,10 +21,12 @@ from ppmkit.eventlog import (
     EventLog,
     ModelingEvent,
     ObjectType,
+    expand_reconnect,
     parse_log,
 )
 from ppmkit.model import Edge, Node, ProcessModel
 from ppmkit.replay import replay
+from ppmkit.simulate import PROFILES, simulate
 
 
 def ts(secs):
@@ -192,6 +196,26 @@ class TestDetectBlocks:
         assert blocks[0].whole is False
         assert perc_blocks_as_whole(blocks) == 0
 
+    def test_recreated_id_dates_only_as_gateway(self):
+        # g1 first exists as an activity with two flows into g2; the pair
+        # qualifies only once g1 has come back as a gateway
+        def ev(seq, kind, oid, otype, source=None, target=None):
+            return ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
+                                 object_type=otype, source_id=source, target_id=target)
+        edge = ObjectType.EDGE
+        log = EventLog("recreated", (
+            ev(1, EventKind.CREATE_ACTIVITY, "g1", ObjectType.ACTIVITY),
+            ev(2, EventKind.CREATE_XOR, "g2", ObjectType.XOR),
+            ev(3, EventKind.CREATE_EDGE, "e1", edge, "g1", "g2"),
+            ev(4, EventKind.CREATE_EDGE, "e2", edge, "g1", "g2"),
+            ev(5, EventKind.DELETE_ACTIVITY, "g1", ObjectType.ACTIVITY),
+            ev(6, EventKind.CREATE_XOR, "g1", ObjectType.XOR),
+            ev(7, EventKind.CREATE_EDGE, "e3", edge, "g1", "g2"),
+            ev(8, EventKind.CREATE_EDGE, "e4", edge, "g1", "g2"),
+        ))
+        blocks = detect_blocks(replay(log), log)
+        assert [(b.split, b.join, b.completion_seq) for b in blocks] == [("g1", "g2", 8)]
+
 
 def mk_block(start_s, end_s, tag):
     return Block(split=f"s{tag}", join=f"j{tag}",
@@ -229,3 +253,63 @@ def test_max_simul_is_order_free(order):
     base = [mk_block(i * 3, i * 3 + 7, i + 1) for i in range(6)]
     shuffled = [base[i] for i in order]
     assert max_simul_block(shuffled) == max_simul_block(base)
+
+
+@st.composite
+def block_churn_logs(draw):
+    """Logs over five node ids that keep forming and breaking blocks.
+
+    Edges are drawn densely between live nodes (parallel edges and
+    self-loops included), edges and nodes get deleted, and a deleted id
+    may come back, possibly as another type, which an unstrict log allows.
+    """
+    events = []
+    live_nodes: dict[str, ObjectType] = {}
+    live_edges: dict[str, tuple[str, str]] = {}
+    for seq in range(1, draw(st.integers(1, 50)) + 1):
+        roll = draw(st.integers(0, 9))
+        free = [n for n in ("g1", "g2", "g3", "t1", "t2") if n not in live_nodes]
+        source = target = None
+        if free and (roll < 3 or len(live_nodes) < 2):
+            oid = draw(st.sampled_from(free))
+            otype = draw(st.sampled_from([ObjectType.XOR, ObjectType.AND,
+                                          ObjectType.ACTIVITY]))
+            kind = EventKind[f"CREATE_{otype.value}"]
+            live_nodes[oid] = otype
+        elif roll < 7 or not live_edges:
+            oid, otype, kind = f"e{seq}", ObjectType.EDGE, EventKind.CREATE_EDGE
+            source = draw(st.sampled_from(sorted(live_nodes)))
+            target = draw(st.sampled_from(sorted(live_nodes)))
+            live_edges[oid] = (source, target)
+        elif roll < 9:
+            oid = draw(st.sampled_from(sorted(live_edges)))
+            otype, kind = ObjectType.EDGE, EventKind.DELETE_EDGE
+            del live_edges[oid]
+        else:
+            oid = draw(st.sampled_from(sorted(live_nodes)))
+            otype = live_nodes.pop(oid)
+            kind = EventKind[f"DELETE_{otype.value}"]
+            live_edges = {e: ends for e, ends in live_edges.items() if oid not in ends}
+        events.append(ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
+                                    object_type=otype, source_id=source, target_id=target))
+    return EventLog(session_id="churn", events=tuple(events))
+
+
+@given(log=block_churn_logs())
+@settings(max_examples=60, deadline=None)
+def test_dating_matches_all_pairs_oracle_on_block_churn(log):
+    assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
+
+
+@given(log=event_logs())
+@settings(max_examples=40, deadline=None)
+def test_dating_matches_all_pairs_oracle_on_random_logs(log):
+    expanded = expand_reconnect(log)
+    assert detect_blocks(replay(expanded), expanded) == blocks_dated_all_pairs(expanded)
+
+
+@given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=30, deadline=None)
+def test_dating_matches_all_pairs_oracle_on_simulated_sessions(profile, seed):
+    log = simulate(dataclasses.replace(PROFILES[profile], seed=seed))
+    assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)

@@ -176,6 +176,15 @@ class TestClassify:
         assert out == ""
         assert err == f"error: {model_path}: missing key 'id'\n"
 
+    def test_model_nodes_of_wrong_type_exits_1(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"nodes": 5, "edges": []}))
+        code, out, err = run(capsys, "classify", "--model", str(model_path))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {model_path}: wrong value type: "
+                       "'int' object is not iterable\n")
+
     def test_directory_mode(self, capsys, tmp_path):
         logs = tmp_path / "logs"
         logs.mkdir()
@@ -295,6 +304,20 @@ class TestSimulateAndStats:
         assert code == 1
         assert out == ""
         assert err == f"error: {broken}: missing key 'blocks'\n"
+
+    @pytest.mark.parametrize("mangle", [
+        lambda data: {**data, "metrics": 3},
+        lambda data: [1, 2],
+    ], ids=["metrics_is_number", "report_is_array"])
+    def test_stats_report_of_wrong_type_exits_1(self, capsys, tmp_path, mangle):
+        reports = self.prepare_reports(capsys, tmp_path, sessions=2)
+        broken = sorted(reports.glob("*.json"))[0]
+        broken.write_text(json.dumps(mangle(json.loads(broken.read_text()))))
+        code, out, err = run(capsys, "stats", "--reports", str(reports))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {broken}: wrong value type: ")
+        assert err.count("\n") == 1
 
     def test_stats_no_reports(self, capsys, tmp_path):
         empty = tmp_path / "none"

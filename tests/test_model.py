@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import scan_adjacency
 from ppmkit.eventlog import ObjectType
 from ppmkit.model import Edge, Node, ProcessModel
 
@@ -46,6 +49,14 @@ def test_remove_node_cascades():
     assert sorted(removed) == ["f1", "f2"]
     assert "a" not in m.nodes
     assert m.edges == {}
+
+
+def test_remove_node_cascade_in_edge_order():
+    m = ProcessModel(nodes=[Node("a", ObjectType.ACTIVITY), Node("b", ObjectType.ACTIVITY)],
+                     edges=[Edge("x", "a", "b"), Edge("y", "b", "a"), Edge("z", "b", "b"),
+                            Edge("w", "a", "b")])
+    assert m.remove_node("b") == ["x", "y", "z", "w"]
+    assert m.edges == {} and m.out_degree("a") == m.in_degree("a") == 0
 
 
 def test_remove_missing_raises_keyerror():
@@ -129,3 +140,62 @@ def test_to_dict_sorted_by_id():
     m = ProcessModel(nodes=[Node("z", ObjectType.ACTIVITY), Node("a", ObjectType.ACTIVITY)])
     ids = [nd["id"] for nd in m.to_dict()["nodes"]]
     assert ids == ["a", "z"]
+
+
+def test_update_edge_to_unknown_node_raises():
+    m = linear_model()
+    with pytest.raises(ValueError, match="unknown target ghost"):
+        m.update_edge("f1", target="ghost")
+    assert m.edges["f1"].target == "a"
+
+
+def adjacency(model: ProcessModel) -> dict:
+    """Every node's answers to the indexed queries, plus an unknown id."""
+    return {
+        node_id: {name: getattr(model, name)(node_id) for name in scan_adjacency(model, node_id)}
+        for node_id in [*model.nodes, "unknown"]
+    }
+
+
+def scanned(model: ProcessModel) -> dict:
+    return {node_id: scan_adjacency(model, node_id) for node_id in [*model.nodes, "unknown"]}
+
+
+def mutate(model: ProcessModel, data, fresh: str):
+    """One random mutation; node and edge ids come from `fresh`."""
+    nodes, edges = sorted(model.nodes), sorted(model.edges)
+    op = data.draw(st.sampled_from(
+        ["add_node"] + ["add_edge"] * 2 * bool(nodes) + ["remove_node"] * bool(nodes)
+        + ["remove_edge", "update_edge", "update_edge"] * bool(edges)))
+    if op == "add_node":
+        model.add_node(Node(f"n{fresh}", ObjectType.ACTIVITY))
+    elif op == "add_edge":
+        source, target = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+        model.add_edge(Edge(f"e{fresh}", source, target))
+    elif op == "remove_node":
+        node_id = data.draw(st.sampled_from(nodes))
+        expected = [eid for eid, e in model.edges.items() if node_id in (e.source, e.target)]
+        assert model.remove_node(node_id) == expected
+    elif op == "remove_edge":
+        model.remove_edge(data.draw(st.sampled_from(edges)))
+    else:
+        edge_id = data.draw(st.sampled_from(edges))
+        end = data.draw(st.sampled_from(["source", "target", "label"]))
+        value = data.draw(st.sampled_from(nodes)) if end != "label" else fresh
+        model.update_edge(edge_id, **{end: value})
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_adjacency_index_matches_edge_scan(data):
+    model = ProcessModel()
+    for step in range(data.draw(st.integers(1, 30))):
+        if data.draw(st.integers(0, 9)) == 0:
+            before = (dict(model.nodes), dict(model.edges), adjacency(model))
+            clone = model.copy()
+            mutate(clone, data, f"{step}c")
+            assert (model.nodes, model.edges, adjacency(model)) == before
+            model = clone
+        else:
+            mutate(model, data, str(step))
+        assert adjacency(model) == scanned(model)
