@@ -14,11 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import load_fixture
-from golden_cases import GOLDEN_CASES
+from golden_cases import GOLDEN_CASES, build
 from oracles import brute_force_soundness, models_isomorphic, random_wfnet, t_p_value
 from ppmkit.chart import PPMChartSpec, render_ppmchart
 from ppmkit.classify import classify_session
 from ppmkit.cli import main as cli_main
+from ppmkit.eventlog import ObjectType as OT
 from ppmkit.eventlog import expand_reconnect, serialize_log
 from ppmkit.metrics import compute_session_metrics
 from ppmkit.normalize import normalize
@@ -26,6 +27,29 @@ from ppmkit.simulate import PROFILES, default_template, simulate_cohort
 from ppmkit.soundness import check_soundness
 from ppmkit.stats import compare_groups, t_test
 from ppmkit.wfnet import to_wfnet
+
+
+def structured_templates():
+    """Block-structured models the reduction decides: a 3-wide AND block,
+    an AND block nested in an XOR branch, and an XOR loop with a redo task."""
+    S, E, A, X, AND = OT.START_EVENT, OT.END_EVENT, OT.ACTIVITY, OT.XOR, OT.AND
+    wide_and = build(
+        [("s", S), ("f", AND), ("a", A), ("b", A), ("c", A), ("j", AND), ("e", E)],
+        [("s", "f"), ("f", "a"), ("f", "b"), ("f", "c"), ("a", "j"), ("b", "j"),
+         ("c", "j"), ("j", "e")],
+    )
+    and_in_xor = build(
+        [("s", S), ("x1", X), ("f", AND), ("a", A), ("b", A), ("j", AND),
+         ("c", A), ("x2", X), ("e", E)],
+        [("s", "x1"), ("x1", "f"), ("f", "a"), ("f", "b"), ("a", "j"), ("b", "j"),
+         ("j", "x2"), ("x1", "c"), ("c", "x2"), ("x2", "e")],
+    )
+    xor_loop = build(
+        [("s", S), ("enter", X), ("a", A), ("leave", X), ("redo", A), ("e", E)],
+        [("s", "enter"), ("enter", "a"), ("a", "leave"), ("leave", "redo"),
+         ("redo", "enter"), ("leave", "e")],
+    )
+    return [wide_and, and_in_xor, xor_loop]
 
 
 @contextmanager
@@ -66,6 +90,7 @@ def test_criterion_1_soundness_agrees_with_brute_force(capsys):
         sound_seen = 0
         nets = [to_wfnet(normalize(default_template()).model)]
         nets += [to_wfnet(normalize(case()[0]).model) for _, case in GOLDEN_CASES]
+        nets += [to_wfnet(normalize(model).model) for model in structured_templates()]
         for net in nets:
             verdict = check_soundness(net, max_states=500_000).verdict
             assert verdict == brute_force_soundness(net)

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_cases import build
+from oracles import brute_force_soundness
+from ppmkit.classify import classify_model
 from ppmkit.eventlog import ObjectType
 from ppmkit.soundness import (
     DEFAULT_MAX_STATES,
@@ -8,6 +12,8 @@ from ppmkit.soundness import (
     SOUND,
     UNKNOWN,
     UNSOUND,
+    _explore,
+    _reduce,
     check_soundness,
     default_max_states,
 )
@@ -57,7 +63,7 @@ def test_linear_sound():
     report = check_soundness(linear_net())
     assert report.verdict == SOUND
     assert report.violations == ()
-    assert report.states_explored == 4  # i, p_f1, p_f2, o
+    assert report.states_explored == 2  # reduced to i -> t -> o: i, o
 
 
 def test_matched_gateways_sound():
@@ -103,6 +109,21 @@ def test_unbounded_pump():
     assert v.witness == {"p": 1, "q": 1}
 
 
+def test_weighted_arc_is_not_reduced():
+    # t1 puts two tokens on p and t2 takes one: read with arc weight 1,
+    # the net would collapse to i -> t -> o.
+    net = WFNet(
+        places=("i", "o", "p"),
+        transitions=(
+            Transition("t1", ("i",), ("p", "p")),
+            Transition("t2", ("p",), ("o",)),
+        ),
+    )
+    report = check_soundness(net)
+    assert report.verdict == UNSOUND
+    assert "ImproperCompletion" in kinds(report)
+
+
 def test_not_wf_structured_short_circuits():
     net = WFNet(
         places=("i", "o", "p_live", "p_dead"),
@@ -120,7 +141,8 @@ def test_not_wf_structured_short_circuits():
 
 
 def test_state_cap_gives_unknown():
-    report = check_soundness(diamond(ObjectType.AND, ObjectType.AND), max_states=2)
+    # An unsound net, so the reduction cannot decide it and the explorer runs.
+    report = check_soundness(diamond(ObjectType.AND, ObjectType.XOR), max_states=2)
     assert report.verdict == UNKNOWN
     assert kinds(report) == ["StateSpaceExceeded"]
     assert report.states_explored == 3  # the state that burst the cap
@@ -138,7 +160,7 @@ class TestMaxStatesEnv:
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(MAX_STATES_ENV, "2")
-        report = check_soundness(diamond(ObjectType.XOR, ObjectType.XOR))
+        report = check_soundness(diamond(ObjectType.AND, ObjectType.XOR))
         assert report.verdict == UNKNOWN
 
     def test_env_not_integer(self, monkeypatch):
@@ -188,3 +210,101 @@ def test_to_dict_round_trips_shapes():
     assert d["violations"][0]["kind"] == "DeadlockNoCompletion"
     assert isinstance(d["violations"][0]["trace"], list)
     assert d["states_explored"] == report.states_explored
+
+
+@st.composite
+def block_models(draw, flip):
+    """The net of a random block-structured model; with flip, one of its
+    gateways is turned from AND to XOR or back.
+
+    Blocks are tasks, sequences, XOR blocks of 2-3 branches, AND blocks of
+    2 and XOR loops with an optional redo block, nested at most two deep.
+    Only the first branch of an AND block may hold a loop: loops side by
+    side, or wider AND blocks, make the brute-force oracle slow.
+    """
+    nodes = [("start", ObjectType.START_EVENT), ("end", ObjectType.END_EVENT)]
+    edges = []
+    gateways = []
+
+    def node(kind):
+        node_id = f"n{len(nodes)}"
+        nodes.append((node_id, kind))
+        return node_id
+
+    def block(depth, loops=True):
+        shapes = ("task", "seq", "xor", "and") + (("loop",) if loops else ())
+        shape = draw(st.sampled_from(shapes if depth else ("task",)))
+        if shape == "task":
+            task = node(ObjectType.ACTIVITY)
+            return task, task
+        if shape == "seq":
+            first, last = block(depth - 1, loops)
+            entry, last_exit = block(depth - 1, loops)
+            edges.append((last, entry))
+            return first, last_exit
+        if shape == "loop":
+            entry, leave = node(ObjectType.XOR), node(ObjectType.XOR)
+            gateways.extend((entry, leave))
+            body_in, body_out = block(depth - 1)
+            edges.extend([(entry, body_in), (body_out, leave)])
+            if draw(st.booleans()):
+                redo_in, redo_out = block(depth - 1)
+                edges.extend([(leave, redo_in), (redo_out, entry)])
+            else:
+                edges.append((leave, entry))
+            return entry, leave
+        if shape == "xor":
+            split, join = node(ObjectType.XOR), node(ObjectType.XOR)
+            branches = [block(depth - 1, loops) for _ in range(draw(st.integers(2, 3)))]
+        else:
+            split, join = node(ObjectType.AND), node(ObjectType.AND)
+            branches = [block(depth - 1, loops), block(depth - 1, False)]
+        gateways.extend((split, join))
+        for branch_in, branch_out in branches:
+            edges.extend([(split, branch_in), (branch_out, join)])
+        return split, join
+
+    entry, leave = block(2)
+    edges.extend([("start", entry), (leave, "end")])
+
+    if flip and gateways:
+        flipped = draw(st.sampled_from(gateways))
+        nodes = [
+            (node_id, ObjectType.XOR if kind is ObjectType.AND else ObjectType.AND)
+            if node_id == flipped else (node_id, kind)
+            for node_id, kind in nodes
+        ]
+    return to_wfnet(build(nodes, edges))
+
+
+@given(block_models(flip=False))
+@settings(max_examples=60, deadline=None)
+def test_block_structured_nets_reduce_and_are_sound(net):
+    assert _reduce(net) is not None
+    assert brute_force_soundness(net) == SOUND
+
+
+@given(block_models(flip=True))
+@settings(max_examples=60, deadline=None)
+def test_flipped_gateway_nets_keep_the_explorer_report(net):
+    if _reduce(net) is not None:
+        assert brute_force_soundness(net) == SOUND
+    else:
+        assert (check_soundness(net, max_states=DEFAULT_MAX_STATES).to_dict()
+                == _explore(net, DEFAULT_MAX_STATES).to_dict())
+
+
+def test_wide_and_block_is_sound_within_a_small_cap():
+    # 9 branches of 3 tasks: about 4^9 markings, so exploration alone would
+    # give up at any cap; the reduction decides it on the trivial net.
+    nodes = [("s", ObjectType.START_EVENT), ("fork", ObjectType.AND),
+             ("sync", ObjectType.AND), ("e", ObjectType.END_EVENT)]
+    edges = [("s", "fork"), ("sync", "e")]
+    for b in range(9):
+        prev = "fork"
+        for d in range(3):
+            nodes.append((f"p{b}_{d}", ObjectType.ACTIVITY))
+            edges.append((prev, f"p{b}_{d}"))
+            prev = f"p{b}_{d}"
+        edges.append((prev, "sync"))
+    assert classify_model(build(nodes, edges), max_states=10).stage == "Sound"

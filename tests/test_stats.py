@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import t_p_value
@@ -91,18 +91,32 @@ class TestTTest:
         assert result.p_value == 1.0
 
 
+def _sum_of_squares(values):
+    mean = sum(values) / len(values)
+    return sum((v - mean) ** 2 for v in values)
+
+
 @given(
     a=st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=12),
     b=st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=12),
     shift=st.floats(min_value=-10, max_value=10),
 )
 @settings(max_examples=80)
+@example(a=[0.0, 0.0], b=[0.0, 6.38e-53], shift=1.0)
 def test_t_shift_invariance(a, b, shift):
     try:
         base = t_test(a, b)
     except ValueError:
         return
-    moved = t_test([v + shift for v in a], [v + shift for v in b])
+    shifted_a, shifted_b = [v + shift for v in a], [v + shift for v in b]
+    try:
+        moved = t_test(shifted_a, shifted_b)
+    except ValueError as err:
+        # Shifting may round a tiny spread away; then the samples must
+        # really have no spread left.
+        assert "pooled variance is zero" in str(err)
+        assert _sum_of_squares(shifted_a) + _sum_of_squares(shifted_b) == 0.0
+        return
     assert math.isclose(base.t_value, moved.t_value, rel_tol=1e-7, abs_tol=1e-7)
     assert moved.df == base.df
 
