@@ -123,6 +123,10 @@ class SessionReport:
     def from_dict(cls, data: dict) -> "SessionReport":
         """Rebuild from to_dict output; a missing key or a value of the
         wrong type raises ValueError."""
+        def interval(pair) -> tuple:
+            start, end = pair
+            return parse_timestamp(start), parse_timestamp(end)
+
         try:
             blocks = tuple(
                 Block(
@@ -130,10 +134,7 @@ class SessionReport:
                     join=b["join"],
                     members=frozenset(b["members"]),
                     completion_seq=0,  # not serialized; JSON-level round-trip only
-                    interval=(
-                        parse_timestamp(b["interval"][0]),
-                        parse_timestamp(b["interval"][1]),
-                    ),
+                    interval=interval(b["interval"]),
                     whole=b["whole"],
                 )
                 for b in data["blocks"]
@@ -148,6 +149,9 @@ class SessionReport:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"wrong value type: {exc}") from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            # Fraction() of an infinite float or of a string like "1/0"
+            raise ValueError(f"bad number: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "SessionReport":

@@ -19,6 +19,7 @@ from .chart import PPMChartSpec, render_ppmchart
 from .classify import SessionReport, classify_model, classify_session
 from .eventlog import (
     EventLog,
+    LogFormatError,
     expand_reconnect,
     format_timestamp,
     parse_log,
@@ -31,10 +32,15 @@ from .replay import replay, replay_until
 from .simulate import PROFILES, simulate_cohort
 from .stats import compare_groups, render_table
 
+# The failure list of a log-directory run, kept beside the reports
+ERRORS_FILE = "errors.json"
 
 def _read_log(path: str) -> EventLog:
     p = Path(path)
-    return parse_log(p.read_text(encoding="utf-8"), session_id=p.stem)
+    try:
+        return parse_log(p.read_bytes(), session_id=p.stem)
+    except LogFormatError as exc:
+        raise ValueError(f"{p}: {exc}") from None
 
 
 def _load_json(path: Path, from_json):
@@ -116,9 +122,23 @@ def _run_per_log(args, render) -> int:
             raise ValueError("--out directory is required with a log directory")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for p in _log_paths(args.log):
-            log = parse_log(p.read_text(encoding="utf-8"), session_id=p.stem)
-            (out_dir / f"{p.stem}.json").write_text(render(log), encoding="utf-8")
+        paths = _log_paths(args.log)
+        errors_path = out_dir / ERRORS_FILE
+        errors_path.unlink(missing_ok=True)  # the failure list of an earlier run
+        errors = []
+        for p in paths:
+            report_path = out_dir / f"{p.stem}.json"
+            try:
+                if report_path == errors_path:
+                    raise ValueError(f"its report would overwrite {ERRORS_FILE}")
+                text = render(parse_log(p.read_bytes(), session_id=p.stem))
+            except (ValueError, OSError) as exc:
+                errors.append({"file": p.name, "error": str(exc)})
+                continue
+            report_path.write_text(text, encoding="utf-8")
+        if errors:
+            errors_path.write_text(_dump(errors), encoding="utf-8")
+            raise ValueError(f"{len(errors)} of {len(paths)} logs failed")
         return 0
     log = _read_log(args.log)
     _write_or_print(render(log), args.out)
@@ -159,7 +179,7 @@ def _cmd_chart(args) -> int:
 
 def _cmd_stats(args) -> int:
     report_dir = Path(args.reports)
-    paths = sorted(report_dir.glob("*.json"))
+    paths = sorted(p for p in report_dir.glob("*.json") if p.name != ERRORS_FILE)
     if not paths:
         raise ValueError(f"no .json reports in {args.reports}")
     reports = [_load_json(p, SessionReport.from_json) for p in paths]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -85,6 +86,10 @@ for _kind in EventKind:
         KIND_OBJECT_TYPE[_kind] = ObjectType(_noun)
         KIND_CLASS[_kind] = EventClass.__members__.get(_verb, EventClass.OTHER)
 
+# CSV field value -> member; a dict lookup costs less than EventKind(raw).
+_KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
+_OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
+
 
 def classify(kind: EventKind) -> EventClass:
     """Map an event kind to its action class. Total over EventKind."""
@@ -105,13 +110,23 @@ CSV_HEADER = (
     "seq,timestamp,event,object_id,object_type,x,y,label,source_id,target_id"
 )
 
-_TS_FORMAT = "%Y-%m-%dT%H:%M:%S.%fZ"
+_TS_SHAPE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)\.(\d{1,6})Z", re.ASCII)
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 UTC timestamp with millisecond precision."""
+    """Parse a UTC timestamp of exactly the shape YYYY-MM-DDThh:mm:ss.fZ.
+
+    Digits are ASCII, every field but the year has two, and the fraction
+    has 1 to 6, read as a decimal fraction of a second that must be a
+    whole number of milliseconds.
+    """
+    match = _TS_SHAPE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad timestamp {text!r}")
+    year, month, day, hour, minute, second, fraction = match.groups()
     try:
-        ts = datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc)
+        ts = datetime(int(year), int(month), int(day), int(hour), int(minute),
+                      int(second), int(fraction.ljust(6, "0")), timezone.utc)
     except ValueError:
         raise ValueError(f"bad timestamp {text!r}") from None
     if ts.microsecond % 1000 != 0:
@@ -120,9 +135,11 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
+    """The form parse_timestamp reads; sub-millisecond digits are dropped."""
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc)
-    return ts.strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}Z"
+    return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T{ts.hour:02d}:{ts.minute:02d}:"
+            f"{ts.second:02d}.{ts.microsecond // 1000:03d}Z")
 
 
 @dataclass(frozen=True)
@@ -176,21 +193,43 @@ class EventLog:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        invalid = _first_invalid(self.events)
-        if invalid is not None:
-            index, reason = invalid
-            raise ValueError(f"{reason} at seq {self.events[index].seq}")
+        try:
+            reconnects = _check_events(self.events)
+        except _InvalidEvent as exc:
+            raise ValueError(f"{exc.reason} at seq {self.events[exc.index].seq}") from None
+        object.__setattr__(self, "_reconnects", reconnects)
+
+    @classmethod
+    def _checked(cls, session_id: str, events: tuple[ModelingEvent, ...],
+                 reconnects: bool) -> "EventLog":
+        """A log over events that already passed _check_events; skips
+        validating them again."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "session_id", session_id)
+        object.__setattr__(log, "events", events)
+        object.__setattr__(log, "_reconnects", reconnects)
+        return log
 
     def __len__(self) -> int:
         return len(self.events)
 
     def has_reconnects(self) -> bool:
-        return any(ev.kind is EventKind.RECONNECT_EDGE for ev in self.events)
+        return self._reconnects
 
 
-def _first_invalid(events, strict: bool = False) -> tuple[int, str] | None:
-    """Index and reason of the first event breaking the order or lifecycle
-    rules, or None when the sequence is valid.
+class _InvalidEvent(Exception):
+    """The first event of a sequence that breaks the order or lifecycle rules."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(reason)
+        self.index = index
+        self.reason = reason
+
+
+def _check_events(events, strict: bool = False) -> bool:
+    """Check the order and lifecycle rules in one walk; return whether any
+    event is a reconnect. Raises _InvalidEvent at the first event breaking
+    the rules.
 
     Seq numbers strictly increase and timestamps never go back. Every
     action needs a live object of the type it was created with: created,
@@ -199,32 +238,35 @@ def _first_invalid(events, strict: bool = False) -> tuple[int, str] | None:
     """
     alive: dict[str, ObjectType] = {}
     dead: set[str] = set()
+    reconnects = False
     prev = None
     for index, ev in enumerate(events):
         if prev is not None:
             if ev.seq <= prev.seq:
-                return index, f"seq not strictly increasing ({prev.seq} then {ev.seq})"
+                raise _InvalidEvent(index, f"seq not strictly increasing ({prev.seq} then {ev.seq})")
             if ev.timestamp < prev.timestamp:
-                return index, "timestamp regression"
+                raise _InvalidEvent(index, "timestamp regression")
         prev = ev
         oid = ev.object_id
         event_class = KIND_CLASS[ev.kind]
         if event_class is EventClass.CREATE:
             if oid in alive:
-                return index, f"duplicate create of object {oid}"
+                raise _InvalidEvent(index, f"duplicate create of object {oid}")
             if strict and oid in dead:
-                return index, f"recreation of deleted object {oid}"
+                raise _InvalidEvent(index, f"recreation of deleted object {oid}")
             alive[oid] = ev.object_type
             dead.discard(oid)
         elif oid not in alive:
             verb = "deleted" if oid in dead else "unknown"
-            return index, f"action on {verb} object {oid}"
+            raise _InvalidEvent(index, f"action on {verb} object {oid}")
         elif alive[oid] is not ev.object_type:
-            return index, f"object {oid} changes type"
+            raise _InvalidEvent(index, f"object {oid} changes type")
         elif event_class is EventClass.DELETE:
             del alive[oid]
             dead.add(oid)
-    return None
+        elif event_class is EventClass.RECONNECT:
+            reconnects = True
+    return reconnects
 
 
 def _parse_row(row: list[str], line: int) -> ModelingEvent:
@@ -239,14 +281,12 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
         ts = parse_timestamp(raw_ts)
     except ValueError as exc:
         raise LogFormatError(str(exc), line) from None
-    try:
-        kind = EventKind(raw_kind)
-    except ValueError:
-        raise LogFormatError(f"unknown event {raw_kind!r}", line) from None
-    try:
-        otype = ObjectType(raw_otype)
-    except ValueError:
-        raise LogFormatError(f"unknown object type {raw_otype!r}", line) from None
+    kind = _KIND_BY_VALUE.get(raw_kind)
+    if kind is None:
+        raise LogFormatError(f"unknown event {raw_kind!r}", line)
+    otype = _OBJECT_TYPE_BY_VALUE.get(raw_otype)
+    if otype is None:
+        raise LogFormatError(f"unknown object type {raw_otype!r}", line)
     if bool(x) != bool(y):
         raise LogFormatError("x and y must be given together", line)
     position = None
@@ -274,34 +314,42 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
 def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
     """Parse and validate an event-log CSV.
 
-    Raises LogFormatError with a 1-based line number on any malformed row,
-    unknown event name, seq or timestamp disorder, missing edge endpoints,
-    action on a never-created or deleted object, an object changing type,
-    or recreation of a previously deleted object id.
+    Raises LogFormatError with a 1-based line number on input that is not
+    UTF-8 or not CSV, any malformed row, unknown event name, seq or
+    timestamp disorder, missing edge endpoints, action on a never-created
+    or deleted object, an object changing type, or recreation of a
+    previously deleted object id.
     """
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(f"not UTF-8 (byte {exc.start}: {exc.reason})", 1) from None
     else:
         text = data
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LogFormatError("empty input, expected header row", 1) from None
-    if header != CSV_HEADER.split(","):
-        raise LogFormatError(f"bad header {','.join(header)!r}", 1)
-
     events: list[ModelingEvent] = []
     lines: list[int] = []
-    for line, row in enumerate(reader, start=2):
-        if row:
-            events.append(_parse_row(row, line))
-            lines.append(line)
-    invalid = _first_invalid(events, strict=True)
-    if invalid is not None:
-        index, reason = invalid
-        raise LogFormatError(reason, lines[index])
-    return EventLog(session_id=session_id, events=tuple(events))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise LogFormatError("empty input, expected header row", 1)
+        if header != CSV_HEADER.split(","):
+            raise LogFormatError(f"bad header {','.join(header)!r}", 1)
+        # A record's number is its first line; a quoted field may span lines.
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                events.append(_parse_row(row, line))
+                lines.append(line)
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
+    try:
+        reconnects = _check_events(events, strict=True)
+    except _InvalidEvent as exc:
+        raise LogFormatError(exc.reason, lines[exc.index]) from None
+    return EventLog._checked(session_id, tuple(events), reconnects)
 
 
 def serialize_log(log: EventLog) -> str:
@@ -368,4 +416,7 @@ def expand_reconnect(log: EventLog) -> EventLog:
         else:
             seq += 1
             events.append(replace(ev, seq=seq) if ev.seq != seq else ev)
-    return EventLog(session_id=log.session_id, events=tuple(events))
+    # Valid by construction: the reconnected edge is alive, deleting and
+    # recreating it keeps every later event's object state, seq numbers
+    # run 1..n and timestamps keep their order.
+    return EventLog._checked(log.session_id, tuple(events), False)

@@ -239,6 +239,8 @@ class ProcessModel:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"wrong value type: {exc}") from None
+        except OverflowError as exc:  # int() of an infinite coordinate
+            raise ValueError(f"bad number: {exc}") from None
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)

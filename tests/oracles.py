@@ -9,6 +9,7 @@ Slow and dumb on purpose.
 from __future__ import annotations
 
 import random
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import networkx as nx
@@ -221,6 +222,21 @@ def scan_adjacency(model: ProcessModel, node_id: str) -> dict:
         "in_degree": len(ins),
         "out_degree": len(outs),
     }
+
+
+def parse_timestamp_strptime(text: str) -> datetime:
+    """The strptime definition of eventlog.parse_timestamp.
+
+    Looser than the documented shape: it also takes one-digit fields,
+    lower-case T and Z and non-ASCII digits.
+    """
+    try:
+        ts = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S.%fZ").replace(tzinfo=timezone.utc)
+    except ValueError:
+        raise ValueError(f"bad timestamp {text!r}") from None
+    if ts.microsecond % 1000 != 0:
+        raise ValueError(f"timestamp {text!r} not millisecond-aligned")
+    return ts
 
 
 def t_p_value(t: float, df: int) -> float:

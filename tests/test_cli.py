@@ -22,6 +22,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def corpus_run(capsys, tmp_path, command):
+    """Run `command` over a log directory where bad.csv, which sorts first,
+    fails; returns the output directory."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "bad.csv").write_text(Path(CHURN).read_text().replace(".000Z", "Z", 1))
+    shutil.copy(DIAMOND, logs / "diamond.csv")
+    shutil.copy(REWIRE, logs / "rewire.csv")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--log", str(logs), "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err == "error: 1 of 3 logs failed\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "diamond.json", "errors.json", "rewire.json"]
+    assert json.loads((out_dir / "errors.json").read_text()) == [
+        {"file": "bad.csv", "error": "bad timestamp '2010-11-15T10:00:00Z' at line 2"}]
+    return out_dir
+
+
 class TestParse:
     def test_summary(self, capsys):
         code, out, err = run(capsys, "parse", "--log", DIAMOND)
@@ -56,6 +76,32 @@ class TestParse:
         code, out, err = run(capsys, "parse", "--log", str(bad))
         assert code == 1
         assert "error:" in err and "line 3" in err
+
+
+class TestMalformedLog:
+    """Input that is not UTF-8 or not CSV ends in one error line naming the
+    file, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["parse", "classify", "metrics"])
+    def test_field_over_csv_limit(self, capsys, tmp_path, command):
+        big = tmp_path / "big.csv"
+        big.write_text(Path(DIAMOND).read_text().replace(",report,", "," + "x" * 200_000 + ","))
+        code, out, err = run(capsys, command, "--log", str(big))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {big}: malformed CSV: field larger than field limit")
+        assert err.endswith(" at line 21\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["parse", "classify", "metrics"])
+    def test_invalid_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(Path(DIAMOND).read_bytes().replace(b"report", b"r\xe9port"))
+        code, out, err = run(capsys, command, "--log", str(bad))
+        assert code == 1
+        assert out == ""
+        offset = Path(DIAMOND).read_bytes().index(b"report") + 1
+        assert err.startswith(f"error: {bad}: not UTF-8 (byte {offset}: invalid continuation byte)")
+        assert err.endswith(" at line 1\n") and err.count("\n") == 1
 
 
 class TestReplay:
@@ -116,6 +162,11 @@ class TestMetrics:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["churn.json", "diamond.json"]
+
+    def test_directory_reports_every_good_log(self, capsys, tmp_path):
+        out_dir = corpus_run(capsys, tmp_path, "metrics")
+        _, single, _ = run(capsys, "metrics", "--log", DIAMOND)
+        assert (out_dir / "diamond.json").read_text() == single
 
     def test_empty_directory(self, capsys, tmp_path):
         empty = tmp_path / "none"
@@ -196,6 +247,37 @@ class TestClassify:
         assert code == 0
         report = json.loads((out_dir / "rewire.json").read_text())
         assert report["session_id"] == "rewire"
+        assert not (out_dir / "errors.json").exists()
+
+    def test_directory_reports_every_good_log(self, capsys, tmp_path):
+        out_dir = corpus_run(capsys, tmp_path, "classify")
+        for name in ("diamond", "rewire"):
+            _, single, _ = run(capsys, "classify", "--log", str(FIXTURES / f"{name}.csv"))
+            assert (out_dir / f"{name}.json").read_text() == single
+
+    def test_log_named_errors_is_refused_not_overwritten(self, capsys, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "bad.csv").write_text("not a log\n")
+        shutil.copy(DIAMOND, logs / "errors.csv")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "classify", "--log", str(logs),
+                           "--out", str(out_dir))
+        assert code == 1
+        assert err == "error: 2 of 2 logs failed\n"
+        assert [p.name for p in out_dir.iterdir()] == ["errors.json"]
+        failures = json.loads((out_dir / "errors.json").read_text())
+        assert [f["file"] for f in failures] == ["bad.csv", "errors.csv"]
+        assert failures[1]["error"] == "its report would overwrite errors.json"
+
+    def test_clean_rerun_removes_stale_failure_list(self, capsys, tmp_path):
+        out_dir = corpus_run(capsys, tmp_path, "classify")
+        (tmp_path / "logs" / "bad.csv").unlink()
+        code, _, _ = run(capsys, "classify", "--log", str(tmp_path / "logs"),
+                         "--out", str(out_dir))
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "diamond.json", "rewire.json"]
 
 
 class TestChart:
@@ -245,6 +327,21 @@ class TestSimulateAndStats:
                          "--out", str(reports))
         assert code == 0
         return reports
+
+    def test_stats_after_failing_corpus_run_reads_only_reports(self, capsys, tmp_path):
+        clean = self.prepare_reports(capsys, tmp_path / "clean")
+        _, expected, _ = run(capsys, "stats", "--reports", str(clean))
+        logs = tmp_path / "clean" / "logs"
+        (logs / "bad.csv").write_text("not a log\n")
+        reports = tmp_path / "reports"
+        code, _, err = run(capsys, "classify", "--log", str(logs),
+                           "--out", str(reports))
+        assert code == 1
+        assert err == "error: 1 of 13 logs failed\n"
+        assert (reports / "errors.json").exists()
+        code, out, err = run(capsys, "stats", "--reports", str(reports))
+        assert (code, err) == (0, "")
+        assert out == expected
 
     def test_simulate_writes_one_csv_per_session(self, capsys, tmp_path):
         out = tmp_path / "d"

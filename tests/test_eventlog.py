@@ -1,9 +1,11 @@
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import BASE, event_logs, load_fixture
+from oracles import parse_timestamp_strptime
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventClass,
@@ -50,6 +52,76 @@ class TestTimestamps:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError, match="bad timestamp"):
             parse_timestamp("yesterday")
+
+    @pytest.mark.parametrize("text", [
+        "2010-1-5T1:0:0.4Z",  # one-digit fields
+        "2010-11-15t10:00:01.250z",  # lower-case T and Z
+        "2010-11-15T10:00:01.250",  # no Z
+        "2010-11-15T10:00:01Z",  # no fraction
+        "2010-11-15T10:00:01.2500000Z",  # seven fraction digits
+        "2010-11-15T10:00:01.250Z\n",
+        " 2010-11-15T10:00:01.250Z",
+        "\u0662\u0660\u0661\u0660-11-15T10:00:01.250Z",  # Arabic-Indic digits
+        "2010-11-15T10:00:1\u0662.250Z",
+        "2010-02-30T10:00:01.250Z",  # no such day
+        "2010-11-15T24:00:00.000Z",
+        "2010-11-15T10:00:60.000Z",
+        "0000-01-01T00:00:00.000Z",
+    ])
+    def test_rejects_loose_forms(self, text):
+        with pytest.raises(ValueError, match="^bad timestamp"):
+            parse_timestamp(text)
+
+    def test_loose_forms_strptime_took(self):
+        # the old parser accepted these; the documented shape does not
+        for text in ("2010-1-5T1:0:0.4Z", "2010-11-15t10:00:01.250z",
+                     "\u0662\u0660\u0661\u0660-11-15T10:00:01.250Z"):
+            parse_timestamp_strptime(text)
+
+    def test_fraction_padded_to_microseconds(self):
+        assert parse_timestamp("2010-11-15T10:00:01.25Z").microsecond == 250_000
+        assert parse_timestamp("2010-11-15T10:00:01.123000Z").microsecond == 123_000
+        with pytest.raises(ValueError, match="millisecond"):
+            parse_timestamp("2010-11-15T10:00:01.000250Z")
+
+    def test_year_below_1000_round_trips(self):
+        ts = datetime(999, 1, 2, 3, 4, 5, 6000, tzinfo=timezone.utc)
+        assert format_timestamp(ts) == "0999-01-02T03:04:05.006Z"
+        assert parse_timestamp(format_timestamp(ts)) == ts
+
+
+_ALIGNED_UTC = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999000),
+    timezones=st.just(timezone.utc),
+).map(lambda dt: dt.replace(microsecond=dt.microsecond // 1000 * 1000))
+
+
+@given(dt=_ALIGNED_UTC)
+def test_timestamp_round_trip_matches_strptime(dt):
+    text = format_timestamp(dt)
+    assert parse_timestamp(text) == dt == parse_timestamp_strptime(text)
+
+
+# The characters timestamps are made of, some near misses and a few
+# non-ASCII digits.
+_TS_ALPHABET = "0123456789-:T.Z tz\u0661\u0967\uff11"
+
+
+@given(text=st.text(_TS_ALPHABET, max_size=30)
+       | st.from_regex(r"\A\d{1,4}-\d{1,2}-\d{1,2}T\d{1,2}:\d{1,2}:\d{1,2}\.\d{1,7}Z\Z"))
+@example(text="2010-11-15T10:00:01.2505Z")
+@example(text="2010-1-5T1:0:0.4Z")
+@settings(max_examples=100)
+def test_timestamp_parser_accepts_only_what_strptime_accepts(text):
+    try:
+        ts = parse_timestamp(text)
+    except ValueError as exc:
+        # a shape it refuses is never called misaligned
+        if "millisecond" in str(exc):
+            with pytest.raises(ValueError, match="millisecond"):
+                parse_timestamp_strptime(text)
+        return
+    assert ts == parse_timestamp_strptime(text)
 
 
 class TestEventKinds:
@@ -245,6 +317,41 @@ class TestParseLog:
             parse_log("\n".join(rows) + "\n")
         assert err.value.line == 5
 
+    def test_field_over_csv_limit(self):
+        data = (CSV_HEADER + "\n"
+                + "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,," + "x" * 200_000
+                + ",,\n")
+        with pytest.raises(LogFormatError, match="malformed CSV: field larger") as err:
+            parse_log(data)
+        assert err.value.line == 2
+
+    def test_nul_byte(self):
+        # Python 3.10's csv module refuses NUL; later versions read it
+        data = CSV_HEADER + "\n" + "\n" + "1,2010-11-15T10:00:00.000Z,CREATE_\0,a,ACTIVITY,,,,,\n"
+        with pytest.raises(LogFormatError) as err:
+            parse_log(data)
+        assert err.value.line == 3
+
+    def test_invalid_utf8(self):
+        data = (CSV_HEADER + "\n").encode() + b"1,\xff\xfe,CREATE_ACTIVITY,a,ACTIVITY,,,,,\n"
+        with pytest.raises(LogFormatError, match="not UTF-8") as err:
+            parse_log(data)
+        assert err.value.line == 1
+
+    def test_bytes_and_text_parse_alike(self, diamond_log):
+        text = serialize_log(diamond_log)
+        assert parse_log(text.encode(), "diamond") == parse_log(text, "diamond") == diamond_log
+
+    def test_line_numbers_count_lines_of_quoted_fields(self):
+        rows = [
+            CSV_HEADER,
+            '1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,"two\nlines",,',
+            "",
+            "2,2010-11-15T10:00:01.000Z,MOVE_ACTIVITY,zz,ACTIVITY,1,1,,,",
+        ]
+        with pytest.raises(LogFormatError, match="unknown object zz at line 5"):
+            parse_log("\n".join(rows) + "\n")
+
     def test_blank_lines_skipped(self):
         data = (CSV_HEADER + "\n\n"
                 + "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,\n\n")
@@ -285,6 +392,21 @@ class TestExpandReconnect:
 
     def test_no_reconnects_is_identity(self, diamond_log):
         assert expand_reconnect(diamond_log) == diamond_log
+
+
+@given(log=event_logs())
+@settings(max_examples=40)
+def test_reconnect_flag_matches_a_scan(log):
+    """has_reconnects answers from the validation walk; it must agree with
+    scanning the events, however the log was built. The expansion skips
+    validation, so its output must pass it."""
+    parsed = parse_log(serialize_log(log), session_id=log.session_id)
+    built = EventLog(log.session_id, log.events)
+    expanded = expand_reconnect(log)
+    assert EventLog(expanded.session_id, expanded.events) == expanded
+    for each in (log, parsed, built, expanded):
+        assert each.has_reconnects() == any(
+            e.kind is EventKind.RECONNECT_EDGE for e in each.events)
 
 
 @given(log=event_logs())

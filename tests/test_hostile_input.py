@@ -1,0 +1,165 @@
+"""Hostile input: whatever the bytes, text or JSON, each reader refuses it
+with its own error type (LogFormatError for logs, ValueError for model and
+report JSON) and never lets another exception escape."""
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import event_logs, load_fixture
+from ppmkit.classify import SessionReport, classify_session
+from ppmkit.eventlog import (
+    CSV_HEADER,
+    EventKind,
+    LogFormatError,
+    ObjectType,
+    expand_reconnect,
+    parse_log,
+    serialize_log,
+)
+from ppmkit.model import ProcessModel
+from ppmkit.replay import replay
+from ppmkit.simulate import PROFILES, simulate_cohort
+
+
+def parse_or_refuse(data):
+    try:
+        parse_log(data)
+    except LogFormatError:
+        pass
+
+
+# Field values a log is made of, plus the characters CSV quoting and
+# line splitting care about.
+_FIELDS = st.one_of(
+    st.sampled_from([k.value for k in EventKind] + [t.value for t in ObjectType]),
+    st.sampled_from(["1", "2", "-1", "0", "a", "e1", "", '"', '""', "\x00", "\r", "\n",
+                     "2010-11-15T10:00:00.000Z", "2010-11-15T10:00:01.000Z"]),
+    st.text(max_size=8),
+)
+_ROWS = st.lists(st.lists(_FIELDS, max_size=12).map(",".join), max_size=8)
+
+
+@given(rows=_ROWS, newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=80)
+def test_parse_log_csv_like_text(rows, newline):
+    parse_or_refuse(newline.join([CSV_HEADER] + rows))
+
+
+@given(text=st.text(max_size=200))
+@settings(max_examples=150)
+def test_parse_log_arbitrary_text(text):
+    parse_or_refuse(text)
+    parse_or_refuse(CSV_HEADER + "\n" + text)
+
+
+@given(data=st.binary(max_size=200))
+@settings(max_examples=150)
+def test_parse_log_arbitrary_bytes(data):
+    parse_or_refuse(data)
+    parse_or_refuse(CSV_HEADER.encode() + b"\n" + data)
+
+
+@given(log=event_logs(max_events=12), data=st.data())
+@settings(max_examples=50)
+def test_parse_log_spliced_valid_log(log, data):
+    text = serialize_log(log)
+    start = data.draw(st.integers(0, len(text)))
+    end = data.draw(st.integers(start, len(text)))
+    parse_or_refuse(text[:start] + data.draw(st.text(max_size=20)) + text[end:])
+
+
+# Leaves include the edge cases of number conversion: non-finite floats,
+# huge values and strings that Fraction or int read as numbers.
+_EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308, -(2**70),
+                                "", "1/0", "1/3", "1e400", "nan", "2010-11-15T10:00:00.000Z"])
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=10), _EDGE_VALUES,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _slots(value, found):
+    """Every (container, key) inside a JSON value, depth first."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = range(len(value))
+    else:
+        return found
+    for key in keys:
+        found.append((value, key))
+        _slots(value[key], found)
+    return found
+
+
+@st.composite
+def mutated(draw, originals):
+    """One of `originals` with up to three values replaced by arbitrary
+    JSON or deleted."""
+    value = json.loads(draw(st.sampled_from(originals)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(value, [])
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            container[key] = draw(st.one_of(_EDGE_VALUES, _JSON_LEAVES, _JSON_VALUES))
+        elif isinstance(container, dict):
+            del container[key]
+        else:
+            container.pop(key)
+    return json.dumps(value)
+
+
+def _reports() -> list[str]:
+    logs = [load_fixture(name) for name in ("diamond.csv", "churn.csv", "rewire.csv")]
+    logs += simulate_cohort(PROFILES["chaotic"], 6, 3)
+    reports = [classify_session(log).to_json() for log in logs]
+    # cover every verdict shape there is: with and without soundness,
+    # with violation traces and witnesses
+    assert any('"trace": [' in r for r in reports)
+    return reports
+
+
+REPORTS = _reports()
+MODELS = [replay(expand_reconnect(load_fixture(name))).to_json()
+          for name in ("diamond.csv", "rewire.csv")]
+
+
+def load_or_refuse(from_json, text):
+    try:
+        from_json(text)
+    except ValueError:
+        pass
+
+
+def _with(original: str, path: tuple, value) -> str:
+    data = json.loads(original)
+    container = data
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    return json.dumps(data)
+
+
+@given(text=mutated(REPORTS) | _JSON_VALUES.map(json.dumps))
+@example(text=_with(REPORTS[0], ("metrics", "tot_time"), float("inf")))
+@example(text=_with(REPORTS[0], ("metrics", "tot_time"), "1/0"))
+@example(text=_with(REPORTS[0], ("blocks", 0, "interval"), []))
+@settings(max_examples=100)
+def test_report_json_raises_only_value_error(text):
+    load_or_refuse(SessionReport.from_json, text)
+
+
+@given(text=mutated(MODELS) | _JSON_VALUES.map(json.dumps))
+@example(text=_with(MODELS[0], ("nodes", 0, "x"), float("inf")))
+@settings(max_examples=100)
+def test_model_json_raises_only_value_error(text):
+    load_or_refuse(ProcessModel.from_json, text)
