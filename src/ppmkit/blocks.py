@@ -11,10 +11,11 @@ by the create timestamps of the member nodes present at that moment.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
+from operator import itemgetter
 
 from .eventlog import EventClass, EventLog, ObjectType, format_timestamp
 from .model import ProcessModel
@@ -40,71 +41,105 @@ class Block:
         }
 
 
-def _reach(model: ProcessModel, start: str, forward: bool) -> set[str]:
+def _reverse_postorder(model: ProcessModel, start: str) -> list[str]:
+    """Every node reachable from `start`, in reverse postorder of a DFS."""
+    post: list[str] = []
     seen = {start}
-    stack = [start]
+    stack = [(start, iter(model.successors(start)))]
     while stack:
-        u = stack.pop()
-        step = model.successors(u) if forward else model.predecessors(u)
-        for v in step:
+        u, successors = stack[-1]
+        for v in successors:
             if v not in seen:
                 seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,
-                             cap: int = 2) -> int:
-    """Count edge-disjoint directed paths, up to `cap` (unit-capacity flow)."""
-    if source == sink:
-        return 0
-    flow: dict[str, bool] = {}
-    found = 0
-    while found < cap:
-        parent: dict[str, tuple[str, bool, str]] = {}
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
+                stack.append((v, iter(model.successors(v))))
                 break
-            for e in model.out_edges(u):
-                if not flow.get(e.id) and e.target not in seen:
-                    seen.add(e.target)
-                    parent[e.target] = (e.id, True, u)
-                    queue.append(e.target)
-            for e in model.in_edges(u):
-                if flow.get(e.id) and e.source not in seen:
-                    seen.add(e.source)
-                    parent[e.source] = (e.id, False, u)
-                    queue.append(e.source)
-        if sink not in seen:
-            break
-        v = sink
-        while v != source:
-            eid, fwd, u = parent[v]
-            flow[eid] = fwd
-            v = u
-        found += 1
-    return found
+        else:
+            stack.pop()
+            post.append(u)
+    post.reverse()
+    return post
+
+
+def _two_path_nodes(model: ProcessModel, s: str) -> tuple[set[str], set[str]]:
+    """The nodes `s` reaches, and those it reaches by two edge-disjoint paths.
+
+    By Menger's theorem, v has two edge-disjoint paths from s exactly when
+    no single edge lies on every path to it. One iterative dominator pass
+    (Cooper, Harvey & Kennedy 2001) in reverse postorder decides this for
+    every descendant: an in-edge (p, v) is a separate way in unless v
+    dominates p, and v is cut by one edge when it has fewer than two ways
+    in or its immediate dominator is cut.
+    """
+    order = _reverse_postorder(model, s)
+    rank = {v: k for k, v in enumerate(order)}
+    preds = {v: [p for p in model.predecessors(v) if p in rank and p != v]
+             for v in order}
+    idom = {s: s}
+
+    def climb(a: str, above: str) -> str:
+        while rank[a] > rank[above]:
+            a = idom[a]
+        return a
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            a = climb(a, b)
+            b = climb(b, a)
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            new = None
+            for p in preds[v]:
+                if p in idom:
+                    new = p if new is None else intersect(p, new)
+            if idom.get(v) != new:
+                idom[v] = new
+                changed = True
+
+    cut = {s: False}
+    for v in order[1:]:
+        # climb returns p at once when p comes before v: v cannot dominate it.
+        ways = sum(1 for p in preds[v] if climb(p, v) != v)
+        cut[v] = ways < 2 or cut[idom[v]]
+    return set(order), {v for v, is_cut in cut.items() if not is_cut and v != s}
 
 
 def _block_members(model: ProcessModel, s: str, j: str,
                    descendants: set[str]) -> frozenset[str] | None:
-    """The members of the block from split `s` to join `j`, or None when
-    the pair is no block; `descendants` is everything reachable from `s`."""
-    if j == s or j not in descendants:
-        return None
-    if edge_disjoint_path_count(model, s, j) < 2:
-        return None
-    interior = (descendants & _reach(model, j, forward=False)) - {s, j}
-    members = interior | {s, j}
-    sealed = all(
-        e.source in members and e.target in members
-        for v in interior
-        for e in model.in_edges(v) + model.out_edges(v)
-    )
+    """The members of the block from split `s` to join `j`, or None when an
+    interior node has an edge to or from outside; `j` has two edge-disjoint
+    paths from `s`, and `descendants` is everything `s` reaches."""
+    # The members are the descendants of s that reach j. A path from one of
+    # them to j stays among the descendants, so a backward search from j
+    # confined to them finds all, and stops at the first edge into the
+    # interior from outside.
+    members = {j}
+    stack = [j]
+    while stack:
+        v = stack.pop()
+        for p in model.predecessors(v):
+            if p in descendants:
+                if p not in members:
+                    members.add(p)
+                    stack.append(p)
+            elif v != s and v != j:
+                return None
+    interior = members - {s, j}
+    sealed = all(t in members for v in interior for t in model.successors(v))
     return frozenset(members) if sealed else None
+
+
+def _blocks_from(model: ProcessModel, s: str, joins: list[str]):
+    """Yield (join, members) for each of `joins` closing a block at `s`."""
+    descendants, two_paths = _two_path_nodes(model, s)
+    for j in joins:
+        if j in two_paths:
+            members = _block_members(model, s, j, descendants)
+            if members is not None:
+                yield j, members
 
 
 def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]]]:
@@ -116,39 +151,33 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     """
     splits = [g for g in model.gateway_ids() if model.out_degree(g) >= 2]
     joins = [g for g in model.gateway_ids() if model.in_degree(g) >= 2]
-    out: list[tuple[str, str, frozenset[str]]] = []
-    for s in splits:
-        descendants = _reach(model, s, forward=True)
-        for j in joins:
-            members = _block_members(model, s, j, descendants)
-            if members is not None:
-                out.append((s, j, members))
-    return out
+    return [(s, j, members) for s in splits for j, members in _blocks_from(model, s, joins)]
 
 
-def _is_whole(log: EventLog, members: frozenset[str],
-              created_seq: dict[str, int]) -> bool:
+def _is_whole(members: frozenset[str], created_seq: dict[str, int],
+              node_creates: list[tuple[int, str]]) -> bool:
     # A block was made as a whole if no foreign NODE was created between
     # its first and last member create. Edge creates never break this.
     spans = [created_seq[oid] for oid in members]
     lo, hi = min(spans), max(spans)
-    return not any(
-        ev.is_create()
-        and ev.object_type is not ObjectType.EDGE
-        and lo < ev.seq < hi
-        and ev.object_id not in members
-        for ev in log.events
-    )
+    inside = node_creates[bisect_right(node_creates, lo, key=itemgetter(0)):
+                          bisect_left(node_creates, hi, key=itemgetter(0))]
+    return all(oid in members for _, oid in inside)
 
 
-def _creation_index(log: EventLog) -> tuple[dict[str, int], dict[str, datetime]]:
+def _creation_index(log: EventLog) -> tuple[dict[str, int], dict[str, datetime],
+                                            list[tuple[int, str]]]:
     created_seq: dict[str, int] = {}
     created_at: dict[str, datetime] = {}
+    node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
     for ev in log.events:
-        if ev.is_create() and ev.object_id not in created_seq:
-            created_seq[ev.object_id] = ev.seq
-            created_at[ev.object_id] = ev.timestamp
-    return created_seq, created_at
+        if ev.is_create():
+            if ev.object_id not in created_seq:
+                created_seq[ev.object_id] = ev.seq
+                created_at[ev.object_id] = ev.timestamp
+            if ev.object_type is not ObjectType.EDGE:
+                node_creates.append((ev.seq, ev.object_id))
+    return created_seq, created_at, node_creates
 
 
 def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
@@ -156,33 +185,43 @@ def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
 
     Only pairs that are blocks in the final model are ever reported, so
     only those are tested while replaying forward, each until it first
-    qualifies. Only creates and deletes can complete or break a block, so
-    moves and renames trigger no test.
+    qualifies. Moves, renames and bendpoint edits change neither structure
+    nor node types, so the dating replay skips them; a new node is
+    isolated, so only an edge create or a delete triggers a test.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
     final = replay(log)
-    pending = [(s, j) for s, j, _ in find_block_pairs(final)]
+    pending: dict[str, list[str]] = {}
+    for s, j, _ in find_block_pairs(final):
+        pending.setdefault(s, []).append(j)
     first_completed: dict[tuple[str, str], tuple[int, frozenset[str]]] = {}
     current = ProcessModel()
     for ev in log.events:
         if not pending:
             break
-        apply_event(current, ev)
-        if ev.event_class not in (EventClass.CREATE, EventClass.DELETE):
+        event_class = ev.event_class
+        if event_class is not EventClass.CREATE and event_class is not EventClass.DELETE:
             continue
-        for s, j in pending:
+        apply_event(current, ev)
+        if event_class is EventClass.CREATE and ev.object_type is not ObjectType.EDGE:
+            continue
+        dated = len(first_completed)
+        for s, joins in pending.items():
             # An unstrict log may recreate a deleted id as another type.
-            if not (s in current.nodes and j in current.nodes
-                    and current.is_gateway(s) and current.is_gateway(j)
-                    and current.out_degree(s) >= 2 and current.in_degree(j) >= 2):
+            if not (s in current.nodes and current.is_gateway(s)
+                    and current.out_degree(s) >= 2):
                 continue
-            members = _block_members(current, s, j, _reach(current, s, forward=True))
-            if members is not None:
-                first_completed[(s, j)] = (ev.seq, members)
-        pending = [pair for pair in pending if pair not in first_completed]
+            ready = [j for j in joins if j in current.nodes and current.is_gateway(j)
+                     and current.in_degree(j) >= 2]
+            if ready:
+                for j, members in _blocks_from(current, s, ready):
+                    first_completed[(s, j)] = (ev.seq, members)
+        if len(first_completed) > dated:
+            pending = {s: rest for s, joins in pending.items()
+                       if (rest := [j for j in joins if (s, j) not in first_completed])}
 
-    created_seq, created_at = _creation_index(log)
+    created_seq, created_at, node_creates = _creation_index(log)
     blocks: list[Block] = []
     for (s, j), (seq, members) in first_completed.items():
         stamps = [created_at[oid] for oid in members]
@@ -193,7 +232,7 @@ def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
                 members=members,
                 completion_seq=seq,
                 interval=(min(stamps), max(stamps)),
-                whole=_is_whole(log, members, created_seq),
+                whole=_is_whole(members, created_seq, node_creates),
             )
         )
     blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check against.
 
 Everything here deliberately takes a different route from the package:
-reachability through networkx, unboundedness through an unmemoized
+reachability through networkx, two edge-disjoint paths through
+unit-capacity max-flow, unboundedness through an unmemoized
 Karp-Miller-style tree, p-values through numeric quadrature in mpmath.
 Slow and dumb on purpose.
 """
@@ -9,12 +10,13 @@ Slow and dumb on purpose.
 from __future__ import annotations
 
 import random
+from collections import deque
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import networkx as nx
 
-from ppmkit.blocks import Block, find_block_pairs
+from ppmkit.blocks import Block
 from ppmkit.eventlog import EventClass, EventLog, ObjectType
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.replay import apply_event
@@ -150,6 +152,69 @@ def brute_force_soundness(net: WFNet) -> str:
     return "Sound"
 
 
+def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,
+                             cap: int = 2) -> int:
+    """Count edge-disjoint directed paths, up to `cap` (unit-capacity flow)."""
+    if source == sink:
+        return 0
+    flow: dict[str, bool] = {}
+    found = 0
+    while found < cap:
+        parent: dict[str, tuple[str, bool, str]] = {}
+        seen = {source}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if u == sink:
+                break
+            for e in model.out_edges(u):
+                if not flow.get(e.id) and e.target not in seen:
+                    seen.add(e.target)
+                    parent[e.target] = (e.id, True, u)
+                    queue.append(e.target)
+            for e in model.in_edges(u):
+                if flow.get(e.id) and e.source not in seen:
+                    seen.add(e.source)
+                    parent[e.source] = (e.id, False, u)
+                    queue.append(e.source)
+        if sink not in seen:
+            break
+        v = sink
+        while v != source:
+            eid, fwd, u = parent[v]
+            flow[eid] = fwd
+            v = u
+        found += 1
+    return found
+
+
+def find_block_pairs_maxflow(model: ProcessModel) -> list[tuple[str, str, frozenset[str]]]:
+    """All (split, join, member nodes) blocks of a model, sorted by
+    (split, join), by testing every split x join pair.
+
+    A pair is a block when the join has two edge-disjoint paths from the
+    split (a max-flow), and no node strictly between them (reached from
+    the split and reaching the join) has an edge to or from a non-member.
+    """
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(model.nodes)
+    graph.add_edges_from((e.source, e.target) for e in model.edges.values())
+    splits = [g for g in model.gateway_ids() if model.out_degree(g) >= 2]
+    joins = [g for g in model.gateway_ids() if model.in_degree(g) >= 2]
+    out = []
+    for s in splits:
+        descendants = nx.descendants(graph, s) | {s}
+        for j in joins:
+            if j == s or j not in descendants or edge_disjoint_path_count(model, s, j) < 2:
+                continue
+            interior = (descendants & nx.ancestors(graph, j)) - {s, j}
+            members = interior | {s, j}
+            if all(e.source in members and e.target in members
+                   for v in interior for e in model.in_edges(v) + model.out_edges(v)):
+                out.append((s, j, frozenset(members)))
+    return out
+
+
 def _built_whole(members: frozenset[str], log: EventLog) -> bool:
     created_seq: dict[str, int] = {}
     for ev in log.events:
@@ -182,7 +247,7 @@ def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
     """The final model's blocks, dated by rescanning every gateway pair.
 
     After every create or delete, every split x join pair of the model as
-    it stands is tested; a pair's first qualifying event dates it. Then
+    it stands is tested by max-flow; a pair's first qualifying event dates it. Then
     the pairs that are blocks of the final model are reported. The log
     must have its reconnect events expanded.
     """
@@ -192,7 +257,7 @@ def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
         apply_event(current, ev)
         if ev.event_class not in (EventClass.CREATE, EventClass.DELETE):
             continue
-        for s, j, members in find_block_pairs(current):
+        for s, j, members in find_block_pairs_maxflow(current):
             first_completed.setdefault((s, j), (ev.seq, members))
 
     created_at = {}
@@ -200,7 +265,7 @@ def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
         if ev.is_create():
             created_at.setdefault(ev.object_id, ev.timestamp)
     blocks = []
-    for s, j, _ in find_block_pairs(current):
+    for s, j, _ in find_block_pairs_maxflow(current):
         seq, members = first_completed[(s, j)]
         stamps = [created_at[oid] for oid in members]
         blocks.append(Block(split=s, join=j, members=members, completion_seq=seq,

@@ -1,16 +1,18 @@
 import dataclasses
+import inspect
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE, event_logs
-from oracles import blocks_dated_all_pairs
+from oracles import blocks_dated_all_pairs, edge_disjoint_path_count, find_block_pairs_maxflow
 from ppmkit.blocks import (
     Block,
+    _two_path_nodes,
     detect_blocks,
-    edge_disjoint_path_count,
     find_block_pairs,
     max_simul_block,
     perc_blocks_as_whole,
@@ -25,7 +27,7 @@ from ppmkit.eventlog import (
     parse_log,
 )
 from ppmkit.model import Edge, Node, ProcessModel
-from ppmkit.replay import replay
+from ppmkit.replay import iter_states, replay
 from ppmkit.simulate import PROFILES, simulate
 
 
@@ -217,6 +219,56 @@ class TestDetectBlocks:
         assert [(b.split, b.join, b.completion_seq) for b in blocks] == [("g1", "g2", 8)]
 
 
+def xor_chain_log(k: int) -> EventLog:
+    """start, then k XOR blocks in a row (split, two tasks, join), then an
+    end event; each block is built and wired before the next one starts."""
+    events = []
+
+    def add(kind, oid, otype, source=None, target=None):
+        seq = len(events) + 1
+        events.append(ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
+                                    object_type=otype, source_id=source, target_id=target))
+
+    def node(oid, otype):
+        add(EventKind[f"CREATE_{otype.value}"], oid, otype)
+
+    def edge(source, target):
+        add(EventKind.CREATE_EDGE, f"e{len(events) + 1}", ObjectType.EDGE, source, target)
+
+    node("start", ObjectType.START_EVENT)
+    prev = "start"
+    for i in range(k):
+        node(f"s{i}", ObjectType.XOR)
+        edge(prev, f"s{i}")
+        for task in (f"a{i}", f"b{i}"):
+            node(task, ObjectType.ACTIVITY)
+            edge(f"s{i}", task)
+        node(f"j{i}", ObjectType.XOR)
+        edge(f"a{i}", f"j{i}")
+        edge(f"b{i}", f"j{i}")
+        prev = f"j{i}"
+    node("end", ObjectType.END_EVENT)
+    edge(prev, "end")
+    return EventLog(session_id="chain", events=tuple(events))
+
+
+def test_long_xor_chain_dates_every_block_in_chain_order():
+    # 150 blocks in a row make a dominator chain hundreds of nodes deep.
+    # The traversals are iterative, so a recursion limit just above the
+    # current depth is no obstacle.
+    log = xor_chain_log(150)
+    model = replay(log)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        blocks = detect_blocks(model, log)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(blocks) == 150
+    assert [(b.split, b.join) for b in blocks] == [(f"s{i}", f"j{i}") for i in range(150)]
+    assert all(b.whole for b in blocks)
+
+
 def mk_block(start_s, end_s, tag):
     return Block(split=f"s{tag}", join=f"j{tag}",
                  members=frozenset({f"s{tag}", f"j{tag}"}),
@@ -313,3 +365,49 @@ def test_dating_matches_all_pairs_oracle_on_random_logs(log):
 def test_dating_matches_all_pairs_oracle_on_simulated_sessions(profile, seed):
     log = simulate(dataclasses.replace(PROFILES[profile], seed=seed))
     assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
+
+
+@st.composite
+def gateway_multigraphs(draw):
+    """Models of up to seven gateways and activities with arbitrary flows.
+
+    Parallel flows, self-loops, cycles, flows back into a split and
+    isolated nodes all occur.
+    """
+    types = draw(st.lists(st.sampled_from([ObjectType.XOR, ObjectType.AND,
+                                           ObjectType.ACTIVITY]), min_size=1, max_size=7))
+    node = st.integers(0, len(types) - 1)
+    ends = draw(st.lists(st.tuples(node, node), max_size=16))
+    return ProcessModel(
+        nodes=[Node(f"n{i}", otype) for i, otype in enumerate(types)],
+        edges=[Edge(f"e{k}", f"n{a}", f"n{b}") for k, (a, b) in enumerate(ends)],
+    )
+
+
+def _assert_matches_maxflow(model):
+    assert find_block_pairs(model) == find_block_pairs_maxflow(model)
+    for s in model.nodes:
+        _, two_paths = _two_path_nodes(model, s)
+        for v in model.nodes:
+            assert (v in two_paths) == (edge_disjoint_path_count(model, s, v) >= 2), (s, v)
+
+
+# A split with two flows to a join, one of them parallel, a flow back into
+# the split, a self-loop and an isolated node.
+@example(model=ProcessModel(
+    nodes=[Node("n0", ObjectType.XOR), Node("n1", ObjectType.ACTIVITY),
+           Node("n2", ObjectType.AND), Node("n3", ObjectType.ACTIVITY)],
+    edges=[Edge("e0", "n0", "n1"), Edge("e1", "n0", "n2"), Edge("e2", "n1", "n2"),
+           Edge("e3", "n1", "n2"), Edge("e4", "n2", "n0"), Edge("e5", "n1", "n1")],
+))
+@given(model=gateway_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_dominator_search_matches_maxflow_on_multigraphs(model):
+    _assert_matches_maxflow(model)
+
+
+@given(log=block_churn_logs())
+@settings(max_examples=40, deadline=None)
+def test_dominator_search_matches_maxflow_while_replaying(log):
+    for _, model in iter_states(log):
+        _assert_matches_maxflow(model)

@@ -168,6 +168,17 @@ class TestMetrics:
         _, single, _ = run(capsys, "metrics", "--log", DIAMOND)
         assert (out_dir / "diamond.json").read_text() == single
 
+    @pytest.mark.parametrize("log", [DIAMOND, CHURN, REWIRE])
+    def test_matches_classify_report(self, capsys, log):
+        _, metrics_out, _ = run(capsys, "metrics", "--log", log)
+        _, classify_out, _ = run(capsys, "classify", "--log", log)
+        report = json.loads(classify_out)
+        assert json.loads(metrics_out) == {
+            "session_id": report["session_id"],
+            "metrics": report["metrics"],
+            "blocks": report["blocks"],
+        }
+
     def test_empty_directory(self, capsys, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
