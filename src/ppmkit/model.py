@@ -143,10 +143,10 @@ class ProcessModel:
         return [self.edges[eid] for eid in self._out.get(node_id, ())]
 
     def predecessors(self, node_id: str) -> list[str]:
-        return [e.source for e in self.in_edges(node_id)]
+        return [self.edges[eid].source for eid in self._in.get(node_id, ())]
 
     def successors(self, node_id: str) -> list[str]:
-        return [e.target for e in self.out_edges(node_id)]
+        return [self.edges[eid].target for eid in self._out.get(node_id, ())]
 
     def in_degree(self, node_id: str) -> int:
         return len(self._in.get(node_id, ()))

@@ -16,15 +16,17 @@ every Unsound or Unknown report comes from it alone.
 Exploration is breadth-first with deterministic transition order, so
 witnesses and traces are reproducible. A marking that strictly dominates
 one of its ancestors proves the net unbounded (the pumping run can
-repeat), which rules out soundness immediately; the state count cap turns
+repeat), which rules out soundness immediately; the walk is skipped on
+acyclic nets, whose runs are all finite. The state count cap turns
 pathological nets into an honest Unknown instead of an endless run.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .wfnet import Transition, WFNet, is_wf_structured
 
@@ -204,10 +206,24 @@ def _reduce(net: WFNet) -> WFNet | None:
 def _explore(net: WFNet, max_states: int) -> SoundnessReport:
     """Decide soundness of a WF-structured net from its reachable markings."""
     index = {p: k for k, p in enumerate(net.places)}
-    compiled = [
-        (t.id, tuple(index[p] for p in t.pre), tuple(index[p] for p in t.post))
-        for t in net.transitions
-    ]
+    # Per transition: id, input bitmask, inputs of weight > 1, token change per place and in all.
+    compiled = []
+    consumers = [0] * len(net.places)  # per place, bitmask of its takers
+    free = 0  # transitions without input places: candidates in every marking
+    for n, t in enumerate(net.transitions):
+        change: dict[int, int] = {}
+        inputs = 0
+        for k in map(index.__getitem__, t.pre):
+            change[k] = change.get(k, 0) - 1
+            inputs |= 1 << k
+            consumers[k] |= 1 << n
+        heavy = tuple((k, -d) for k, d in change.items() if d < -1)
+        for p in t.post:
+            change[index[p]] = change.get(index[p], 0) + 1
+        free |= (not t.pre) << n
+        compiled.append((t.id, inputs, heavy, tuple((k, d) for k, d in change.items() if d),
+                         len(t.post) - len(t.pre)))
+    pumpable = _may_run_forever(net)
     o_idx = index[net.sink]
 
     initial = tuple(1 if k == index[net.source] else 0 for k in range(len(net.places)))
@@ -218,7 +234,6 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
         initial: (None, None)
     }
     total = {initial: 1}  # tokens per marking
-    order = [initial]
     succ: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {initial: []}
     fired: set[str] = set()
     queue = deque([initial])
@@ -237,25 +252,31 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
 
     while queue:
         m = queue.popleft()
-        for tid, pre, post in compiled:
-            if any(m[k] < 1 for k in pre):
+        support, candidates = 0, free
+        for k, c in enumerate(m):
+            if c:
+                support |= 1 << k
+                candidates |= consumers[k]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            tid, inputs, heavy, change, gain = compiled[low.bit_length() - 1]
+            if inputs & ~support or heavy and any(m[k] < c for k, c in heavy):
                 continue
             marked = list(m)
-            for k in pre:
-                marked[k] -= 1
-            for k in post:
-                marked[k] += 1
+            for k, d in change:
+                marked[k] += d
             child = tuple(marked)
             succ[m].append((tid, child))
             fired.add(tid)
             if child in parent:
                 continue
-            # Strict domination of any ancestor on the generation path means
-            # the connecting firing sequence can be repeated forever. A strict
-            # dominator holds more tokens, so ancestors with as many or more
-            # are skipped without a place-by-place comparison.
-            tokens = total[m] - len(pre) + len(post)
-            anc = m
+            # Strict domination of an ancestor on the generation path means the
+            # firing sequence between them repeats forever, so nets whose runs
+            # are all finite skip the walk. A strict dominator holds more
+            # tokens: ancestors with as many or more skip the comparison.
+            tokens = total[m] + gain
+            anc = m if pumpable else None
             while anc is not None:
                 if total[anc] < tokens and all(a >= b for a, b in zip(child, anc)):
                     return SoundnessReport(
@@ -275,7 +296,6 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
                     violations=(Violation("StateSpaceExceeded"),),
                     states_explored=len(parent),
                 )
-            order.append(child)
             succ[child] = []
             queue.append(child)
 
@@ -296,7 +316,7 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
                 if prev not in completing:
                     completing.add(prev)
                     stack.append(prev)
-    stranded = [m for m in order if m not in completing]
+    stranded = [m for m in parent if m not in completing]
     if stranded:
         witness = next((m for m in stranded if not succ[m]), stranded[0])
         violations.append(
@@ -306,7 +326,7 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
 
     # Proper completion: a token on the sink means exactly the completion
     # marking, nothing more.
-    for m in order:
+    for m in parent:
         if m[o_idx] >= 1 and m != final:
             violations.append(
                 Violation("ImproperCompletion", witness=as_dict(m), trace=trace_to(m))
@@ -322,3 +342,23 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
         violations=tuple(violations),
         states_explored=len(parent),
     )
+
+
+def _may_run_forever(net: WFNet) -> bool:
+    """Whether the net has a cycle or a transition without inputs; without
+    either every run is finite, so no marking strictly dominates an ancestor."""
+    after: dict[str, set[str]] = {p: set() for p in net.places}
+    for t in net.transitions:
+        if not t.pre:
+            return True
+        for p in t.pre:
+            after[p].update(t.post)
+    # Kahn's algorithm on places, p -> q when a transition takes p, gives q.
+    waiting = Counter(chain.from_iterable(after.values()))
+    ready = [p for p in net.places if not waiting[p]]
+    for p in ready:
+        for q in after[p]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                ready.append(q)
+    return len(ready) < len(net.places)

@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route from the package:
 reachability through networkx, two edge-disjoint paths through
 unit-capacity max-flow, unboundedness through an unmemoized
-Karp-Miller-style tree, p-values through numeric quadrature in mpmath.
+Karp-Miller-style tree, the explorer's report by testing every transition
+in every marking, p-values through numeric quadrature in mpmath.
 Slow and dumb on purpose.
 """
 
@@ -20,6 +21,7 @@ from ppmkit.blocks import Block
 from ppmkit.eventlog import EventClass, EventLog, ObjectType
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.replay import apply_event
+from ppmkit.soundness import SOUND, UNKNOWN, UNSOUND, SoundnessReport, Violation
 from ppmkit.wfnet import Transition, WFNet
 
 
@@ -82,7 +84,7 @@ def _successors(net: WFNet, marking: tuple[int, ...], index: dict[str, int]):
     out = []
     for t in net.transitions:
         pre = [index[p] for p in t.pre]
-        if all(marking[k] >= 1 for k in pre):
+        if all(marking[k] >= pre.count(k) for k in pre):
             nxt = list(marking)
             for k in pre:
                 nxt[k] -= 1
@@ -150,6 +152,135 @@ def brute_force_soundness(net: WFNet) -> str:
     if fired != {t.id for t in net.transitions}:
         return "Unsound"
     return "Sound"
+
+
+def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
+    """The explorer's report, testing every transition in every marking and
+    walking every new marking's ancestors for strict domination.
+
+    No enabling index and no shortcut for acyclic nets: the markings, their
+    order, witnesses, traces and state count of soundness._explore must
+    match this report exactly.
+    """
+    index = {p: k for k, p in enumerate(net.places)}
+    compiled = [
+        (t.id, tuple(index[p] for p in t.pre), tuple(index[p] for p in t.post))
+        for t in net.transitions
+    ]
+    o_idx = index[net.sink]
+
+    initial = tuple(1 if k == index[net.source] else 0 for k in range(len(net.places)))
+    final = tuple(1 if k == o_idx else 0 for k in range(len(net.places)))
+
+    # parent[m] = (parent marking, transition fired to reach m)
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, str | None]] = {
+        initial: (None, None)
+    }
+    total = {initial: 1}  # tokens per marking
+    order = [initial]
+    succ: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {initial: []}
+    fired: set[str] = set()
+    queue = deque([initial])
+
+    def trace_to(m: tuple[int, ...]) -> tuple[str, ...]:
+        steps = []
+        while True:
+            prev, tid = parent[m]
+            if prev is None:
+                return tuple(reversed(steps))
+            steps.append(tid)
+            m = prev
+
+    def as_dict(m: tuple[int, ...]) -> dict[str, int]:
+        return {net.places[k]: c for k, c in enumerate(m) if c}
+
+    while queue:
+        m = queue.popleft()
+        for tid, pre, post in compiled:
+            if any(m[k] < pre.count(k) for k in pre):
+                continue
+            marked = list(m)
+            for k in pre:
+                marked[k] -= 1
+            for k in post:
+                marked[k] += 1
+            child = tuple(marked)
+            succ[m].append((tid, child))
+            fired.add(tid)
+            if child in parent:
+                continue
+            # Strict domination of any ancestor on the generation path means
+            # the connecting firing sequence can be repeated forever. A strict
+            # dominator holds more tokens, so ancestors with as many or more
+            # are skipped without a place-by-place comparison.
+            tokens = total[m] - len(pre) + len(post)
+            anc = m
+            while anc is not None:
+                if total[anc] < tokens and all(a >= b for a, b in zip(child, anc)):
+                    return SoundnessReport(
+                        verdict=UNSOUND,
+                        violations=(
+                            Violation("Unbounded", witness=as_dict(child),
+                                      trace=trace_to(m) + (tid,)),
+                        ),
+                        states_explored=len(parent),
+                    )
+                anc = parent[anc][0]
+            parent[child] = (m, tid)
+            total[child] = tokens
+            if len(parent) > max_states:
+                return SoundnessReport(
+                    verdict=UNKNOWN,
+                    violations=(Violation("StateSpaceExceeded"),),
+                    states_explored=len(parent),
+                )
+            order.append(child)
+            succ[child] = []
+            queue.append(child)
+
+    violations: list[Violation] = []
+
+    # Option to complete: every reachable marking must reach the completion
+    # marking. Witness preference: a stuck marking over a live-locked one.
+    backward: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for m, outs in succ.items():
+        for _, child in outs:
+            backward.setdefault(child, []).append(m)
+    completing: set[tuple[int, ...]] = set()
+    if final in parent:
+        completing.add(final)
+        stack = [final]
+        while stack:
+            for prev in backward.get(stack.pop(), ()):
+                if prev not in completing:
+                    completing.add(prev)
+                    stack.append(prev)
+    stranded = [m for m in order if m not in completing]
+    if stranded:
+        witness = next((m for m in stranded if not succ[m]), stranded[0])
+        violations.append(
+            Violation("DeadlockNoCompletion", witness=as_dict(witness),
+                      trace=trace_to(witness))
+        )
+
+    # Proper completion: a token on the sink means exactly the completion
+    # marking, nothing more.
+    for m in order:
+        if m[o_idx] >= 1 and m != final:
+            violations.append(
+                Violation("ImproperCompletion", witness=as_dict(m), trace=trace_to(m))
+            )
+            break
+
+    for t in net.transitions:
+        if t.id not in fired:
+            violations.append(Violation("DeadTransition", witness=t.id))
+
+    return SoundnessReport(
+        verdict=SOUND if not violations else UNSOUND,
+        violations=tuple(violations),
+        states_explored=len(parent),
+    )
 
 
 def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,

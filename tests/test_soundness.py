@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import build
-from oracles import brute_force_soundness
+from oracles import brute_force_soundness, explore_every_transition
 from ppmkit.classify import classify_model
 from ppmkit.eventlog import ObjectType
 from ppmkit.soundness import (
@@ -13,6 +15,7 @@ from ppmkit.soundness import (
     UNKNOWN,
     UNSOUND,
     _explore,
+    _may_run_forever,
     _reduce,
     check_soundness,
     default_max_states,
@@ -107,6 +110,24 @@ def test_unbounded_pump():
     v = report.violations[0]
     assert v.trace == ("t1", "t2")
     assert v.witness == {"p": 1, "q": 1}
+
+
+def test_repeated_input_arc_needs_a_token_per_arc():
+    # b takes two tokens from p, and p only ever holds one.
+    net = WFNet(
+        places=("i", "p", "o"),
+        transitions=(
+            Transition("a", ("i",), ("p",)),
+            Transition("b", ("p", "p"), ("o",)),
+        ),
+    )
+    report = check_soundness(net)
+    assert report.verdict == UNSOUND
+    assert kinds(report) == ["DeadlockNoCompletion", "DeadTransition"]
+    assert report.violations[0].witness == {"p": 1}
+    assert report.violations[0].trace == ("a",)
+    assert report.violations[1].witness == "b"
+    assert brute_force_soundness(net) == UNSOUND
 
 
 def test_weighted_arc_is_not_reduced():
@@ -291,7 +312,94 @@ def test_flipped_gateway_nets_keep_the_explorer_report(net):
         assert brute_force_soundness(net) == SOUND
     else:
         assert (check_soundness(net, max_states=DEFAULT_MAX_STATES).to_dict()
-                == _explore(net, DEFAULT_MAX_STATES).to_dict())
+                == explore_every_transition(net, DEFAULT_MAX_STATES).to_dict())
+
+
+@st.composite
+def small_nets(draw):
+    """A random net and whether it was drawn acyclic.
+
+    An acyclic net lays its places in a line and every transition takes
+    from one or more places before a cut and gives to places after it.
+    Any other net draws inputs and outputs freely, so it may hold
+    transitions without inputs, self-loops and cycles that pump tokens.
+    Either kind may repeat a place among a transition's inputs or outputs.
+    """
+    line = ["i"] + [f"p{k}" for k in range(draw(st.integers(0, 4)))] + ["o"]
+    acyclic = draw(st.booleans())
+    transitions = []
+    for n in range(draw(st.integers(1, 6))):
+        if acyclic:
+            cut = draw(st.integers(1, len(line) - 1))
+            pre = draw(st.lists(st.sampled_from(line[:cut]), min_size=1, max_size=3))
+            post = draw(st.lists(st.sampled_from(line[cut:]), max_size=3))
+        else:
+            pre = draw(st.lists(st.sampled_from(line[:-1]), max_size=3))
+            post = draw(st.lists(st.sampled_from(line[1:]), max_size=3))
+        transitions.append(Transition(f"t{n}", tuple(pre), tuple(post)))
+    return WFNet(places=tuple(line), transitions=tuple(transitions)), acyclic
+
+
+@given(small_nets(), st.integers(1, 200))
+@settings(max_examples=300, deadline=None)
+def test_explorer_matches_testing_every_transition(drawn, cap):
+    net, acyclic = drawn
+    if acyclic:
+        assert not _may_run_forever(net)
+    report = _explore(net, cap)
+    assert report.to_dict() == explore_every_transition(net, cap).to_dict()
+    assert all(c > 0 for v in report.violations if isinstance(v.witness, dict)
+               for c in v.witness.values())
+
+
+def and_split_xor_join(width):
+    """An AND split of `width` branches of 3 tasks, closed by an XOR join."""
+    nodes = [("s", ObjectType.START_EVENT), ("fork", ObjectType.AND),
+             ("sync", ObjectType.XOR), ("e", ObjectType.END_EVENT)]
+    edges = [("s", "fork"), ("sync", "e")]
+    for b in range(width):
+        prev = "fork"
+        for d in range(3):
+            nodes.append((f"p{b}_{d}", ObjectType.ACTIVITY))
+            edges.append((prev, f"p{b}_{d}"))
+            prev = f"p{b}_{d}"
+        edges.append((prev, "sync"))
+    return to_wfnet(build(nodes, edges))
+
+
+def pumping_loop():
+    """Three AND branches; the first loops back through an AND split that
+    leaves one more token on its exit branch each round."""
+    nodes = [("s", ObjectType.START_EVENT), ("fork", ObjectType.AND),
+             ("back", ObjectType.XOR), ("a", ObjectType.ACTIVITY),
+             ("again", ObjectType.AND), ("b", ObjectType.ACTIVITY),
+             ("c", ObjectType.ACTIVITY), ("d", ObjectType.ACTIVITY),
+             ("sync", ObjectType.AND), ("e", ObjectType.END_EVENT)]
+    edges = [("s", "fork"), ("fork", "back"), ("back", "a"), ("a", "again"),
+             ("again", "back"), ("again", "b"), ("b", "sync"),
+             ("fork", "c"), ("c", "sync"), ("fork", "d"), ("d", "sync"),
+             ("sync", "e")]
+    return to_wfnet(build(nodes, edges))
+
+
+def test_wide_and_split_xor_join_matches_the_oracle():
+    net = and_split_xor_join(5)
+    report = check_soundness(net)
+    assert report.states_explored == 6252
+    assert kinds(report) == ["DeadlockNoCompletion", "ImproperCompletion"]
+    assert (json.dumps(report.to_dict())
+            == json.dumps(explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()))
+
+
+def test_pumping_loop_matches_the_oracle():
+    net = pumping_loop()
+    assert _may_run_forever(net)
+    report = check_soundness(net)
+    assert kinds(report) == ["Unbounded"]
+    unbounded = report.violations[0]
+    assert fire(net, unbounded.trace) == unbounded.witness
+    assert (json.dumps(report.to_dict())
+            == json.dumps(explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()))
 
 
 def test_wide_and_block_is_sound_within_a_small_cap():
