@@ -17,7 +17,14 @@ from .eventlog import EventLog, expand_reconnect, parse_timestamp
 from .metrics import SessionMetrics, compute_session_metrics
 from .model import ProcessModel
 from .normalize import AppliedRule, NormalizationOutcome, normalize
-from .soundness import SOUND, UNKNOWN, SoundnessReport, Violation, check_soundness
+from .soundness import (
+    DEFAULT_MAX_STATES,
+    SOUND,
+    UNKNOWN,
+    SoundnessReport,
+    Violation,
+    check_soundness,
+)
 from .wfnet import to_wfnet
 
 STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "Sound")
@@ -72,7 +79,8 @@ class PerspicuityVerdict:
         )
 
 
-def classify_model(model: ProcessModel, max_states: int | None = None) -> PerspicuityVerdict:
+def classify_model(model: ProcessModel,
+                   max_states: int = DEFAULT_MAX_STATES) -> PerspicuityVerdict:
     """Normalize, translate, check soundness; stage tells where it stopped."""
     if not model.nodes:
         raise ValueError("empty model")
@@ -158,7 +166,7 @@ class SessionReport:
         return cls.from_dict(json.loads(text))
 
 
-def classify_session(log: EventLog, max_states: int | None = None) -> SessionReport:
+def classify_session(log: EventLog, max_states: int = DEFAULT_MAX_STATES) -> SessionReport:
     """Replay, measure, and classify one session end to end."""
     expanded = expand_reconnect(log)
     final, blocks = _replay_and_date(expanded)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from .blocks import _replay_and_date
@@ -28,8 +29,9 @@ from .eventlog import (
 )
 from .metrics import METRIC_NAMES, compute_session_metrics
 from .model import ProcessModel
-from .replay import replay, replay_until
+from .replay import replay
 from .simulate import PROFILES, simulate_cohort
+from .soundness import DEFAULT_MAX_STATES
 from .stats import compare_groups, render_table
 
 # The failure list of a log-directory run, kept beside the reports
@@ -92,16 +94,16 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    log = expand_reconnect(_read_log(args.log))
     if args.at is not None and args.at_time is not None:
         raise ValueError("--at and --at-time are mutually exclusive")
+    log = _read_log(args.log)
+    # Cut at the log's own seq numbers and times: expansion renumbers seqs.
     if args.at is not None:
-        model = replay_until(log, args.at)
+        log = EventLog(log.session_id, takewhile(lambda e: e.seq <= args.at, log.events))
     elif args.at_time is not None:
-        model = replay_until(log, parse_timestamp(args.at_time))
-    else:
-        model = replay(log)
-    _write_or_print(model.to_json() + "\n", args.out)
+        cutoff = parse_timestamp(args.at_time)
+        log = EventLog(log.session_id, takewhile(lambda e: e.timestamp <= cutoff, log.events))
+    _write_or_print(replay(expand_reconnect(log)).to_json() + "\n", args.out)
     return 0
 
 
@@ -150,6 +152,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.max_states < 1:
+        raise ValueError(f"--max-states must be >= 1, got {args.max_states}")
     if args.model:
         if args.log:
             raise ValueError("--log and --model are mutually exclusive")
@@ -234,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="CSV log or a directory of logs")
     p.add_argument("--model", help="classify a model JSON instead of a session")
     p.add_argument("--out")
-    p.add_argument("--max-states", type=int, help="state-space cap for soundness")
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                   help="cap on the markings the soundness check explores")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("chart", help="render a session as a dotted chart (SVG)")

@@ -91,11 +91,6 @@ _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 _OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
 
 
-def classify(kind: EventKind) -> EventClass:
-    """Map an event kind to its action class. Total over EventKind."""
-    return KIND_CLASS[kind]
-
-
 class LogFormatError(ValueError):
     """Malformed or invalid event-log input; carries the offending line."""
 

@@ -9,29 +9,29 @@ A WF-net is sound exactly when its short-circuited net is live and
 bounded (van der Aalst 1997), and four reduction rules that preserve
 liveness and boundedness (Murata 1989; Desel and Esparza 1995) collapse
 every block-structured net to the trivial net i -> t -> o. So the check
-reduces first: when that succeeds, the explorer runs on the trivial net
-(Sound, 2 markings). Otherwise the explorer runs on the original net, and
-every Unsound or Unknown report comes from it alone.
+reduces first: when that succeeds, the net is Sound without exploring,
+and the report counts the trivial net's 2 markings. Otherwise the
+explorer runs on the original net, and every Unsound or Unknown report
+comes from it alone.
 
 Exploration is breadth-first with deterministic transition order, so
 witnesses and traces are reproducible. A marking that strictly dominates
 one of its ancestors proves the net unbounded (the pumping run can
 repeat), which rules out soundness immediately; the walk is skipped on
-acyclic nets, whose runs are all finite. The state count cap turns
-pathological nets into an honest Unknown instead of an endless run.
+acyclic nets, whose runs are all finite. The cap on explored markings
+(max_states, set by `classify --max-states`) turns pathological nets into
+an honest Unknown instead of an endless run.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .wfnet import Transition, WFNet, is_wf_structured
+from .wfnet import WFNet, is_wf_structured
 
 DEFAULT_MAX_STATES = 100_000
-MAX_STATES_ENV = "PPMKIT_MAX_STATES"
 
 SOUND = "Sound"
 UNSOUND = "Unsound"
@@ -70,28 +70,12 @@ class SoundnessReport:
         }
 
 
-def default_max_states() -> int:
-    raw = os.environ.get(MAX_STATES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STATES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_STATES_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{MAX_STATES_ENV} must be >= 1, got {value}")
-    return value
-
-
-def check_soundness(net: WFNet, max_states: int | None = None) -> SoundnessReport:
+def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> SoundnessReport:
     """Decide soundness; Unknown only when the state cap is hit.
 
-    max_states defaults to the PPMKIT_MAX_STATES environment variable or
-    100,000. It caps the markings explored, also when a net reduced to
-    the trivial net is explored as that net.
+    max_states caps the markings explored. A net that reduces to the
+    trivial net counts as its 2 markings, so a cap of 1 leaves it Unknown.
     """
-    if max_states is None:
-        max_states = default_max_states()
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
 
@@ -102,12 +86,15 @@ def check_soundness(net: WFNet, max_states: int | None = None) -> SoundnessRepor
             violations=(Violation("NotWFStructured", witness=offending),),
             states_explored=0,
         )
-    return _explore(_reduce(net) or net, max_states)
+    if not _reduces(net):
+        return _explore(net, max_states)
+    if max_states == 1:
+        return SoundnessReport(UNKNOWN, (Violation("StateSpaceExceeded"),), 2)
+    return SoundnessReport(SOUND, (), 2)
 
 
-def _reduce(net: WFNet) -> WFNet | None:
-    """The trivial net i -> t -> o when the reduction rules collapse the
-    net to it, else None.
+def _reduces(net: WFNet) -> bool:
+    """Whether the reduction rules collapse the net to i -> t -> o.
 
     Only the source place is marked. The rules, applied until none does:
 
@@ -125,7 +112,7 @@ def _reduce(net: WFNet) -> WFNet | None:
     """
     if any(len(set(t.pre)) < len(t.pre) or len(set(t.post)) < len(t.post)
            for t in net.transitions):
-        return None  # arc weights above 1 are outside the rules
+        return False  # arc weights above 1 are outside the rules
     pre = {t.id: set(t.pre) for t in net.transitions}
     post = {t.id: set(t.post) for t in net.transitions}
     producers: dict[str, set[str]] = {p: set() for p in net.places}
@@ -194,13 +181,9 @@ def _reduce(net: WFNet) -> WFNet | None:
                 changed = True
 
     if inner or len(pre) != 1:
-        return None
+        return False
     ((t, ins),) = pre.items()
-    if ins != {net.source} or post[t] != {net.sink}:
-        return None
-    return WFNet(places=(net.source, net.sink),
-                 transitions=(Transition(t, (net.source,), (net.sink,)),),
-                 source=net.source, sink=net.sink)
+    return ins == {net.source} and post[t] == {net.sink}
 
 
 def _explore(net: WFNet, max_states: int) -> SoundnessReport:
@@ -229,23 +212,21 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
     initial = tuple(1 if k == index[net.source] else 0 for k in range(len(net.places)))
     final = tuple(1 if k == o_idx else 0 for k in range(len(net.places)))
 
-    # parent[m] = (parent marking, transition fired to reach m)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, str | None]] = {
-        initial: (None, None)
-    }
+    # preds[m] = [(marking, transition fired to reach m), ...]. Past the initial
+    # marking, the first entry is where the breadth-first search first reached
+    # m; walks back stop at `initial` by identity, as entries hold stored keys.
+    preds: dict[tuple[int, ...], list[tuple[tuple[int, ...], str]]] = {initial: []}
     total = {initial: 1}  # tokens per marking
-    succ: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {initial: []}
+    stuck: set[tuple[int, ...]] = set()  # markings that enable nothing
     fired: set[str] = set()
     queue = deque([initial])
 
     def trace_to(m: tuple[int, ...]) -> tuple[str, ...]:
         steps = []
-        while True:
-            prev, tid = parent[m]
-            if prev is None:
-                return tuple(reversed(steps))
+        while m is not initial:
+            m, tid = preds[m][0]
             steps.append(tid)
-            m = prev
+        return tuple(reversed(steps))
 
     def as_dict(m: tuple[int, ...]) -> dict[str, int]:
         return {net.places[k]: c for k, c in enumerate(m) if c}
@@ -257,19 +238,22 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
             if c:
                 support |= 1 << k
                 candidates |= consumers[k]
+        enabled = False
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             tid, inputs, heavy, change, gain = compiled[low.bit_length() - 1]
             if inputs & ~support or heavy and any(m[k] < c for k, c in heavy):
                 continue
+            enabled = True
             marked = list(m)
             for k, d in change:
                 marked[k] += d
             child = tuple(marked)
-            succ[m].append((tid, child))
             fired.add(tid)
-            if child in parent:
+            seen = preds.get(child)
+            if seen is not None:
+                seen.append((m, tid))
                 continue
             # Strict domination of an ancestor on the generation path means the
             # firing sequence between them repeats forever, so nets whose runs
@@ -285,40 +269,37 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
                             Violation("Unbounded", witness=as_dict(child),
                                       trace=trace_to(m) + (tid,)),
                         ),
-                        states_explored=len(parent),
+                        states_explored=len(preds),
                     )
-                anc = parent[anc][0]
-            parent[child] = (m, tid)
+                anc = preds[anc][0][0] if anc is not initial else None
+            preds[child] = [(m, tid)]
             total[child] = tokens
-            if len(parent) > max_states:
+            if len(preds) > max_states:
                 return SoundnessReport(
                     verdict=UNKNOWN,
                     violations=(Violation("StateSpaceExceeded"),),
-                    states_explored=len(parent),
+                    states_explored=len(preds),
                 )
-            succ[child] = []
             queue.append(child)
+        if not enabled:
+            stuck.add(m)
 
     violations: list[Violation] = []
 
     # Option to complete: every reachable marking must reach the completion
     # marking. Witness preference: a stuck marking over a live-locked one.
-    backward: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for m, outs in succ.items():
-        for _, child in outs:
-            backward.setdefault(child, []).append(m)
     completing: set[tuple[int, ...]] = set()
-    if final in parent:
+    if final in preds:
         completing.add(final)
         stack = [final]
         while stack:
-            for prev in backward.get(stack.pop(), ()):
+            for prev, _ in preds[stack.pop()]:
                 if prev not in completing:
                     completing.add(prev)
                     stack.append(prev)
-    stranded = [m for m in parent if m not in completing]
+    stranded = [m for m in preds if m not in completing]
     if stranded:
-        witness = next((m for m in stranded if not succ[m]), stranded[0])
+        witness = next((m for m in stranded if m in stuck), stranded[0])
         violations.append(
             Violation("DeadlockNoCompletion", witness=as_dict(witness),
                       trace=trace_to(witness))
@@ -326,7 +307,7 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
 
     # Proper completion: a token on the sink means exactly the completion
     # marking, nothing more.
-    for m in parent:
+    for m in preds:
         if m[o_idx] >= 1 and m != final:
             violations.append(
                 Violation("ImproperCompletion", witness=as_dict(m), trace=trace_to(m))
@@ -340,7 +321,7 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
     return SoundnessReport(
         verdict=SOUND if not violations else UNSOUND,
         violations=tuple(violations),
-        states_explored=len(parent),
+        states_explored=len(preds),
     )
 
 

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
+from golden_cases import build
 from ppmkit.cli import main
-from ppmkit.eventlog import parse_log
+from ppmkit.eventlog import ObjectType, parse_log
 from ppmkit.model import ProcessModel
 from ppmkit.replay import replay
 
@@ -127,6 +128,25 @@ class TestReplay:
         assert code == 1
         assert "mutually exclusive" in err
 
+    @pytest.mark.parametrize("at, ends", [("5", set()), ("6", {"x1"})])
+    def test_at_counts_the_logs_own_seqs(self, capsys, tmp_path, at, ends):
+        # Expansion turns the reconnect at seq 5 into seqs 5 and 6.
+        log = tmp_path / "moved.csv"
+        log.write_text(
+            "seq,timestamp,event,object_id,object_type,x,y,label,source_id,target_id\n"
+            "1,2010-11-15T10:00:00.000Z,CREATE_START_EVENT,s1,START_EVENT,60,200,,,\n"
+            "2,2010-11-15T10:00:04.000Z,CREATE_ACTIVITY,a1,ACTIVITY,180,200,,,\n"
+            "3,2010-11-15T10:00:08.000Z,CREATE_ACTIVITY,a2,ACTIVITY,300,200,,,\n"
+            "4,2010-11-15T10:00:12.000Z,CREATE_EDGE,e1,EDGE,,,,s1,a1\n"
+            "5,2010-11-15T10:00:16.000Z,RECONNECT_EDGE,e1,EDGE,,,,s1,a2\n"
+            "6,2010-11-15T10:00:20.000Z,CREATE_END_EVENT,x1,END_EVENT,420,200,,,\n"
+        )
+        code, out, _ = run(capsys, "replay", "--log", str(log), "--at", at)
+        assert code == 0
+        model = ProcessModel.from_json(out)
+        assert (model.edges["e1"].source, model.edges["e1"].target) == ("s1", "a2")
+        assert set(model.nodes) == {"s1", "a1", "a2"} | ends
+
     def test_reconnects_expanded(self, capsys):
         code, out, _ = run(capsys, "replay", "--log", REWIRE)
         assert code == 0
@@ -225,10 +245,36 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["verdict"]["stage"] == "StateSpaceExceeded"
 
-    def test_max_states_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PPMKIT_MAX_STATES", "1")
-        _, out, _ = run(capsys, "classify", "--log", DIAMOND)
-        assert json.loads(out)["verdict"]["stage"] == "StateSpaceExceeded"
+    def test_max_states_below_one_over_a_log_directory(self, capsys, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for src in (DIAMOND, CHURN, REWIRE):
+            shutil.copy(src, logs)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "classify", "--log", str(logs),
+                             "--out", str(out_dir), "--max-states", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --max-states must be >= 1, got 0\n"
+        assert not out_dir.exists()
+
+    def test_max_states_below_one_with_a_model(self, capsys, tmp_path):
+        # A mixed gateway: normalization rejects it before soundness runs.
+        model = build(
+            nodes=[("a", ObjectType.ACTIVITY), ("b", ObjectType.ACTIVITY),
+                   ("g", ObjectType.XOR), ("c", ObjectType.ACTIVITY),
+                   ("d", ObjectType.ACTIVITY)],
+            edges=[("a", "g"), ("b", "g"), ("g", "c"), ("g", "d")],
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model.to_json())
+        out_path = tmp_path / "verdict.json"
+        code, out, err = run(capsys, "classify", "--model", str(model_path),
+                             "--out", str(out_path), "--max-states", "-5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --max-states must be >= 1, got -5\n"
+        assert not out_path.exists()
 
     def test_model_node_without_id_exits_1(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"

@@ -15,7 +15,6 @@ from ppmkit.eventlog import (
     LogFormatError,
     ModelingEvent,
     ObjectType,
-    classify,
     expand_reconnect,
     format_timestamp,
     parse_log,
@@ -135,14 +134,14 @@ class TestEventKinds:
                      EventKind.MOVE_EDGE_BENDPOINT,
                      EventKind.DELETE_EDGE_BENDPOINT,
                      EventKind.MOVE_EDGE_LABEL):
-            assert classify(kind) is EventClass.MOVE
+            assert KIND_CLASS[kind] is EventClass.MOVE
 
     def test_name_events_are_other(self):
-        assert classify(EventKind.NAME_ACTIVITY) is EventClass.OTHER
-        assert classify(EventKind.RENAME_EDGE) is EventClass.OTHER
+        assert KIND_CLASS[EventKind.NAME_ACTIVITY] is EventClass.OTHER
+        assert KIND_CLASS[EventKind.RENAME_EDGE] is EventClass.OTHER
 
     def test_reconnect_is_its_own_class(self):
-        assert classify(EventKind.RECONNECT_EDGE) is EventClass.RECONNECT
+        assert KIND_CLASS[EventKind.RECONNECT_EDGE] is EventClass.RECONNECT
 
     def test_kind_class_table(self):
         expected = {
@@ -176,9 +175,9 @@ class TestEventKinds:
         assert {kind.value: cls for kind, cls in KIND_CLASS.items()} == expected
 
     def test_plain_grid(self):
-        assert classify(EventKind.CREATE_XOR) is EventClass.CREATE
-        assert classify(EventKind.MOVE_ACTIVITY) is EventClass.MOVE
-        assert classify(EventKind.DELETE_EDGE) is EventClass.DELETE
+        assert KIND_CLASS[EventKind.CREATE_XOR] is EventClass.CREATE
+        assert KIND_CLASS[EventKind.MOVE_ACTIVITY] is EventClass.MOVE
+        assert KIND_CLASS[EventKind.DELETE_EDGE] is EventClass.DELETE
 
 
 class TestModelingEvent:

@@ -10,15 +10,13 @@ from ppmkit.classify import classify_model
 from ppmkit.eventlog import ObjectType
 from ppmkit.soundness import (
     DEFAULT_MAX_STATES,
-    MAX_STATES_ENV,
     SOUND,
     UNKNOWN,
     UNSOUND,
     _explore,
     _may_run_forever,
-    _reduce,
+    _reduces,
     check_soundness,
-    default_max_states,
 )
 from ppmkit.wfnet import Transition, WFNet, to_wfnet
 
@@ -174,31 +172,6 @@ def test_max_states_validation():
         check_soundness(linear_net(), max_states=0)
 
 
-class TestMaxStatesEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(MAX_STATES_ENV, raising=False)
-        assert default_max_states() == DEFAULT_MAX_STATES
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MAX_STATES_ENV, "2")
-        report = check_soundness(diamond(ObjectType.AND, ObjectType.XOR))
-        assert report.verdict == UNKNOWN
-
-    def test_env_not_integer(self, monkeypatch):
-        monkeypatch.setenv(MAX_STATES_ENV, "banana")
-        with pytest.raises(ValueError, match="must be an integer"):
-            check_soundness(linear_net())
-
-    def test_env_below_one(self, monkeypatch):
-        monkeypatch.setenv(MAX_STATES_ENV, "0")
-        with pytest.raises(ValueError, match="must be >= 1"):
-            check_soundness(linear_net())
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(MAX_STATES_ENV, "1")
-        assert check_soundness(linear_net(), max_states=100).verdict == SOUND
-
-
 def test_verdict_survives_transition_renames():
     for net in (diamond(ObjectType.AND, ObjectType.XOR),
                 diamond(ObjectType.XOR, ObjectType.AND),
@@ -301,14 +274,23 @@ def block_models(draw, flip):
 @given(block_models(flip=False))
 @settings(max_examples=60, deadline=None)
 def test_block_structured_nets_reduce_and_are_sound(net):
-    assert _reduce(net) is not None
+    assert _reduces(net)
     assert brute_force_soundness(net) == SOUND
+
+
+TRIVIAL_NET = WFNet(("i", "o"), (Transition("t", ("i",), ("o",)),))
+
+
+@given(block_models(flip=False), st.sampled_from((1, 2, DEFAULT_MAX_STATES)))
+@settings(max_examples=60, deadline=None)
+def test_reduced_nets_get_the_trivial_nets_explorer_report(net, cap):
+    assert check_soundness(net, cap).to_dict() == _explore(TRIVIAL_NET, cap).to_dict()
 
 
 @given(block_models(flip=True))
 @settings(max_examples=60, deadline=None)
 def test_flipped_gateway_nets_keep_the_explorer_report(net):
-    if _reduce(net) is not None:
+    if _reduces(net):
         assert brute_force_soundness(net) == SOUND
     else:
         assert (check_soundness(net, max_states=DEFAULT_MAX_STATES).to_dict()
@@ -389,6 +371,32 @@ def test_wide_and_split_xor_join_matches_the_oracle():
     assert kinds(report) == ["DeadlockNoCompletion", "ImproperCompletion"]
     assert (json.dumps(report.to_dict())
             == json.dumps(explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()))
+
+
+def test_stuck_witness_preferred_over_a_live_locked_one():
+    # From p, q live-locks (q <-> q2 forever, t6 waits for s) and comes
+    # first in breadth-first order; r, reached after it, enables nothing.
+    net = WFNet(
+        places=("i", "o", "p", "q", "q2", "r", "s"),
+        transitions=(
+            Transition("t1", ("i",), ("p",)),
+            Transition("t2", ("p",), ("q",)),
+            Transition("t3", ("q",), ("q2",)),
+            Transition("t4", ("q2",), ("q",)),
+            Transition("t5", ("p",), ("r",)),
+            Transition("t6", ("q", "s"), ("o",)),
+            Transition("t7", ("r", "s"), ("o",)),
+            Transition("t8", ("p",), ("s",)),
+            Transition("t9", ("p",), ("o",)),
+        ),
+    )
+    report = check_soundness(net)
+    assert kinds(report) == ["DeadlockNoCompletion", "DeadTransition", "DeadTransition"]
+    stuck = report.violations[0]
+    assert stuck.witness == {"r": 1}
+    assert stuck.trace == ("t1", "t5")
+    assert [v.witness for v in report.violations[1:]] == ["t6", "t7"]
+    assert report.to_dict() == explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()
 
 
 def test_pumping_loop_matches_the_oracle():
