@@ -14,6 +14,8 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .eventlog import EventClass, EventLog
 
+ROW_HEIGHT = 20.0  # pixels per row when the spec leaves the height open
+
 
 def _default_colors() -> dict[str, str]:
     return {
@@ -30,13 +32,11 @@ class PPMChartSpec:
 
     window: float = 3600.0
     width: float = 1200.0
-    height: float | None = None  # None: rows * row_height
-    row_height: float = 20.0
+    height: float | None = None  # None: rows * ROW_HEIGHT
     colors: dict[str, str] = field(default_factory=_default_colors)
 
     def __post_init__(self):
-        sizes = {"window": self.window, "width": self.width,
-                 "height": self.height, "row_height": self.row_height}
+        sizes = {"window": self.window, "width": self.width, "height": self.height}
         for name, value in sizes.items():
             if value is None and name == "height":
                 continue
@@ -80,7 +80,7 @@ def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
             row_of[ev.object_id] = len(row_of)
 
     rows = len(row_of)
-    height = spec.height if spec.height is not None else rows * spec.row_height
+    height = spec.height if spec.height is not None else rows * ROW_HEIGHT
 
     def x_of(ts) -> float:
         return spec.width * (1.0 - (t_last - ts).total_seconds() / spec.window)

@@ -71,6 +71,8 @@ class PerspicuityVerdict:
                 ),
                 states_explored=s["states_explored"],
             )
+        if not isinstance(data["perspicuous"], bool):
+            raise TypeError(f"perspicuous must be a bool, got {data['perspicuous']!r}")
         return cls(
             perspicuous=data["perspicuous"],
             stage=data["stage"],

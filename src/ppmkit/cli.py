@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import takewhile
 from pathlib import Path
 
 from .blocks import _replay_and_date
@@ -29,7 +28,7 @@ from .eventlog import (
 )
 from .metrics import METRIC_NAMES, compute_session_metrics
 from .model import ProcessModel
-from .replay import replay
+from .replay import replay, replay_until
 from .simulate import PROFILES, simulate_cohort
 from .soundness import DEFAULT_MAX_STATES
 from .stats import compare_groups, render_table
@@ -97,13 +96,13 @@ def _cmd_replay(args) -> int:
     if args.at is not None and args.at_time is not None:
         raise ValueError("--at and --at-time are mutually exclusive")
     log = _read_log(args.log)
-    # Cut at the log's own seq numbers and times: expansion renumbers seqs.
     if args.at is not None:
-        log = EventLog(log.session_id, takewhile(lambda e: e.seq <= args.at, log.events))
+        model = replay_until(log, args.at)
     elif args.at_time is not None:
-        cutoff = parse_timestamp(args.at_time)
-        log = EventLog(log.session_id, takewhile(lambda e: e.timestamp <= cutoff, log.events))
-    _write_or_print(replay(expand_reconnect(log)).to_json() + "\n", args.out)
+        model = replay_until(log, parse_timestamp(args.at_time))
+    else:
+        model = replay(expand_reconnect(log))
+    _write_or_print(model.to_json() + "\n", args.out)
     return 0
 
 

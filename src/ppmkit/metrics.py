@@ -118,6 +118,8 @@ class SessionMetrics:
         def frac(value):
             return None if value is None else Fraction(value)
 
+        if type(data["max_simul_block"]) is not int:  # a bool is not a count
+            raise TypeError(f"max_simul_block must be an int, got {data['max_simul_block']!r}")
         return cls(
             max_simul_block=data["max_simul_block"],
             perc_num_block_as_a_whole=frac(data["perc_num_block_as_a_whole"]),

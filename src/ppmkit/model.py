@@ -54,17 +54,18 @@ class ProcessModel:
     Edge endpoints must exist as nodes. Parallel edges and self-loops are
     representable; whether they make sense is a question for validation
     stages further down the pipeline, not for the container.
+
+    Edges keep their endpoints: the editor's reconnect is a delete plus a
+    create, so a flow that moves is removed and added again. Adjacency
+    queries therefore list a node's edges in `edges` order.
     """
 
     def __init__(self, nodes=(), edges=()):
         self.nodes: dict[str, Node] = {}
         self.edges: dict[str, Edge] = {}
-        # Per node, its incoming and outgoing edge ids, each mapped to the
-        # edge's rank in `edges`; kept in rank order, so queries answer in
-        # the insertion order of `edges` without scanning it.
-        self._in: dict[str, dict[str, int]] = {}
-        self._out: dict[str, dict[str, int]] = {}
-        self._next_rank = 0
+        # Per node, its incoming and outgoing edge ids as ordered sets.
+        self._in: dict[str, dict[str, None]] = {}
+        self._out: dict[str, dict[str, None]] = {}
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -82,43 +83,27 @@ class ProcessModel:
     def add_edge(self, edge: Edge):
         if edge.id in self.edges or edge.id in self.nodes:
             raise ValueError(f"duplicate object id {edge.id}")
-        self._check_ends(edge)
-        self.edges[edge.id] = edge
-        self._link(edge, self._next_rank)
-        self._next_rank += 1
-
-    def _check_ends(self, edge: Edge):
         if edge.source not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown source {edge.source}")
         if edge.target not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown target {edge.target}")
-
-    def _link(self, edge: Edge, rank: int):
-        for index, node_id in ((self._out, edge.source), (self._in, edge.target)):
-            incident = index[node_id]
-            incident[edge.id] = rank
-            if any(r > rank for r in incident.values()):  # a retargeted edge
-                index[node_id] = dict(sorted(incident.items(), key=lambda item: item[1]))
-
-    def _unlink(self, edge: Edge) -> int:
-        del self._in[edge.target][edge.id]
-        return self._out[edge.source].pop(edge.id)
+        self.edges[edge.id] = edge
+        self._out[edge.source][edge.id] = None
+        self._in[edge.target][edge.id] = None
 
     def remove_node(self, node_id: str) -> list[str]:
         """Remove a node and every incident edge; returns removed edge ids."""
         if node_id not in self.nodes:
             raise KeyError(node_id)
-        incident = {**self._in[node_id], **self._out[node_id]}
-        cascade = sorted(incident, key=incident.__getitem__)
+        cascade = [eid for eid, e in self.edges.items() if node_id in (e.source, e.target)]
         for eid in cascade:
-            self._unlink(self.edges.pop(eid))
+            self.remove_edge(eid)
         del self.nodes[node_id], self._in[node_id], self._out[node_id]
         return cascade
 
     def remove_edge(self, edge_id: str):
-        if edge_id not in self.edges:
-            raise KeyError(edge_id)
-        self._unlink(self.edges.pop(edge_id))
+        edge = self.edges.pop(edge_id)
+        del self._out[edge.source][edge_id], self._in[edge.target][edge_id]
 
     def update_node(self, node_id: str, **changes) -> Node:
         node = replace(self.nodes[node_id], **changes)
@@ -126,11 +111,10 @@ class ProcessModel:
         return node
 
     def update_edge(self, edge_id: str, **changes) -> Edge:
-        old = self.edges[edge_id]
-        edge = replace(old, **changes)
-        if (edge.source, edge.target) != (old.source, old.target):
-            self._check_ends(edge)
-            self._link(edge, self._unlink(old))
+        """Change an edge's label or bendpoints; its endpoints stay."""
+        if changes.keys() - {"label", "bendpoints"}:
+            raise ValueError(f"edge {edge_id} can change only its label and bendpoints")
+        edge = replace(self.edges[edge_id], **changes)
         self.edges[edge_id] = edge
         return edge
 
@@ -172,7 +156,6 @@ class ProcessModel:
         clone.edges = dict(self.edges)
         clone._in = {n: dict(incident) for n, incident in self._in.items()}
         clone._out = {n: dict(incident) for n, incident in self._out.items()}
-        clone._next_rank = self._next_rank
         return clone
 
     def __eq__(self, other) -> bool:
@@ -242,10 +225,8 @@ class ProcessModel:
         except OverflowError as exc:  # int() of an infinite coordinate
             raise ValueError(f"bad number: {exc}") from None
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ProcessModel":

@@ -15,7 +15,7 @@ split/join insertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .eventlog import ObjectType
 from .model import Edge, Node, ProcessModel
@@ -64,50 +64,30 @@ def _fresh(model: ProcessModel, base: str) -> str:
     return f"{base}_{n}"
 
 
-def _forward_merge_gateway(model: ProcessModel, node: str,
-                           check_first: bool = False) -> str | None:
-    """Follow the unique outgoing chain until a node with in-degree > 1.
+def _meeting_gateway(model: ProcessModel, node: str, forward: bool,
+                     check_first: bool = False) -> str | None:
+    """Follow the unique flow from node to the first node where flows meet.
 
-    Returns that node if it is a gateway. None when the chain forks, dead-
-    ends, loops, or the merge point is not a gateway. With check_first the
-    starting node itself may be the merge point.
+    Downstream (forward) that is the first successor with in-degree > 1,
+    upstream the first predecessor with out-degree > 1. Returns it if it is
+    a gateway; None when the chain forks, dead-ends, loops, or the meeting
+    node is not a gateway. With check_first the starting node itself may
+    be the meeting node.
     """
+    step, meets = ((model.successors, model.in_degree) if forward
+                   else (model.predecessors, model.out_degree))
+    if check_first and meets(node) > 1:
+        return node if model.is_gateway(node) else None
     current = node
-    seen = {node}
-    if check_first and model.in_degree(current) > 1:
-        return current if model.is_gateway(current) else None
     while True:
-        outs = model.out_edges(current)
-        if len(outs) != 1:
+        following = step(current)
+        # Only the start can close a loop: any other node met twice has two
+        # ways in, so the walk stopped there the first time.
+        if len(following) != 1 or following[0] == node:
             return None
-        nxt = outs[0].target
-        if nxt in seen:
-            return None
-        if model.in_degree(nxt) > 1:
-            return nxt if model.is_gateway(nxt) else None
-        seen.add(nxt)
-        current = nxt
-
-
-def _backward_split_gateway(model: ProcessModel, node: str,
-                            check_first: bool = False) -> str | None:
-    """Mirror of _forward_merge_gateway: walk back to the first node with
-    out-degree > 1."""
-    current = node
-    seen = {node}
-    if check_first and model.out_degree(current) > 1:
-        return current if model.is_gateway(current) else None
-    while True:
-        ins = model.in_edges(current)
-        if len(ins) != 1:
-            return None
-        prv = ins[0].source
-        if prv in seen:
-            return None
-        if model.out_degree(prv) > 1:
-            return prv if model.is_gateway(prv) else None
-        seen.add(prv)
-        current = prv
+        current = following[0]
+        if meets(current) > 1:
+            return current if model.is_gateway(current) else None
 
 
 def _common_gateway(candidates: list[str | None]) -> str | None:
@@ -147,7 +127,7 @@ def normalize_start_end(model: ProcessModel,
 
     starts = [n.id for n in m.nodes_of_type(ObjectType.START_EVENT)]
     if len(starts) > 1:
-        merge = _common_gateway([_forward_merge_gateway(m, s) for s in starts])
+        merge = _common_gateway([_meeting_gateway(m, s, forward=True) for s in starts])
         sign = m.nodes[merge].type if merge else ObjectType.XOR
         targets = [e.target for s in starts for e in _sorted_edges(m.out_edges(s))]
         for s in starts:
@@ -164,7 +144,7 @@ def normalize_start_end(model: ProcessModel,
 
     ends = [n.id for n in m.nodes_of_type(ObjectType.END_EVENT)]
     if len(ends) > 1:
-        fork = _common_gateway([_backward_split_gateway(m, e) for e in ends])
+        fork = _common_gateway([_meeting_gateway(m, e, forward=False) for e in ends])
         sign = m.nodes[fork].type if fork else ObjectType.XOR
         sources = [e.source for x in ends for e in _sorted_edges(m.in_edges(x))]
         for x in ends:
@@ -202,33 +182,29 @@ def normalize_splits_joins(model: ProcessModel,
         ins = _sorted_edges(model.in_edges(node_id))
         if len(ins) > 1:
             origin = _common_gateway(
-                [_backward_split_gateway(model, e.source, check_first=True) for e in ins]
+                [_meeting_gateway(model, e.source, forward=False, check_first=True) for e in ins]
             )
             sign = model.nodes[origin].type if origin else ObjectType.XOR
             plans.append(("join", node_id, sign, [e.id for e in ins]))
         outs = _sorted_edges(model.out_edges(node_id))
         if len(outs) > 1:
             dest = _common_gateway(
-                [_forward_merge_gateway(model, e.target, check_first=True) for e in outs]
+                [_meeting_gateway(model, e.target, forward=True, check_first=True) for e in outs]
             )
             sign = model.nodes[dest].type if dest else ObjectType.AND
             plans.append(("split", node_id, sign, [e.id for e in outs]))
 
     for kind, node_id, sign, edge_ids in plans:
-        if kind == "join":
-            gateway = _fresh(m, f"j_{node_id}")
-            m.add_node(Node(gateway, sign))
-            for eid in edge_ids:
-                m.update_edge(eid, target=gateway)
-            m.add_edge(Edge(_fresh(m, f"e_{gateway}"), gateway, node_id))
-            applied.append(AppliedRule("insert_join", (node_id,)))
-        else:
-            gateway = _fresh(m, f"s_{node_id}")
-            m.add_node(Node(gateway, sign))
-            for eid in edge_ids:
-                m.update_edge(eid, source=gateway)
-            m.add_edge(Edge(_fresh(m, f"e_{gateway}"), node_id, gateway))
-            applied.append(AppliedRule("insert_split", (node_id,)))
+        end = "target" if kind == "join" else "source"
+        gateway = _fresh(m, f"{kind[0]}_{node_id}")  # j_<node> or s_<node>
+        m.add_node(Node(gateway, sign))
+        for eid in edge_ids:  # edges keep their endpoints: re-add under the same id
+            edge = m.edges[eid]
+            m.remove_edge(eid)
+            m.add_edge(replace(edge, **{end: gateway}))
+        ends = (gateway, node_id) if kind == "join" else (node_id, gateway)
+        m.add_edge(Edge(_fresh(m, f"e_{gateway}"), *ends))
+        applied.append(AppliedRule(f"insert_{kind}", (node_id,)))
 
     return m
 

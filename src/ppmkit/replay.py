@@ -9,8 +9,9 @@ way graphical editors do.
 from __future__ import annotations
 
 from datetime import datetime
+from itertools import takewhile
 
-from .eventlog import EventClass, EventKind, EventLog, ModelingEvent
+from .eventlog import EventClass, EventKind, EventLog, ModelingEvent, expand_reconnect
 from .model import Edge, Node, ProcessModel
 
 
@@ -85,13 +86,11 @@ def replay(log: EventLog) -> ProcessModel:
 
 
 def replay_until(log: EventLog, cutoff: int | datetime) -> ProcessModel:
-    """Replay events up to and including the cutoff seq number or timestamp."""
-    model = ProcessModel()
-    for event in log.events:
-        if isinstance(cutoff, datetime):
-            if event.timestamp > cutoff:
-                break
-        elif event.seq > cutoff:
-            break
-        apply_event(model, event)
-    return model
+    """The model after the events up to and including the cutoff, a seq
+    number or a timestamp of the log as given; reconnects in that prefix
+    are expanded before the replay, which renumbers seqs."""
+    if isinstance(cutoff, datetime):
+        prefix = takewhile(lambda e: e.timestamp <= cutoff, log.events)
+    else:
+        prefix = takewhile(lambda e: e.seq <= cutoff, log.events)
+    return replay(expand_reconnect(EventLog(log.session_id, prefix)))

@@ -160,14 +160,13 @@ def is_wf_structured(net: WFNet) -> tuple[bool, tuple[str, ...]]:
     return not offending, offending
 
 
-def to_pnml(net: WFNet, net_id: str = "net1") -> str:
+def to_pnml(net: WFNet) -> str:
     """Render the net in the standard XML interchange form, one token on
     the source place, for cross-checking with external tools."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">',
-        f'  <net id={quoteattr(net_id)} '
-        'type="http://www.pnml.org/version-2009/grammar/ptnet">',
+        '  <net id="net1" type="http://www.pnml.org/version-2009/grammar/ptnet">',
         '    <page id="page1">',
     ]
     for p in net.places:

@@ -4,7 +4,8 @@ Everything here deliberately takes a different route from the package:
 reachability through networkx, two edge-disjoint paths through
 unit-capacity max-flow, unboundedness through an unmemoized
 Karp-Miller-style tree, the explorer's report by testing every transition
-in every marking, p-values through numeric quadrature in mpmath.
+in every marking, the normalizer's gateway walk as two mirrored walkers,
+p-values through numeric quadrature in mpmath.
 Slow and dumb on purpose.
 """
 
@@ -418,6 +419,52 @@ def scan_adjacency(model: ProcessModel, node_id: str) -> dict:
         "in_degree": len(ins),
         "out_degree": len(outs),
     }
+
+
+def forward_merge_gateway(model: ProcessModel, node: str,
+                          check_first: bool = False) -> str | None:
+    """Follow the unique outgoing chain until a node with in-degree > 1.
+
+    Returns that node if it is a gateway. None when the chain forks, dead-
+    ends, loops, or the merge point is not a gateway. With check_first the
+    starting node itself may be the merge point.
+    """
+    current = node
+    seen = {node}
+    if check_first and model.in_degree(current) > 1:
+        return current if model.is_gateway(current) else None
+    while True:
+        outs = model.out_edges(current)
+        if len(outs) != 1:
+            return None
+        nxt = outs[0].target
+        if nxt in seen:
+            return None
+        if model.in_degree(nxt) > 1:
+            return nxt if model.is_gateway(nxt) else None
+        seen.add(nxt)
+        current = nxt
+
+
+def backward_split_gateway(model: ProcessModel, node: str,
+                           check_first: bool = False) -> str | None:
+    """Mirror of forward_merge_gateway: walk back to the first node with
+    out-degree > 1."""
+    current = node
+    seen = {node}
+    if check_first and model.out_degree(current) > 1:
+        return current if model.is_gateway(current) else None
+    while True:
+        ins = model.in_edges(current)
+        if len(ins) != 1:
+            return None
+        prv = ins[0].source
+        if prv in seen:
+            return None
+        if model.out_degree(prv) > 1:
+            return prv if model.is_gateway(prv) else None
+        seen.add(prv)
+        current = prv
 
 
 def parse_timestamp_strptime(text: str) -> datetime:

@@ -123,7 +123,7 @@ def test_window_too_small(diamond_log):
         render_ppmchart(diamond_log, PPMChartSpec(window=60.0))
 
 
-@pytest.mark.parametrize("field", ["window", "width", "height", "row_height"])
+@pytest.mark.parametrize("field", ["window", "width", "height"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
 def test_geometry_must_be_finite_and_positive(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):

@@ -1,4 +1,5 @@
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -6,10 +7,10 @@ import pytest
 
 from conftest import FIXTURES
 from golden_cases import build
-from ppmkit.cli import main
+from ppmkit.cli import build_parser, main
 from ppmkit.eventlog import ObjectType, parse_log
 from ppmkit.model import ProcessModel
-from ppmkit.replay import replay
+from ppmkit.replay import replay, replay_until
 
 
 DIAMOND = str(FIXTURES / "diamond.csv")
@@ -146,6 +147,11 @@ class TestReplay:
         model = ProcessModel.from_json(out)
         assert (model.edges["e1"].source, model.edges["e1"].target) == ("s1", "a2")
         assert set(model.nodes) == {"s1", "a1", "a2"} | ends
+
+    def test_at_is_replay_until(self, capsys, rewire_log):
+        code, out, _ = run(capsys, "replay", "--log", REWIRE, "--at", "10")
+        assert code == 0
+        assert ProcessModel.from_json(out) == replay_until(rewire_log, 10)
 
     def test_reconnects_expanded(self, capsys):
         code, out, _ = run(capsys, "replay", "--log", REWIRE)
@@ -462,7 +468,11 @@ class TestSimulateAndStats:
     @pytest.mark.parametrize("mangle", [
         lambda data: {**data, "metrics": 3},
         lambda data: [1, 2],
-    ], ids=["metrics_is_number", "report_is_array"])
+        lambda data: {**data, "verdict": {**data["verdict"], "perspicuous": "no"}},
+        lambda data: {**data, "metrics": {**data["metrics"], "max_simul_block": [1]}},
+        lambda data: {**data, "metrics": {**data["metrics"], "max_simul_block": "7"}},
+    ], ids=["metrics_is_number", "report_is_array", "perspicuous_is_string",
+            "max_simul_block_is_array", "max_simul_block_is_string"])
     def test_stats_report_of_wrong_type_exits_1(self, capsys, tmp_path, mangle):
         reports = self.prepare_reports(capsys, tmp_path, sessions=2)
         broken = sorted(reports.glob("*.json"))[0]
@@ -506,3 +516,15 @@ class TestUsageErrors:
         code, _, err = run(capsys, "parse", "--log", "no/such/file.csv")
         assert code == 1
         assert "error:" in err
+
+
+def test_readme_cli_lines_parse():
+    """Every `ppmkit` line in README's CLI section is a valid command."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    commands = [shlex.split(line, comments=True)
+                for line in section.splitlines() if line.startswith("ppmkit ")]
+    assert len(commands) >= 14
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,11 +144,13 @@ def test_to_dict_sorted_by_id():
     assert ids == ["a", "z"]
 
 
-def test_update_edge_to_unknown_node_raises():
+def test_update_edge_refuses_new_endpoints():
     m = linear_model()
-    with pytest.raises(ValueError, match="unknown target ghost"):
-        m.update_edge("f1", target="ghost")
-    assert m.edges["f1"].target == "a"
+    before = (m.to_dict(), m.in_edges("a"), m.out_edges("a"))
+    for end in ("source", "target"):
+        with pytest.raises(ValueError, match="can change only its label and bendpoints"):
+            m.update_edge("f1", label="moved", **{end: "e"})
+    assert (m.to_dict(), m.in_edges("a"), m.out_edges("a")) == before
 
 
 def adjacency(model: ProcessModel) -> dict:
@@ -181,8 +185,12 @@ def mutate(model: ProcessModel, data, fresh: str):
     else:
         edge_id = data.draw(st.sampled_from(edges))
         end = data.draw(st.sampled_from(["source", "target", "label"]))
-        value = data.draw(st.sampled_from(nodes)) if end != "label" else fresh
-        model.update_edge(edge_id, **{end: value})
+        if end == "label":
+            model.update_edge(edge_id, label=fresh)
+        else:  # an edge moves by leaving and coming back under its id
+            edge = model.edges[edge_id]
+            model.remove_edge(edge_id)
+            model.add_edge(replace(edge, **{end: data.draw(st.sampled_from(nodes))}))
 
 
 @given(data=st.data())

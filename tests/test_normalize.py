@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from golden_cases import GOLDEN_CASES, build
-from oracles import models_isomorphic
+from oracles import backward_split_gateway, forward_merge_gateway, models_isomorphic
 from ppmkit.eventlog import ObjectType
-from ppmkit.model import Edge, Node, ProcessModel
+from ppmkit.model import NODE_TYPES, Edge, Node, ProcessModel
 from ppmkit.normalize import (
     AppliedRule,
+    _meeting_gateway,
     check_mixed_gateways,
     normalize,
     normalize_splits_joins,
@@ -175,3 +178,44 @@ def test_already_normal_model_untouched(diamond_log):
     outcome = normalize(model)
     assert outcome.applied_rules == ()
     assert outcome.model == model
+
+
+def test_bundled_flows_keep_their_ids():
+    # f3 (A->D) is bundled twice: into A's split and into D's join
+    source = build(
+        [("s", ObjectType.START_EVENT), ("A", ObjectType.ACTIVITY),
+         ("B", ObjectType.ACTIVITY), ("D", ObjectType.ACTIVITY), ("x", ObjectType.END_EVENT)],
+        [("s", "A"), ("A", "B"), ("A", "D"), ("B", "D"), ("D", "x")],
+    )
+    before = source.to_dict()
+    m = normalize(source).model
+    assert source.to_dict() == before
+    ends = {eid: (m.edges[eid].source, m.edges[eid].target) for eid in source.edges}
+    assert ends == {"f1": ("s", "A"), "f2": ("s_A", "B"), "f3": ("s_A", "j_D"),
+                    "f4": ("B", "j_D"), "f5": ("D", "x")}
+
+
+@st.composite
+def small_models(draw):
+    """Models of 1-7 nodes of every type, with parallel edges and self-loops."""
+    types = draw(st.lists(st.sampled_from(NODE_TYPES), min_size=1, max_size=7))
+    nodes = [Node(f"n{k}", t) for k, t in enumerate(types)]
+    ids = st.sampled_from([n.id for n in nodes])
+    ends = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    return ProcessModel(nodes, [Edge(f"e{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+RING = build([("a", ObjectType.ACTIVITY), ("b", ObjectType.XOR), ("c", ObjectType.ACTIVITY)],
+             [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+@given(model=small_models())
+@example(model=RING)  # a loop the walk must stop on
+@settings(max_examples=200, deadline=None)
+def test_meeting_gateway_matches_mirrored_walkers(model):
+    for node in model.nodes:
+        for check_first in (False, True):
+            assert (_meeting_gateway(model, node, forward=True, check_first=check_first)
+                    == forward_merge_gateway(model, node, check_first))
+            assert (_meeting_gateway(model, node, forward=False, check_first=check_first)
+                    == backward_split_gateway(model, node, check_first))

@@ -127,6 +127,13 @@ def test_replay_until_timestamp(diamond_log):
     assert by_time == by_seq
 
 
+def test_replay_until_cuts_the_log_as_given(rewire_log):
+    # seq 10 reconnects e2 from a1->x1 to a1->a2; expansion renumbers it
+    moved = replay_until(rewire_log, 10)
+    assert (moved.edges["e2"].source, moved.edges["e2"].target) == ("a1", "a2")
+    assert replay_until(rewire_log, 9).edges["e2"].bendpoints == ((240, 150),)
+
+
 def test_replay_until_before_start_is_empty(diamond_log):
     assert replay_until(diamond_log, 0) == ProcessModel()
 
