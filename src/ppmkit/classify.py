@@ -32,10 +32,13 @@ STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "S
 
 @dataclass(frozen=True)
 class PerspicuityVerdict:
-    perspicuous: bool
     stage: str
     normalization: NormalizationOutcome
     soundness: SoundnessReport | None  # None when normalization rejected
+
+    @property
+    def perspicuous(self) -> bool:
+        return self.stage == "Sound"
 
     def to_dict(self) -> dict:
         return {
@@ -71,14 +74,15 @@ class PerspicuityVerdict:
                 ),
                 states_explored=s["states_explored"],
             )
-        if not isinstance(data["perspicuous"], bool):
-            raise TypeError(f"perspicuous must be a bool, got {data['perspicuous']!r}")
-        return cls(
-            perspicuous=data["perspicuous"],
-            stage=data["stage"],
-            normalization=outcome,
-            soundness=sound,
-        )
+        perspicuous, stage = data["perspicuous"], data["stage"]
+        if not isinstance(perspicuous, bool):
+            raise TypeError(f"perspicuous must be a bool, got {perspicuous!r}")
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}")
+        verdict = cls(stage=stage, normalization=outcome, soundness=sound)
+        if perspicuous != verdict.perspicuous:
+            raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
+        return verdict
 
 
 def classify_model(model: ProcessModel,
@@ -88,12 +92,7 @@ def classify_model(model: ProcessModel,
         raise ValueError("empty model")
     outcome = normalize(model)
     if outcome.rejected:
-        return PerspicuityVerdict(
-            perspicuous=False,
-            stage="MixedGateway",
-            normalization=outcome,
-            soundness=None,
-        )
+        return PerspicuityVerdict(stage="MixedGateway", normalization=outcome, soundness=None)
     report = check_soundness(to_wfnet(outcome.model), max_states)
     if report.verdict == UNKNOWN:
         stage = "StateSpaceExceeded"
@@ -103,12 +102,7 @@ def classify_model(model: ProcessModel,
         stage = "Sound"
     else:
         stage = "Unsound"
-    return PerspicuityVerdict(
-        perspicuous=stage == "Sound",
-        stage=stage,
-        normalization=outcome,
-        soundness=report,
-    )
+    return PerspicuityVerdict(stage=stage, normalization=outcome, soundness=report)
 
 
 @dataclass(frozen=True)
@@ -159,8 +153,7 @@ class SessionReport:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"wrong value type: {exc}") from None
-        except (OverflowError, ZeroDivisionError) as exc:
-            # Fraction() of an infinite float or of a string like "1/0"
+        except OverflowError as exc:  # Fraction() of an infinite float
             raise ValueError(f"bad number: {exc}") from None
 
     @classmethod

@@ -18,6 +18,7 @@ from .blocks import _replay_and_date
 from .chart import PPMChartSpec, render_ppmchart
 from .classify import SessionReport, classify_model, classify_session
 from .eventlog import (
+    EventKind,
     EventLog,
     LogFormatError,
     expand_reconnect,
@@ -82,9 +83,7 @@ def _cmd_parse(args) -> int:
         "session_id": log.session_id,
         "events": len(log.events),
         "objects": len(objects),
-        "reconnect_events": sum(
-            1 for e in log.events if e.kind.value == "RECONNECT_EDGE"
-        ),
+        "reconnect_events": sum(1 for e in log.events if e.kind is EventKind.RECONNECT_EDGE),
         "first_timestamp": format_timestamp(log.events[0].timestamp) if log.events else None,
         "last_timestamp": format_timestamp(log.events[-1].timestamp) if log.events else None,
     }

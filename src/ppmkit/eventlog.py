@@ -145,7 +145,6 @@ class ModelingEvent:
     timestamp: datetime
     kind: EventKind
     object_id: str
-    object_type: ObjectType
     position: tuple[int, int] | None = None
     label: str | None = None
     source_id: str | None = None
@@ -156,17 +155,15 @@ class ModelingEvent:
             raise ValueError(f"seq must be positive, got {self.seq}")
         if not self.object_id:
             raise ValueError("object_id must be non-empty")
-        expected = KIND_OBJECT_TYPE[self.kind]
-        if self.object_type is not expected:
-            raise ValueError(
-                f"{self.kind.value} implies object type {expected.value}, "
-                f"got {self.object_type.value}"
-            )
         if self.kind in (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE):
             if not self.source_id or not self.target_id:
                 raise ValueError(f"{self.kind.value} requires source_id and target_id")
         elif self.source_id or self.target_id:
             raise ValueError(f"{self.kind.value} must not carry edge endpoints")
+
+    @property
+    def object_type(self) -> ObjectType:
+        return KIND_OBJECT_TYPE[self.kind]
 
     @property
     def event_class(self) -> EventClass:
@@ -290,13 +287,16 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
             position = (int(x), int(y))
         except ValueError:
             raise LogFormatError(f"bad coordinates {x!r},{y!r}", line) from None
+    expected = KIND_OBJECT_TYPE[kind]
+    if otype is not expected:
+        raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
+                             line)
     try:
         return ModelingEvent(
             seq=seq,
             timestamp=ts,
             kind=kind,
             object_id=oid,
-            object_type=otype,
             position=position,
             label=label or None,
             source_id=src or None,
@@ -310,10 +310,11 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
     """Parse and validate an event-log CSV.
 
     Raises LogFormatError with a 1-based line number on input that is not
-    UTF-8 or not CSV, any malformed row, unknown event name, seq or
-    timestamp disorder, missing edge endpoints, action on a never-created
-    or deleted object, an object changing type, or recreation of a
-    previously deleted object id.
+    UTF-8 or not CSV, any malformed row, unknown event name, an object
+    type other than the one the event name implies, seq or timestamp
+    disorder, missing edge endpoints, action on a never-created or deleted
+    object, an object changing type, or recreation of a previously deleted
+    object id.
     """
     if isinstance(data, bytes):
         try:
@@ -384,30 +385,10 @@ def expand_reconnect(log: EventLog) -> EventLog:
     seq = 0
     for ev in log.events:
         if ev.kind is EventKind.RECONNECT_EDGE:
-            seq += 1
-            events.append(
-                ModelingEvent(
-                    seq=seq,
-                    timestamp=ev.timestamp,
-                    kind=EventKind.DELETE_EDGE,
-                    object_id=ev.object_id,
-                    object_type=ObjectType.EDGE,
-                )
-            )
-            seq += 1
-            events.append(
-                ModelingEvent(
-                    seq=seq,
-                    timestamp=ev.timestamp,
-                    kind=EventKind.CREATE_EDGE,
-                    object_id=ev.object_id,
-                    object_type=ObjectType.EDGE,
-                    position=ev.position,
-                    label=ev.label,
-                    source_id=ev.source_id,
-                    target_id=ev.target_id,
-                )
-            )
+            events.append(replace(ev, seq=seq + 1, kind=EventKind.DELETE_EDGE, position=None,
+                                  label=None, source_id=None, target_id=None))
+            events.append(replace(ev, seq=seq + 2, kind=EventKind.CREATE_EDGE))
+            seq += 2
         else:
             seq += 1
             events.append(replace(ev, seq=seq) if ev.seq != seq else ev)

@@ -115,18 +115,23 @@ class SessionMetrics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionMetrics":
-        def frac(value):
-            return None if value is None else Fraction(value)
+        def frac(name: str, optional: bool = False) -> Fraction | None:
+            value = data[name]
+            if value is None and optional:
+                return None
+            if type(value) not in (int, float):  # a bool is an int, but no metric
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            return Fraction(value)
 
         if type(data["max_simul_block"]) is not int:  # a bool is not a count
             raise TypeError(f"max_simul_block must be an int, got {data['max_simul_block']!r}")
         return cls(
             max_simul_block=data["max_simul_block"],
-            perc_num_block_as_a_whole=frac(data["perc_num_block_as_a_whole"]),
-            avg_move_on_moved_elements=frac(data["avg_move_on_moved_elements"]),
-            perc_num_elements_with_moves=frac(data["perc_num_elements_with_moves"]),
-            tot_time=frac(data["tot_time"]),
-            tot_create_time=frac(data["tot_create_time"]),
+            perc_num_block_as_a_whole=frac("perc_num_block_as_a_whole", optional=True),
+            avg_move_on_moved_elements=frac("avg_move_on_moved_elements", optional=True),
+            perc_num_elements_with_moves=frac("perc_num_elements_with_moves"),
+            tot_time=frac("tot_time"),
+            tot_create_time=frac("tot_create_time"),
         )
 
 

@@ -35,7 +35,6 @@ class NormalizationOutcome:
     model: ProcessModel | None
     rejected: bool = False
     reason: str | None = None
-    offenders: tuple[str, ...] = ()
     applied_rules: tuple[AppliedRule, ...] = ()
 
     def to_dict(self) -> dict:
@@ -213,12 +212,8 @@ def normalize(model: ProcessModel) -> NormalizationOutcome:
     """Full repair pipeline; Rejected only for mixed gateways."""
     offenders = check_mixed_gateways(model)
     if offenders:
-        return NormalizationOutcome(
-            model=None,
-            rejected=True,
-            reason="mixed gateway: " + ", ".join(offenders),
-            offenders=offenders,
-        )
+        return NormalizationOutcome(model=None, rejected=True,
+                                    reason="mixed gateway: " + ", ".join(offenders))
     rules: list[AppliedRule] = []
     m = normalize_start_end(model, rules)
     m = normalize_splits_joins(m, rules)

@@ -166,15 +166,14 @@ class _SessionBuilder:
         self.events: list[ModelingEvent] = []
         self.clock = EPOCH
 
-    def emit(self, kind: EventKind, object_id: str, object_type: ObjectType,
-             position=None, label=None, source=None, target=None) -> None:
+    def emit(self, kind: EventKind, object_id: str, position=None, label=None,
+             source=None, target=None) -> None:
         self.events.append(
             ModelingEvent(
                 seq=len(self.events) + 1,
                 timestamp=self.clock,
                 kind=kind,
                 object_id=object_id,
-                object_type=object_type,
                 position=position,
                 label=label,
                 source_id=source,
@@ -186,14 +185,12 @@ class _SessionBuilder:
 
     def create_node(self, node: Node) -> None:
         kind = EventKind[f"CREATE_{node.type.value}"]
-        self.emit(kind, node.id, node.type, position=node.position)
+        self.emit(kind, node.id, position=node.position)
         if node.type is ObjectType.ACTIVITY and node.label:
-            self.emit(EventKind.NAME_ACTIVITY, node.id, ObjectType.ACTIVITY,
-                      label=node.label)
+            self.emit(EventKind.NAME_ACTIVITY, node.id, label=node.label)
 
     def create_edge(self, edge: Edge) -> None:
-        self.emit(EventKind.CREATE_EDGE, edge.id, ObjectType.EDGE,
-                  source=edge.source, target=edge.target)
+        self.emit(EventKind.CREATE_EDGE, edge.id, source=edge.source, target=edge.target)
 
 
 def _jitter(rng: SplitMix64, position: tuple[int, int]) -> tuple[int, int]:
@@ -243,12 +240,10 @@ def _emit_creates_scattered(b: _SessionBuilder, target: ProcessModel,
             b.create_node(target.nodes[object_id])
         elif action == "create_temp":
             pos = (b.rng.randint(50, 900), b.rng.randint(80, 400))
-            b.emit(EventKind.CREATE_ACTIVITY, object_id, ObjectType.ACTIVITY,
-                   position=pos)
-            b.emit(EventKind.NAME_ACTIVITY, object_id, ObjectType.ACTIVITY,
-                   label="draft task")
+            b.emit(EventKind.CREATE_ACTIVITY, object_id, position=pos)
+            b.emit(EventKind.NAME_ACTIVITY, object_id, label="draft task")
         else:
-            b.emit(EventKind.DELETE_ACTIVITY, object_id, ObjectType.ACTIVITY)
+            b.emit(EventKind.DELETE_ACTIVITY, object_id)
     edge_order = sorted(target.edges)
     b.rng.shuffle(edge_order)
     for edge_id in edge_order:
@@ -264,22 +259,21 @@ def _emit_moves(b: _SessionBuilder, target: ProcessModel, move_rate: float,
         node_id = b.rng.choice(node_ids)
         node = target.nodes[node_id]
         kind = EventKind[f"MOVE_{node.type.value}"]
-        b.emit(kind, node_id, node.type, position=_jitter(b.rng, node.position))
+        b.emit(kind, node_id, position=_jitter(b.rng, node.position))
         if node_id not in dirty:
             dirty.append(node_id)
     edge_ids = sorted(target.edges)
     for _ in range(bendpoint_pairs):
         edge_id = b.rng.choice(edge_ids)
         midpoint = _jitter(b.rng, (480, 240))
-        b.emit(EventKind.CREATE_EDGE_BENDPOINT, edge_id, ObjectType.EDGE,
-               position=midpoint)
-        b.emit(EventKind.DELETE_EDGE_BENDPOINT, edge_id, ObjectType.EDGE)
+        b.emit(EventKind.CREATE_EDGE_BENDPOINT, edge_id, position=midpoint)
+        b.emit(EventKind.DELETE_EDGE_BENDPOINT, edge_id)
     # Tidy up: every nudged node snaps back to its intended spot, so the
     # session still ends in the target model exactly.
     for node_id in dirty:
         node = target.nodes[node_id]
         kind = EventKind[f"MOVE_{node.type.value}"]
-        b.emit(kind, node_id, node.type, position=node.position)
+        b.emit(kind, node_id, position=node.position)
 
 
 def simulate(profile: SimulationProfile, session_id: str = "") -> EventLog:

@@ -77,58 +77,37 @@ def _place(edge_id: str) -> str:
 def to_wfnet(model: ProcessModel) -> WFNet:
     """Map a model to its workflow net.
 
-    Intended for normalized models. Activities and events with more than
-    one flow on a side, and XOR gateways mixing 2+ in with 2+ out, have no
-    single-net reading and raise. Degenerate but unambiguous shapes (a
-    missing start event, a dangling gateway) translate to structurally
-    broken nets and are left for the soundness check to reject.
+    Intended for normalized models. Activities with more than one flow on
+    a side, and XOR gateways mixing 2+ in with 2+ out, have no single-net
+    reading and raise. Degenerate but unambiguous shapes (a missing start
+    event, a dangling gateway) translate to structurally broken nets and
+    are left for the soundness check to reject.
     """
     places = [SOURCE_PLACE, SINK_PLACE] + [_place(e) for e in sorted(model.edges)]
     transitions: list[Transition] = []
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
-        in_places = [_place(e.id) for e in model.in_edges(node_id)]
-        out_places = [_place(e.id) for e in model.out_edges(node_id)]
+        ins, outs = model.in_edges(node_id), model.out_edges(node_id)
+        pre = [_place(e.id) for e in ins]
+        post = [_place(e.id) for e in outs]
         if node.type is ObjectType.START_EVENT:
-            transitions.append(
-                Transition(f"t_{node_id}", [SOURCE_PLACE] + in_places, out_places,
-                           label=node.label)
-            )
+            pre.append(SOURCE_PLACE)
         elif node.type is ObjectType.END_EVENT:
-            transitions.append(
-                Transition(f"t_{node_id}", in_places, [SINK_PLACE] + out_places,
-                           label=node.label)
-            )
-        elif node.type is ObjectType.ACTIVITY:
-            if len(in_places) > 1 or len(out_places) > 1:
-                raise ValueError(f"activity {node_id} has multiple flows on one side; "
-                                 "normalize the model first")
-            transitions.append(
-                Transition(f"t_{node_id}", in_places, out_places, label=node.label)
-            )
-        elif node.type is ObjectType.AND:
-            transitions.append(
-                Transition(f"t_{node_id}", in_places, out_places, label=node.label)
-            )
-        else:  # XOR: one transition per branch
-            if len(in_places) >= 2 and len(out_places) >= 2:
+            post.append(SINK_PLACE)
+        elif node.type is ObjectType.ACTIVITY and (len(ins) > 1 or len(outs) > 1):
+            raise ValueError(f"activity {node_id} has multiple flows on one side; "
+                             "normalize the model first")
+        if node.type is ObjectType.XOR and (len(ins) > 1 or len(outs) > 1):
+            if len(ins) > 1 and len(outs) > 1:
                 raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
-            if len(out_places) >= 2:
-                for e in sorted(model.out_edges(node_id), key=lambda e: e.id):
-                    transitions.append(
-                        Transition(f"t_{node_id}_{e.id}", in_places, [_place(e.id)],
-                                   label=node.label)
-                    )
-            elif len(in_places) >= 2:
-                for e in sorted(model.in_edges(node_id), key=lambda e: e.id):
-                    transitions.append(
-                        Transition(f"t_{node_id}_{e.id}", [_place(e.id)], out_places,
-                                   label=node.label)
-                    )
-            else:
-                transitions.append(
-                    Transition(f"t_{node_id}", in_places, out_places, label=node.label)
-                )
+            # one transition per flow on the branching side
+            split = len(outs) > 1
+            for e in outs if split else ins:
+                branch = [_place(e.id)]
+                transitions.append(Transition(f"t_{node_id}_{e.id}", pre if split else branch,
+                                              branch if split else post, label=node.label))
+        else:
+            transitions.append(Transition(f"t_{node_id}", pre, post, label=node.label))
     return WFNet(places=tuple(places), transitions=tuple(transitions))
 
 

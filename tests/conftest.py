@@ -66,7 +66,7 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
         seq += draw(st.integers(1, 2))
         clock += timedelta(milliseconds=draw(st.integers(0, 5000)))
         roll = draw(st.integers(0, 99))
-        kind = object_id = otype = None
+        kind = object_id = None
         position = label = source = target = None
 
         if roll < 45 or not live_nodes:
@@ -80,14 +80,12 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
         elif roll < 60 and len(live_nodes) >= 2:
             counter += 1
             object_id = f"d{counter}"
-            otype = ObjectType.EDGE
             kind = EventKind.CREATE_EDGE
             source = draw(st.sampled_from(sorted(live_nodes)))
             target = draw(st.sampled_from(sorted(live_nodes)))
             live_edges[object_id] = (source, target)
         elif roll < 70 and live_edges:
             object_id = draw(st.sampled_from(sorted(live_edges)))
-            otype = ObjectType.EDGE
             kind = draw(st.sampled_from([
                 EventKind.CREATE_EDGE_BENDPOINT,
                 EventKind.MOVE_EDGE_BENDPOINT,
@@ -103,7 +101,6 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
             position = (draw(st.integers(0, 1000)), draw(st.integers(0, 1000)))
         elif roll < 85 and live_edges and allow_reconnects:
             object_id = draw(st.sampled_from(sorted(live_edges)))
-            otype = ObjectType.EDGE
             kind = EventKind.RECONNECT_EDGE
             source = draw(st.sampled_from(sorted(live_nodes)))
             target = draw(st.sampled_from(sorted(live_nodes)))
@@ -117,12 +114,10 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
                 continue
             object_id = draw(st.sampled_from(pool))
             if activities:
-                otype = ObjectType.ACTIVITY
                 kind = draw(st.sampled_from(
                     [EventKind.NAME_ACTIVITY, EventKind.RENAME_ACTIVITY]
                 ))
             else:
-                otype = ObjectType.EDGE
                 kind = draw(st.sampled_from(
                     [EventKind.NAME_EDGE, EventKind.RENAME_EDGE]
                 ))
@@ -134,7 +129,6 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
         else:
             if live_edges and draw(st.booleans()):
                 object_id = draw(st.sampled_from(sorted(live_edges)))
-                otype = ObjectType.EDGE
                 kind = EventKind.DELETE_EDGE
                 del live_edges[object_id]
             else:
@@ -147,8 +141,7 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
 
         events.append(ModelingEvent(
             seq=seq, timestamp=clock, kind=kind, object_id=object_id,
-            object_type=otype, position=position, label=label,
-            source_id=source, target_id=target,
+            position=position, label=label, source_id=source, target_id=target,
         ))
 
     return EventLog(session_id="generated", events=tuple(events))

@@ -5,7 +5,8 @@ reachability through networkx, two edge-disjoint paths through
 unit-capacity max-flow, unboundedness through an unmemoized
 Karp-Miller-style tree, the explorer's report by testing every transition
 in every marking, the normalizer's gateway walk as two mirrored walkers,
-p-values through numeric quadrature in mpmath.
+the workflow-net translation case by case per node type, p-values through
+numeric quadrature in mpmath.
 Slow and dumb on purpose.
 """
 
@@ -23,7 +24,7 @@ from ppmkit.eventlog import EventClass, EventLog, ObjectType
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.replay import apply_event
 from ppmkit.soundness import SOUND, UNKNOWN, UNSOUND, SoundnessReport, Violation
-from ppmkit.wfnet import Transition, WFNet
+from ppmkit.wfnet import SINK_PLACE, SOURCE_PLACE, Transition, WFNet
 
 
 def random_wfnet(seed: int) -> WFNet:
@@ -518,3 +519,59 @@ def models_isomorphic(left: ProcessModel, right: ProcessModel,
         to_graph(right),
         node_match=lambda a, b: a["type"] == b["type"] and a["pin"] == b["pin"],
     )
+
+
+def _wf_place(edge_id: str) -> str:
+    return f"p_{edge_id}"
+
+
+def to_wfnet_by_node_type(model: ProcessModel) -> WFNet:
+    """The workflow-net translation written out once per node type, each
+    XOR side on its own."""
+    places = [SOURCE_PLACE, SINK_PLACE] + [_wf_place(e) for e in sorted(model.edges)]
+    transitions: list[Transition] = []
+    for node_id in sorted(model.nodes):
+        node = model.nodes[node_id]
+        in_places = [_wf_place(e.id) for e in model.in_edges(node_id)]
+        out_places = [_wf_place(e.id) for e in model.out_edges(node_id)]
+        if node.type is ObjectType.START_EVENT:
+            transitions.append(
+                Transition(f"t_{node_id}", [SOURCE_PLACE] + in_places, out_places,
+                           label=node.label)
+            )
+        elif node.type is ObjectType.END_EVENT:
+            transitions.append(
+                Transition(f"t_{node_id}", in_places, [SINK_PLACE] + out_places,
+                           label=node.label)
+            )
+        elif node.type is ObjectType.ACTIVITY:
+            if len(in_places) > 1 or len(out_places) > 1:
+                raise ValueError(f"activity {node_id} has multiple flows on one side; "
+                                 "normalize the model first")
+            transitions.append(
+                Transition(f"t_{node_id}", in_places, out_places, label=node.label)
+            )
+        elif node.type is ObjectType.AND:
+            transitions.append(
+                Transition(f"t_{node_id}", in_places, out_places, label=node.label)
+            )
+        else:  # XOR: one transition per branch
+            if len(in_places) >= 2 and len(out_places) >= 2:
+                raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
+            if len(out_places) >= 2:
+                for e in sorted(model.out_edges(node_id), key=lambda e: e.id):
+                    transitions.append(
+                        Transition(f"t_{node_id}_{e.id}", in_places, [_wf_place(e.id)],
+                                   label=node.label)
+                    )
+            elif len(in_places) >= 2:
+                for e in sorted(model.in_edges(node_id), key=lambda e: e.id):
+                    transitions.append(
+                        Transition(f"t_{node_id}_{e.id}", [_wf_place(e.id)], out_places,
+                                   label=node.label)
+                    )
+            else:
+                transitions.append(
+                    Transition(f"t_{node_id}", in_places, out_places, label=node.label)
+                )
+    return WFNet(places=tuple(places), transitions=tuple(transitions))

@@ -201,19 +201,18 @@ class TestDetectBlocks:
     def test_recreated_id_dates_only_as_gateway(self):
         # g1 first exists as an activity with two flows into g2; the pair
         # qualifies only once g1 has come back as a gateway
-        def ev(seq, kind, oid, otype, source=None, target=None):
+        def ev(seq, kind, oid, source=None, target=None):
             return ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
-                                 object_type=otype, source_id=source, target_id=target)
-        edge = ObjectType.EDGE
+                                 source_id=source, target_id=target)
         log = EventLog("recreated", (
-            ev(1, EventKind.CREATE_ACTIVITY, "g1", ObjectType.ACTIVITY),
-            ev(2, EventKind.CREATE_XOR, "g2", ObjectType.XOR),
-            ev(3, EventKind.CREATE_EDGE, "e1", edge, "g1", "g2"),
-            ev(4, EventKind.CREATE_EDGE, "e2", edge, "g1", "g2"),
-            ev(5, EventKind.DELETE_ACTIVITY, "g1", ObjectType.ACTIVITY),
-            ev(6, EventKind.CREATE_XOR, "g1", ObjectType.XOR),
-            ev(7, EventKind.CREATE_EDGE, "e3", edge, "g1", "g2"),
-            ev(8, EventKind.CREATE_EDGE, "e4", edge, "g1", "g2"),
+            ev(1, EventKind.CREATE_ACTIVITY, "g1"),
+            ev(2, EventKind.CREATE_XOR, "g2"),
+            ev(3, EventKind.CREATE_EDGE, "e1", "g1", "g2"),
+            ev(4, EventKind.CREATE_EDGE, "e2", "g1", "g2"),
+            ev(5, EventKind.DELETE_ACTIVITY, "g1"),
+            ev(6, EventKind.CREATE_XOR, "g1"),
+            ev(7, EventKind.CREATE_EDGE, "e3", "g1", "g2"),
+            ev(8, EventKind.CREATE_EDGE, "e4", "g1", "g2"),
         ))
         blocks = detect_blocks(replay(log), log)
         assert [(b.split, b.join, b.completion_seq) for b in blocks] == [("g1", "g2", 8)]
@@ -224,16 +223,16 @@ def xor_chain_log(k: int) -> EventLog:
     end event; each block is built and wired before the next one starts."""
     events = []
 
-    def add(kind, oid, otype, source=None, target=None):
+    def add(kind, oid, source=None, target=None):
         seq = len(events) + 1
         events.append(ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
-                                    object_type=otype, source_id=source, target_id=target))
+                                    source_id=source, target_id=target))
 
     def node(oid, otype):
-        add(EventKind[f"CREATE_{otype.value}"], oid, otype)
+        add(EventKind[f"CREATE_{otype.value}"], oid)
 
     def edge(source, target):
-        add(EventKind.CREATE_EDGE, f"e{len(events) + 1}", ObjectType.EDGE, source, target)
+        add(EventKind.CREATE_EDGE, f"e{len(events) + 1}", source, target)
 
     node("start", ObjectType.START_EVENT)
     prev = "start"
@@ -329,13 +328,13 @@ def block_churn_logs(draw):
             kind = EventKind[f"CREATE_{otype.value}"]
             live_nodes[oid] = otype
         elif roll < 7 or not live_edges:
-            oid, otype, kind = f"e{seq}", ObjectType.EDGE, EventKind.CREATE_EDGE
+            oid, kind = f"e{seq}", EventKind.CREATE_EDGE
             source = draw(st.sampled_from(sorted(live_nodes)))
             target = draw(st.sampled_from(sorted(live_nodes)))
             live_edges[oid] = (source, target)
         elif roll < 9:
             oid = draw(st.sampled_from(sorted(live_edges)))
-            otype, kind = ObjectType.EDGE, EventKind.DELETE_EDGE
+            kind = EventKind.DELETE_EDGE
             del live_edges[oid]
         else:
             oid = draw(st.sampled_from(sorted(live_nodes)))
@@ -343,7 +342,7 @@ def block_churn_logs(draw):
             kind = EventKind[f"DELETE_{otype.value}"]
             live_edges = {e: ends for e, ends in live_edges.items() if oid not in ends}
         events.append(ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
-                                    object_type=otype, source_id=source, target_id=target))
+                                    source_id=source, target_id=target))
     return EventLog(session_id="churn", events=tuple(events))
 
 

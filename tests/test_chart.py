@@ -41,14 +41,13 @@ def test_x_positions_follow_window_formula(diamond_log):
 def test_seventeen_minute_session_lands_at_860():
     events = []
     from conftest import BASE
-    from ppmkit.eventlog import EventKind, ModelingEvent, ObjectType
+    from ppmkit.eventlog import EventKind, ModelingEvent
 
     for k, secs in enumerate([0, 1020], start=1):
         events.append(ModelingEvent(
             seq=k, timestamp=BASE + timedelta(seconds=secs),
             kind=EventKind.CREATE_ACTIVITY if k == 1 else EventKind.MOVE_ACTIVITY,
-            object_id="a", object_type=ObjectType.ACTIVITY,
-            position=(10, 10),
+            object_id="a", position=(10, 10),
         ))
     svg = render_ppmchart(EventLog("s", events))
     xs = sorted(float(x) for x, *_ in dots_of(svg))

@@ -5,12 +5,15 @@ import pytest
 from golden_cases import GOLDEN_CASES, build
 from ppmkit.classify import (
     STAGES,
+    PerspicuityVerdict,
     SessionReport,
     classify_model,
     classify_session,
 )
 from ppmkit.eventlog import ObjectType
 from ppmkit.model import Edge, ProcessModel
+from ppmkit.normalize import NormalizationOutcome
+from ppmkit.soundness import SoundnessReport
 from ppmkit.replay import replay
 
 
@@ -100,6 +103,21 @@ def test_report_json_round_trip(diamond_log):
     assert [b.to_dict() for b in again.blocks] == [b.to_dict() for b in report.blocks]
     # serializing the deserialized form is a fixed point
     assert again.to_json() == text
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_verdict_round_trip_for_every_stage(stage):
+    rejected = stage == "MixedGateway"
+    sound = {"Sound": "Sound", "StateSpaceExceeded": "Unknown"}.get(stage, "Unsound")
+    verdict = PerspicuityVerdict(
+        stage=stage,
+        normalization=NormalizationOutcome(model=None, rejected=rejected,
+                                           reason="mixed gateway: g" if rejected else None),
+        soundness=None if rejected else SoundnessReport(sound, (), 3),
+    )
+    again = PerspicuityVerdict.from_dict(verdict.to_dict())
+    assert again == verdict
+    assert again.perspicuous is (stage == "Sound")
 
 
 def test_report_json_shape(churn_log):

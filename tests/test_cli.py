@@ -471,8 +471,12 @@ class TestSimulateAndStats:
         lambda data: {**data, "verdict": {**data["verdict"], "perspicuous": "no"}},
         lambda data: {**data, "metrics": {**data["metrics"], "max_simul_block": [1]}},
         lambda data: {**data, "metrics": {**data["metrics"], "max_simul_block": "7"}},
+        lambda data: {**data, "metrics": {**data["metrics"], "tot_time": "911.859"}},
+        lambda data: {**data, "metrics": {**data["metrics"], "tot_create_time": True}},
+        lambda data: {**data, "metrics": {**data["metrics"], "tot_time": None}},
     ], ids=["metrics_is_number", "report_is_array", "perspicuous_is_string",
-            "max_simul_block_is_array", "max_simul_block_is_string"])
+            "max_simul_block_is_array", "max_simul_block_is_string",
+            "tot_time_is_string", "tot_create_time_is_bool", "tot_time_is_null"])
     def test_stats_report_of_wrong_type_exits_1(self, capsys, tmp_path, mangle):
         reports = self.prepare_reports(capsys, tmp_path, sessions=2)
         broken = sorted(reports.glob("*.json"))[0]
@@ -482,6 +486,23 @@ class TestSimulateAndStats:
         assert out == ""
         assert err.startswith(f"error: {broken}: wrong value type: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("verdict, message", [
+        ({"stage": "Bogus"}, "unknown stage 'Bogus'"),
+        ({"stage": "Sound", "perspicuous": False},
+         "perspicuous False does not match stage 'Sound'"),
+    ], ids=["unknown_stage", "perspicuous_against_stage"])
+    def test_stats_report_with_inconsistent_verdict_exits_1(self, capsys, tmp_path,
+                                                            verdict, message):
+        reports = self.prepare_reports(capsys, tmp_path, sessions=2)
+        broken = sorted(reports.glob("*.json"))[0]
+        data = json.loads(broken.read_text())
+        data["verdict"].update(verdict)
+        broken.write_text(json.dumps(data))
+        code, out, err = run(capsys, "stats", "--reports", str(reports))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {broken}: {message}\n"
 
     def test_stats_no_reports(self, capsys, tmp_path):
         empty = tmp_path / "none"

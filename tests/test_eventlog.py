@@ -11,6 +11,7 @@ from ppmkit.eventlog import (
     EventClass,
     EventKind,
     KIND_CLASS,
+    KIND_OBJECT_TYPE,
     EventLog,
     LogFormatError,
     ModelingEvent,
@@ -23,14 +24,13 @@ from ppmkit.eventlog import (
 )
 
 
-def ev(seq, kind, oid, otype, *, secs=None, position=None, label=None,
+def ev(seq, kind, oid, *, secs=None, position=None, label=None,
        source=None, target=None):
     return ModelingEvent(
         seq=seq,
         timestamp=BASE + timedelta(seconds=seq if secs is None else secs),
         kind=kind,
         object_id=oid,
-        object_type=otype,
         position=position,
         label=label,
         source_id=source,
@@ -181,54 +181,52 @@ class TestEventKinds:
 
 
 class TestModelingEvent:
-    def test_kind_object_type_mismatch(self):
-        with pytest.raises(ValueError, match="implies object type"):
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.XOR)
+    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda kind: kind.value)
+    def test_object_type_comes_from_kind(self, kind):
+        ends = {}
+        if kind in (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE):
+            ends = {"source": "a", "target": "b"}
+        assert ev(1, kind, "x", **ends).object_type is KIND_OBJECT_TYPE[kind]
 
     def test_edge_create_needs_endpoints(self):
         with pytest.raises(ValueError, match="requires source_id and target_id"):
-            ev(1, EventKind.CREATE_EDGE, "e", ObjectType.EDGE)
+            ev(1, EventKind.CREATE_EDGE, "e")
 
     def test_node_create_refuses_endpoints(self):
         with pytest.raises(ValueError, match="must not carry edge endpoints"):
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY,
-               source="x", target="y")
+            ev(1, EventKind.CREATE_ACTIVITY, "a", source="x", target="y")
 
     def test_seq_positive(self):
         with pytest.raises(ValueError, match="seq must be positive"):
-            ev(0, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY)
+            ev(0, EventKind.CREATE_ACTIVITY, "a")
 
 
 class TestEventLogValidation:
     def test_seq_must_increase(self):
         events = [
-            ev(2, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(2, EventKind.MOVE_ACTIVITY, "a", ObjectType.ACTIVITY,
-               position=(1, 1)),
+            ev(2, EventKind.CREATE_ACTIVITY, "a"),
+            ev(2, EventKind.MOVE_ACTIVITY, "a", position=(1, 1)),
         ]
         with pytest.raises(ValueError, match="strictly increasing"):
             EventLog("s", events)
 
     def test_timestamp_must_not_regress(self):
         events = [
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY, secs=10),
-            ev(2, EventKind.MOVE_ACTIVITY, "a", ObjectType.ACTIVITY, secs=5,
-               position=(1, 1)),
+            ev(1, EventKind.CREATE_ACTIVITY, "a", secs=10),
+            ev(2, EventKind.MOVE_ACTIVITY, "a", secs=5, position=(1, 1)),
         ]
         with pytest.raises(ValueError, match="timestamp regression"):
             EventLog("s", events)
 
     def test_action_on_unknown_object(self):
         with pytest.raises(ValueError, match="action on unknown object"):
-            EventLog("s", [ev(1, EventKind.MOVE_ACTIVITY, "ghost",
-                              ObjectType.ACTIVITY, position=(0, 0))])
+            EventLog("s", [ev(1, EventKind.MOVE_ACTIVITY, "ghost", position=(0, 0))])
 
     def test_action_on_deleted_object(self):
         events = [
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(2, EventKind.DELETE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(3, EventKind.MOVE_ACTIVITY, "a", ObjectType.ACTIVITY,
-               position=(0, 0)),
+            ev(1, EventKind.CREATE_ACTIVITY, "a"),
+            ev(2, EventKind.DELETE_ACTIVITY, "a"),
+            ev(3, EventKind.MOVE_ACTIVITY, "a", position=(0, 0)),
         ]
         with pytest.raises(ValueError, match="action on deleted object"):
             EventLog("s", events)
@@ -236,22 +234,34 @@ class TestEventLogValidation:
     def test_recreate_after_delete_allowed_here(self):
         # the expanded form of a reconnect does exactly this
         events = [
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(2, EventKind.DELETE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(3, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
+            ev(1, EventKind.CREATE_ACTIVITY, "a"),
+            ev(2, EventKind.DELETE_ACTIVITY, "a"),
+            ev(3, EventKind.CREATE_ACTIVITY, "a"),
         ]
         assert len(EventLog("s", events)) == 3
 
     def test_duplicate_create(self):
         events = [
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(2, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
+            ev(1, EventKind.CREATE_ACTIVITY, "a"),
+            ev(2, EventKind.CREATE_ACTIVITY, "a"),
         ]
         with pytest.raises(ValueError, match="duplicate create"):
             EventLog("s", events)
 
 
 class TestParseLog:
+    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda kind: kind.value)
+    def test_object_type_must_match_kind(self, kind):
+        implied = KIND_OBJECT_TYPE[kind]
+        for other in ObjectType:
+            if other is implied:
+                continue
+            row = f"1,2010-11-15T10:00:00.000Z,{kind.value},x,{other.value},,,,,\n"
+            with pytest.raises(LogFormatError) as err:
+                parse_log(CSV_HEADER + "\n" + row)
+            assert str(err.value) == (f"{kind.value} implies object type {implied.value}, "
+                                      f"got {other.value} at line 2")
+
     def test_fixture(self):
         log = load_fixture("diamond.csv")
         assert log.session_id == "diamond"
@@ -367,9 +377,8 @@ class TestSerializeLog:
 
     def test_quotes_survive(self):
         log = EventLog("s", [
-            ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY),
-            ev(2, EventKind.NAME_ACTIVITY, "a", ObjectType.ACTIVITY,
-               label='check, then "sign"'),
+            ev(1, EventKind.CREATE_ACTIVITY, "a"),
+            ev(2, EventKind.NAME_ACTIVITY, "a", label='check, then "sign"'),
         ])
         again = parse_log(serialize_log(log), session_id="s")
         assert again.events[1].label == 'check, then "sign"'

@@ -110,7 +110,6 @@ class TestMixedGateway:
         assert outcome.rejected
         assert outcome.model is None
         assert outcome.reason == "mixed gateway: g"
-        assert outcome.offenders == ("g",)
         assert outcome.applied_rules == ()
 
     def test_multiple_offenders_listed(self):

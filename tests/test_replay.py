@@ -8,16 +8,15 @@ from ppmkit.eventlog import (
     EventKind,
     EventLog,
     ModelingEvent,
-    ObjectType,
     expand_reconnect,
 )
 from ppmkit.model import ProcessModel
 from ppmkit.replay import apply_event, iter_states, replay, replay_until
 
 
-def ev(seq, kind, oid, otype, **kw):
+def ev(seq, kind, oid, **kw):
     kw.setdefault("timestamp", BASE + timedelta(seconds=seq))
-    return ModelingEvent(seq=seq, kind=kind, object_id=oid, object_type=otype, **kw)
+    return ModelingEvent(seq=seq, kind=kind, object_id=oid, **kw)
 
 
 def test_replay_diamond_final_model(diamond_log):
@@ -30,11 +29,9 @@ def test_replay_diamond_final_model(diamond_log):
 
 def test_create_respects_position_and_label():
     model = ProcessModel()
-    apply_event(model, ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY,
-                          position=(5, 9)))
+    apply_event(model, ev(1, EventKind.CREATE_ACTIVITY, "a", position=(5, 9)))
     assert model.nodes["a"].position == (5, 9)
-    apply_event(model, ev(2, EventKind.NAME_ACTIVITY, "a", ObjectType.ACTIVITY,
-                          label="ship"))
+    apply_event(model, ev(2, EventKind.NAME_ACTIVITY, "a", label="ship"))
     assert model.nodes["a"].label == "ship"
 
 
@@ -46,58 +43,47 @@ def test_delete_node_cascades_edges(churn_log):
 
 def test_move_without_position_is_noop():
     model = ProcessModel()
-    apply_event(model, ev(1, EventKind.CREATE_XOR, "g", ObjectType.XOR,
-                          position=(3, 4)))
-    apply_event(model, ev(2, EventKind.MOVE_XOR, "g", ObjectType.XOR))
+    apply_event(model, ev(1, EventKind.CREATE_XOR, "g", position=(3, 4)))
+    apply_event(model, ev(2, EventKind.MOVE_XOR, "g"))
     assert model.nodes["g"].position == (3, 4)
 
 
 class TestBendpoints:
     def build(self):
         model = ProcessModel()
-        apply_event(model, ev(1, EventKind.CREATE_ACTIVITY, "a", ObjectType.ACTIVITY))
-        apply_event(model, ev(2, EventKind.CREATE_ACTIVITY, "b", ObjectType.ACTIVITY))
-        apply_event(model, ev(3, EventKind.CREATE_EDGE, "e", ObjectType.EDGE,
-                              source_id="a", target_id="b"))
+        apply_event(model, ev(1, EventKind.CREATE_ACTIVITY, "a"))
+        apply_event(model, ev(2, EventKind.CREATE_ACTIVITY, "b"))
+        apply_event(model, ev(3, EventKind.CREATE_EDGE, "e", source_id="a", target_id="b"))
         return model
 
     def test_create_appends(self):
         model = self.build()
-        apply_event(model, ev(4, EventKind.CREATE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE, position=(1, 1)))
-        apply_event(model, ev(5, EventKind.CREATE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE, position=(2, 2)))
+        apply_event(model, ev(4, EventKind.CREATE_EDGE_BENDPOINT, "e", position=(1, 1)))
+        apply_event(model, ev(5, EventKind.CREATE_EDGE_BENDPOINT, "e", position=(2, 2)))
         assert model.edges["e"].bendpoints == ((1, 1), (2, 2))
 
     def test_move_rewrites_last(self):
         model = self.build()
-        apply_event(model, ev(4, EventKind.CREATE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE, position=(1, 1)))
-        apply_event(model, ev(5, EventKind.MOVE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE, position=(9, 9)))
+        apply_event(model, ev(4, EventKind.CREATE_EDGE_BENDPOINT, "e", position=(1, 1)))
+        apply_event(model, ev(5, EventKind.MOVE_EDGE_BENDPOINT, "e", position=(9, 9)))
         assert model.edges["e"].bendpoints == ((9, 9),)
 
     def test_move_on_empty_list_appends(self):
         model = self.build()
-        apply_event(model, ev(4, EventKind.MOVE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE, position=(7, 7)))
+        apply_event(model, ev(4, EventKind.MOVE_EDGE_BENDPOINT, "e", position=(7, 7)))
         assert model.edges["e"].bendpoints == ((7, 7),)
 
     def test_delete_pops(self):
         model = self.build()
-        apply_event(model, ev(4, EventKind.CREATE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE, position=(1, 1)))
-        apply_event(model, ev(5, EventKind.DELETE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE))
-        apply_event(model, ev(6, EventKind.DELETE_EDGE_BENDPOINT, "e",
-                              ObjectType.EDGE))  # already empty: tolerated
+        apply_event(model, ev(4, EventKind.CREATE_EDGE_BENDPOINT, "e", position=(1, 1)))
+        apply_event(model, ev(5, EventKind.DELETE_EDGE_BENDPOINT, "e"))
+        apply_event(model, ev(6, EventKind.DELETE_EDGE_BENDPOINT, "e"))  # already empty: tolerated
         assert model.edges["e"].bendpoints == ()
 
     def test_label_drag_changes_nothing(self):
         model = self.build()
         before = model.edges["e"]
-        apply_event(model, ev(4, EventKind.MOVE_EDGE_LABEL, "e",
-                              ObjectType.EDGE, position=(50, 50)))
+        apply_event(model, ev(4, EventKind.MOVE_EDGE_LABEL, "e", position=(50, 50)))
         assert model.edges["e"] == before
 
 
@@ -110,8 +96,7 @@ def test_reconnect_must_be_expanded(rewire_log):
 def test_errors_name_the_seq():
     model = ProcessModel()
     with pytest.raises(ValueError, match="cannot apply MOVE_ACTIVITY at seq 9"):
-        apply_event(model, ev(9, EventKind.MOVE_ACTIVITY, "ghost",
-                              ObjectType.ACTIVITY, position=(0, 0)))
+        apply_event(model, ev(9, EventKind.MOVE_ACTIVITY, "ghost", position=(0, 0)))
 
 
 def test_replay_until_seq(diamond_log):

@@ -174,7 +174,6 @@ def make_report(session_id, perspicuous, *, stage=None, max_simul=1,
     if stage is None:
         stage = "Sound" if perspicuous else "Unsound"
     verdict = PerspicuityVerdict(
-        perspicuous=perspicuous,
         stage=stage,
         normalization=NormalizationOutcome(model=None),
         soundness=None,

@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, at
+module level or inside a function."""
 
 import ast
 import sys
@@ -7,13 +8,18 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ppmkit"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_is_scanned():
+    assert len(MODULES) == 14
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_top_level_imports_are_stdlib_or_relative(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     foreign = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             roots = [alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:

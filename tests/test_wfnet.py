@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_cases import build
+from oracles import to_wfnet_by_node_type
 from ppmkit.eventlog import ObjectType
-from ppmkit.model import Node, ProcessModel
+from ppmkit.model import Edge, Node, ProcessModel
 from ppmkit.wfnet import (
     SINK_PLACE,
     SOURCE_PLACE,
@@ -105,6 +108,33 @@ class TestToWfnet:
         model.update_node("a", label="review order")
         net = to_wfnet(model)
         assert next(t for t in net.transitions if t.id == "t_a").label == "review order"
+
+
+NODE_TYPES = [ObjectType.START_EVENT, ObjectType.END_EVENT, ObjectType.ACTIVITY,
+              ObjectType.XOR, ObjectType.AND]
+
+
+@st.composite
+def any_models(draw):
+    """Models of 1-8 nodes of every type, with parallel edges and self-loops."""
+    types = draw(st.lists(st.sampled_from(NODE_TYPES), min_size=1, max_size=8))
+    ids = st.sampled_from([f"n{k}" for k in range(len(types))])
+    ends = draw(st.lists(st.tuples(ids, ids), max_size=14))
+    return ProcessModel([Node(f"n{k}", t, label=f"l{k}") for k, t in enumerate(types)],
+                        [Edge(f"e{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+def _net_or_error(translate, model):
+    try:
+        return translate(model)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(model=any_models())
+@settings(max_examples=300, deadline=None)
+def test_to_wfnet_matches_per_type_translation(model):
+    assert _net_or_error(to_wfnet, model) == _net_or_error(to_wfnet_by_node_type, model)
 
 
 class TestWFNetValidation:
