@@ -28,7 +28,7 @@ from .eventlog import (
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import Edge, Node, ProcessModel
 from .normalize import NormalizationOutcome, normalize
-from .replay import apply_event, iter_states, replay, replay_until
+from .replay import apply_event, replay, replay_until
 from .simulate import PROFILES, SimulationProfile, simulate, simulate_cohort
 from .soundness import SoundnessReport, check_soundness
 from .stats import (
@@ -39,7 +39,7 @@ from .stats import (
     compare_groups,
     t_test,
 )
-from .wfnet import WFNet, is_wf_structured, to_pnml, to_wfnet
+from .wfnet import WFNet, to_wfnet
 
 __version__ = "0.1.0"
 
@@ -76,8 +76,6 @@ __all__ = [
     "compute_session_metrics",
     "detect_blocks",
     "expand_reconnect",
-    "is_wf_structured",
-    "iter_states",
     "max_simul_block",
     "normalize",
     "parse_log",
@@ -89,6 +87,5 @@ __all__ = [
     "simulate",
     "simulate_cohort",
     "t_test",
-    "to_pnml",
     "to_wfnet",
 ]

@@ -5,12 +5,17 @@ workflow net. Everything short of that carries a stage tag saying where it
 fell out of the pipeline: a mixed gateway (no repair exists), a net whose
 parts do not all lie between source and sink, an unsound net, or a state
 space too large to decide.
+
+The stage is not stored: it follows from the evidence a verdict carries,
+the normalization outcome and the soundness report, as does `perspicuous`.
+A report read back from JSON must say the same as its evidence.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blocks import Block, _replay_and_date
 from .eventlog import EventLog, expand_reconnect, parse_timestamp
@@ -21,6 +26,7 @@ from .soundness import (
     DEFAULT_MAX_STATES,
     SOUND,
     UNKNOWN,
+    VIOLATION_KINDS,
     SoundnessReport,
     Violation,
     check_soundness,
@@ -32,9 +38,26 @@ STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "S
 
 @dataclass(frozen=True)
 class PerspicuityVerdict:
-    stage: str
     normalization: NormalizationOutcome
-    soundness: SoundnessReport | None  # None when normalization rejected
+    soundness: SoundnessReport | None  # None exactly when normalization rejected
+
+    def __post_init__(self) -> None:
+        if (self.soundness is None) != self.normalization.rejected:
+            given = "null" if self.soundness is None else "given"
+            raise ValueError(f"soundness {given} does not match rejected "
+                             f"{self.normalization.rejected}")
+
+    @cached_property  # the fields are frozen, and stats reads it several times a report
+    def stage(self) -> str:
+        """Where the model fell out of the pipeline, read off the evidence."""
+        if self.soundness is None:
+            return "MixedGateway"
+        verdict = self.soundness.verdict
+        if verdict == UNKNOWN:
+            return "StateSpaceExceeded"
+        if any(v.kind == "NotWFStructured" for v in self.soundness.violations):
+            return "NotWFStructured"
+        return "Sound" if verdict == SOUND else "Unsound"
 
     @property
     def perspicuous(self) -> bool:
@@ -50,59 +73,65 @@ class PerspicuityVerdict:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerspicuityVerdict":
+        """Rebuild from to_dict output. The written rejected, soundness
+        verdict, stage and perspicuous must equal what the evidence gives:
+        a disagreement raises ValueError, a value of the wrong type
+        TypeError."""
         norm = data["normalization"]
+        rejected, reason = norm["rejected"], norm["reason"]
+        if not isinstance(rejected, bool):
+            raise TypeError(f"rejected must be a bool, got {rejected!r}")
+        if reason is not None and not isinstance(reason, str):
+            raise TypeError(f"reason must be a string or null, got {reason!r}")
         outcome = NormalizationOutcome(
             model=None,  # the JSON form does not carry the normalized model
-            rejected=norm["rejected"],
-            reason=norm["reason"],
+            reason=reason,
             applied_rules=tuple(
                 AppliedRule(r["rule"], tuple(r["nodes"])) for r in norm["applied_rules"]
             ),
         )
+        if rejected != outcome.rejected:
+            raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
         sound = None
         if data["soundness"] is not None:
             s = data["soundness"]
-            sound = SoundnessReport(
-                verdict=s["verdict"],
-                violations=tuple(
-                    Violation(
-                        kind=v["kind"],
-                        witness=v["witness"],
-                        trace=tuple(v["trace"]) if v["trace"] is not None else None,
-                    )
-                    for v in s["violations"]
-                ),
-                states_explored=s["states_explored"],
-            )
+            if type(s["states_explored"]) is not int:  # a bool is not a count
+                raise TypeError(f"states_explored must be an int, got {s['states_explored']!r}")
+            violations = []
+            for v in s["violations"]:
+                if v["kind"] not in VIOLATION_KINDS:
+                    raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
+                                    f", got {v['kind']!r}")
+                trace = tuple(v["trace"]) if v["trace"] is not None else None
+                violations.append(Violation(v["kind"], v["witness"], trace))
+            sound = SoundnessReport(tuple(violations), s["states_explored"])
+            if s["verdict"] != sound.verdict:
+                raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
+                                 f"{sound.verdict!r} from its violations")
         perspicuous, stage = data["perspicuous"], data["stage"]
         if not isinstance(perspicuous, bool):
             raise TypeError(f"perspicuous must be a bool, got {perspicuous!r}")
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}")
-        verdict = cls(stage=stage, normalization=outcome, soundness=sound)
-        if perspicuous != verdict.perspicuous:
+        if perspicuous != (stage == "Sound"):
             raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
+        verdict = cls(normalization=outcome, soundness=sound)
+        if stage != verdict.stage:
+            raise ValueError(f"stage {stage!r} does not match {verdict.stage!r} "
+                             "from its evidence")
         return verdict
 
 
 def classify_model(model: ProcessModel,
                    max_states: int = DEFAULT_MAX_STATES) -> PerspicuityVerdict:
-    """Normalize, translate, check soundness; stage tells where it stopped."""
+    """Normalize, translate, check soundness; the verdict's stage tells
+    where it stopped."""
     if not model.nodes:
         raise ValueError("empty model")
     outcome = normalize(model)
     if outcome.rejected:
-        return PerspicuityVerdict(stage="MixedGateway", normalization=outcome, soundness=None)
-    report = check_soundness(to_wfnet(outcome.model), max_states)
-    if report.verdict == UNKNOWN:
-        stage = "StateSpaceExceeded"
-    elif any(v.kind == "NotWFStructured" for v in report.violations):
-        stage = "NotWFStructured"
-    elif report.verdict == SOUND:
-        stage = "Sound"
-    else:
-        stage = "Unsound"
-    return PerspicuityVerdict(stage=stage, normalization=outcome, soundness=report)
+        return PerspicuityVerdict(outcome, None)
+    return PerspicuityVerdict(outcome, check_soundness(to_wfnet(outcome.model), max_states))
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,12 @@ class AppliedRule:
 @dataclass(frozen=True)
 class NormalizationOutcome:
     model: ProcessModel | None
-    rejected: bool = False
-    reason: str | None = None
+    reason: str | None = None  # why the model was rejected; None when repaired
     applied_rules: tuple[AppliedRule, ...] = ()
+
+    @property
+    def rejected(self) -> bool:
+        return self.reason is not None
 
     def to_dict(self) -> dict:
         return {
@@ -212,8 +215,7 @@ def normalize(model: ProcessModel) -> NormalizationOutcome:
     """Full repair pipeline; Rejected only for mixed gateways."""
     offenders = check_mixed_gateways(model)
     if offenders:
-        return NormalizationOutcome(model=None, rejected=True,
-                                    reason="mixed gateway: " + ", ".join(offenders))
+        return NormalizationOutcome(model=None, reason="mixed gateway: " + ", ".join(offenders))
     rules: list[AppliedRule] = []
     m = normalize_start_end(model, rules)
     m = normalize_splits_joins(m, rules)

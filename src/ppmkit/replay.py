@@ -65,18 +65,6 @@ def apply_event(model: ProcessModel, event: ModelingEvent) -> None:
         raise ValueError(f"cannot apply {kind.value} at seq {event.seq}: {exc}") from None
 
 
-def iter_states(log: EventLog):
-    """Yield (event, model) after each event.
-
-    The same mutable model object is yielded every time; callers that need
-    a snapshot must copy it.
-    """
-    model = ProcessModel()
-    for event in log.events:
-        apply_event(model, event)
-        yield event, model
-
-
 def replay(log: EventLog) -> ProcessModel:
     """Fold the whole log into the final model."""
     model = ProcessModel()

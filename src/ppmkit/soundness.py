@@ -21,6 +21,9 @@ repeat), which rules out soundness immediately; the walk is skipped on
 acyclic nets, whose runs are all finite. The cap on explored markings
 (max_states, set by `classify --max-states`) turns pathological nets into
 an honest Unknown instead of an endless run.
+
+A report's verdict is not stored but read off its violations: none is
+Sound, a StateSpaceExceeded (the cap) is Unknown, anything else Unsound.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ SOUND = "Sound"
 UNSOUND = "Unsound"
 UNKNOWN = "Unknown"
 
+VIOLATION_KINDS = ("NotWFStructured", "DeadlockNoCompletion", "ImproperCompletion",
+                   "DeadTransition", "Unbounded", "StateSpaceExceeded")
+
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # NotWFStructured | DeadlockNoCompletion | ImproperCompletion
-    #          # | DeadTransition | Unbounded | StateSpaceExceeded
+    kind: str  # one of VIOLATION_KINDS
     witness: object = None  # marking dict, transition id, or offending node ids
     trace: tuple[str, ...] | None = None  # firing sequence from the initial marking
 
@@ -58,9 +63,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class SoundnessReport:
-    verdict: str  # Sound | Unsound | Unknown
     violations: tuple[Violation, ...]
     states_explored: int
+
+    @property
+    def verdict(self) -> str:
+        """Sound without violations, Unknown when the state cap was hit,
+        Unsound otherwise."""
+        if not self.violations:
+            return SOUND
+        if any(v.kind == "StateSpaceExceeded" for v in self.violations):
+            return UNKNOWN
+        return UNSOUND
 
     def to_dict(self) -> dict:
         return {
@@ -82,15 +96,14 @@ def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> Soundne
     structured, offending = is_wf_structured(net)
     if not structured:
         return SoundnessReport(
-            verdict=UNSOUND,
             violations=(Violation("NotWFStructured", witness=offending),),
             states_explored=0,
         )
     if not _reduces(net):
         return _explore(net, max_states)
     if max_states == 1:
-        return SoundnessReport(UNKNOWN, (Violation("StateSpaceExceeded"),), 2)
-    return SoundnessReport(SOUND, (), 2)
+        return SoundnessReport((Violation("StateSpaceExceeded"),), 2)
+    return SoundnessReport((), 2)
 
 
 def _reduces(net: WFNet) -> bool:
@@ -264,7 +277,6 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
             while anc is not None:
                 if total[anc] < tokens and all(a >= b for a, b in zip(child, anc)):
                     return SoundnessReport(
-                        verdict=UNSOUND,
                         violations=(
                             Violation("Unbounded", witness=as_dict(child),
                                       trace=trace_to(m) + (tid,)),
@@ -276,7 +288,6 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
             total[child] = tokens
             if len(preds) > max_states:
                 return SoundnessReport(
-                    verdict=UNKNOWN,
                     violations=(Violation("StateSpaceExceeded"),),
                     states_explored=len(preds),
                 )
@@ -318,11 +329,7 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
         if t.id not in fired:
             violations.append(Violation("DeadTransition", witness=t.id))
 
-    return SoundnessReport(
-        verdict=SOUND if not violations else UNSOUND,
-        violations=tuple(violations),
-        states_explored=len(preds),
-    )
+    return SoundnessReport(tuple(violations), len(preds))
 
 
 def _may_run_forever(net: WFNet) -> bool:

@@ -11,7 +11,6 @@ produces into the same output place (join).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .eventlog import ObjectType
 from .model import ProcessModel
@@ -138,29 +137,3 @@ def is_wf_structured(net: WFNet) -> tuple[bool, tuple[str, ...]]:
     offending = tuple(sorted(everything - covered))
     return not offending, offending
 
-
-def to_pnml(net: WFNet) -> str:
-    """Render the net in the standard XML interchange form, one token on
-    the source place, for cross-checking with external tools."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">',
-        '  <net id="net1" type="http://www.pnml.org/version-2009/grammar/ptnet">',
-        '    <page id="page1">',
-    ]
-    for p in net.places:
-        lines.append(f"      <place id={quoteattr(p)}>")
-        if p == net.source:
-            lines.append("        <initialMarking><text>1</text></initialMarking>")
-        lines.append("      </place>")
-    for t in net.transitions:
-        lines.append(f"      <transition id={quoteattr(t.id)}>")
-        if t.label:
-            lines.append(f"        <name><text>{escape(t.label)}</text></name>")
-        lines.append("      </transition>")
-    for k, (a, b) in enumerate(net.arcs(), start=1):
-        lines.append(
-            f'      <arc id="a{k}" source={quoteattr(a)} target={quoteattr(b)}/>'
-        )
-    lines.extend(["    </page>", "  </net>", "</pnml>", ""])
-    return "\n".join(lines)

@@ -7,7 +7,8 @@ Karp-Miller-style tree, the explorer's report by testing every transition
 in every marking, the normalizer's gateway walk as two mirrored walkers,
 the workflow-net translation case by case per node type, p-values through
 numeric quadrature in mpmath.
-Slow and dumb on purpose.
+Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
+the model after each event of a replay.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ppmkit.blocks import Block
 from ppmkit.eventlog import EventClass, EventLog, ObjectType
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.replay import apply_event
-from ppmkit.soundness import SOUND, UNKNOWN, UNSOUND, SoundnessReport, Violation
+from ppmkit.soundness import SoundnessReport, Violation
 from ppmkit.wfnet import SINK_PLACE, SOURCE_PLACE, Transition, WFNet
 
 
@@ -220,7 +221,6 @@ def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
             while anc is not None:
                 if total[anc] < tokens and all(a >= b for a, b in zip(child, anc)):
                     return SoundnessReport(
-                        verdict=UNSOUND,
                         violations=(
                             Violation("Unbounded", witness=as_dict(child),
                                       trace=trace_to(m) + (tid,)),
@@ -232,7 +232,6 @@ def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
             total[child] = tokens
             if len(parent) > max_states:
                 return SoundnessReport(
-                    verdict=UNKNOWN,
                     violations=(Violation("StateSpaceExceeded"),),
                     states_explored=len(parent),
                 )
@@ -278,11 +277,7 @@ def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
         if t.id not in fired:
             violations.append(Violation("DeadTransition", witness=t.id))
 
-    return SoundnessReport(
-        verdict=SOUND if not violations else UNSOUND,
-        violations=tuple(violations),
-        states_explored=len(parent),
-    )
+    return SoundnessReport(tuple(violations), len(parent))
 
 
 def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,
@@ -374,6 +369,19 @@ def whole_share(blocks: list[Block], log: EventLog) -> Fraction | None:
     if not blocks:
         return None
     return Fraction(sum(_built_whole(b.members, log) for b in blocks), len(blocks))
+
+
+def iter_states(log: EventLog):
+    """Yield (event, model) after each event, for checks on every
+    intermediate model of a replay.
+
+    The same mutable model object is yielded every time; callers that need
+    a snapshot must copy it.
+    """
+    model = ProcessModel()
+    for event in log.events:
+        apply_event(model, event)
+        yield event, model
 
 
 def blocks_dated_all_pairs(log: EventLog) -> list[Block]:

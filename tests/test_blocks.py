@@ -8,7 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE, event_logs
-from oracles import blocks_dated_all_pairs, edge_disjoint_path_count, find_block_pairs_maxflow
+from oracles import (
+    blocks_dated_all_pairs,
+    edge_disjoint_path_count,
+    find_block_pairs_maxflow,
+    iter_states,
+)
 from ppmkit.blocks import (
     Block,
     _two_path_nodes,
@@ -27,7 +32,7 @@ from ppmkit.eventlog import (
     parse_log,
 )
 from ppmkit.model import Edge, Node, ProcessModel
-from ppmkit.replay import iter_states, replay
+from ppmkit.replay import replay
 from ppmkit.simulate import PROFILES, simulate
 
 

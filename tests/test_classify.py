@@ -13,7 +13,7 @@ from ppmkit.classify import (
 from ppmkit.eventlog import ObjectType
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.normalize import NormalizationOutcome
-from ppmkit.soundness import SoundnessReport
+from ppmkit.soundness import SoundnessReport, Violation
 from ppmkit.replay import replay
 
 
@@ -105,19 +105,36 @@ def test_report_json_round_trip(diamond_log):
     assert again.to_json() == text
 
 
+# Per stage, the normalization reason and soundness violations that give it.
+STAGE_EVIDENCE = {
+    "MixedGateway": ("mixed gateway: g", None),
+    "NotWFStructured": (None, (Violation("NotWFStructured", witness=None),)),
+    "Unsound": (None, (Violation("DeadTransition", witness="t_a"),)),
+    "StateSpaceExceeded": (None, (Violation("StateSpaceExceeded"),)),
+    "Sound": (None, ()),
+}
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_verdict_round_trip_for_every_stage(stage):
-    rejected = stage == "MixedGateway"
-    sound = {"Sound": "Sound", "StateSpaceExceeded": "Unknown"}.get(stage, "Unsound")
+    reason, violations = STAGE_EVIDENCE[stage]
     verdict = PerspicuityVerdict(
-        stage=stage,
-        normalization=NormalizationOutcome(model=None, rejected=rejected,
-                                           reason="mixed gateway: g" if rejected else None),
-        soundness=None if rejected else SoundnessReport(sound, (), 3),
+        normalization=NormalizationOutcome(model=None, reason=reason),
+        soundness=None if violations is None else SoundnessReport(violations, 3),
     )
     again = PerspicuityVerdict.from_dict(verdict.to_dict())
     assert again == verdict
+    assert again.stage == stage
     assert again.perspicuous is (stage == "Sound")
+
+
+@pytest.mark.parametrize("reason, soundness", [
+    ("mixed gateway: g", SoundnessReport((), 2)),
+    (None, None),
+], ids=["rejected_with_soundness", "repaired_without_soundness"])
+def test_verdict_needs_soundness_exactly_when_not_rejected(reason, soundness):
+    with pytest.raises(ValueError, match="does not match rejected"):
+        PerspicuityVerdict(NormalizationOutcome(model=None, reason=reason), soundness)
 
 
 def test_report_json_shape(churn_log):

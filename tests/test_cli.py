@@ -474,9 +474,22 @@ class TestSimulateAndStats:
         lambda data: {**data, "metrics": {**data["metrics"], "tot_time": "911.859"}},
         lambda data: {**data, "metrics": {**data["metrics"], "tot_create_time": True}},
         lambda data: {**data, "metrics": {**data["metrics"], "tot_time": None}},
+        lambda data: {**data, "verdict": {**data["verdict"], "soundness": {
+            **data["verdict"]["soundness"], "states_explored": "many"}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "soundness": {
+            **data["verdict"]["soundness"], "states_explored": True}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "soundness": {
+            **data["verdict"]["soundness"],
+            "violations": [{"kind": 5, "witness": None, "trace": None}]}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "normalization": {
+            **data["verdict"]["normalization"], "rejected": "no"}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "normalization": {
+            **data["verdict"]["normalization"], "reason": 5}}},
     ], ids=["metrics_is_number", "report_is_array", "perspicuous_is_string",
             "max_simul_block_is_array", "max_simul_block_is_string",
-            "tot_time_is_string", "tot_create_time_is_bool", "tot_time_is_null"])
+            "tot_time_is_string", "tot_create_time_is_bool", "tot_time_is_null",
+            "states_explored_is_string", "states_explored_is_bool",
+            "violation_kind_is_number", "rejected_is_string", "reason_is_number"])
     def test_stats_report_of_wrong_type_exits_1(self, capsys, tmp_path, mangle):
         reports = self.prepare_reports(capsys, tmp_path, sessions=2)
         broken = sorted(reports.glob("*.json"))[0]
@@ -487,17 +500,36 @@ class TestSimulateAndStats:
         assert err.startswith(f"error: {broken}: wrong value type: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("verdict, message", [
-        ({"stage": "Bogus"}, "unknown stage 'Bogus'"),
-        ({"stage": "Sound", "perspicuous": False},
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda v: v.update(stage="Bogus"), "unknown stage 'Bogus'"),
+        (lambda v: v.update(stage="Sound", perspicuous=False),
          "perspicuous False does not match stage 'Sound'"),
-    ], ids=["unknown_stage", "perspicuous_against_stage"])
+        (lambda v: v.update(stage="Sound", perspicuous=True),
+         "stage 'Sound' does not match 'Unsound' from its evidence"),
+        (lambda v: v.update(stage="MixedGateway"),
+         "stage 'MixedGateway' does not match 'Unsound' from its evidence"),
+        (lambda v: v.update(stage="Sound", perspicuous=True, soundness=None),
+         "soundness null does not match rejected False"),
+        (lambda v: v.update(stage="Sound", perspicuous=True,
+                            soundness={**v["soundness"], "verdict": "Sound"}),
+         "soundness verdict 'Sound' does not match 'Unsound' from its violations"),
+        (lambda v: v["soundness"].update(verdict="Maybe"),
+         "soundness verdict 'Maybe' does not match 'Unsound' from its violations"),
+        (lambda v: v.update(stage="StateSpaceExceeded"),
+         "stage 'StateSpaceExceeded' does not match 'Unsound' from its evidence"),
+        (lambda v: v["normalization"].update(reason="mixed gateway: g"),
+         "rejected False does not match reason 'mixed gateway: g'"),
+    ], ids=["unknown_stage", "perspicuous_against_stage", "unsound_relabelled_sound",
+            "mixed_gateway_not_rejected", "sound_without_soundness",
+            "sound_verdict_with_violations", "unknown_verdict", "capped_without_cap",
+            "reason_not_rejected"])
     def test_stats_report_with_inconsistent_verdict_exits_1(self, capsys, tmp_path,
-                                                            verdict, message):
+                                                            mangle, message):
         reports = self.prepare_reports(capsys, tmp_path, sessions=2)
         broken = sorted(reports.glob("*.json"))[0]
         data = json.loads(broken.read_text())
-        data["verdict"].update(verdict)
+        assert data["verdict"]["stage"] == "Unsound"  # the mangles start from here
+        mangle(data["verdict"])
         broken.write_text(json.dumps(data))
         code, out, err = run(capsys, "stats", "--reports", str(reports))
         assert code == 1

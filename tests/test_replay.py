@@ -11,7 +11,7 @@ from ppmkit.eventlog import (
     expand_reconnect,
 )
 from ppmkit.model import ProcessModel
-from ppmkit.replay import apply_event, iter_states, replay, replay_until
+from ppmkit.replay import apply_event, replay, replay_until
 
 
 def ev(seq, kind, oid, **kw):
@@ -121,13 +121,6 @@ def test_replay_until_cuts_the_log_as_given(rewire_log):
 
 def test_replay_until_before_start_is_empty(diamond_log):
     assert replay_until(diamond_log, 0) == ProcessModel()
-
-
-def test_iter_states_yields_one_per_event(diamond_log):
-    states = list(iter_states(diamond_log))
-    assert len(states) == len(diamond_log)
-    assert states[-1][1] == replay(diamond_log)
-    assert states[0][0].seq == 1
 
 
 @given(log=event_logs(allow_reconnects=False))

@@ -9,6 +9,7 @@ from oracles import t_p_value
 from ppmkit.classify import PerspicuityVerdict, SessionReport
 from ppmkit.metrics import METRIC_NAMES, SessionMetrics
 from ppmkit.normalize import NormalizationOutcome
+from ppmkit.soundness import SoundnessReport, Violation
 from ppmkit.stats import (
     GROUP_A,
     GROUP_B,
@@ -159,6 +160,14 @@ def test_incomplete_beta_edges():
     assert math.isclose(lhs, rhs, rel_tol=1e-11)
 
 
+# Soundness violations that put a repaired model's verdict at each stage.
+STAGE_EVIDENCE = {
+    "Sound": (),
+    "Unsound": (Violation("DeadTransition", witness="t_a"),),
+    "StateSpaceExceeded": (Violation("StateSpaceExceeded"),),
+}
+
+
 def make_report(session_id, perspicuous, *, stage=None, max_simul=1,
                 perc_whole=Fraction(1), avg_move=Fraction(2),
                 perc_moves=Fraction(1, 4), tot=Fraction(600),
@@ -174,9 +183,8 @@ def make_report(session_id, perspicuous, *, stage=None, max_simul=1,
     if stage is None:
         stage = "Sound" if perspicuous else "Unsound"
     verdict = PerspicuityVerdict(
-        stage=stage,
         normalization=NormalizationOutcome(model=None),
-        soundness=None,
+        soundness=SoundnessReport(STAGE_EVIDENCE[stage], 2),
     )
     return SessionReport(session_id=session_id, metrics=metrics, blocks=(),
                          verdict=verdict)

@@ -12,7 +12,6 @@ from ppmkit.wfnet import (
     Transition,
     WFNet,
     is_wf_structured,
-    to_pnml,
     to_wfnet,
 )
 
@@ -205,28 +204,3 @@ class TestWfStructured:
         ok, offending = is_wf_structured(to_wfnet(model))
         assert not ok
         assert "p_f1" in offending
-
-
-class TestPnml:
-    def test_source_has_initial_marking(self):
-        xml = to_pnml(to_wfnet(linear()))
-        assert xml.count("<initialMarking>") == 1
-        assert '<place id="i">' in xml
-        lines = xml.splitlines()
-        i_at = lines.index('      <place id="i">')
-        assert "initialMarking" in lines[i_at + 1]
-
-    def test_labels_escaped(self):
-        model = linear()
-        model.update_node("a", label="a < b & c")
-        xml = to_pnml(to_wfnet(model))
-        assert "<name><text>a &lt; b &amp; c</text></name>" in xml
-
-    def test_deterministic(self):
-        assert to_pnml(to_wfnet(xor_diamond())) == to_pnml(to_wfnet(xor_diamond()))
-
-    def test_arcs_present(self):
-        net = to_wfnet(linear())
-        xml = to_pnml(net)
-        assert xml.count("<arc ") == len(net.arcs())
-        assert '<arc id="a5" source="i" target="t_s"/>' in xml
