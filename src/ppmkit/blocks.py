@@ -17,9 +17,9 @@ from datetime import datetime
 from fractions import Fraction
 from operator import itemgetter
 
-from .eventlog import EventClass, EventLog, ObjectType, format_timestamp
+from .eventlog import KIND_CLASS, EventClass, EventKind, EventLog, ModelingEvent, format_timestamp
 from .model import ProcessModel
-from .replay import apply_event, replay
+from .replay import apply_event
 
 
 @dataclass(frozen=True)
@@ -165,46 +165,51 @@ def _is_whole(members: frozenset[str], created_seq: dict[str, int],
     return all(oid in members for _, oid in inside)
 
 
-def _creation_index(log: EventLog) -> tuple[dict[str, int], dict[str, datetime],
-                                            list[tuple[int, str]]]:
-    created_seq: dict[str, int] = {}
-    created_at: dict[str, datetime] = {}
-    node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
-    for ev in log.events:
-        if ev.is_create():
-            if ev.object_id not in created_seq:
-                created_seq[ev.object_id] = ev.seq
-                created_at[ev.object_id] = ev.timestamp
-            if ev.object_type is not ObjectType.EDGE:
-                node_creates.append((ev.seq, ev.object_id))
-    return created_seq, created_at, node_creates
-
-
 def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
     """Replay the log; return the final model and its blocks, dated.
 
-    Only pairs that are blocks in the final model are ever reported, so
-    only those are tested while replaying forward, each until it first
-    qualifies. Moves, renames and bendpoint edits change neither structure
-    nor node types, so the dating replay skips them; a new node is
-    isolated, so only an edge create or a delete triggers a test.
+    One walk replays the log, indexes when each object was first created
+    and keeps the creates and deletes. Only pairs that are blocks in the
+    final model are ever reported, so only those are tested while those
+    creates and deletes are applied again, each pair until it first
+    qualifies: moves, renames and bendpoint edits change neither structure
+    nor node types, and a new node is isolated, so only an edge create or
+    a delete triggers a test.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
-    final = replay(log)
+    final = ProcessModel()
+    created_seq: dict[str, int] = {}
+    created_at: dict[str, datetime] = {}
+    node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
+    # The creates and deletes in log order, each with whether it can
+    # complete a block: a node create makes an isolated node, so it cannot.
+    structural: list[tuple[ModelingEvent, bool]] = []
+    for ev in log.events:
+        apply_event(final, ev)
+        event_class = KIND_CLASS[ev.kind]
+        if event_class is EventClass.CREATE:
+            oid = ev.object_id
+            if oid not in created_seq:
+                created_seq[oid] = ev.seq
+                created_at[oid] = ev.timestamp
+            edge = ev.kind is EventKind.CREATE_EDGE
+            if not edge:
+                node_creates.append((ev.seq, oid))
+            structural.append((ev, edge))
+        elif event_class is EventClass.DELETE:
+            structural.append((ev, True))
+
     pending: dict[str, list[str]] = {}
     for s, j, _ in find_block_pairs(final):
         pending.setdefault(s, []).append(j)
     first_completed: dict[tuple[str, str], tuple[int, frozenset[str]]] = {}
     current = ProcessModel()
-    for ev in log.events:
+    for ev, completes in structural:
         if not pending:
             break
-        event_class = ev.event_class
-        if event_class is not EventClass.CREATE and event_class is not EventClass.DELETE:
-            continue
         apply_event(current, ev)
-        if event_class is EventClass.CREATE and ev.object_type is not ObjectType.EDGE:
+        if not completes:
             continue
         dated = len(first_completed)
         for s, joins in pending.items():
@@ -221,7 +226,6 @@ def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
             pending = {s: rest for s, joins in pending.items()
                        if (rest := [j for j in joins if (s, j) not in first_completed])}
 
-    created_seq, created_at, node_creates = _creation_index(log)
     blocks: list[Block] = []
     for (s, j), (seq, members) in first_completed.items():
         stamps = [created_at[oid] for oid in members]

@@ -36,6 +36,13 @@ from .wfnet import to_wfnet
 STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "Sound")
 
 
+def _strings(value, name: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; anything else raises TypeError."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise TypeError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class PerspicuityVerdict:
     normalization: NormalizationOutcome
@@ -83,12 +90,15 @@ class PerspicuityVerdict:
             raise TypeError(f"rejected must be a bool, got {rejected!r}")
         if reason is not None and not isinstance(reason, str):
             raise TypeError(f"reason must be a string or null, got {reason!r}")
+        applied = []
+        for r in norm["applied_rules"]:
+            if type(r["rule"]) is not str:
+                raise TypeError(f"applied rule must be a string, got {r['rule']!r}")
+            applied.append(AppliedRule(r["rule"], _strings(r["nodes"], "applied rule nodes")))
         outcome = NormalizationOutcome(
             model=None,  # the JSON form does not carry the normalized model
             reason=reason,
-            applied_rules=tuple(
-                AppliedRule(r["rule"], tuple(r["nodes"])) for r in norm["applied_rules"]
-            ),
+            applied_rules=tuple(applied),
         )
         if rejected != outcome.rejected:
             raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
@@ -102,7 +112,7 @@ class PerspicuityVerdict:
                 if v["kind"] not in VIOLATION_KINDS:
                     raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
                                     f", got {v['kind']!r}")
-                trace = tuple(v["trace"]) if v["trace"] is not None else None
+                trace = None if v["trace"] is None else _strings(v["trace"], "trace")
                 violations.append(Violation(v["kind"], v["witness"], trace))
             sound = SoundnessReport(tuple(violations), s["states_explored"])
             if s["verdict"] != sound.verdict:

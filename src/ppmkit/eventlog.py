@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -105,7 +105,9 @@ CSV_HEADER = (
     "seq,timestamp,event,object_id,object_type,x,y,label,source_id,target_id"
 )
 
-_TS_SHAPE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)\.(\d{1,6})Z", re.ASCII)
+# Hours stop at 23 here whatever a given Python's fromisoformat takes;
+# the constructor it calls checks every other field's range.
+_TS_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):\d\d:\d\d\.\d{1,6}Z", re.ASCII)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -115,13 +117,11 @@ def parse_timestamp(text: str) -> datetime:
     has 1 to 6, read as a decimal fraction of a second that must be a
     whole number of milliseconds.
     """
-    match = _TS_SHAPE.fullmatch(text)
-    if match is None:
+    if _TS_SHAPE.fullmatch(text) is None:
         raise ValueError(f"bad timestamp {text!r}")
-    year, month, day, hour, minute, second, fraction = match.groups()
     try:
-        ts = datetime(int(year), int(month), int(day), int(hour), int(minute),
-                      int(second), int(fraction.ljust(6, "0")), timezone.utc)
+        # the fraction padded to six digits, a form every Python 3.10+ reads
+        ts = datetime.fromisoformat(text[:-1].ljust(26, "0") + "+00:00")
     except ValueError:
         raise ValueError(f"bad timestamp {text!r}") from None
     if ts.microsecond % 1000 != 0:
@@ -137,7 +137,22 @@ def format_timestamp(ts: datetime) -> str:
             f"{ts.second:02d}.{ts.microsecond // 1000:03d}Z")
 
 
-@dataclass(frozen=True)
+def _event_problem(seq: int, kind: EventKind, object_id: str,
+                   source_id: str | None, target_id: str | None) -> str | None:
+    """Why these fields make no event, or None."""
+    if seq < 1:
+        return f"seq must be positive, got {seq}"
+    if not object_id:
+        return "object_id must be non-empty"
+    if kind in (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE):
+        if not source_id or not target_id:
+            return f"{kind.value} requires source_id and target_id"
+    elif source_id or target_id:
+        return f"{kind.value} must not carry edge endpoints"
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class ModelingEvent:
     """One timestamped editor action on one model object."""
 
@@ -151,15 +166,10 @@ class ModelingEvent:
     target_id: str | None = None
 
     def __post_init__(self):
-        if self.seq < 1:
-            raise ValueError(f"seq must be positive, got {self.seq}")
-        if not self.object_id:
-            raise ValueError("object_id must be non-empty")
-        if self.kind in (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE):
-            if not self.source_id or not self.target_id:
-                raise ValueError(f"{self.kind.value} requires source_id and target_id")
-        elif self.source_id or self.target_id:
-            raise ValueError(f"{self.kind.value} must not carry edge endpoints")
+        problem = _event_problem(self.seq, self.kind, self.object_id, self.source_id,
+                                 self.target_id)
+        if problem is not None:
+            raise ValueError(problem)
 
     @property
     def object_type(self) -> ObjectType:
@@ -169,11 +179,26 @@ class ModelingEvent:
     def event_class(self) -> EventClass:
         return KIND_CLASS[self.kind]
 
-    def is_create(self) -> bool:
-        return KIND_CLASS[self.kind] is EventClass.CREATE
 
-    def is_delete(self) -> bool:
-        return KIND_CLASS[self.kind] is EventClass.DELETE
+# Setting a field through its slot skips the frozen __setattr__.
+(_set_seq, _set_timestamp, _set_kind, _set_object_id, _set_position, _set_label,
+ _set_source_id, _set_target_id) = (ModelingEvent.__dict__[f.name].__set__
+                                    for f in fields(ModelingEvent))
+
+
+def _trusted_event(seq, timestamp, kind, object_id, position, label, source_id,
+                   target_id) -> ModelingEvent:
+    """A ModelingEvent from fields that already passed _event_problem."""
+    ev = object.__new__(ModelingEvent)
+    _set_seq(ev, seq)
+    _set_timestamp(ev, timestamp)
+    _set_kind(ev, kind)
+    _set_object_id(ev, object_id)
+    _set_position(ev, position)
+    _set_label(ev, label)
+    _set_source_id(ev, source_id)
+    _set_target_id(ev, target_id)
+    return ev
 
 
 @dataclass(frozen=True)
@@ -291,19 +316,10 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
     if otype is not expected:
         raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
                              line)
-    try:
-        return ModelingEvent(
-            seq=seq,
-            timestamp=ts,
-            kind=kind,
-            object_id=oid,
-            position=position,
-            label=label or None,
-            source_id=src or None,
-            target_id=tgt or None,
-        )
-    except ValueError as exc:
-        raise LogFormatError(str(exc), line) from None
+    problem = _event_problem(seq, kind, oid, src, tgt)
+    if problem is not None:
+        raise LogFormatError(problem, line)
+    return _trusted_event(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
 
 
 def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
@@ -385,13 +401,17 @@ def expand_reconnect(log: EventLog) -> EventLog:
     seq = 0
     for ev in log.events:
         if ev.kind is EventKind.RECONNECT_EDGE:
-            events.append(replace(ev, seq=seq + 1, kind=EventKind.DELETE_EDGE, position=None,
-                                  label=None, source_id=None, target_id=None))
-            events.append(replace(ev, seq=seq + 2, kind=EventKind.CREATE_EDGE))
+            events.append(_trusted_event(seq + 1, ev.timestamp, EventKind.DELETE_EDGE,
+                                         ev.object_id, None, None, None, None))
+            events.append(_trusted_event(seq + 2, ev.timestamp, EventKind.CREATE_EDGE,
+                                         ev.object_id, ev.position, ev.label, ev.source_id,
+                                         ev.target_id))
             seq += 2
         else:
             seq += 1
-            events.append(replace(ev, seq=seq) if ev.seq != seq else ev)
+            events.append(ev if ev.seq == seq else
+                          _trusted_event(seq, ev.timestamp, ev.kind, ev.object_id,
+                                         ev.position, ev.label, ev.source_id, ev.target_id))
     # Valid by construction: the reconnected edge is alive, deleting and
     # recreating it keeps every later event's object state, seq numbers
     # run 1..n and timestamps keep their order.

@@ -4,9 +4,11 @@ Six values per session: two about block-structured working (how many
 blocks were under construction at once, how many blocks were built as a
 whole), two about layout churn (average moves per moved element, share of
 elements ever moved), and two about speed (total modeling time, time from
-first to last create). Ratios and durations are exact rationals; durations
-are in seconds. Metrics that are undefined for a session (no blocks, no
-moves) are None rather than 0.
+first to last create). Bendpoint edits and edge-label drags are moves of
+the edge, and every element ever created counts towards the share, the
+deleted ones too: each had its time on the canvas. Ratios and durations
+are exact rationals; durations are in seconds. Metrics that are undefined
+for a session (no blocks, no moves) are None rather than 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import Block, _replay_and_date, max_simul_block, perc_blocks_as_whole
-from .eventlog import EventClass, EventLog, expand_reconnect
+from .eventlog import KIND_CLASS, EventClass, EventLog, expand_reconnect
 
 #: JSON field order for SessionMetrics.
 METRIC_NAMES = (
@@ -28,11 +30,6 @@ METRIC_NAMES = (
 )
 
 
-def _require_expanded(log: EventLog):
-    if log.has_reconnects():
-        raise ValueError("expand reconnect events before computing metrics")
-
-
 def _seconds(delta) -> Fraction:
     # exact: timedelta stores integer microseconds
     return Fraction(
@@ -41,55 +38,11 @@ def _seconds(delta) -> Fraction:
     )
 
 
-def avg_move_on_moved_elements(log: EventLog) -> Fraction | None:
-    """Average number of move operations over elements moved at least once.
-
-    None when nothing was ever moved. Bendpoint edits and edge label drags
-    count as moves of the edge.
-    """
-    _require_expanded(log)
-    moves_by_object: dict[str, int] = {}
-    for ev in log.events:
-        if ev.event_class is EventClass.MOVE:
-            moves_by_object[ev.object_id] = moves_by_object.get(ev.object_id, 0) + 1
-    if not moves_by_object:
-        return None
-    return Fraction(sum(moves_by_object.values()), len(moves_by_object))
-
-
-def perc_num_elements_with_moves(log: EventLog) -> Fraction:
-    """Share of elements with at least one move operation.
-
-    The denominator counts every element ever created, including elements
-    deleted later: each had its time on the canvas.
-    """
-    _require_expanded(log)
-    created: set[str] = set()
-    moved: set[str] = set()
-    for ev in log.events:
-        if ev.is_create():
-            created.add(ev.object_id)
-        elif ev.event_class is EventClass.MOVE:
-            moved.add(ev.object_id)
-    if not created:
-        raise ValueError("empty session: no created elements")
-    return Fraction(len(moved), len(created))
-
-
 def tot_time(log: EventLog) -> Fraction:
     """Seconds between the first and last recorded action."""
     if not log.events:
         raise ValueError("empty session: no events")
     return _seconds(log.events[-1].timestamp - log.events[0].timestamp)
-
-
-def tot_create_time(log: EventLog) -> Fraction:
-    """Seconds between the first and last create action."""
-    _require_expanded(log)
-    stamps = [ev.timestamp for ev in log.events if ev.is_create()]
-    if not stamps:
-        raise ValueError("empty session: no create events")
-    return _seconds(stamps[-1] - stamps[0])
 
 
 @dataclass(frozen=True)
@@ -139,17 +92,34 @@ def compute_session_metrics(log: EventLog, blocks: list[Block] | None = None) ->
     """All six metrics for one session.
 
     Reconnect events are expanded here, so raw parsed logs are fine. Pass
-    `blocks` to reuse an existing detect_blocks result; it must come from
-    the same expanded log.
+    `blocks`, the dated blocks of the same expanded log (as
+    classify_session has them), to skip replaying and dating it again.
+    The four log metrics come from one walk.
     """
     log = expand_reconnect(log)
     if blocks is None:
         _, blocks = _replay_and_date(log)
+    moves = 0
+    moved: set[str] = set()
+    created: set[str] = set()
+    first_create = last_create = None
+    for ev in log.events:
+        event_class = KIND_CLASS[ev.kind]
+        if event_class is EventClass.MOVE:
+            moves += 1
+            moved.add(ev.object_id)
+        elif event_class is EventClass.CREATE:
+            created.add(ev.object_id)
+            if first_create is None:
+                first_create = ev.timestamp
+            last_create = ev.timestamp
+    if not created:
+        raise ValueError("empty session: no created elements")
     return SessionMetrics(
         max_simul_block=max_simul_block(blocks),
         perc_num_block_as_a_whole=perc_blocks_as_whole(blocks),
-        avg_move_on_moved_elements=avg_move_on_moved_elements(log),
-        perc_num_elements_with_moves=perc_num_elements_with_moves(log),
+        avg_move_on_moved_elements=Fraction(moves, len(moved)) if moved else None,
+        perc_num_elements_with_moves=Fraction(len(moved), len(created)),
         tot_time=tot_time(log),
-        tot_create_time=tot_create_time(log),
+        tot_create_time=_seconds(last_create - first_create),
     )

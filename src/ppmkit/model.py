@@ -23,6 +23,8 @@ NODE_TYPES = (
 
 GATEWAY_TYPES = (ObjectType.XOR, ObjectType.AND)
 
+_KEEP = object()  # update_node's label when it stays (None is a label)
+
 
 @dataclass(frozen=True)
 class Node:
@@ -105,8 +107,14 @@ class ProcessModel:
         edge = self.edges.pop(edge_id)
         del self._out[edge.source][edge_id], self._in[edge.target][edge_id]
 
-    def update_node(self, node_id: str, **changes) -> Node:
-        node = replace(self.nodes[node_id], **changes)
+    def update_node(self, node_id: str, *, type: ObjectType | None = None,
+                    label: str | None | object = _KEEP,
+                    position: tuple[int, int] | None = None) -> Node:
+        """Change a node's type, label or position; what is not given stays."""
+        old = self.nodes[node_id]
+        node = Node(node_id, old.type if type is None else type,
+                    old.label if label is _KEEP else label,
+                    old.position if position is None else position)
         self.nodes[node_id] = node
         return node
 

@@ -11,58 +11,64 @@ from __future__ import annotations
 from datetime import datetime
 from itertools import takewhile
 
-from .eventlog import EventClass, EventKind, EventLog, ModelingEvent, expand_reconnect
+from .eventlog import (
+    KIND_CLASS,
+    KIND_OBJECT_TYPE,
+    EventClass,
+    EventKind,
+    EventLog,
+    ModelingEvent,
+    ObjectType,
+    expand_reconnect,
+)
 from .model import Edge, Node, ProcessModel
 
 
+def _edit_bendpoints(model: ProcessModel, ev: ModelingEvent) -> None:
+    """Add a bendpoint, or move or drop the last one."""
+    bendpoints = model.edges[ev.object_id].bendpoints
+    if ev.kind is not EventKind.CREATE_EDGE_BENDPOINT:
+        bendpoints = bendpoints[:-1]
+    if ev.kind is not EventKind.DELETE_EDGE_BENDPOINT:
+        bendpoints += (ev.position or (0, 0),)
+    model.update_edge(ev.object_id, bendpoints=bendpoints)
+
+
+def _reconnect(model: ProcessModel, ev: ModelingEvent) -> None:
+    raise ValueError("reconnect events must be expanded before replay")
+
+
+# (action class, acts on an edge) -> what the event does to the model.
+_BY_CLASS = {
+    (EventClass.CREATE, False): lambda m, ev: m.add_node(
+        Node(ev.object_id, KIND_OBJECT_TYPE[ev.kind], ev.label, ev.position or (0, 0))),
+    (EventClass.CREATE, True): lambda m, ev: m.add_edge(
+        Edge(ev.object_id, ev.source_id, ev.target_id, ev.label)),
+    (EventClass.DELETE, False): lambda m, ev: m.remove_node(ev.object_id),
+    (EventClass.DELETE, True): lambda m, ev: m.remove_edge(ev.object_id),
+    # A move without a position keeps the node where it is.
+    (EventClass.MOVE, False): lambda m, ev: m.update_node(ev.object_id, position=ev.position),
+    (EventClass.MOVE, True): _edit_bendpoints,
+    (EventClass.OTHER, False): lambda m, ev: m.update_node(ev.object_id, label=ev.label),
+    (EventClass.OTHER, True): lambda m, ev: m.update_edge(ev.object_id, label=ev.label),
+    (EventClass.RECONNECT, True): _reconnect,
+}
+_APPLY = {kind: _BY_CLASS[(cls, KIND_OBJECT_TYPE[kind] is ObjectType.EDGE)]
+          for kind, cls in KIND_CLASS.items()}
+# A cosmetic label drag changes nothing, but its edge must exist.
+_APPLY[EventKind.MOVE_EDGE_LABEL] = lambda m, ev: m.edges[ev.object_id]
+
+
 def apply_event(model: ProcessModel, event: ModelingEvent) -> None:
-    """Apply one event to the model in place."""
-    kind = event.kind
-    oid = event.object_id
+    """Apply one event to the model in place; an action on an object the
+    model does not hold raises ValueError."""
     try:
-        if kind is EventKind.RECONNECT_EDGE:
-            raise ValueError("reconnect events must be expanded before replay")
-        if kind is EventKind.CREATE_EDGE:
-            model.add_edge(
-                Edge(id=oid, source=event.source_id, target=event.target_id,
-                     label=event.label)
-            )
-        elif event.is_create():
-            model.add_node(
-                Node(id=oid, type=event.object_type, label=event.label,
-                     position=event.position or (0, 0))
-            )
-        elif kind is EventKind.DELETE_EDGE:
-            model.remove_edge(oid)
-        elif event.is_delete():
-            model.remove_node(oid)
-        elif kind is EventKind.CREATE_EDGE_BENDPOINT:
-            bps = model.edges[oid].bendpoints
-            model.update_edge(oid, bendpoints=bps + (event.position or (0, 0),))
-        elif kind is EventKind.MOVE_EDGE_BENDPOINT:
-            bps = model.edges[oid].bendpoints
-            point = event.position or (0, 0)
-            model.update_edge(oid, bendpoints=(bps[:-1] + (point,)) if bps else (point,))
-        elif kind is EventKind.DELETE_EDGE_BENDPOINT:
-            bps = model.edges[oid].bendpoints
-            if bps:
-                model.update_edge(oid, bendpoints=bps[:-1])
-        elif kind is EventKind.MOVE_EDGE_LABEL:
-            pass  # cosmetic label drag, no model change
-        elif event.event_class is EventClass.MOVE:
-            if event.position is not None:
-                model.update_node(oid, position=event.position)
-        elif kind in (EventKind.NAME_ACTIVITY, EventKind.RENAME_ACTIVITY):
-            model.update_node(oid, label=event.label)
-        elif kind in (EventKind.NAME_EDGE, EventKind.RENAME_EDGE):
-            model.update_edge(oid, label=event.label)
-        else:  # pragma: no cover - the dispatch above is total
-            raise ValueError(f"unhandled event kind {kind.value}")
+        _APPLY[event.kind](model, event)
     except KeyError as exc:
-        raise ValueError(f"cannot apply {kind.value} at seq {event.seq}: "
+        raise ValueError(f"cannot apply {event.kind.value} at seq {event.seq}: "
                          f"no such object {exc.args[0]}") from None
     except ValueError as exc:
-        raise ValueError(f"cannot apply {kind.value} at seq {event.seq}: {exc}") from None
+        raise ValueError(f"cannot apply {event.kind.value} at seq {event.seq}: {exc}") from None
 
 
 def replay(log: EventLog) -> ProcessModel:

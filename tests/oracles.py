@@ -6,7 +6,7 @@ unit-capacity max-flow, unboundedness through an unmemoized
 Karp-Miller-style tree, the explorer's report by testing every transition
 in every marking, the normalizer's gateway walk as two mirrored walkers,
 the workflow-net translation case by case per node type, p-values through
-numeric quadrature in mpmath.
+numeric quadrature in mpmath, three of the log metrics by one walk each.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
@@ -22,6 +22,7 @@ import networkx as nx
 
 from ppmkit.blocks import Block
 from ppmkit.eventlog import EventClass, EventLog, ObjectType
+from ppmkit.metrics import _seconds
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.replay import apply_event
 from ppmkit.soundness import SoundnessReport, Violation
@@ -346,12 +347,12 @@ def find_block_pairs_maxflow(model: ProcessModel) -> list[tuple[str, str, frozen
 def _built_whole(members: frozenset[str], log: EventLog) -> bool:
     created_seq: dict[str, int] = {}
     for ev in log.events:
-        if ev.is_create():
+        if ev.event_class is EventClass.CREATE:
             created_seq.setdefault(ev.object_id, ev.seq)
     spans = [created_seq[oid] for oid in members]
     lo, hi = min(spans), max(spans)
     return not any(
-        ev.is_create()
+        ev.event_class is EventClass.CREATE
         and ev.object_type is not ObjectType.EDGE
         and lo < ev.seq < hi
         and ev.object_id not in members
@@ -369,6 +370,55 @@ def whole_share(blocks: list[Block], log: EventLog) -> Fraction | None:
     if not blocks:
         return None
     return Fraction(sum(_built_whole(b.members, log) for b in blocks), len(blocks))
+
+
+def _require_expanded(log: EventLog):
+    if log.has_reconnects():
+        raise ValueError("expand reconnect events before computing metrics")
+
+
+def avg_move_on_moved_elements(log: EventLog) -> Fraction | None:
+    """Average number of move operations over elements moved at least once.
+
+    None when nothing was ever moved. Bendpoint edits and edge label drags
+    count as moves of the edge.
+    """
+    _require_expanded(log)
+    moves_by_object: dict[str, int] = {}
+    for ev in log.events:
+        if ev.event_class is EventClass.MOVE:
+            moves_by_object[ev.object_id] = moves_by_object.get(ev.object_id, 0) + 1
+    if not moves_by_object:
+        return None
+    return Fraction(sum(moves_by_object.values()), len(moves_by_object))
+
+
+def perc_num_elements_with_moves(log: EventLog) -> Fraction:
+    """Share of elements with at least one move operation.
+
+    The denominator counts every element ever created, including elements
+    deleted later: each had its time on the canvas.
+    """
+    _require_expanded(log)
+    created: set[str] = set()
+    moved: set[str] = set()
+    for ev in log.events:
+        if ev.event_class is EventClass.CREATE:
+            created.add(ev.object_id)
+        elif ev.event_class is EventClass.MOVE:
+            moved.add(ev.object_id)
+    if not created:
+        raise ValueError("empty session: no created elements")
+    return Fraction(len(moved), len(created))
+
+
+def tot_create_time(log: EventLog) -> Fraction:
+    """Seconds between the first and last create action."""
+    _require_expanded(log)
+    stamps = [ev.timestamp for ev in log.events if ev.event_class is EventClass.CREATE]
+    if not stamps:
+        raise ValueError("empty session: no create events")
+    return _seconds(stamps[-1] - stamps[0])
 
 
 def iter_states(log: EventLog):
@@ -403,7 +453,7 @@ def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
 
     created_at = {}
     for ev in log.events:
-        if ev.is_create():
+        if ev.event_class is EventClass.CREATE:
             created_at.setdefault(ev.object_id, ev.timestamp)
     blocks = []
     for s, j, _ in find_block_pairs_maxflow(current):

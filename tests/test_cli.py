@@ -485,11 +485,29 @@ class TestSimulateAndStats:
             **data["verdict"]["normalization"], "rejected": "no"}}},
         lambda data: {**data, "verdict": {**data["verdict"], "normalization": {
             **data["verdict"]["normalization"], "reason": 5}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "normalization": {
+            **data["verdict"]["normalization"],
+            "applied_rules": [{"rule": 5, "nodes": ["g"]}]}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "normalization": {
+            **data["verdict"]["normalization"],
+            "applied_rules": [{"rule": "join", "nodes": "abc"}]}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "normalization": {
+            **data["verdict"]["normalization"],
+            "applied_rules": [{"rule": "join", "nodes": ["g", 7]}]}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "soundness": {
+            **data["verdict"]["soundness"], "violations": [
+                {"kind": "DeadlockNoCompletion", "witness": None, "trace": "xyz"}]}}},
+        lambda data: {**data, "verdict": {**data["verdict"], "soundness": {
+            **data["verdict"]["soundness"], "violations": [
+                {"kind": "DeadlockNoCompletion", "witness": None, "trace": ["t", None]}]}}},
     ], ids=["metrics_is_number", "report_is_array", "perspicuous_is_string",
             "max_simul_block_is_array", "max_simul_block_is_string",
             "tot_time_is_string", "tot_create_time_is_bool", "tot_time_is_null",
             "states_explored_is_string", "states_explored_is_bool",
-            "violation_kind_is_number", "rejected_is_string", "reason_is_number"])
+            "violation_kind_is_number", "rejected_is_string", "reason_is_number",
+            "applied_rule_is_number", "applied_rule_nodes_is_string",
+            "applied_rule_node_is_number", "violation_trace_is_string",
+            "violation_trace_step_is_null"])
     def test_stats_report_of_wrong_type_exits_1(self, capsys, tmp_path, mangle):
         reports = self.prepare_reports(capsys, tmp_path, sessions=2)
         broken = sorted(reports.glob("*.json"))[0]

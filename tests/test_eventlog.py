@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -22,6 +23,7 @@ from ppmkit.eventlog import (
     parse_timestamp,
     serialize_log,
 )
+from ppmkit.simulate import PROFILES, simulate
 
 
 def ev(seq, kind, oid, *, secs=None, position=None, label=None,
@@ -437,3 +439,75 @@ def test_expansion_preserves_event_count(log):
     reconnects = sum(1 for e in log.events
                      if e.kind is EventKind.RECONNECT_EDGE)
     assert len(expand_reconnect(log)) == len(log) + reconnects
+
+
+def rebuilt(event: ModelingEvent) -> ModelingEvent:
+    """The same event through the public, validating constructor."""
+    return ModelingEvent(**{f.name: getattr(event, f.name)
+                            for f in dataclasses.fields(ModelingEvent)})
+
+
+def assert_events_as_constructed(log: EventLog) -> None:
+    """parse_log and expand_reconnect build events on a trusted path that
+    skips validation; each must be the event the public constructor makes."""
+    parsed = parse_log(serialize_log(log), session_id=log.session_id)
+    assert parsed.events == log.events
+    for event in parsed.events + expand_reconnect(parsed).events:
+        again = rebuilt(event)
+        assert type(event) is ModelingEvent
+        assert event == again and hash(event) == hash(again)
+        assert repr(event) == repr(again)
+
+
+@given(log=event_logs())
+@settings(max_examples=60)
+def test_parsed_events_equal_constructed_ones(log):
+    assert_events_as_constructed(log)
+
+
+@given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=20, deadline=None)
+def test_parsed_simulated_events_equal_constructed_ones(profile, seed):
+    assert_events_as_constructed(simulate(dataclasses.replace(PROFILES[profile], seed=seed)))
+
+
+def test_events_are_frozen_and_slotted(diamond_log):
+    event = diamond_log.events[0]
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.seq = 5
+
+
+ROWS_BEFORE = (
+    "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,1,2,,,\n"
+    "2,2010-11-15T10:00:01.000Z,CREATE_ACTIVITY,b,ACTIVITY,1,2,,,\n"
+)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,,,,,",
+     "seq must be positive, got 0"),
+    ("3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,,ACTIVITY,,,,,",
+     "object_id must be non-empty"),
+    ("3,2010-11-15T10:00:02.000Z,CREATE_EDGE,e,EDGE,,,,a,",
+     "CREATE_EDGE requires source_id and target_id"),
+    ("3,2010-11-15T10:00:02.000Z,RECONNECT_EDGE,e,EDGE,,,,,b",
+     "RECONNECT_EDGE requires source_id and target_id"),
+    ("3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,,,,a,b",
+     "CREATE_ACTIVITY must not carry edge endpoints"),
+    ("3,2010-11-15T10:00:02.000Z,DELETE_EDGE,e,EDGE,,,,,b",
+     "DELETE_EDGE must not carry edge endpoints"),
+], ids=["seq_zero", "empty_object_id", "edge_without_target", "reconnect_without_source",
+        "endpoints_on_node", "endpoints_on_delete"])
+def test_parse_refuses_what_the_constructor_refuses(row, message):
+    """The parser checks the constructor's rules itself, with the same
+    message, and names the line."""
+    with pytest.raises(LogFormatError) as excinfo:
+        parse_log(CSV_HEADER + "\n" + ROWS_BEFORE + row + "\n")
+    assert str(excinfo.value) == f"{message} at line 4"
+    assert excinfo.value.line == 4
+    fields = row.split(",")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModelingEvent(seq=int(fields[0]), timestamp=BASE, kind=EventKind(fields[2]),
+                      object_id=fields[3], source_id=fields[8] or None,
+                      target_id=fields[9] or None)

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import event_logs
-from oracles import whole_share
+from oracles import (
+    avg_move_on_moved_elements,
+    perc_num_elements_with_moves,
+    tot_create_time,
+    whole_share,
+)
 from ppmkit.blocks import detect_blocks
 from ppmkit.eventlog import EventLog, expand_reconnect
 from ppmkit.metrics import (
     METRIC_NAMES,
     SessionMetrics,
-    avg_move_on_moved_elements,
     compute_session_metrics,
-    perc_num_elements_with_moves,
-    tot_create_time,
     tot_time,
     _seconds,
 )
@@ -69,6 +71,32 @@ def test_empty_session_errors():
         tot_create_time(empty)
     with pytest.raises(ValueError, match="empty session: no created elements"):
         perc_num_elements_with_moves(empty)
+
+
+def test_empty_session_refused():
+    with pytest.raises(ValueError, match="empty session: no created elements"):
+        compute_session_metrics(EventLog("void", []))
+
+
+def assert_metrics_match_definitions(log):
+    m = compute_session_metrics(log)
+    expanded = expand_reconnect(log)
+    assert m.avg_move_on_moved_elements == avg_move_on_moved_elements(expanded)
+    assert m.perc_num_elements_with_moves == perc_num_elements_with_moves(expanded)
+    assert m.tot_time == tot_time(expanded)
+    assert m.tot_create_time == tot_create_time(expanded)
+
+
+@given(log=event_logs())
+@settings(max_examples=80, deadline=None)
+def test_one_walk_matches_definitions(log):
+    assert_metrics_match_definitions(log)
+
+
+@given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=30, deadline=None)
+def test_one_walk_matches_definitions_on_simulated_sessions(profile, seed):
+    assert_metrics_match_definitions(simulate(dataclasses.replace(PROFILES[profile], seed=seed)))
 
 
 def test_unexpanded_log_rejected_by_parts(rewire_log):

@@ -99,6 +99,31 @@ def test_errors_name_the_seq():
         apply_event(model, ev(9, EventKind.MOVE_ACTIVITY, "ghost", position=(0, 0)))
 
 
+@pytest.mark.parametrize("kind, position", [
+    (EventKind.MOVE_ACTIVITY, (0, 0)),
+    (EventKind.MOVE_ACTIVITY, None),
+    (EventKind.MOVE_AND, None),
+    (EventKind.MOVE_EDGE_LABEL, (5, 5)),
+    (EventKind.MOVE_EDGE_LABEL, None),
+    (EventKind.CREATE_EDGE_BENDPOINT, (1, 1)),
+    (EventKind.DELETE_EDGE_BENDPOINT, None),
+    (EventKind.NAME_ACTIVITY, None),
+    (EventKind.RENAME_EDGE, None),
+    (EventKind.DELETE_XOR, None),
+    (EventKind.DELETE_EDGE, None),
+], ids=lambda v: v.value if isinstance(v, EventKind) else str(v))
+def test_action_on_unknown_object_is_refused(kind, position):
+    """Every action but a create needs its object, whether or not it would
+    change it."""
+    model = ProcessModel()
+    apply_event(model, ev(1, EventKind.CREATE_ACTIVITY, "a"))
+    before = model.copy()
+    with pytest.raises(ValueError, match=f"^cannot apply {kind.value} at seq 2: "
+                                         "no such object ghost$"):
+        apply_event(model, ev(2, kind, "ghost", position=position))
+    assert model == before
+
+
 def test_replay_until_seq(diamond_log):
     partial = replay_until(diamond_log, 3)
     assert set(partial.nodes) == {"s1", "a1"}
