@@ -7,6 +7,12 @@ entry, single exit). Edges are never block members; blocks are about where
 the modeler placed the nodes. Each block found in the final model is dated
 by the event at which it first satisfied the definition during replay and
 by the create timestamps of the member nodes present at that moment.
+
+The search grows with the model. One dominator pass from a split answers
+every split whose dominator subtree no flow leaves, by a climb up the tree
+from each join; a split no pass answered roots its own. The dating walk
+re-applies creates and deletes to bare adjacency dicts and tests only the
+armed splits: those of undated blocks that have two or more out-flows.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .eventlog import KIND_CLASS, EventClass, EventKind, EventLog, ModelingEvent, format_timestamp
-from .model import ProcessModel
+from .model import GATEWAY_TYPES, ProcessModel
 from .replay import apply_event
 
 
@@ -41,17 +47,17 @@ class Block:
         }
 
 
-def _reverse_postorder(model: ProcessModel, start: str) -> list[str]:
+def _reverse_postorder(out: dict[str, dict[str, str]], start: str) -> list[str]:
     """Every node reachable from `start`, in reverse postorder of a DFS."""
     post: list[str] = []
     seen = {start}
-    stack = [(start, iter(model.successors(start)))]
+    stack = [(start, iter(out[start].values()))]
     while stack:
         u, successors = stack[-1]
         for v in successors:
             if v not in seen:
                 seen.add(v)
-                stack.append((v, iter(model.successors(v))))
+                stack.append((v, iter(out[v].values())))
                 break
         else:
             stack.pop()
@@ -60,21 +66,20 @@ def _reverse_postorder(model: ProcessModel, start: str) -> list[str]:
     return post
 
 
-def _two_path_nodes(model: ProcessModel, s: str) -> tuple[set[str], set[str]]:
-    """The nodes `s` reaches, and those it reaches by two edge-disjoint paths.
+def _dominator_tree(graph, root: str):
+    """Rank in reverse postorder of every node `root` reaches, each one's
+    immediate dominator, and each one's ways in but the root's.
 
-    By Menger's theorem, v has two edge-disjoint paths from s exactly when
-    no single edge lies on every path to it. One iterative dominator pass
-    (Cooper, Harvey & Kennedy 2001) in reverse postorder decides this for
-    every descendant: an in-edge (p, v) is a separate way in unless v
-    dominates p, and v is cut by one edge when it has fewer than two ways
-    in or its immediate dominator is cut.
+    One iterative pass (Cooper, Harvey & Kennedy 2001) over the adjacency
+    dicts `_out` and `_in` of a ProcessModel or a _Skeleton. An in-flow
+    (p, v) from a reached p other than v is a way into v unless v
+    dominates p.
     """
-    order = _reverse_postorder(model, s)
+    order = _reverse_postorder(graph._out, root)
     rank = {v: k for k, v in enumerate(order)}
-    preds = {v: [p for p in model.predecessors(v) if p in rank and p != v]
-             for v in order}
-    idom = {s: s}
+    in_ = graph._in
+    preds = {v: [p for p in in_[v].values() if p in rank and p != v] for v in order}
+    idom = {root: root}
 
     def climb(a: str, above: str) -> str:
         while rank[a] > rank[above]:
@@ -99,19 +104,31 @@ def _two_path_nodes(model: ProcessModel, s: str) -> tuple[set[str], set[str]]:
                 idom[v] = new
                 changed = True
 
+    # climb returns p at once when p comes before v: v cannot dominate it.
+    ways = {v: sum(1 for p in preds[v] if climb(p, v) != v) for v in order[1:]}
+    return rank, idom, ways
+
+
+def _two_path_nodes(graph, s: str) -> tuple[dict[str, int], set[str]]:
+    """The nodes `s` reaches, ranked, and those it reaches by two
+    edge-disjoint paths.
+
+    By Menger's theorem, v has two edge-disjoint paths from s exactly when
+    no single edge lies on every path to it: when every node on the
+    dominator tree path (s, v] has two or more ways in.
+    """
+    rank, idom, ways = _dominator_tree(graph, s)
     cut = {s: False}
-    for v in order[1:]:
-        # climb returns p at once when p comes before v: v cannot dominate it.
-        ways = sum(1 for p in preds[v] if climb(p, v) != v)
-        cut[v] = ways < 2 or cut[idom[v]]
-    return set(order), {v for v, is_cut in cut.items() if not is_cut and v != s}
+    for v in list(rank)[1:]:
+        cut[v] = ways[v] < 2 or cut[idom[v]]
+    return rank, {v for v, is_cut in cut.items() if not is_cut and v != s}
 
 
-def _block_members(model: ProcessModel, s: str, j: str,
-                   descendants: set[str]) -> frozenset[str] | None:
+def _block_members(graph, s: str, j: str, pos: dict[str, int],
+                   span: range) -> frozenset[str] | None:
     """The members of the block from split `s` to join `j`, or None when an
     interior node has an edge to or from outside; `j` has two edge-disjoint
-    paths from `s`, and `descendants` is everything `s` reaches."""
+    paths from `s`, and a node descends from `s` when its `pos` is in `span`."""
     # The members are the descendants of s that reach j. A path from one of
     # them to j stays among the descendants, so a backward search from j
     # confined to them finds all, and stops at the first edge into the
@@ -120,26 +137,50 @@ def _block_members(model: ProcessModel, s: str, j: str,
     stack = [j]
     while stack:
         v = stack.pop()
-        for p in model.predecessors(v):
-            if p in descendants:
+        for p in graph._in[v].values():
+            if pos.get(p, -1) in span:
                 if p not in members:
                     members.add(p)
                     stack.append(p)
             elif v != s and v != j:
                 return None
     interior = members - {s, j}
-    sealed = all(t in members for v in interior for t in model.successors(v))
+    sealed = all(t in members for v in interior for t in graph._out[v].values())
     return frozenset(members) if sealed else None
 
 
-def _blocks_from(model: ProcessModel, s: str, joins: list[str]):
+def _blocks_from(graph, s: str, joins: list[str]):
     """Yield (join, members) for each of `joins` closing a block at `s`."""
-    descendants, two_paths = _two_path_nodes(model, s)
+    rank, two_paths = _two_path_nodes(graph, s)
     for j in joins:
         if j in two_paths:
-            members = _block_members(model, s, j, descendants)
+            members = _block_members(graph, s, j, rank, range(len(rank)))
             if members is not None:
                 yield j, members
+
+
+def _closed_subtrees(model: ProcessModel, rank: dict[str, int], idom: dict[str, str],
+                     splits: list[str]) -> tuple[dict[str, int], dict[str, range]]:
+    """Number a dominator tree in preorder, so that each subtree is a range;
+    return the numbers and the range of each of `splits` whose subtree no
+    flow leaves."""
+    order = list(rank)
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[idom[v]] += size[v]
+    pre, free = {order[0]: 0}, {order[0]: 1}
+    for v in order[1:]:  # a dominator ranks before the nodes it dominates
+        pre[v] = free[idom[v]]
+        free[idom[v]] += size[v]
+        free[v] = pre[v] + 1
+    lo, hi = dict(pre), dict(pre)  # extremes of pre a subtree's flows reach
+    for v in reversed(order[1:]):
+        for w in model._out[v].values():
+            lo[v], hi[v] = min(lo[v], pre[w]), max(hi[v], pre[w])
+        up = idom[v]
+        lo[up], hi[up] = min(lo[up], lo[v]), max(hi[up], hi[v])
+    spans = {s: range(pre[s], pre[s] + size[s]) for s in splits}
+    return pre, {s: span for s, span in spans.items() if lo[s] in span and hi[s] in span}
 
 
 def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]]]:
@@ -148,10 +189,39 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     Sorted by (split, join). The split needs two or more outgoing flows and
     the join two or more incoming ones; gateway kinds may differ. Loops do
     not qualify: a join upstream of its split has no second disjoint path.
+
+    One dominator pass from a split also answers each split whose subtree
+    in its tree is closed, left by no flow: that split reaches just its
+    subtree, with the dominators and ways in of its own pass. A climb up
+    the tree from each join finds the answered splits with no node of
+    fewer than two ways in between. A split no pass answered yet roots the
+    next pass, in the order the nodes were added, which mostly follows
+    the flow.
     """
-    splits = [g for g in model.gateway_ids() if model.out_degree(g) >= 2]
-    joins = [g for g in model.gateway_ids() if model.in_degree(g) >= 2]
-    return [(s, j, members) for s in splits for j, members in _blocks_from(model, s, joins)]
+    gateways = [g for g, node in model.nodes.items() if node.type in GATEWAY_TYPES]
+    unanswered = {g: None for g in gateways if model.out_degree(g) >= 2}
+    joins = [g for g in gateways if model.in_degree(g) >= 2]
+    pairs = []
+    while unanswered:
+        root = next(iter(unanswered))
+        rank, idom, ways = _dominator_tree(model, root)
+        pos, answers = rank, {root: range(len(rank))}
+        inner = [s for s in unanswered if s in rank and s != root]
+        if inner:  # only a tree holding other splits needs the subtree ranges
+            pos, closed = _closed_subtrees(model, rank, idom, inner)
+            answers.update(closed)
+        for s in answers:
+            del unanswered[s]
+        for j in joins:
+            v = j
+            while v in ways and ways[v] >= 2:
+                v = idom[v]
+                if v in answers:
+                    members = _block_members(model, v, j, pos, answers[v])
+                    if members is not None:
+                        pairs.append((v, j, members))
+    pairs.sort(key=itemgetter(0, 1))
+    return pairs
 
 
 def _is_whole(members: frozenset[str], created_seq: dict[str, int],
@@ -165,16 +235,55 @@ def _is_whole(members: frozenset[str], created_seq: dict[str, int],
     return all(oid in members for _, oid in inside)
 
 
+class _Skeleton:
+    """What the dating walk rebuilds: gateway ids, each edge's ends, and
+    ProcessModel's adjacency dicts, which the block search reads."""
+
+    __slots__ = ("gateways", "ends", "_out", "_in")
+
+    def __init__(self):
+        self.gateways, self.ends, self._out, self._in = set(), {}, {}, {}
+
+    def apply(self, ev: ModelingEvent) -> tuple[str, ...]:
+        """Apply a create or delete that a replay took in this order; return
+        the nodes deleted or whose out-flows changed, none for a new node."""
+        oid, outs, ins = ev.object_id, self._out, self._in
+        if ev.kind is EventKind.CREATE_EDGE:
+            s, t = self.ends[oid] = ev.source_id, ev.target_id
+            outs[s][oid], ins[t][oid] = t, s
+            return (s,)
+        if ev.kind is EventKind.DELETE_EDGE:
+            s, t = self.ends.pop(oid)
+            del outs[s][oid], ins[t][oid]
+            return (s,)
+        if KIND_CLASS[ev.kind] is EventClass.CREATE:
+            outs[oid], ins[oid] = {}, {}
+            if ev.object_type in GATEWAY_TYPES:
+                self.gateways.add(oid)
+            return ()
+        self.gateways.discard(oid)  # a deleted node takes its flows with it
+        into = ins.pop(oid)
+        for eid in {**outs.pop(oid), **into}:
+            s, t = self.ends.pop(eid)
+            if s != oid:
+                del outs[s][eid]
+            if t != oid:
+                del ins[t][eid]
+        return (oid, *into.values())
+
+
 def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
     """Replay the log; return the final model and its blocks, dated.
 
     One walk replays the log, indexes when each object was first created
     and keeps the creates and deletes. Only pairs that are blocks in the
-    final model are ever reported, so only those are tested while those
-    creates and deletes are applied again, each pair until it first
-    qualifies: moves, renames and bendpoint edits change neither structure
-    nor node types, and a new node is isolated, so only an edge create or
-    a delete triggers a test.
+    final model are ever reported, so the dating walk tests only those,
+    each until it first qualifies, while it applies those creates and
+    deletes again to a bare _Skeleton: moves, renames and bendpoint edits
+    change neither structure nor node types. A new node is isolated, so
+    only an edge create or a delete triggers a test, and only of armed
+    splits: gateways with two or more out-flows, re-examined at the nodes
+    each event changes.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
@@ -182,9 +291,7 @@ def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
     created_seq: dict[str, int] = {}
     created_at: dict[str, datetime] = {}
     node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
-    # The creates and deletes in log order, each with whether it can
-    # complete a block: a node create makes an isolated node, so it cannot.
-    structural: list[tuple[ModelingEvent, bool]] = []
+    structural: list[ModelingEvent] = []  # the creates and deletes, in log order
     for ev in log.events:
         apply_event(final, ev)
         event_class = KIND_CLASS[ev.kind]
@@ -193,38 +300,39 @@ def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
             if oid not in created_seq:
                 created_seq[oid] = ev.seq
                 created_at[oid] = ev.timestamp
-            edge = ev.kind is EventKind.CREATE_EDGE
-            if not edge:
+            if ev.kind is not EventKind.CREATE_EDGE:
                 node_creates.append((ev.seq, oid))
-            structural.append((ev, edge))
+            structural.append(ev)
         elif event_class is EventClass.DELETE:
-            structural.append((ev, True))
+            structural.append(ev)
 
-    pending: dict[str, list[str]] = {}
+    pending: dict[str, dict[str, None]] = {}  # split -> joins of its undated blocks
     for s, j, _ in find_block_pairs(final):
-        pending.setdefault(s, []).append(j)
+        pending.setdefault(s, {})[j] = None
+    armed: dict[str, None] = {}  # pending splits that are gateways with two out-flows
     first_completed: dict[tuple[str, str], tuple[int, frozenset[str]]] = {}
-    current = ProcessModel()
-    for ev, completes in structural:
+    current = _Skeleton()
+    for ev in structural:
         if not pending:
             break
-        apply_event(current, ev)
-        if not completes:
-            continue
-        dated = len(first_completed)
-        for s, joins in pending.items():
+        changed = current.apply(ev)
+        if not changed:
+            continue  # a new node is isolated: it completes no block
+        for v in changed:
             # An unstrict log may recreate a deleted id as another type.
-            if not (s in current.nodes and current.is_gateway(s)
-                    and current.out_degree(s) >= 2):
-                continue
-            ready = [j for j in joins if j in current.nodes and current.is_gateway(j)
-                     and current.in_degree(j) >= 2]
+            if v in pending and v in current.gateways and len(current._out[v]) >= 2:
+                armed[v] = None
+            else:
+                armed.pop(v, None)
+        for s in list(armed):
+            joins = pending[s]
+            ready = [j for j in joins if j in current.gateways and len(current._in[j]) >= 2]
             if ready:
                 for j, members in _blocks_from(current, s, ready):
                     first_completed[(s, j)] = (ev.seq, members)
-        if len(first_completed) > dated:
-            pending = {s: rest for s, joins in pending.items()
-                       if (rest := [j for j in joins if (s, j) not in first_completed])}
+                    del joins[j]
+                if not joins:
+                    del pending[s], armed[s]
 
     blocks: list[Block] = []
     for (s, j), (seq, members) in first_completed.items():

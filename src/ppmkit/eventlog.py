@@ -166,6 +166,8 @@ class ModelingEvent:
     target_id: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, EventKind):
+            raise ValueError(f"unknown event kind {self.kind!r}")
         problem = _event_problem(self.seq, self.kind, self.object_id, self.source_id,
                                  self.target_id)
         if problem is not None:

@@ -9,7 +9,7 @@ sorted by id so serialization is deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .eventlog import ObjectType
 
@@ -65,9 +65,10 @@ class ProcessModel:
     def __init__(self, nodes=(), edges=()):
         self.nodes: dict[str, Node] = {}
         self.edges: dict[str, Edge] = {}
-        # Per node, its incoming and outgoing edge ids as ordered sets.
-        self._in: dict[str, dict[str, None]] = {}
-        self._out: dict[str, dict[str, None]] = {}
+        # Per node, its incoming and outgoing edge ids, in order, each
+        # mapped to the node at the edge's other end.
+        self._in: dict[str, dict[str, str]] = {}
+        self._out: dict[str, dict[str, str]] = {}
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -90,8 +91,8 @@ class ProcessModel:
         if edge.target not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown target {edge.target}")
         self.edges[edge.id] = edge
-        self._out[edge.source][edge.id] = None
-        self._in[edge.target][edge.id] = None
+        self._out[edge.source][edge.id] = edge.target
+        self._in[edge.target][edge.id] = edge.source
 
     def remove_node(self, node_id: str) -> list[str]:
         """Remove a node and every incident edge; returns removed edge ids."""
@@ -122,7 +123,9 @@ class ProcessModel:
         """Change an edge's label or bendpoints; its endpoints stay."""
         if changes.keys() - {"label", "bendpoints"}:
             raise ValueError(f"edge {edge_id} can change only its label and bendpoints")
-        edge = replace(self.edges[edge_id], **changes)
+        old = self.edges[edge_id]
+        edge = Edge(edge_id, old.source, old.target, changes.get("label", old.label),
+                    changes.get("bendpoints", old.bendpoints))
         self.edges[edge_id] = edge
         return edge
 
@@ -135,10 +138,10 @@ class ProcessModel:
         return [self.edges[eid] for eid in self._out.get(node_id, ())]
 
     def predecessors(self, node_id: str) -> list[str]:
-        return [self.edges[eid].source for eid in self._in.get(node_id, ())]
+        return list(self._in[node_id].values()) if node_id in self._in else []
 
     def successors(self, node_id: str) -> list[str]:
-        return [self.edges[eid].target for eid in self._out.get(node_id, ())]
+        return list(self._out[node_id].values()) if node_id in self._out else []
 
     def in_degree(self, node_id: str) -> int:
         return len(self._in.get(node_id, ()))

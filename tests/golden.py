@@ -3,8 +3,9 @@
 For every workload of `perfbench/workloads.py` at seeds 7 and 11 this
 regenerates the session CSVs, then records one sha256 for the input bytes
 and for each artifact a user gets from them: every session's `classify`
-report JSON and `chart` SVG, and the `stats` output (text and JSON, or its
-one-line error) over the workload's reports. `golden_corpus.json` holds
+report JSON, `chart` SVG, final model JSON (what `replay` prints) and
+canonical CSV (`serialize_log`), and the `stats` output (text and JSON,
+or its one-line error) over the workload's reports. `golden_corpus.json` holds
 the digests; a change that moves bytes on purpose regenerates it and says
 why.
 
@@ -41,6 +42,8 @@ from ppmkit import (  # noqa: E402
     expand_reconnect,
     parse_log,
     render_ppmchart,
+    replay,
+    serialize_log,
 )
 
 
@@ -67,8 +70,13 @@ def corpus_digests(workload: str, seed: int) -> dict:
             log = parse_log(s.csv_text, session_id=s.session_id)
             report = classify_session(log).to_json()
             (report_dir / f"{s.session_id}.json").write_text(report, encoding="utf-8")
-            chart = render_ppmchart(expand_reconnect(log))
-            digests["sessions"][s.session_id] = {"report": _sha(report), "chart": _sha(chart)}
+            expanded = expand_reconnect(log)
+            digests["sessions"][s.session_id] = {
+                "report": _sha(report),
+                "chart": _sha(render_ppmchart(expanded)),
+                "replay": _sha(replay(expanded).to_json() + "\n"),
+                "csv": _sha(serialize_log(log)),
+            }
         digests["stats_text"] = _sha(_stats(report_dir, "text"))
         digests["stats_json"] = _sha(_stats(report_dir, "json"))
     return digests
@@ -93,7 +101,7 @@ def moved(expected: dict, actual: dict) -> list[str]:
                 out.append(f"{corpus} {name}")
         ws, gs = want["sessions"], got["sessions"]
         for sid in sorted(ws.keys() | gs.keys()):
-            for name in ("report", "chart"):
+            for name in ("report", "chart", "replay", "csv"):
                 if ws.get(sid, {}).get(name) != gs.get(sid, {}).get(name):
                     out.append(f"{corpus} {sid} {name}")
     return out

@@ -14,6 +14,7 @@ from oracles import (
     find_block_pairs_maxflow,
     iter_states,
 )
+import ppmkit.blocks as blocks_module
 from ppmkit.blocks import (
     Block,
     _two_path_nodes,
@@ -273,6 +274,26 @@ def test_long_xor_chain_dates_every_block_in_chain_order():
     assert all(b.whole for b in blocks)
 
 
+def test_chain_search_is_one_pass_and_dating_tests_each_pair_once(monkeypatch):
+    # Work counted, not timed: one dominator pass answers every split of the
+    # chain, and the dating walk tests each final block once, when its join
+    # gets its second in-flow.
+    log = xor_chain_log(320)
+    model = replay(log)
+    passes, tests = [], []
+    tree, blocks_from = blocks_module._dominator_tree, blocks_module._blocks_from
+    monkeypatch.setattr(blocks_module, "_dominator_tree",
+                        lambda graph, root: passes.append(root) or tree(graph, root))
+    monkeypatch.setattr(blocks_module, "_blocks_from",
+                        lambda graph, s, joins: tests.append((s, list(joins)))
+                        or blocks_from(graph, s, joins))
+    assert len(find_block_pairs(model)) == 320
+    assert passes == ["s0"]
+    assert len(detect_blocks(model, log)) == 320
+    assert tests == [(f"s{i}", [f"j{i}"]) for i in range(320)]
+    assert len(passes) == 1 + 1 + 320  # the search above, detect_blocks' own, its tests
+
+
 def mk_block(start_s, end_s, tag):
     return Block(split=f"s{tag}", join=f"j{tag}",
                  members=frozenset({f"s{tag}", f"j{tag}"}),
@@ -403,6 +424,54 @@ def _assert_matches_maxflow(model):
            Node("n2", ObjectType.AND), Node("n3", ObjectType.ACTIVITY)],
     edges=[Edge("e0", "n0", "n1"), Edge("e1", "n0", "n2"), Edge("e2", "n1", "n2"),
            Edge("e3", "n1", "n2"), Edge("e4", "n2", "n0"), Edge("e5", "n1", "n1")],
+))
+# A join with a flow from outside and a flow back into the block's inside:
+# the block (s, j) with members {s, a, b, j}.
+@example(model=ProcessModel(
+    nodes=[Node("s", ObjectType.XOR), Node("a", ObjectType.ACTIVITY),
+           Node("b", ObjectType.ACTIVITY), Node("j", ObjectType.XOR),
+           Node("x", ObjectType.ACTIVITY)],
+    edges=[Edge("e0", "s", "a"), Edge("e1", "s", "b"), Edge("e2", "a", "j"),
+           Edge("e3", "b", "j"), Edge("e4", "j", "a"), Edge("e5", "x", "j")],
+))
+# A nested split whose join flows out of its dominator subtree: s1's pass
+# cannot answer s2, which gets its own; both (s1, j1) and (s2, j2) are blocks.
+@example(model=ProcessModel(
+    nodes=[Node("s1", ObjectType.XOR), Node("s2", ObjectType.AND),
+           Node("c", ObjectType.ACTIVITY), Node("d", ObjectType.ACTIVITY),
+           Node("j2", ObjectType.AND), Node("e", ObjectType.ACTIVITY),
+           Node("j1", ObjectType.XOR)],
+    edges=[Edge("f0", "s1", "s2"), Edge("f1", "s2", "c"), Edge("f2", "s2", "d"),
+           Edge("f3", "c", "j2"), Edge("f4", "d", "j2"), Edge("f5", "j2", "j1"),
+           Edge("f6", "s1", "e"), Edge("f7", "e", "j1")],
+))
+# A split answered from the pass of the split before it, its dominator
+# subtree being closed: one pass yields (r, j) and (s, j). k flows back
+# into s, so it is a member of (s, j) that reaches j only through s; x and
+# y flow into s from outside that block.
+@example(model=ProcessModel(
+    nodes=[Node("r", ObjectType.XOR), Node("x", ObjectType.ACTIVITY),
+           Node("y", ObjectType.ACTIVITY), Node("s", ObjectType.XOR),
+           Node("c", ObjectType.ACTIVITY), Node("d", ObjectType.ACTIVITY),
+           Node("k", ObjectType.ACTIVITY), Node("j", ObjectType.XOR)],
+    edges=[Edge("e0", "r", "x"), Edge("e1", "r", "y"), Edge("e2", "x", "s"),
+           Edge("e3", "y", "s"), Edge("e4", "s", "c"), Edge("e5", "s", "d"),
+           Edge("e6", "c", "j"), Edge("e7", "d", "j"), Edge("e8", "d", "k"),
+           Edge("e9", "k", "s")],
+))
+# Flows that leave a split's dominator subtree from below the split, to a
+# node after the subtree (n1 -> n3) or before it (b -> r): the root's pass
+# cannot answer n2 or s, whose blocks reach back in through the root.
+@example(model=ProcessModel(
+    nodes=[Node(f"n{i}", ObjectType.XOR) for i in range(4)],
+    edges=[Edge("e0", "n0", "n2"), Edge("e1", "n0", "n3"), Edge("e2", "n1", "n3"),
+           Edge("e3", "n2", "n1"), Edge("e4", "n2", "n1"), Edge("e5", "n3", "n0")],
+))
+@example(model=ProcessModel(
+    nodes=[Node("r", ObjectType.XOR), Node("s", ObjectType.XOR), Node("a", ObjectType.ACTIVITY),
+           Node("b", ObjectType.ACTIVITY), Node("j", ObjectType.XOR)],
+    edges=[Edge("e0", "r", "s"), Edge("e1", "r", "s"), Edge("e2", "s", "a"), Edge("e3", "s", "b"),
+           Edge("e4", "a", "j"), Edge("e5", "b", "j"), Edge("e6", "b", "r")],
 ))
 @given(model=gateway_multigraphs())
 @settings(max_examples=300, deadline=None)

@@ -202,6 +202,15 @@ class TestModelingEvent:
         with pytest.raises(ValueError, match="seq must be positive"):
             ev(0, EventKind.CREATE_ACTIVITY, "a")
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="^unknown event kind 'BOGUS'$"):
+            ev(1, "BOGUS", "a")
+
+    def test_kind_as_string_refused(self):
+        # a str equal to a member's value is still not an EventKind
+        with pytest.raises(ValueError, match="^unknown event kind 'CREATE_ACTIVITY'$"):
+            ev(1, "CREATE_ACTIVITY", "a", source="x")
+
 
 class TestEventLogValidation:
     def test_seq_must_increase(self):
