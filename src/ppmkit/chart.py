@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import quoteattr
 
 from .eventlog import EventClass, EventLog
 
@@ -85,6 +85,9 @@ def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
     def x_of(ts) -> float:
         return spec.width * (1.0 - (t_last - ts).total_seconds() / spec.window)
 
+    # Quoted once per class; a title is a seq and an EventKind value, safe in XML.
+    fills = {cls: f"fill={quoteattr(spec.colors[key])}"
+             for cls, key in _CLASS_KEY.items() if key in spec.colors}
     dots: dict[str, list[str]] = {obj: [] for obj in row_of}
     first_x: dict[str, float] = {}
     for ev in log.events:
@@ -93,11 +96,9 @@ def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
         if obj not in first_x:
             first_x[obj] = x
         y = (row_of[obj] + 0.5) * (height / rows)
-        color = spec.colors[_CLASS_KEY[ev.event_class]]
-        title = f"{ev.seq} {ev.kind.value}"
         dots[obj].append(
             f'    <circle cx="{_num(x)}" cy="{_num(y)}" r="3" '
-            f"fill={quoteattr(color)}><title>{escape(title)}</title></circle>"
+            f"{fills[ev.event_class]}><title>{ev.seq} {ev.kind.value}</title></circle>"
         )
 
     lines = [

@@ -5,14 +5,22 @@ completion marking (one token on the sink, nothing else) stays reachable
 from every reachable marking, nothing is ever left over once the sink is
 marked, and every transition can fire in some run.
 
+The net is numbered once (`wfnet.index_net`): the reduction, the
+structure check and the explorer all read that integer form.
+
 A WF-net is sound exactly when its short-circuited net is live and
 bounded (van der Aalst 1997), and four reduction rules that preserve
 liveness and boundedness (Murata 1989; Desel and Esparza 1995) collapse
 every block-structured net to the trivial net i -> t -> o. So the check
-reduces first: when that succeeds, the net is Sound without exploring,
-and the report counts the trivial net's 2 markings. Otherwise the
-explorer runs on the original net, and every Unsound or Unknown report
-comes from it alone.
+reduces first, from a worklist of the places and transitions the last
+rule touched: when that succeeds, the net is Sound without exploring,
+and the report counts the trivial net's 2 markings. Such a net is
+WF-structured: a rule keeps whether each remaining node lies on a path
+from i to o, and it removes a node on no such path only while another
+stays (the producers of an abstracted place, its consumer's outputs, a
+twin, a self-loop's place). So the structure check runs only on nets that
+do not reduce; one that passes it goes to the explorer, and every Unsound
+or Unknown report comes from it alone.
 
 Exploration is breadth-first with deterministic transition order, so
 witnesses and traces are reproducible. A marking that strictly dominates
@@ -32,7 +40,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .wfnet import WFNet, is_wf_structured
+from .wfnet import NetIndex, WFNet, index_net, uncovered
 
 DEFAULT_MAX_STATES = 100_000
 
@@ -93,20 +101,22 @@ def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> Soundne
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
 
-    structured, offending = is_wf_structured(net)
-    if not structured:
+    index = index_net(net)
+    # A net that reduces is WF-structured (see the module docstring).
+    if _reduces(index):
+        if max_states == 1:
+            return SoundnessReport((Violation("StateSpaceExceeded"),), 2)
+        return SoundnessReport((), 2)
+    offending = uncovered(index)
+    if offending:
         return SoundnessReport(
             violations=(Violation("NotWFStructured", witness=offending),),
             states_explored=0,
         )
-    if not _reduces(net):
-        return _explore(net, max_states)
-    if max_states == 1:
-        return SoundnessReport((Violation("StateSpaceExceeded"),), 2)
-    return SoundnessReport((), 2)
+    return _explore(index, max_states)
 
 
-def _reduces(net: WFNet) -> bool:
+def _reduces(net: NetIndex) -> bool:
     """Whether the reduction rules collapse the net to i -> t -> o.
 
     Only the source place is marked. The rules, applied until none does:
@@ -122,107 +132,121 @@ def _reduces(net: WFNet) -> bool:
     4. self-loops: a transition whose only input and only output are the
        same place goes. If no other transition touches that place, the
        place is left isolated, and no rule removes an isolated place.
+
+    Each place and transition is tried once, then again whenever a change
+    touches it: a place when its producers or consumers change, a
+    transition and its places when its inputs or outputs change. Twins
+    share a producer or consumer (places) or an input or output place
+    (transitions), so they are looked for there. Isolated twins are not
+    found, but an isolated place or transition is never removed anyway.
     """
-    if any(len(set(t.pre)) < len(t.pre) or len(set(t.post)) < len(t.post)
-           for t in net.transitions):
+    pre: list[set[int] | None] = [set(ks) for ks in net.pre]
+    post: list[set[int] | None] = [set(ks) for ks in net.post]
+    if (sum(map(len, pre)) + sum(map(len, post))
+            < sum(map(len, net.pre)) + sum(map(len, net.post))):
         return False  # arc weights above 1 are outside the rules
-    pre = {t.id: set(t.pre) for t in net.transitions}
-    post = {t.id: set(t.post) for t in net.transitions}
-    producers: dict[str, set[str]] = {p: set() for p in net.places}
-    consumers: dict[str, set[str]] = {p: set() for p in net.places}
-    for t in net.transitions:
-        for p in t.pre:
-            consumers[p].add(t.id)
-        for p in t.post:
-            producers[p].add(t.id)
-    inner = [p for p in net.places if p not in (net.source, net.sink)]
+    producers = [set(ts) for ts in net.producers]
+    consumers = [set(ts) for ts in net.consumers]
+    inner = set(range(len(net.places))) - {net.source, net.sink}
+    places, transitions = set(inner), set(range(len(pre)))  # still to try
 
-    def drop_transition(t: str) -> None:
-        for p in pre.pop(t):
+    def drop_transition(t: int) -> None:
+        for p in pre[t]:
             consumers[p].discard(t)
-        for p in post.pop(t):
+        for p in post[t]:
             producers[p].discard(t)
+        places.update(pre[t], post[t])
+        pre[t] = post[t] = None
 
-    def drop_place(p: str) -> None:
-        for t in producers.pop(p):
-            post[t].discard(p)
-        for t in consumers.pop(p):
-            pre[t].discard(p)
+    def drop_place(p: int) -> None:
         inner.remove(p)
+        for t in producers[p]:
+            post[t].discard(p)
+            transitions.add(t)
+            places.update(pre[t], post[t])
+        for t in consumers[p]:
+            pre[t].discard(p)
+            transitions.add(t)
+            places.update(pre[t], post[t])
 
-    changed = True
-    while changed:
-        changed = False
-        for s in list(inner):
-            if len(consumers[s]) != 1 or not producers[s]:
+    while places or transitions:
+        if places:
+            s = places.pop()
+            if s not in inner:
                 continue
-            (t,) = consumers[s]
+            givers, takers = producers[s], consumers[s]
+            if len(takers) == 1 and givers:
+                (t,) = takers
+                outs = post[t]
+                if len(pre[t]) == 1 and outs and s not in outs:
+                    for u in givers:
+                        if not post[u].isdisjoint(outs):
+                            break
+                    else:  # t and s go; s's producers give to t's outputs
+                        for u in givers:
+                            post[u].discard(s)
+                            post[u] |= outs
+                            transitions.add(u)
+                            places.update(pre[u], post[u])
+                        for p in outs:
+                            producers[p].discard(t)
+                            producers[p] |= givers
+                        inner.remove(s)
+                        pre[t] = post[t] = None
+                        continue
+            for u in givers or takers:  # a twin shares all of them: try one
+                near = post[u] if givers else pre[u]
+                if len(near) > 1:
+                    for q in near:
+                        if (q != s and q in inner and producers[q] == givers
+                                and consumers[q] == takers):
+                            drop_place(s)
+                            break
+                break
+        else:
+            t = transitions.pop()
+            ins = pre[t]
+            if ins is None:
+                continue
             outs = post[t]
-            if pre[t] != {s} or not outs or s in outs:
-                continue
-            if any(post[u] & outs for u in producers[s]):
-                continue
-            for u in producers[s]:
-                post[u] |= outs
-                for p in outs:
-                    producers[p].add(u)
-            drop_transition(t)
-            drop_place(s)
-            changed = True
-
-        twins: dict[tuple[frozenset[str], frozenset[str]], str] = {}
-        for p in list(inner):
-            key = (frozenset(producers[p]), frozenset(consumers[p]))
-            if key in twins:
-                drop_place(p)
-                changed = True
-            else:
-                twins[key] = p
-
-        twins = {}
-        for t in list(pre):
-            key = (frozenset(pre[t]), frozenset(post[t]))
-            if key in twins:
+            if len(ins) == 1 and ins == outs:
                 drop_transition(t)
-                changed = True
-            else:
-                twins[key] = t
+                continue
+            for p in ins or outs:  # a twin shares all of them: try one
+                near = consumers[p] if ins else producers[p]
+                if len(near) > 1:
+                    for u in near:
+                        if u != t and pre[u] == ins and post[u] == outs:
+                            drop_transition(t)
+                            break
+                break
 
-        for t in list(pre):
-            if len(pre[t]) == 1 and pre[t] == post[t]:
-                drop_transition(t)
-                changed = True
-
-    if inner or len(pre) != 1:
+    if inner:
         return False
-    ((t, ins),) = pre.items()
-    return ins == {net.source} and post[t] == {net.sink}
+    alive = [t for t, ins in enumerate(pre) if ins is not None]
+    return (len(alive) == 1 and pre[alive[0]] == {net.source}
+            and post[alive[0]] == {net.sink})
 
 
-def _explore(net: WFNet, max_states: int) -> SoundnessReport:
+def _explore(net: NetIndex, max_states: int) -> SoundnessReport:
     """Decide soundness of a WF-structured net from its reachable markings."""
-    index = {p: k for k, p in enumerate(net.places)}
     # Per transition: id, input bitmask, inputs of weight > 1, token change per place and in all.
     compiled = []
-    consumers = [0] * len(net.places)  # per place, bitmask of its takers
-    free = 0  # transitions without input places: candidates in every marking
-    for n, t in enumerate(net.transitions):
+    for tid, ins, outs in zip(net.transitions, net.pre, net.post):
         change: dict[int, int] = {}
-        inputs = 0
-        for k in map(index.__getitem__, t.pre):
+        for k in ins:
             change[k] = change.get(k, 0) - 1
-            inputs |= 1 << k
-            consumers[k] |= 1 << n
         heavy = tuple((k, -d) for k, d in change.items() if d < -1)
-        for p in t.post:
-            change[index[p]] = change.get(index[p], 0) + 1
-        free |= (not t.pre) << n
-        compiled.append((t.id, inputs, heavy, tuple((k, d) for k, d in change.items() if d),
-                         len(t.post) - len(t.pre)))
+        for k in outs:
+            change[k] = change.get(k, 0) + 1
+        compiled.append((tid, sum(1 << k for k in set(ins)), heavy,
+                         tuple((k, d) for k, d in change.items() if d), len(outs) - len(ins)))
+    consumers = [sum(1 << n for n in set(ts)) for ts in net.consumers]  # per place, its takers
+    free = sum(1 << n for n, ins in enumerate(net.pre) if not ins)  # candidates in every marking
     pumpable = _may_run_forever(net)
-    o_idx = index[net.sink]
+    o_idx = net.sink
 
-    initial = tuple(1 if k == index[net.source] else 0 for k in range(len(net.places)))
+    initial = tuple(1 if k == net.source else 0 for k in range(len(net.places)))
     final = tuple(1 if k == o_idx else 0 for k in range(len(net.places)))
 
     # preds[m] = [(marking, transition fired to reach m), ...]. Past the initial
@@ -325,28 +349,25 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
             )
             break
 
-    for t in net.transitions:
-        if t.id not in fired:
-            violations.append(Violation("DeadTransition", witness=t.id))
+    for tid in net.transitions:
+        if tid not in fired:
+            violations.append(Violation("DeadTransition", witness=tid))
 
     return SoundnessReport(tuple(violations), len(preds))
 
 
-def _may_run_forever(net: WFNet) -> bool:
+def _may_run_forever(net: NetIndex) -> bool:
     """Whether the net has a cycle or a transition without inputs; without
     either every run is finite, so no marking strictly dominates an ancestor."""
-    after: dict[str, set[str]] = {p: set() for p in net.places}
-    for t in net.transitions:
-        if not t.pre:
-            return True
-        for p in t.pre:
-            after[p].update(t.post)
+    if not all(net.pre):
+        return True
     # Kahn's algorithm on places, p -> q when a transition takes p, gives q.
-    waiting = Counter(chain.from_iterable(after.values()))
-    ready = [p for p in net.places if not waiting[p]]
+    after = [{q for t in ts for q in net.post[t]} for ts in net.consumers]
+    waiting = Counter(chain.from_iterable(after))
+    ready = [p for p in range(len(after)) if not waiting[p]]
     for p in ready:
         for q in after[p]:
             waiting[q] -= 1
             if not waiting[q]:
                 ready.append(q)
-    return len(ready) < len(net.places)
+    return len(ready) < len(after)

@@ -1,16 +1,25 @@
 """Translate normalized models into workflow nets.
 
-Every sequence flow becomes a place; a fresh source place i feeds the
-start event's transition and the end event's transition fills a fresh sink
-place o. Activities and AND gateways become single transitions. An XOR
-gateway becomes one transition per branch, which is what makes it a
-choice: each transition competes for the same input token (split) or
-produces into the same output place (join).
+Every sequence flow e becomes a place p_e; a fresh source place i feeds
+the start event's transition and the end event's transition fills a fresh
+sink place o. Activities and AND gateways become single transitions
+t_<node>. An XOR gateway with 2+ flows on one side becomes one transition
+t_<node>_<flow> per flow on that side, which is what makes it a choice:
+each transition competes for the same input token (split) or produces into
+the same output place (join). Such an id can meet another transition's (a
+split x with flow e1 and a task x_e1 both give t_x_e1): ids are handed out
+by node id, then flow id, and a repeated one takes the first suffix _2,
+_3, ... that no transition has. An id nothing clashes with stays as it is.
+
+`index_net` numbers a net's places and transitions; the soundness check
+reads that one integer form for the structure check, the reduction and
+the explorer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .eventlog import ObjectType
 from .model import ProcessModel
@@ -29,6 +38,14 @@ class Transition:
     def __post_init__(self):
         object.__setattr__(self, "pre", tuple(sorted(self.pre)))
         object.__setattr__(self, "post", tuple(sorted(self.post)))
+
+
+def _sorted_transition(tid: str, pre: tuple[str, ...], post: tuple[str, ...],
+                       label: str | None) -> Transition:
+    """A Transition whose pre and post are sorted tuples already."""
+    t = object.__new__(Transition)
+    object.__setattr__(t, "__dict__", {"id": tid, "pre": pre, "post": post, "label": label})
+    return t
 
 
 @dataclass(frozen=True)
@@ -60,18 +77,6 @@ class WFNet:
             if self.sink in t.pre:
                 raise ValueError(f"transition {t.id} consumes the sink place")
 
-    def arcs(self) -> list[tuple[str, str]]:
-        """All (from, to) arcs, place→transition and transition→place."""
-        out = []
-        for t in self.transitions:
-            out.extend((p, t.id) for p in t.pre)
-            out.extend((t.id, p) for p in t.post)
-        return out
-
-
-def _place(edge_id: str) -> str:
-    return f"p_{edge_id}"
-
 
 def to_wfnet(model: ProcessModel) -> WFNet:
     """Map a model to its workflow net.
@@ -82,32 +87,102 @@ def to_wfnet(model: ProcessModel) -> WFNet:
     event, a dangling gateway) translate to structurally broken nets and
     are left for the soundness check to reject.
     """
-    places = [SOURCE_PLACE, SINK_PLACE] + [_place(e) for e in sorted(model.edges)]
+    places = [SOURCE_PLACE, SINK_PLACE]  # i and o sort before every p_ place
+    ins: dict[str, list[str]] = {n: [] for n in model.nodes}
+    outs: dict[str, list[str]] = {n: [] for n in model.nodes}
+    for e in sorted(model.edges):
+        edge, p = model.edges[e], f"p_{e}"
+        places.append(p)
+        outs[edge.source].append(p)
+        ins[edge.target].append(p)
     transitions: list[Transition] = []
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
-        ins, outs = model.in_edges(node_id), model.out_edges(node_id)
-        pre = [_place(e.id) for e in ins]
-        post = [_place(e.id) for e in outs]
+        pre, post = tuple(ins[node_id]), tuple(outs[node_id])
         if node.type is ObjectType.START_EVENT:
-            pre.append(SOURCE_PLACE)
+            pre = (SOURCE_PLACE, *pre)
         elif node.type is ObjectType.END_EVENT:
-            post.append(SINK_PLACE)
-        elif node.type is ObjectType.ACTIVITY and (len(ins) > 1 or len(outs) > 1):
+            post = (SINK_PLACE, *post)
+        elif node.type is ObjectType.ACTIVITY and (len(pre) > 1 or len(post) > 1):
             raise ValueError(f"activity {node_id} has multiple flows on one side; "
                              "normalize the model first")
-        if node.type is ObjectType.XOR and (len(ins) > 1 or len(outs) > 1):
-            if len(ins) > 1 and len(outs) > 1:
+        if node.type is ObjectType.XOR and (len(pre) > 1 or len(post) > 1):
+            if len(pre) > 1 and len(post) > 1:
                 raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
             # one transition per flow on the branching side
-            split = len(outs) > 1
-            for e in outs if split else ins:
-                branch = [_place(e.id)]
-                transitions.append(Transition(f"t_{node_id}_{e.id}", pre if split else branch,
-                                              branch if split else post, label=node.label))
+            split = len(post) > 1
+            for p in post if split else pre:  # p is p_<flow>
+                transitions.append(_sorted_transition(
+                    f"t_{node_id}_{p[2:]}", pre if split else (p,), (p,) if split else post,
+                    node.label))
         else:
-            transitions.append(Transition(f"t_{node_id}", pre, post, label=node.label))
+            transitions.append(_sorted_transition(f"t_{node_id}", pre, post, node.label))
+    taken = {t.id for t in transitions}
+    if len(taken) < len(transitions):  # a branch id met another transition's id
+        seen = set()
+        for k, t in enumerate(transitions):
+            if t.id in seen:
+                n = 2
+                while f"{t.id}_{n}" in taken:
+                    n += 1
+                taken.add(f"{t.id}_{n}")
+                transitions[k] = t = _sorted_transition(f"{t.id}_{n}", t.pre, t.post, t.label)
+            seen.add(t.id)
     return WFNet(places=tuple(places), transitions=tuple(transitions))
+
+
+class NetIndex(NamedTuple):
+    """A net with places and transitions numbered in the net's order.
+
+    Per transition its input and output place numbers, repeated per arc;
+    per place the numbers of the transitions that give to and take from
+    it, once per arc."""
+    places: tuple[str, ...]
+    transitions: tuple[str, ...]  # ids
+    pre: list[tuple[int, ...]]
+    post: list[tuple[int, ...]]
+    producers: list[list[int]]
+    consumers: list[list[int]]
+    source: int
+    sink: int
+
+
+def index_net(net: WFNet) -> NetIndex:
+    number = {p: k for k, p in enumerate(net.places)}.__getitem__
+    pre = [tuple(map(number, t.pre)) for t in net.transitions]
+    post = [tuple(map(number, t.post)) for t in net.transitions]
+    producers: list[list[int]] = [[] for _ in net.places]
+    consumers: list[list[int]] = [[] for _ in net.places]
+    for n, ks in enumerate(pre):
+        for k in ks:
+            consumers[k].append(n)
+    for n, ks in enumerate(post):
+        for k in ks:
+            producers[k].append(n)
+    return NetIndex(net.places, tuple(t.id for t in net.transitions), pre, post,
+                    producers, consumers, number(net.source), number(net.sink))
+
+
+def uncovered(net: NetIndex) -> tuple[str, ...]:
+    """Ids of the places and transitions on no path from source to sink, sorted."""
+
+    def reach(start: int, takers: list[list[int]], gives: list[tuple[int, ...]]):
+        places, transitions, stack = {start}, set(), [start]
+        while stack:
+            for t in takers[stack.pop()]:
+                if t not in transitions:
+                    transitions.add(t)
+                    for q in gives[t]:
+                        if q not in places:
+                            places.add(q)
+                            stack.append(q)
+        return places, transitions
+
+    ahead, fired = reach(net.source, net.consumers, net.post)
+    behind, fed = reach(net.sink, net.producers, net.pre)
+    return tuple(sorted(
+        [p for k, p in enumerate(net.places) if k not in ahead or k not in behind]
+        + [t for n, t in enumerate(net.transitions) if n not in fired or n not in fed]))
 
 
 def is_wf_structured(net: WFNet) -> tuple[bool, tuple[str, ...]]:
@@ -116,24 +191,5 @@ def is_wf_structured(net: WFNet) -> tuple[bool, tuple[str, ...]]:
     Returns (ok, offending ids). Uses plain reachability over the arc
     graph; token counts play no role here.
     """
-    succ: dict[str, list[str]] = {}
-    pred: dict[str, list[str]] = {}
-    for a, b in net.arcs():
-        succ.setdefault(a, []).append(b)
-        pred.setdefault(b, []).append(a)
-
-    def reach(start: str, adj: dict[str, list[str]]) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    covered = reach(net.source, succ) & reach(net.sink, pred)
-    everything = set(net.places) | {t.id for t in net.transitions}
-    offending = tuple(sorted(everything - covered))
+    offending = uncovered(index_net(net))
     return not offending, offending
-

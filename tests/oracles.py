@@ -4,8 +4,10 @@ Everything here deliberately takes a different route from the package:
 reachability through networkx, two edge-disjoint paths through
 unit-capacity max-flow, unboundedness through an unmemoized
 Karp-Miller-style tree, the explorer's report by testing every transition
-in every marking, the normalizer's gateway walk as two mirrored walkers,
-the workflow-net translation case by case per node type, p-values through
+in every marking, the net reduction in full rounds over a net keyed by
+ids, WF-structure by reachability over the arcs, the normalizer's gateway
+walk as two mirrored walkers, the workflow-net translation case by case
+per node type, p-values through
 numeric quadrature in mpmath, three of the log metrics by one walk each.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import count
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -84,6 +87,12 @@ def random_wfnet(seed: int) -> WFNet:
     )
 
 
+def _arcs(net: WFNet) -> list[tuple[str, str]]:
+    """All (from, to) arcs, place -> transition and transition -> place."""
+    return ([(p, t.id) for t in net.transitions for p in t.pre]
+            + [(t.id, p) for t in net.transitions for p in t.post])
+
+
 def _successors(net: WFNet, marking: tuple[int, ...], index: dict[str, int]):
     out = []
     for t in net.transitions:
@@ -119,7 +128,7 @@ def brute_force_soundness(net: WFNet) -> str:
     graph = nx.DiGraph()
     graph.add_nodes_from(net.places)
     graph.add_nodes_from(t.id for t in net.transitions)
-    graph.add_edges_from(net.arcs())
+    graph.add_edges_from(_arcs(net))
     on_path = (nx.descendants(graph, net.source) | {net.source}) & (
         nx.ancestors(graph, net.sink) | {net.sink}
     )
@@ -156,6 +165,129 @@ def brute_force_soundness(net: WFNet) -> str:
     if fired != {t.id for t in net.transitions}:
         return "Unsound"
     return "Sound"
+
+
+def reduces_in_rounds(net: WFNet) -> bool:
+    """Whether the reduction rules collapse the net to i -> t -> o, by
+    rounds over every place and transition until a round changes nothing.
+
+    Only the source place is marked. The rules, applied until none does:
+
+    1. abstraction: an unmarked place s with producers, whose only consumer
+       t has s as its only input, merges into t's producers when t has
+       outputs, s is not one of them and no producer of s already outputs
+       to one of them;
+    2. parallel places: of two unmarked places other than the sink with
+       the same producers and the same consumers, one goes;
+    3. parallel transitions: of two transitions with the same inputs and
+       the same outputs, one goes;
+    4. self-loops: a transition whose only input and only output are the
+       same place goes. If no other transition touches that place, the
+       place is left isolated, and no rule removes an isolated place.
+    """
+    if any(len(set(t.pre)) < len(t.pre) or len(set(t.post)) < len(t.post)
+           for t in net.transitions):
+        return False  # arc weights above 1 are outside the rules
+    pre = {t.id: set(t.pre) for t in net.transitions}
+    post = {t.id: set(t.post) for t in net.transitions}
+    producers: dict[str, set[str]] = {p: set() for p in net.places}
+    consumers: dict[str, set[str]] = {p: set() for p in net.places}
+    for t in net.transitions:
+        for p in t.pre:
+            consumers[p].add(t.id)
+        for p in t.post:
+            producers[p].add(t.id)
+    inner = [p for p in net.places if p not in (net.source, net.sink)]
+
+    def drop_transition(t: str) -> None:
+        for p in pre.pop(t):
+            consumers[p].discard(t)
+        for p in post.pop(t):
+            producers[p].discard(t)
+
+    def drop_place(p: str) -> None:
+        for t in producers.pop(p):
+            post[t].discard(p)
+        for t in consumers.pop(p):
+            pre[t].discard(p)
+        inner.remove(p)
+
+    changed = True
+    while changed:
+        changed = False
+        for s in list(inner):
+            if len(consumers[s]) != 1 or not producers[s]:
+                continue
+            (t,) = consumers[s]
+            outs = post[t]
+            if pre[t] != {s} or not outs or s in outs:
+                continue
+            if any(post[u] & outs for u in producers[s]):
+                continue
+            for u in producers[s]:
+                post[u] |= outs
+                for p in outs:
+                    producers[p].add(u)
+            drop_transition(t)
+            drop_place(s)
+            changed = True
+
+        twins: dict[tuple[frozenset[str], frozenset[str]], str] = {}
+        for p in list(inner):
+            key = (frozenset(producers[p]), frozenset(consumers[p]))
+            if key in twins:
+                drop_place(p)
+                changed = True
+            else:
+                twins[key] = p
+
+        twins = {}
+        for t in list(pre):
+            key = (frozenset(pre[t]), frozenset(post[t]))
+            if key in twins:
+                drop_transition(t)
+                changed = True
+            else:
+                twins[key] = t
+
+        for t in list(pre):
+            if len(pre[t]) == 1 and pre[t] == post[t]:
+                drop_transition(t)
+                changed = True
+
+    if inner or len(pre) != 1:
+        return False
+    ((t, ins),) = pre.items()
+    return ins == {net.source} and post[t] == {net.sink}
+
+
+def wf_structured_by_arcs(net: WFNet) -> tuple[bool, tuple[str, ...]]:
+    """Whether every place and transition lies on a path from i to o, by
+    reachability over the net's (from, to) arcs.
+
+    Returns (ok, offending ids). Uses plain reachability over the arc
+    graph; token counts play no role here.
+    """
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
+    for a, b in _arcs(net):
+        succ.setdefault(a, []).append(b)
+        pred.setdefault(b, []).append(a)
+
+    def reach(start: str, adj: dict[str, list[str]]) -> set[str]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in adj.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    covered = reach(net.source, succ) & reach(net.sink, pred)
+    everything = set(net.places) | {t.id for t in net.transitions}
+    offending = tuple(sorted(everything - covered))
+    return not offending, offending
 
 
 def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
@@ -632,4 +764,14 @@ def to_wfnet_by_node_type(model: ProcessModel) -> WFNet:
                 transitions.append(
                     Transition(f"t_{node_id}", in_places, out_places, label=node.label)
                 )
-    return WFNet(places=tuple(places), transitions=tuple(transitions))
+    # A repeated id, after the first, takes the least free suffix _2, _3, ...
+    ids = [t.id for t in transitions]
+    for k in range(len(ids)):
+        if ids[k] in ids[:k]:
+            ids[k] = next(f"{ids[k]}_{n}" for n in count(2)
+                          if f"{ids[k]}_{n}" not in ids)
+    return WFNet(
+        places=tuple(places),
+        transitions=tuple(Transition(tid, t.pre, t.post, t.label)
+                          for tid, t in zip(ids, transitions)),
+    )

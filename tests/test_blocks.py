@@ -372,6 +372,34 @@ def block_churn_logs(draw):
     return EventLog(session_id="churn", events=tuple(events))
 
 
+def churn_log(*steps):
+    """A log from steps: (node type, id) creates a node, (source, target) an
+    edge e<seq>, ("DELETE", id) deletes edge e<seq> or a node."""
+    events, types = [], {}
+    for seq, (a, b) in enumerate(steps, start=1):
+        source = target = None
+        if a in ObjectType.__members__:
+            kind, oid = EventKind[f"CREATE_{a}"], b
+            types[b] = a
+        elif a == "DELETE":
+            kind, oid = EventKind[f"DELETE_{types.get(b, 'EDGE')}"], b
+        else:
+            kind, oid, source, target = EventKind.CREATE_EDGE, f"e{seq}", a, b
+        events.append(ModelingEvent(seq=seq, timestamp=ts(seq), kind=kind, object_id=oid,
+                                    source_id=source, target_id=target))
+    return EventLog(session_id="churn", events=tuple(events))
+
+
+NODES = (("XOR", "g1"), ("ACTIVITY", "t1"), ("ACTIVITY", "t2"), ("XOR", "g2"), ("XOR", "g3"))
+
+
+# In both, split g1's pass at seq 9 reaches g1, t1, t2 and g2 but not g3.
+# Then g2 stops being ready, t2 -> g3 extends g1's reach with no join ready
+# to test, and the flow from g3 into g2 completes the block g1..g2.
+@example(log=churn_log(*NODES, ("g1", "t1"), ("g1", "t2"), ("t1", "g2"), ("t1", "g2"),
+                       ("DELETE", "e9"), ("t2", "g3"), ("g3", "g2")))
+@example(log=churn_log(*NODES, ("g1", "t1"), ("g1", "t2"), ("t1", "g2"), ("g3", "g2"),
+                       ("DELETE", "g3"), ("XOR", "g3"), ("t2", "g3"), ("g3", "g2")))
 @given(log=block_churn_logs())
 @settings(max_examples=60, deadline=None)
 def test_dating_matches_all_pairs_oracle_on_block_churn(log):

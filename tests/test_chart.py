@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from datetime import timedelta
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import event_logs
 from ppmkit.chart import PPMChartSpec, render_ppmchart
-from ppmkit.eventlog import EventLog, expand_reconnect
+from ppmkit.eventlog import EventKind, EventLog, expand_reconnect
 
 
 DOT = re.compile(r'<circle cx="([0-9.]+)" cy="([0-9.]+)" r="3" fill="([^"]+)">'
@@ -96,6 +97,19 @@ def test_custom_colors_and_geometry(churn_log):
     assert 'fill="#0a0"' in svg
     assert "green" not in svg
     assert max(float(x) for x, *_ in dots_of(svg)) == 600.0
+
+
+def test_spec_colors_are_quoted(churn_log):
+    spec = PPMChartSpec(colors={"create": 'x" onload="y', "move": "<b>&",
+                                "delete": "red", "name": "orange"})
+    svg = render_ppmchart(churn_log, spec)
+    assert svg.count("""fill='x" onload="y'""") == 2
+    assert svg.count('fill="&lt;b&gt;&amp;"') == 1
+
+
+def test_titles_need_no_escaping():
+    # render_ppmchart writes an event's kind into <title> as it is.
+    assert all(escape(kind.value) == kind.value for kind in EventKind)
 
 
 def test_height_defaults_to_rows_times_row_height(churn_log):

@@ -232,6 +232,34 @@ class TestClassify:
         assert data["perspicuous"] is True
         assert "session_id" not in data  # verdict only, no session wrapper
 
+    def test_branch_id_meeting_a_task_id(self, capsys, tmp_path):
+        # XOR split x with flow e1 and a task named x_e1: both translate to a
+        # transition t_x_e1, and the task's takes the suffix _2.
+        rows = ["1,2010-11-15T10:00:00.000Z,CREATE_START_EVENT,s,START_EVENT,0,0,,,",
+                "2,2010-11-15T10:00:01.000Z,CREATE_XOR,x,XOR,1,0,,,",
+                "3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,x_e1,ACTIVITY,2,0,,,",
+                "4,2010-11-15T10:00:03.000Z,CREATE_ACTIVITY,b,ACTIVITY,2,1,,,",
+                "5,2010-11-15T10:00:04.000Z,CREATE_XOR,j,XOR,3,0,,,",
+                "6,2010-11-15T10:00:05.000Z,CREATE_END_EVENT,end,END_EVENT,4,0,,,",
+                "7,2010-11-15T10:00:06.000Z,CREATE_EDGE,e0,EDGE,,,,s,x",
+                "8,2010-11-15T10:00:07.000Z,CREATE_EDGE,e1,EDGE,,,,x,x_e1",
+                "9,2010-11-15T10:00:08.000Z,CREATE_EDGE,e2,EDGE,,,,x,b",
+                "10,2010-11-15T10:00:09.000Z,CREATE_EDGE,e3,EDGE,,,,x_e1,j",
+                "11,2010-11-15T10:00:10.000Z,CREATE_EDGE,e4,EDGE,,,,b,j",
+                "12,2010-11-15T10:00:11.000Z,CREATE_EDGE,e5,EDGE,,,,j,end"]
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "clash.csv").write_text(Path(DIAMOND).read_text().splitlines()[0] + "\n"
+                                        + "\n".join(rows) + "\n")
+        shutil.copy(DIAMOND, logs / "diamond.csv")
+        code, out, err = run(capsys, "classify", "--log", str(logs / "clash.csv"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"]["stage"] == "Sound"
+        code, _, err = run(capsys, "classify", "--log", str(logs), "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "clash.json", "diamond.json"]
+
     def test_log_and_model_exclusive(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"
         model_path.write_text(ProcessModel().to_json())

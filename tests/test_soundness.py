@@ -1,13 +1,24 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import event_logs
 from golden_cases import build
-from oracles import brute_force_soundness, explore_every_transition
+from oracles import (
+    brute_force_soundness,
+    explore_every_transition,
+    random_wfnet,
+    reduces_in_rounds,
+    wf_structured_by_arcs,
+)
 from ppmkit.classify import classify_model
-from ppmkit.eventlog import ObjectType
+from ppmkit.eventlog import ObjectType, expand_reconnect
+from ppmkit.normalize import normalize
+from ppmkit.replay import replay
+from ppmkit.simulate import PROFILES, simulate
 from ppmkit.soundness import (
     DEFAULT_MAX_STATES,
     SOUND,
@@ -18,7 +29,7 @@ from ppmkit.soundness import (
     _reduces,
     check_soundness,
 )
-from ppmkit.wfnet import Transition, WFNet, to_wfnet
+from ppmkit.wfnet import Transition, WFNet, index_net, is_wf_structured, to_wfnet
 
 
 def diamond(split_type, join_type):
@@ -274,7 +285,7 @@ def block_models(draw, flip):
 @given(block_models(flip=False))
 @settings(max_examples=60, deadline=None)
 def test_block_structured_nets_reduce_and_are_sound(net):
-    assert _reduces(net)
+    assert _reduces(index_net(net))
     assert brute_force_soundness(net) == SOUND
 
 
@@ -284,13 +295,13 @@ TRIVIAL_NET = WFNet(("i", "o"), (Transition("t", ("i",), ("o",)),))
 @given(block_models(flip=False), st.sampled_from((1, 2, DEFAULT_MAX_STATES)))
 @settings(max_examples=60, deadline=None)
 def test_reduced_nets_get_the_trivial_nets_explorer_report(net, cap):
-    assert check_soundness(net, cap).to_dict() == _explore(TRIVIAL_NET, cap).to_dict()
+    assert check_soundness(net, cap).to_dict() == _explore(index_net(TRIVIAL_NET), cap).to_dict()
 
 
 @given(block_models(flip=True))
 @settings(max_examples=60, deadline=None)
 def test_flipped_gateway_nets_keep_the_explorer_report(net):
-    if _reduces(net):
+    if _reduces(index_net(net)):
         assert brute_force_soundness(net) == SOUND
     else:
         assert (check_soundness(net, max_states=DEFAULT_MAX_STATES).to_dict()
@@ -327,11 +338,71 @@ def small_nets(draw):
 def test_explorer_matches_testing_every_transition(drawn, cap):
     net, acyclic = drawn
     if acyclic:
-        assert not _may_run_forever(net)
-    report = _explore(net, cap)
+        assert not _may_run_forever(index_net(net))
+    report = _explore(index_net(net), cap)
     assert report.to_dict() == explore_every_transition(net, cap).to_dict()
     assert all(c > 0 for v in report.violations if isinstance(v.witness, dict)
                for c in v.witness.values())
+
+
+def net_of(model):
+    """The net of the normalized model; None when the model is empty (which
+    normalize refuses) or normalize rejects it."""
+    if not model.nodes:
+        return None
+    outcome = normalize(model)
+    return None if outcome.rejected else to_wfnet(outcome.model)
+
+
+def simulated_model(profile, seed):
+    return replay(simulate(dataclasses.replace(PROFILES[profile], seed=seed)))
+
+
+def assert_structure_check_and_reduction_match_the_definitions(net):
+    structured = is_wf_structured(net)
+    reduces = _reduces(index_net(net))
+    assert structured == wf_structured_by_arcs(net)
+    assert reduces == reduces_in_rounds(net)
+    # check_soundness runs the structure check only when the reduction fails.
+    assert structured[0] or not reduces
+
+
+@given(st.one_of(block_models(flip=False), block_models(flip=True),
+                 small_nets().map(lambda drawn: drawn[0]),
+                 st.integers(0, 2**32).map(random_wfnet)))
+@settings(max_examples=400, deadline=None)
+def test_structure_check_and_worklist_reduction_match_the_definitions(net):
+    assert_structure_check_and_reduction_match_the_definitions(net)
+
+
+@given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_structure_check_and_worklist_reduction_on_simulated_sessions(profile, seed):
+    net = net_of(simulated_model(profile, seed))
+    if net is not None:
+        assert_structure_check_and_reduction_match_the_definitions(net)
+
+
+def is_free_choice(net):
+    """Two transitions sharing an input place share all their inputs."""
+    return all(set(t.pre) == set(u.pre) or not set(t.pre) & set(u.pre)
+               for t in net.transitions for u in net.transitions)
+
+
+# Each place has one consuming node, whose transitions either share one
+# input place (XOR split) or are the only takers of their inputs.
+@given(log=event_logs(max_events=60))
+@settings(max_examples=80, deadline=None)
+def test_nets_of_normalized_random_models_are_free_choice(log):
+    net = net_of(replay(expand_reconnect(log)))
+    assert net is None or is_free_choice(net)
+
+
+@given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=30, deadline=None)
+def test_nets_of_simulated_sessions_are_free_choice(profile, seed):
+    net = net_of(simulated_model(profile, seed))
+    assert net is None or is_free_choice(net)
 
 
 def and_split_xor_join(width):
@@ -401,7 +472,7 @@ def test_stuck_witness_preferred_over_a_live_locked_one():
 
 def test_pumping_loop_matches_the_oracle():
     net = pumping_loop()
-    assert _may_run_forever(net)
+    assert _may_run_forever(index_net(net))
     report = check_soundness(net)
     assert kinds(report) == ["Unbounded"]
     unbounded = report.violations[0]

@@ -6,6 +6,7 @@ from golden_cases import build
 from oracles import to_wfnet_by_node_type
 from ppmkit.eventlog import ObjectType
 from ppmkit.model import Edge, Node, ProcessModel
+from ppmkit.soundness import check_soundness
 from ppmkit.wfnet import (
     SINK_PLACE,
     SOURCE_PLACE,
@@ -113,14 +114,27 @@ NODE_TYPES = [ObjectType.START_EVENT, ObjectType.END_EVENT, ObjectType.ACTIVITY,
               ObjectType.XOR, ObjectType.AND]
 
 
+# Ids joined by "_" out of one small alphabet, so that a branch transition
+# t_<gateway>_<flow> can meet a task's t_<task> or another branch's id.
+CLASHING_IDS = ["a", "b", "c", "a_b", "b_c", "a_b_c", "a_b_2", "b_2", "2", "a_2"]
+
+
 @st.composite
-def any_models(draw):
-    """Models of 1-8 nodes of every type, with parallel edges and self-loops."""
+def any_models(draw, clashing=False):
+    """Models of 1-8 nodes of every type, with parallel edges and self-loops;
+    with clashing, node and flow ids come from CLASHING_IDS."""
     types = draw(st.lists(st.sampled_from(NODE_TYPES), min_size=1, max_size=8))
-    ids = st.sampled_from([f"n{k}" for k in range(len(types))])
-    ends = draw(st.lists(st.tuples(ids, ids), max_size=14))
-    return ProcessModel([Node(f"n{k}", t, label=f"l{k}") for k, t in enumerate(types)],
-                        [Edge(f"e{k}", s, t) for k, (s, t) in enumerate(ends)])
+    node = st.integers(0, len(types) - 1)
+    ends = draw(st.lists(st.tuples(node, node), max_size=14))
+    if clashing:
+        names = draw(st.permutations(CLASHING_IDS)) + [f"x{k}" for k in range(22)]
+        node_ids, edge_ids = names[:len(types)], names[len(types):]
+    else:
+        node_ids = [f"n{k}" for k in range(len(types))]
+        edge_ids = [f"e{k}" for k in range(len(ends))]
+    return ProcessModel([Node(n, t, label=f"l{k}")
+                         for k, (n, t) in enumerate(zip(node_ids, types))],
+                        [Edge(e, node_ids[s], node_ids[t]) for e, (s, t) in zip(edge_ids, ends)])
 
 
 def _net_or_error(translate, model):
@@ -130,10 +144,46 @@ def _net_or_error(translate, model):
         return str(exc)
 
 
-@given(model=any_models())
-@settings(max_examples=300, deadline=None)
+@given(model=st.one_of(any_models(), any_models(clashing=True)))
+@settings(max_examples=400, deadline=None)
 def test_to_wfnet_matches_per_type_translation(model):
     assert _net_or_error(to_wfnet, model) == _net_or_error(to_wfnet_by_node_type, model)
+
+
+def xor_block(split, join, tasks, flows):
+    """start -> split -> two tasks -> join -> end, every id given."""
+    nodes = [Node("s", ObjectType.START_EVENT), Node(split, ObjectType.XOR),
+             Node(tasks[0], ObjectType.ACTIVITY), Node(tasks[1], ObjectType.ACTIVITY),
+             Node(join, ObjectType.XOR), Node("end", ObjectType.END_EVENT)]
+    ends = [("s", split), (split, tasks[0]), (split, tasks[1]), (tasks[0], join),
+            (tasks[1], join), (join, "end")]
+    return ProcessModel(nodes, [Edge(f, a, b) for f, (a, b) in zip(flows, ends)])
+
+
+class TestTransitionIdClashes:
+    def test_branch_meeting_a_task_takes_the_next_suffix(self):
+        # XOR split x with flow e1 and a task x_e1 both give t_x_e1.
+        model = xor_block("x", "j", ("x_e1", "b"), ("e0", "e1", "e2", "e3", "e4", "e5"))
+        by_id = {t.id: t for t in to_wfnet(model).transitions}
+        assert by_id["t_x_e1"] == Transition("t_x_e1", ("p_e0",), ("p_e1",))
+        assert by_id["t_x_e1_2"] == Transition("t_x_e1_2", ("p_e1",), ("p_e3",))
+        assert check_soundness(to_wfnet(model)).verdict == "Sound"
+
+    def test_two_gateways_branches_clash(self):
+        # Split a with flow b_c and join a_b with flow c both give t_a_b_c.
+        model = xor_block("a", "a_b", ("t1", "t2"), ("f0", "b_c", "f2", "c", "f4", "f5"))
+        by_id = {t.id: t for t in to_wfnet(model).transitions}
+        assert by_id["t_a_b_c"].post == ("p_b_c",)
+        assert by_id["t_a_b_c_2"].pre == ("p_c",)
+        assert check_soundness(to_wfnet(model)).verdict == "Sound"
+
+    def test_a_taken_suffix_is_skipped(self):
+        # t_x_e1 twice and a task x_e1_2 already holding t_x_e1_2.
+        model = xor_block("x", "j", ("x_e1", "x_e1_2"), ("e0", "e1", "e2", "e3", "e4", "e5"))
+        ids = [t.id for t in to_wfnet(model).transitions]
+        assert sorted(ids) == ["t_end", "t_j_e3", "t_j_e4", "t_s", "t_x_e1", "t_x_e1_2",
+                               "t_x_e1_3", "t_x_e2"]
+        assert to_wfnet(model) == to_wfnet_by_node_type(model)
 
 
 class TestWFNetValidation:
