@@ -11,8 +11,9 @@ by the create timestamps of the member nodes present at that moment.
 The search grows with the model. One dominator pass from a split answers
 every split whose dominator subtree no flow leaves, by a climb up the tree
 from each join; a split no pass answered roots its own. The dating walk
-re-applies creates and deletes to bare adjacency dicts and tests only the
-armed splits: those of undated blocks that have two or more out-flows.
+applies the log's creates and deletes to bare adjacency dicts and tests
+only the armed splits, those of undated blocks that have two or more
+out-flows, by the same climb.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from operator import itemgetter
 
 from .eventlog import KIND_CLASS, EventClass, EventKind, EventLog, ModelingEvent, format_timestamp
 from .model import GATEWAY_TYPES, ProcessModel
-from .replay import apply_event
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,6 @@ def _dominator_tree(graph, root: str):
     return rank, idom, ways
 
 
-def _two_path_nodes(graph, s: str) -> tuple[dict[str, int], set[str]]:
-    """The nodes `s` reaches, ranked, and those it reaches by two
-    edge-disjoint paths.
-
-    By Menger's theorem, v has two edge-disjoint paths from s exactly when
-    no single edge lies on every path to it: when every node on the
-    dominator tree path (s, v] has two or more ways in.
-    """
-    rank, idom, ways = _dominator_tree(graph, s)
-    cut = {s: False}
-    for v in list(rank)[1:]:
-        cut[v] = ways[v] < 2 or cut[idom[v]]
-    return rank, {v for v, is_cut in cut.items() if not is_cut and v != s}
-
-
 def _block_members(graph, s: str, j: str, pos: dict[str, int],
                    span: range) -> frozenset[str] | None:
     """The members of the block from split `s` to join `j`, or None when an
@@ -149,14 +134,26 @@ def _block_members(graph, s: str, j: str, pos: dict[str, int],
     return frozenset(members) if sealed else None
 
 
-def _blocks_from(graph, s: str, joins: list[str]):
-    """Yield (join, members) for each of `joins` closing a block at `s`."""
-    rank, two_paths = _two_path_nodes(graph, s)
+def _close_blocks(graph, joins, idom: dict[str, str], ways: dict[str, int],
+                  answers: dict[str, range], pos: dict[str, int]):
+    """Yield (split, join, members) for each of `joins` that closes a block
+    at an answered split; `answers` maps a split to the span of `pos` its
+    descendants take.
+
+    By Menger's theorem a join has two edge-disjoint paths from a split
+    exactly when no single edge lies on every path to it: when every node on
+    the dominator tree path (split, join] has two or more ways in. So the
+    climb from a join goes up the tree while nodes have two ways in, and
+    each answered split it reaches gets its members checked.
+    """
     for j in joins:
-        if j in two_paths:
-            members = _block_members(graph, s, j, rank, range(len(rank)))
-            if members is not None:
-                yield j, members
+        v = j
+        while ways.get(v, 0) >= 2:
+            v = idom[v]
+            if v in answers:
+                members = _block_members(graph, v, j, pos, answers[v])
+                if members is not None:
+                    yield v, j, members
 
 
 def _closed_subtrees(model: ProcessModel, rank: dict[str, int], idom: dict[str, str],
@@ -192,11 +189,9 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
 
     One dominator pass from a split also answers each split whose subtree
     in its tree is closed, left by no flow: that split reaches just its
-    subtree, with the dominators and ways in of its own pass. A climb up
-    the tree from each join finds the answered splits with no node of
-    fewer than two ways in between. A split no pass answered yet roots the
-    next pass, in the order the nodes were added, which mostly follows
-    the flow.
+    subtree, with the dominators and ways in of its own pass. A split no
+    pass answered yet roots the next pass, in the order the nodes were
+    added, which mostly follows the flow.
     """
     gateways = [g for g, node in model.nodes.items() if node.type in GATEWAY_TYPES]
     unanswered = {g: None for g in gateways if model.out_degree(g) >= 2}
@@ -212,23 +207,16 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
             answers.update(closed)
         for s in answers:
             del unanswered[s]
-        for j in joins:
-            v = j
-            while v in ways and ways[v] >= 2:
-                v = idom[v]
-                if v in answers:
-                    members = _block_members(model, v, j, pos, answers[v])
-                    if members is not None:
-                        pairs.append((v, j, members))
+        pairs.extend(_close_blocks(model, joins, idom, ways, answers, pos))
     pairs.sort(key=itemgetter(0, 1))
     return pairs
 
 
-def _is_whole(members: frozenset[str], created_seq: dict[str, int],
+def _is_whole(members: frozenset[str], first: dict[str, ModelingEvent],
               node_creates: list[tuple[int, str]]) -> bool:
     # A block was made as a whole if no foreign NODE was created between
     # its first and last member create. Edge creates never break this.
-    spans = [created_seq[oid] for oid in members]
+    spans = [first[oid].seq for oid in members]
     lo, hi = min(spans), max(spans)
     inside = node_creates[bisect_right(node_creates, lo, key=itemgetter(0)):
                           bisect_left(node_creates, hi, key=itemgetter(0))]
@@ -236,17 +224,18 @@ def _is_whole(members: frozenset[str], created_seq: dict[str, int],
 
 
 class _Skeleton:
-    """What the dating walk rebuilds: gateway ids, each edge's ends, and
-    ProcessModel's adjacency dicts, which the block search reads."""
+    """What the dating walk rebuilds: each node's type, each edge's ends,
+    and ProcessModel's adjacency dicts, which the block search reads."""
 
-    __slots__ = ("gateways", "ends", "_out", "_in")
+    __slots__ = ("types", "ends", "_out", "_in")
 
     def __init__(self):
-        self.gateways, self.ends, self._out, self._in = set(), {}, {}, {}
+        self.types, self.ends, self._out, self._in = {}, {}, {}, {}
 
-    def apply(self, ev: ModelingEvent) -> tuple[str, ...]:
-        """Apply a create or delete that a replay took in this order; return
-        the nodes deleted or whose out-flows changed, none for a new node."""
+    def apply(self, ev: ModelingEvent, event_class: EventClass) -> tuple[str, ...]:
+        """Apply a create or delete; return the nodes deleted or whose
+        out-flows changed, none for a new node. An object or endpoint the
+        skeleton does not hold raises KeyError."""
         oid, outs, ins = ev.object_id, self._out, self._in
         if ev.kind is EventKind.CREATE_EDGE:
             s, t = self.ends[oid] = ev.source_id, ev.target_id
@@ -256,12 +245,11 @@ class _Skeleton:
             s, t = self.ends.pop(oid)
             del outs[s][oid], ins[t][oid]
             return (s,)
-        if KIND_CLASS[ev.kind] is EventClass.CREATE:
+        if event_class is EventClass.CREATE:
             outs[oid], ins[oid] = {}, {}
-            if ev.object_type in GATEWAY_TYPES:
-                self.gateways.add(oid)
+            self.types[oid] = ev.object_type
             return ()
-        self.gateways.discard(oid)  # a deleted node takes its flows with it
+        del self.types[oid]  # a deleted node takes its flows with it
         into = ins.pop(oid)
         for eid in {**outs.pop(oid), **into}:
             s, t = self.ends.pop(eid)
@@ -271,97 +259,77 @@ class _Skeleton:
                 del ins[t][eid]
         return (oid, *into.values())
 
-
-def _replay_and_date(log: EventLog) -> tuple[ProcessModel, list[Block]]:
-    """Replay the log; return the final model and its blocks, dated.
-
-    One walk replays the log, indexes when each object was first created
-    and keeps the creates and deletes. Only pairs that are blocks in the
-    final model are ever reported, so the dating walk tests only those,
-    each until it first qualifies, while it applies those creates and
-    deletes again to a bare _Skeleton: moves, renames and bendpoint edits
-    change neither structure nor node types. A new node is isolated, so
-    only an edge create or a delete triggers a test, and only of armed
-    splits: gateways with two or more out-flows, re-examined at the nodes
-    each event changes.
-    """
-    if log.has_reconnects():
-        raise ValueError("expand reconnect events before block detection")
-    final = ProcessModel()
-    created_seq: dict[str, int] = {}
-    created_at: dict[str, datetime] = {}
-    node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
-    structural: list[ModelingEvent] = []  # the creates and deletes, in log order
-    for ev in log.events:
-        apply_event(final, ev)
-        event_class = KIND_CLASS[ev.kind]
-        if event_class is EventClass.CREATE:
-            oid = ev.object_id
-            if oid not in created_seq:
-                created_seq[oid] = ev.seq
-                created_at[oid] = ev.timestamp
-            if ev.kind is not EventKind.CREATE_EDGE:
-                node_creates.append((ev.seq, oid))
-            structural.append(ev)
-        elif event_class is EventClass.DELETE:
-            structural.append(ev)
-
-    pending: dict[str, dict[str, None]] = {}  # split -> joins of its undated blocks
-    for s, j, _ in find_block_pairs(final):
-        pending.setdefault(s, {})[j] = None
-    armed: dict[str, None] = {}  # pending splits that are gateways with two out-flows
-    first_completed: dict[tuple[str, str], tuple[int, frozenset[str]]] = {}
-    current = _Skeleton()
-    for ev in structural:
-        if not pending:
-            break
-        changed = current.apply(ev)
-        if not changed:
-            continue  # a new node is isolated: it completes no block
-        for v in changed:
-            # An unstrict log may recreate a deleted id as another type.
-            if v in pending and v in current.gateways and len(current._out[v]) >= 2:
-                armed[v] = None
-            else:
-                armed.pop(v, None)
-        for s in list(armed):
-            joins = pending[s]
-            ready = [j for j in joins if j in current.gateways and len(current._in[j]) >= 2]
-            if ready:
-                for j, members in _blocks_from(current, s, ready):
-                    first_completed[(s, j)] = (ev.seq, members)
-                    del joins[j]
-                if not joins:
-                    del pending[s], armed[s]
-
-    blocks: list[Block] = []
-    for (s, j), (seq, members) in first_completed.items():
-        stamps = [created_at[oid] for oid in members]
-        blocks.append(
-            Block(
-                split=s,
-                join=j,
-                members=members,
-                completion_seq=seq,
-                interval=(min(stamps), max(stamps)),
-                whole=_is_whole(members, created_seq, node_creates),
-            )
-        )
-    blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
-    return final, blocks
+    def matches(self, model: ProcessModel) -> bool:
+        """Whether `model` has these nodes, node types and flows."""
+        return (self.types == {n.id: n.type for n in model.nodes.values()}
+                and self.ends == {e.id: (e.source, e.target) for e in model.edges.values()})
 
 
 def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     """Find the model's blocks and date them against the log that built it.
 
-    The log must have reconnect events expanded already, and `model` must be
-    what replaying the log produces; anything else is a caller bug. Members
+    The log must have reconnect events expanded already, and `model` must
+    have the nodes, node types and flows that replaying it gives, else
+    ValueError; labels, positions and bendpoints shape no block. Members
     are the nodes present when the pair first qualified, so later edits
     neither extend a block's interval nor change its whole-block status.
+
+    One walk applies the log's creates and deletes to a bare _Skeleton,
+    indexes when each object was first created, and tests each pair of the
+    model until it first qualifies. A new node is isolated, so only an edge
+    create or a delete triggers a test, and only of armed splits: gateways
+    with two or more out-flows, re-examined at the nodes each event changes.
+    The walk runs to the end of the log, whose structure must be the model's.
     """
-    final, blocks = _replay_and_date(log)
-    if final != model:
+    if log.has_reconnects():
+        raise ValueError("expand reconnect events before block detection")
+    pending: dict[str, dict[str, None]] = {}  # split -> joins of its undated blocks
+    for s, j, _ in find_block_pairs(model):
+        pending.setdefault(s, {})[j] = None
+    armed: dict[str, None] = {}  # pending splits that are gateways with two out-flows
+    first: dict[str, ModelingEvent] = {}  # each object's first create
+    node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
+    blocks: list[Block] = []
+    current = _Skeleton()
+    types = current.types
+    for ev in log.events:
+        event_class = KIND_CLASS[ev.kind]
+        if event_class is EventClass.CREATE:
+            first.setdefault(ev.object_id, ev)
+            if ev.kind is not EventKind.CREATE_EDGE:
+                node_creates.append((ev.seq, ev.object_id))
+        elif event_class is not EventClass.DELETE:
+            continue
+        try:
+            changed = current.apply(ev, event_class)
+        except KeyError:  # a flow from or to no node: the log does not replay
+            raise ValueError("model is not the final model of the log") from None
+        if not changed or not pending:
+            continue  # a new node is isolated: it completes no block
+        for v in changed:
+            # An unstrict log may recreate a deleted id as another type.
+            if v in pending and types.get(v) in GATEWAY_TYPES and len(current._out[v]) >= 2:
+                armed[v] = None
+            else:
+                armed.pop(v, None)
+        for s in list(armed):
+            joins = pending[s]
+            ready = [j for j in joins
+                     if types.get(j) in GATEWAY_TYPES and len(current._in[j]) >= 2]
+            if not ready:
+                continue
+            rank, idom, ways = _dominator_tree(current, s)
+            for _, j, members in _close_blocks(current, ready, idom, ways,
+                                               {s: range(len(rank))}, rank):
+                stamps = [first[oid].timestamp for oid in members]
+                blocks.append(Block(s, j, members, ev.seq, (min(stamps), max(stamps)),
+                                    _is_whole(members, first, node_creates)))
+                del joins[j]
+            if not joins:
+                del pending[s], armed[s]
+    if not current.matches(model):
         raise ValueError("model is not the final model of the log")
+    blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
     return blocks
 
 

@@ -59,6 +59,9 @@ def _num(value: float) -> str:
 def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
     if spec is None:
         spec = PPMChartSpec()
+    missing = [key for key in _CLASS_KEY.values() if key not in spec.colors]
+    if missing:
+        raise ValueError(f"spec colors lack {', '.join(missing)}")
     if not log.events:
         raise ValueError("cannot chart an empty session")
     if log.has_reconnects():
@@ -86,8 +89,7 @@ def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
         return spec.width * (1.0 - (t_last - ts).total_seconds() / spec.window)
 
     # Quoted once per class; a title is a seq and an EventKind value, safe in XML.
-    fills = {cls: f"fill={quoteattr(spec.colors[key])}"
-             for cls, key in _CLASS_KEY.items() if key in spec.colors}
+    fills = {cls: f"fill={quoteattr(spec.colors[key])}" for cls, key in _CLASS_KEY.items()}
     dots: dict[str, list[str]] = {obj: [] for obj in row_of}
     first_x: dict[str, float] = {}
     for ev in log.events:

@@ -17,11 +17,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .blocks import Block, _replay_and_date
+from .blocks import Block, detect_blocks
 from .eventlog import EventLog, expand_reconnect, parse_timestamp
 from .metrics import SessionMetrics, compute_session_metrics
-from .model import ProcessModel
+from .model import ProcessModel, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
+from .replay import replay
 from .soundness import (
     DEFAULT_MAX_STATES,
     SOUND,
@@ -38,7 +39,7 @@ STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "S
 
 def _strings(value, name: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; anything else raises TypeError."""
-    if type(value) is not list or not all(type(v) is str for v in value):
+    if type(value) is not list or not set(map(type, value)) <= {str}:
         raise TypeError(f"{name} must be a list of strings, got {value!r}")
     return tuple(value)
 
@@ -85,16 +86,11 @@ class PerspicuityVerdict:
         a disagreement raises ValueError, a value of the wrong type
         TypeError."""
         norm = data["normalization"]
-        rejected, reason = norm["rejected"], norm["reason"]
-        if not isinstance(rejected, bool):
-            raise TypeError(f"rejected must be a bool, got {rejected!r}")
-        if reason is not None and not isinstance(reason, str):
-            raise TypeError(f"reason must be a string or null, got {reason!r}")
-        applied = []
-        for r in norm["applied_rules"]:
-            if type(r["rule"]) is not str:
-                raise TypeError(f"applied rule must be a string, got {r['rule']!r}")
-            applied.append(AppliedRule(r["rule"], _strings(r["nodes"], "applied rule nodes")))
+        rejected = typed(norm["rejected"], "rejected", bool)
+        reason = typed(norm["reason"], "reason", str, type(None))
+        applied = [AppliedRule(typed(r["rule"], "applied rule", str),
+                               _strings(r["nodes"], "applied rule nodes"))
+                   for r in norm["applied_rules"]]
         outcome = NormalizationOutcome(
             model=None,  # the JSON form does not carry the normalized model
             reason=reason,
@@ -105,8 +101,6 @@ class PerspicuityVerdict:
         sound = None
         if data["soundness"] is not None:
             s = data["soundness"]
-            if type(s["states_explored"]) is not int:  # a bool is not a count
-                raise TypeError(f"states_explored must be an int, got {s['states_explored']!r}")
             violations = []
             for v in s["violations"]:
                 if v["kind"] not in VIOLATION_KINDS:
@@ -114,13 +108,12 @@ class PerspicuityVerdict:
                                     f", got {v['kind']!r}")
                 trace = None if v["trace"] is None else _strings(v["trace"], "trace")
                 violations.append(Violation(v["kind"], v["witness"], trace))
-            sound = SoundnessReport(tuple(violations), s["states_explored"])
+            sound = SoundnessReport(tuple(violations),
+                                    typed(s["states_explored"], "states_explored", int))
             if s["verdict"] != sound.verdict:
                 raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
                                  f"{sound.verdict!r} from its violations")
-        perspicuous, stage = data["perspicuous"], data["stage"]
-        if not isinstance(perspicuous, bool):
-            raise TypeError(f"perspicuous must be a bool, got {perspicuous!r}")
+        perspicuous, stage = typed(data["perspicuous"], "perspicuous", bool), data["stage"]
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}")
         if perspicuous != (stage == "Sound"):
@@ -166,24 +159,24 @@ class SessionReport:
     def from_dict(cls, data: dict) -> "SessionReport":
         """Rebuild from to_dict output; a missing key or a value of the
         wrong type raises ValueError."""
-        def interval(pair) -> tuple:
-            start, end = pair
-            return parse_timestamp(start), parse_timestamp(end)
+        def block(b: dict) -> Block:
+            split, join, pair, whole = b["split"], b["join"], b["interval"], b["whole"]
+            # One comparison, not a typed() call per field: a report holds many blocks.
+            if (type(split), type(join), type(whole)) != (str, str, bool):
+                raise TypeError("block split and join must be strings and whole a bool, "
+                                f"got {split!r}, {join!r}, {whole!r}")
+            if type(pair) is not list or len(pair) != 2:
+                raise TypeError(f"interval must be a list of two strings, got {pair!r}")
+            # parse_timestamp raises TypeError for a stamp that is no string
+            interval = parse_timestamp(pair[0]), parse_timestamp(pair[1])
+            members = frozenset(_strings(b["members"], "members"))
+            # completion_seq is not serialized; JSON-level round-trip only
+            return Block(split, join, members, 0, interval, whole)
 
         try:
-            blocks = tuple(
-                Block(
-                    split=b["split"],
-                    join=b["join"],
-                    members=frozenset(b["members"]),
-                    completion_seq=0,  # not serialized; JSON-level round-trip only
-                    interval=interval(b["interval"]),
-                    whole=b["whole"],
-                )
-                for b in data["blocks"]
-            )
+            blocks = tuple(map(block, data["blocks"]))
             return cls(
-                session_id=data["session_id"],
+                session_id=typed(data["session_id"], "session_id", str),
                 metrics=SessionMetrics.from_dict(data["metrics"]),
                 blocks=blocks,
                 verdict=PerspicuityVerdict.from_dict(data["verdict"]),
@@ -203,12 +196,11 @@ class SessionReport:
 def classify_session(log: EventLog, max_states: int = DEFAULT_MAX_STATES) -> SessionReport:
     """Replay, measure, and classify one session end to end."""
     expanded = expand_reconnect(log)
-    final, blocks = _replay_and_date(expanded)
-    metrics = compute_session_metrics(expanded, blocks=blocks)
-    verdict = classify_model(final, max_states)
+    final = replay(expanded)
+    blocks = detect_blocks(final, expanded)
     return SessionReport(
         session_id=log.session_id,
-        metrics=metrics,
+        metrics=compute_session_metrics(expanded, blocks),
         blocks=tuple(blocks),
-        verdict=verdict,
+        verdict=classify_model(final, max_states),
     )

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import _replay_and_date
+from .blocks import detect_blocks
 from .chart import PPMChartSpec, render_ppmchart
 from .classify import SessionReport, classify_model, classify_session
 from .eventlog import (
@@ -107,7 +107,7 @@ def _cmd_replay(args) -> int:
 
 def _session_payload(log: EventLog) -> dict:
     expanded = expand_reconnect(log)
-    _, blocks = _replay_and_date(expanded)
+    blocks = detect_blocks(replay(expanded), expanded)
     metrics = compute_session_metrics(expanded, blocks)
     return {
         "session_id": log.session_id,

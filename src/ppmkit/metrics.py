@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import Block, _replay_and_date, max_simul_block, perc_blocks_as_whole
+from .blocks import Block, max_simul_block, perc_blocks_as_whole
 from .eventlog import KIND_CLASS, EventClass, EventLog, expand_reconnect
+from .model import typed
 
 #: JSON field order for SessionMetrics.
 METRIC_NAMES = (
@@ -76,10 +77,8 @@ class SessionMetrics:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             return Fraction(value)
 
-        if type(data["max_simul_block"]) is not int:  # a bool is not a count
-            raise TypeError(f"max_simul_block must be an int, got {data['max_simul_block']!r}")
         return cls(
-            max_simul_block=data["max_simul_block"],
+            max_simul_block=typed(data["max_simul_block"], "max_simul_block", int),
             perc_num_block_as_a_whole=frac("perc_num_block_as_a_whole", optional=True),
             avg_move_on_moved_elements=frac("avg_move_on_moved_elements", optional=True),
             perc_num_elements_with_moves=frac("perc_num_elements_with_moves"),
@@ -88,17 +87,14 @@ class SessionMetrics:
         )
 
 
-def compute_session_metrics(log: EventLog, blocks: list[Block] | None = None) -> SessionMetrics:
-    """All six metrics for one session.
+def compute_session_metrics(log: EventLog, blocks: list[Block]) -> SessionMetrics:
+    """All six metrics for one session, given the blocks detect_blocks
+    found and dated on the same log with reconnect events expanded.
 
-    Reconnect events are expanded here, so raw parsed logs are fine. Pass
-    `blocks`, the dated blocks of the same expanded log (as
-    classify_session has them), to skip replaying and dating it again.
-    The four log metrics come from one walk.
+    Reconnect events are expanded here, so raw parsed logs are fine. The
+    four log metrics come from one walk.
     """
     log = expand_reconnect(log)
-    if blocks is None:
-        _, blocks = _replay_and_date(log)
     moves = 0
     moved: set[str] = set()
     created: set[str] = set()

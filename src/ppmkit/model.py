@@ -25,6 +25,17 @@ GATEWAY_TYPES = (ObjectType.XOR, ObjectType.AND)
 
 _KEEP = object()  # update_node's label when it stays (None is a label)
 
+_TYPE_NAMES = {str: "a string", int: "an int", bool: "a bool", type(None): "null"}
+
+
+def typed(value, name: str, *types: type):
+    """`value` read from JSON when its type is exactly one of `types`, so a
+    bool is no int; anything else raises TypeError."""
+    if type(value) not in types:
+        wanted = " or ".join(_TYPE_NAMES[t] for t in types)
+        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class Node:
@@ -207,25 +218,28 @@ class ProcessModel:
     def from_dict(cls, data: dict) -> "ProcessModel":
         """Rebuild from to_dict output; a missing key or a value of the
         wrong type raises ValueError."""
+        def point(x, y) -> tuple[int, int]:
+            return typed(x, "x", int), typed(y, "y", int)
+
         model = cls()
         try:
             for nd in data.get("nodes", []):
                 model.add_node(
                     Node(
-                        id=nd["id"],
+                        id=typed(nd["id"], "node id", str),
                         type=ObjectType(nd["type"]),
-                        label=nd.get("label"),
-                        position=(int(nd.get("x", 0)), int(nd.get("y", 0))),
+                        label=typed(nd.get("label"), "label", str, type(None)),
+                        position=point(nd.get("x", 0), nd.get("y", 0)),
                     )
                 )
             for ed in data.get("edges", []):
                 model.add_edge(
                     Edge(
-                        id=ed["id"],
-                        source=ed["source"],
-                        target=ed["target"],
-                        label=ed.get("label"),
-                        bendpoints=tuple((int(x), int(y)) for x, y in ed.get("bendpoints", [])),
+                        id=typed(ed["id"], "edge id", str),
+                        source=typed(ed["source"], "source", str),
+                        target=typed(ed["target"], "target", str),
+                        label=typed(ed.get("label"), "label", str, type(None)),
+                        bendpoints=tuple(point(x, y) for x, y in ed.get("bendpoints", [])),
                     )
                 )
             return model
@@ -233,8 +247,6 @@ class ProcessModel:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"wrong value type: {exc}") from None
-        except OverflowError as exc:  # int() of an infinite coordinate
-            raise ValueError(f"bad number: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

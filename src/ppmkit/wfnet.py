@@ -183,13 +183,3 @@ def uncovered(net: NetIndex) -> tuple[str, ...]:
     return tuple(sorted(
         [p for k, p in enumerate(net.places) if k not in ahead or k not in behind]
         + [t for n, t in enumerate(net.transitions) if n not in fired or n not in fed]))
-
-
-def is_wf_structured(net: WFNet) -> tuple[bool, tuple[str, ...]]:
-    """Whether every place and transition lies on a path from i to o.
-
-    Returns (ok, offending ids). Uses plain reachability over the arc
-    graph; token counts play no role here.
-    """
-    offending = uncovered(index_net(net))
-    return not offending, offending

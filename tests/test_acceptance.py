@@ -21,7 +21,6 @@ from ppmkit.classify import classify_session
 from ppmkit.cli import main as cli_main
 from ppmkit.eventlog import ObjectType as OT
 from ppmkit.eventlog import expand_reconnect, serialize_log
-from ppmkit.metrics import compute_session_metrics
 from ppmkit.normalize import normalize
 from ppmkit.simulate import PROFILES, default_template, simulate_cohort
 from ppmkit.soundness import check_soundness
@@ -120,14 +119,14 @@ def test_criterion_3_metric_fixtures_exact(capsys):
     }
     with criterion(capsys, 3, "hand-computed metric fixtures"):
         for stem, values in expected.items():
-            m = compute_session_metrics(load_fixture(f"{stem}.csv"))
+            m = classify_session(load_fixture(f"{stem}.csv")).metrics
             got = (m.max_simul_block, m.perc_num_block_as_a_whole,
                    m.avg_move_on_moved_elements, m.perc_num_elements_with_moves,
                    m.tot_time, m.tot_create_time)
             assert got == values, f"{stem}: {got} != {values}"
-        assert compute_session_metrics(
+        assert classify_session(
             load_fixture("diamond.csv")
-        ).avg_move_on_moved_elements == Fraction(3, 2)  # the 1.5 average
+        ).metrics.avg_move_on_moved_elements == Fraction(3, 2)  # the 1.5 average
 
 
 def test_criterion_4_t_test_reference_values(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import sys
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,8 @@ from oracles import (
 import ppmkit.blocks as blocks_module
 from ppmkit.blocks import (
     Block,
-    _two_path_nodes,
+    _close_blocks,
+    _dominator_tree,
     detect_blocks,
     find_block_pairs,
     max_simul_block,
@@ -167,6 +169,39 @@ class TestDetectBlocks:
         with pytest.raises(ValueError, match="not the final model"):
             detect_blocks(ProcessModel(), diamond_log)
 
+    def test_refuses_a_model_of_other_structure(self, diamond_log):
+        # What blocks read: node ids, node types and each flow's ends.
+        final = replay(diamond_log)
+        no_flow, retyped, no_node, rewired = (final.copy() for _ in range(4))
+        no_flow.remove_edge(next(iter(final.edges)))
+        retyped.update_node("g1", type=ObjectType.AND)
+        no_node.remove_node("a2")
+        flow = next(iter(final.edges.values()))
+        rewired.remove_edge(flow.id)
+        rewired.add_edge(Edge(flow.id, flow.target, flow.source))
+        for model in (no_flow, retyped, no_node, rewired):
+            with pytest.raises(ValueError, match="^model is not the final model of the log$"):
+                detect_blocks(model, diamond_log)
+
+    def test_ignores_labels_positions_and_bendpoints(self, diamond_log):
+        final = replay(diamond_log)
+        redrawn = final.copy()
+        for nid in final.nodes:
+            redrawn.update_node(nid, label="renamed", position=(7, 7))
+        for eid in final.edges:
+            redrawn.update_edge(eid, label="flow", bendpoints=((1, 2),))
+        assert redrawn != final
+        assert detect_blocks(redrawn, diamond_log) == detect_blocks(final, diamond_log)
+
+    def test_refuses_a_log_that_does_not_replay(self):
+        log = EventLog("dangling", (
+            ModelingEvent(seq=1, timestamp=ts(1), kind=EventKind.CREATE_XOR, object_id="g"),
+            ModelingEvent(seq=2, timestamp=ts(2), kind=EventKind.CREATE_EDGE, object_id="e",
+                          source_id="g", target_id="gone"),
+        ))
+        with pytest.raises(ValueError, match="not the final model"):
+            detect_blocks(ProcessModel([Node("g", ObjectType.XOR)]), log)
+
     def test_members_frozen_at_completion(self, diamond_log):
         # a node wedged into the block after it first qualified is not a
         # member and does not stretch the interval
@@ -281,17 +316,19 @@ def test_chain_search_is_one_pass_and_dating_tests_each_pair_once(monkeypatch):
     log = xor_chain_log(320)
     model = replay(log)
     passes, tests = [], []
-    tree, blocks_from = blocks_module._dominator_tree, blocks_module._blocks_from
+    tree, members = blocks_module._dominator_tree, blocks_module._block_members
     monkeypatch.setattr(blocks_module, "_dominator_tree",
                         lambda graph, root: passes.append(root) or tree(graph, root))
-    monkeypatch.setattr(blocks_module, "_blocks_from",
-                        lambda graph, s, joins: tests.append((s, list(joins)))
-                        or blocks_from(graph, s, joins))
+    monkeypatch.setattr(blocks_module, "_block_members",
+                        lambda graph, s, j, pos, span: tests.append((s, j))
+                        or members(graph, s, j, pos, span))
+    pairs = [(f"s{i}", f"j{i}") for i in range(320)]
     assert len(find_block_pairs(model)) == 320
     assert passes == ["s0"]
+    assert tests == pairs
     assert len(detect_blocks(model, log)) == 320
-    assert tests == [(f"s{i}", [f"j{i}"]) for i in range(320)]
-    assert len(passes) == 1 + 1 + 320  # the search above, detect_blocks' own, its tests
+    assert tests == pairs * 3  # the search above, detect_blocks' own, its dating
+    assert len(passes) == 1 + 1 + 320
 
 
 def mk_block(start_s, end_s, tag):
@@ -440,9 +477,16 @@ def gateway_multigraphs(draw):
 def _assert_matches_maxflow(model):
     assert find_block_pairs(model) == find_block_pairs_maxflow(model)
     for s in model.nodes:
-        _, two_paths = _two_path_nodes(model, s)
+        # The climb from every node to s asks for members exactly at the
+        # nodes s reaches by two edge-disjoint paths.
+        rank, idom, ways = _dominator_tree(model, s)
+        climbed = []
+        with mock.patch.object(blocks_module, "_block_members",
+                               lambda graph, split, j, pos, span: climbed.append(j)):
+            assert list(_close_blocks(model, model.nodes, idom, ways,
+                                      {s: range(len(rank))}, rank)) == []
         for v in model.nodes:
-            assert (v in two_paths) == (edge_disjoint_path_count(model, s, v) >= 2), (s, v)
+            assert (v in climbed) == (edge_disjoint_path_count(model, s, v) >= 2), (s, v)
 
 
 # A split with two flows to a join, one of them parallel, a flow back into

@@ -107,6 +107,11 @@ def test_spec_colors_are_quoted(churn_log):
     assert svg.count('fill="&lt;b&gt;&amp;"') == 1
 
 
+def test_missing_color_is_named(churn_log):
+    with pytest.raises(ValueError, match="^spec colors lack move, delete, name$"):
+        render_ppmchart(churn_log, PPMChartSpec(colors={"create": "green"}))
+
+
 def test_titles_need_no_escaping():
     # render_ppmchart writes an event's kind into <title> as it is.
     assert all(escape(kind.value) == kind.value for kind in EventKind)

@@ -1,8 +1,11 @@
+import importlib
 import json
 
 import pytest
 
+from conftest import FIXTURES, load_fixture
 from golden_cases import GOLDEN_CASES, build
+from ppmkit.cli import main as cli_main
 from ppmkit.classify import (
     STAGES,
     PerspicuityVerdict,
@@ -10,11 +13,13 @@ from ppmkit.classify import (
     classify_model,
     classify_session,
 )
-from ppmkit.eventlog import ObjectType
+from ppmkit.eventlog import ObjectType, expand_reconnect
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.normalize import NormalizationOutcome
 from ppmkit.soundness import SoundnessReport, Violation
 from ppmkit.replay import replay
+
+replay_module = importlib.import_module("ppmkit.replay")  # the package's `replay` is the function
 
 
 def test_diamond_session_perspicuous(diamond_log):
@@ -25,6 +30,22 @@ def test_diamond_session_perspicuous(diamond_log):
     assert report.verdict.normalization.applied_rules == ()
     assert len(report.blocks) == 1
     assert report.metrics.max_simul_block == 1
+
+
+@pytest.mark.parametrize("name", ["diamond.csv", "rewire.csv"])
+def test_session_is_replayed_once(monkeypatch, capsys, name):
+    # classify_session and `ppmkit metrics` apply each event of the expanded
+    # log once: block detection dates the replayed model without replaying.
+    expanded = expand_reconnect(load_fixture(name)).events
+    applied = []
+    apply = replay_module.apply_event
+    monkeypatch.setattr(replay_module, "apply_event",
+                        lambda model, ev: applied.append(ev) or apply(model, ev))
+    classify_session(load_fixture(name))
+    assert applied == list(expanded)
+    applied.clear()
+    assert cli_main(["metrics", "--log", str(FIXTURES / name)]) == 0
+    assert applied == list(expanded)
 
 
 def test_churn_session_needs_repairs(churn_log):

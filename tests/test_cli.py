@@ -327,6 +327,16 @@ class TestClassify:
         assert err == (f"error: {model_path}: wrong value type: "
                        "'int' object is not iterable\n")
 
+    def test_model_numeric_id_exits_1(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"nodes": [{"id": 5, "type": "ACTIVITY"},
+                                                    {"id": "a", "type": "ACTIVITY"}]}))
+        code, out, err = run(capsys, "classify", "--model", str(model_path))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {model_path}: wrong value type: "
+                       "node id must be a string, got 5\n")
+
     def test_directory_mode(self, capsys, tmp_path):
         logs = tmp_path / "logs"
         logs.mkdir()

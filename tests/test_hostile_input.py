@@ -4,11 +4,12 @@ report JSON) and never lets another exception escape."""
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import event_logs, load_fixture
-from ppmkit.classify import SessionReport, classify_session
+from ppmkit.classify import SessionReport, classify_model, classify_session
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventKind,
@@ -153,6 +154,12 @@ def _with(original: str, path: tuple, value) -> str:
 @example(text=_with(REPORTS[0], ("metrics", "tot_time"), float("inf")))
 @example(text=_with(REPORTS[0], ("metrics", "tot_time"), "1/0"))
 @example(text=_with(REPORTS[0], ("blocks", 0, "interval"), []))
+@example(text=_with(REPORTS[0], ("blocks", 0, "interval"), ["2010-11-15T10:00:15.000Z"] * 3))
+@example(text=_with(REPORTS[0], ("blocks", 0, "members"), "abc"))
+@example(text=_with(REPORTS[0], ("blocks", 0, "whole"), "yes"))
+@example(text=_with(REPORTS[0], ("blocks", 0, "split"), 7))
+@example(text=_with(REPORTS[0], ("blocks", 0, "join"), None))
+@example(text=_with(REPORTS[0], ("session_id",), 1))
 @settings(max_examples=100)
 def test_report_json_raises_only_value_error(text):
     load_or_refuse(SessionReport.from_json, text)
@@ -160,6 +167,31 @@ def test_report_json_raises_only_value_error(text):
 
 @given(text=mutated(MODELS) | _JSON_VALUES.map(json.dumps))
 @example(text=_with(MODELS[0], ("nodes", 0, "x"), float("inf")))
+@example(text=_with(MODELS[0], ("nodes", 0, "id"), 5))
 @settings(max_examples=100)
 def test_model_json_raises_only_value_error(text):
-    load_or_refuse(ProcessModel.from_json, text)
+    # A model that loads also classifies, or is refused with ValueError.
+    try:
+        classify_model(ProcessModel.from_json(text))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("path, value", [
+    (("nodes", 0, "id"), 5), (("nodes", 0, "x"), 1.9), (("nodes", 0, "y"), True),
+    (("nodes", 0, "label"), ["a"]), (("edges", 0, "target"), 0),
+    (("edges", 0, "bendpoints"), [[0.5, 1]]),
+])
+def test_model_value_of_wrong_type_is_refused(path, value):
+    with pytest.raises(ValueError, match="^wrong value type: "):
+        ProcessModel.from_json(_with(MODELS[0], path, value))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("blocks", 0, "members"), "abc"), (("blocks", 0, "whole"), "yes"),
+    (("blocks", 0, "split"), 7), (("blocks", 0, "join"), None),
+    (("blocks", 0, "interval"), ["2010-11-15T10:00:15.000Z"] * 3), (("session_id",), 1),
+])
+def test_report_value_of_wrong_type_is_refused(path, value):
+    with pytest.raises(ValueError, match="^wrong value type: "):
+        SessionReport.from_json(_with(REPORTS[0], path, value))

@@ -26,8 +26,15 @@ from ppmkit.replay import replay
 from ppmkit.simulate import PROFILES, simulate
 
 
+def blocks_of(log):
+    """The dated blocks compute_session_metrics takes, found as
+    classify_session finds them: on the log with reconnects expanded."""
+    expanded = expand_reconnect(log)
+    return detect_blocks(replay(expanded), expanded)
+
+
 def test_diamond_fixture_exact(diamond_log):
-    m = compute_session_metrics(diamond_log)
+    m = compute_session_metrics(diamond_log, blocks_of(diamond_log))
     assert m.max_simul_block == 1
     assert m.perc_num_block_as_a_whole == Fraction(1)
     assert m.avg_move_on_moved_elements == Fraction(3, 2)
@@ -37,7 +44,7 @@ def test_diamond_fixture_exact(diamond_log):
 
 
 def test_churn_fixture_exact(churn_log):
-    m = compute_session_metrics(churn_log)
+    m = compute_session_metrics(churn_log, blocks_of(churn_log))
     assert m.max_simul_block == 0
     assert m.perc_num_block_as_a_whole is None
     assert m.avg_move_on_moved_elements == Fraction(1)
@@ -48,7 +55,7 @@ def test_churn_fixture_exact(churn_log):
 
 def test_rewire_fixture_exact(rewire_log):
     # reconnects are expanded internally; the re-create stretches create time
-    m = compute_session_metrics(rewire_log)
+    m = compute_session_metrics(rewire_log, blocks_of(rewire_log))
     assert m.max_simul_block == 0
     assert m.perc_num_block_as_a_whole is None
     assert m.avg_move_on_moved_elements == Fraction(2)
@@ -60,7 +67,8 @@ def test_rewire_fixture_exact(rewire_log):
 def test_avg_move_none_without_moves(diamond_log):
     trimmed = EventLog(diamond_log.session_id, diamond_log.events[:16])
     assert avg_move_on_moved_elements(trimmed) is None
-    assert compute_session_metrics(trimmed).avg_move_on_moved_elements is None
+    m = compute_session_metrics(trimmed, blocks_of(trimmed))
+    assert m.avg_move_on_moved_elements is None
 
 
 def test_empty_session_errors():
@@ -75,11 +83,11 @@ def test_empty_session_errors():
 
 def test_empty_session_refused():
     with pytest.raises(ValueError, match="empty session: no created elements"):
-        compute_session_metrics(EventLog("void", []))
+        compute_session_metrics(EventLog("void", []), [])
 
 
 def assert_metrics_match_definitions(log):
-    m = compute_session_metrics(log)
+    m = compute_session_metrics(log, blocks_of(log))
     expanded = expand_reconnect(log)
     assert m.avg_move_on_moved_elements == avg_move_on_moved_elements(expanded)
     assert m.perc_num_elements_with_moves == perc_num_elements_with_moves(expanded)
@@ -112,7 +120,7 @@ def test_seconds_is_exact():
 
 
 def test_dict_round_trip(diamond_log):
-    m = compute_session_metrics(diamond_log)
+    m = compute_session_metrics(diamond_log, blocks_of(diamond_log))
     d = m.to_dict()
     assert list(d) == list(METRIC_NAMES)
     assert d["avg_move_on_moved_elements"] == 1.5
@@ -120,7 +128,7 @@ def test_dict_round_trip(diamond_log):
 
 
 def test_dict_keeps_none(churn_log):
-    d = compute_session_metrics(churn_log).to_dict()
+    d = compute_session_metrics(churn_log, blocks_of(churn_log)).to_dict()
     assert d["perc_num_block_as_a_whole"] is None
     assert SessionMetrics.from_dict(d).perc_num_block_as_a_whole is None
 
@@ -135,7 +143,8 @@ def shift_log(log, delta):
 @settings(max_examples=40, deadline=None)
 def test_time_translation_invariance(log):
     shifted = shift_log(log, timedelta(hours=6))
-    assert compute_session_metrics(shifted) == compute_session_metrics(log)
+    assert (compute_session_metrics(shifted, blocks_of(shifted))
+            == compute_session_metrics(log, blocks_of(log)))
 
 
 @given(log=event_logs(min_events=2))
@@ -145,8 +154,8 @@ def test_doubling_gaps_doubles_durations(log):
     events = [dataclasses.replace(ev, timestamp=base + 2 * (ev.timestamp - base))
               for ev in log.events]
     stretched = EventLog(log.session_id, events)
-    m0 = compute_session_metrics(log)
-    m1 = compute_session_metrics(stretched)
+    m0 = compute_session_metrics(log, blocks_of(log))
+    m1 = compute_session_metrics(stretched, blocks_of(stretched))
     assert m1.tot_time == 2 * m0.tot_time
     assert m1.tot_create_time == 2 * m0.tot_create_time
     assert m1.max_simul_block == m0.max_simul_block
@@ -158,14 +167,14 @@ def test_doubling_gaps_doubles_durations(log):
 @given(log=event_logs())
 @settings(max_examples=40, deadline=None)
 def test_metrics_well_formed(log):
-    m = compute_session_metrics(log)
+    m = compute_session_metrics(log, blocks_of(log))
     assert m.max_simul_block >= 0
     if m.perc_num_block_as_a_whole is not None:
         assert 0 <= m.perc_num_block_as_a_whole <= 1
     assert 0 <= m.perc_num_elements_with_moves <= 1
     assert m.tot_time >= m.tot_create_time >= 0
     expanded = expand_reconnect(log)
-    assert compute_session_metrics(expanded) == m
+    assert compute_session_metrics(expanded, blocks_of(log)) == m
 
 
 @given(profile=st.sampled_from(sorted(PROFILES)), seed=st.integers(0, 2**64 - 1))
@@ -174,4 +183,4 @@ def test_whole_share_matches_oracle(profile, seed):
     log = simulate(dataclasses.replace(PROFILES[profile], seed=seed))
     blocks = detect_blocks(replay(log), log)
     expected = whole_share(blocks, log)
-    assert compute_session_metrics(log).perc_num_block_as_a_whole == expected
+    assert compute_session_metrics(log, blocks).perc_num_block_as_a_whole == expected

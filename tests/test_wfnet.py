@@ -12,8 +12,9 @@ from ppmkit.wfnet import (
     SOURCE_PLACE,
     Transition,
     WFNet,
-    is_wf_structured,
+    index_net,
     to_wfnet,
+    uncovered,
 )
 
 
@@ -224,16 +225,12 @@ class TestWFNetValidation:
 
 class TestWfStructured:
     def test_linear_ok(self):
-        ok, offending = is_wf_structured(to_wfnet(linear()))
-        assert ok
-        assert offending == ()
+        assert uncovered(index_net(to_wfnet(linear()))) == ()
 
     def test_dangling_place_flagged(self):
         model = linear()
         model.add_node(Node("orphan", ObjectType.ACTIVITY))
-        ok, offending = is_wf_structured(to_wfnet(model))
-        assert not ok
-        assert offending == ("t_orphan",)
+        assert uncovered(index_net(to_wfnet(model))) == ("t_orphan",)
 
     def test_unreachable_cycle_flagged(self):
         model = linear()
@@ -243,14 +240,11 @@ class TestWfStructured:
 
         model.add_edge(Edge("c1", "x", "y"))
         model.add_edge(Edge("c2", "y", "x"))
-        ok, offending = is_wf_structured(to_wfnet(model))
-        assert not ok
+        offending = uncovered(index_net(to_wfnet(model)))
         assert set(offending) == {"t_x", "t_y", "p_c1", "p_c2"}
 
     def test_no_start_event_means_nothing_covered(self):
         model = build(nodes=[("a", ObjectType.ACTIVITY),
                              ("b", ObjectType.ACTIVITY)],
                       edges=[("a", "b")])
-        ok, offending = is_wf_structured(to_wfnet(model))
-        assert not ok
-        assert "p_f1" in offending
+        assert "p_f1" in uncovered(index_net(to_wfnet(model)))
