@@ -11,9 +11,9 @@ by the create timestamps of the member nodes present at that moment.
 The search grows with the model. One dominator pass from a split answers
 every split whose dominator subtree no flow leaves, by a climb up the tree
 from each join; a split no pass answered roots its own. The dating walk
-applies the log's creates and deletes to bare adjacency dicts and tests
-only the armed splits, those of undated blocks that have two or more
-out-flows, by the same climb.
+applies the log's creates and deletes to the validator's bare skeleton,
+eventlog._Skeleton, and tests only the armed splits, those of undated
+blocks that have two or more out-flows, by the same climb.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from datetime import datetime
 from fractions import Fraction
 from operator import itemgetter
 
-from .eventlog import KIND_CLASS, EventClass, EventKind, EventLog, ModelingEvent, format_timestamp
+from .eventlog import (_CREATE, _DELETE, _EDGE, KIND_CLASS, KIND_OBJECT_TYPE, EventLog,
+                       ModelingEvent, _Skeleton, format_timestamp)
 from .model import GATEWAY_TYPES, ProcessModel
 
 
@@ -212,57 +213,15 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     return pairs
 
 
-def _is_whole(members: frozenset[str], first: dict[str, ModelingEvent],
+def _is_whole(members: frozenset[str], created: dict[str, ModelingEvent],
               node_creates: list[tuple[int, str]]) -> bool:
     # A block was made as a whole if no foreign NODE was created between
     # its first and last member create. Edge creates never break this.
-    spans = [first[oid].seq for oid in members]
+    spans = [created[oid].seq for oid in members]
     lo, hi = min(spans), max(spans)
     inside = node_creates[bisect_right(node_creates, lo, key=itemgetter(0)):
                           bisect_left(node_creates, hi, key=itemgetter(0))]
     return all(oid in members for _, oid in inside)
-
-
-class _Skeleton:
-    """What the dating walk rebuilds: each node's type, each edge's ends,
-    and ProcessModel's adjacency dicts, which the block search reads."""
-
-    __slots__ = ("types", "ends", "_out", "_in")
-
-    def __init__(self):
-        self.types, self.ends, self._out, self._in = {}, {}, {}, {}
-
-    def apply(self, ev: ModelingEvent, event_class: EventClass) -> tuple[str, ...]:
-        """Apply a create or delete; return the nodes deleted or whose
-        out-flows changed, none for a new node. An object or endpoint the
-        skeleton does not hold raises KeyError."""
-        oid, outs, ins = ev.object_id, self._out, self._in
-        if ev.kind is EventKind.CREATE_EDGE:
-            s, t = self.ends[oid] = ev.source_id, ev.target_id
-            outs[s][oid], ins[t][oid] = t, s
-            return (s,)
-        if ev.kind is EventKind.DELETE_EDGE:
-            s, t = self.ends.pop(oid)
-            del outs[s][oid], ins[t][oid]
-            return (s,)
-        if event_class is EventClass.CREATE:
-            outs[oid], ins[oid] = {}, {}
-            self.types[oid] = ev.object_type
-            return ()
-        del self.types[oid]  # a deleted node takes its flows with it
-        into = ins.pop(oid)
-        for eid in {**outs.pop(oid), **into}:
-            s, t = self.ends.pop(eid)
-            if s != oid:
-                del outs[s][eid]
-            if t != oid:
-                del ins[t][eid]
-        return (oid, *into.values())
-
-    def matches(self, model: ProcessModel) -> bool:
-        """Whether `model` has these nodes, node types and flows."""
-        return (self.types == {n.id: n.type for n in model.nodes.values()}
-                and self.ends == {e.id: (e.source, e.target) for e in model.edges.values()})
 
 
 def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
@@ -271,15 +230,17 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     The log must have reconnect events expanded already, and `model` must
     have the nodes, node types and flows that replaying it gives, else
     ValueError; labels, positions and bendpoints shape no block. Members
-    are the nodes present when the pair first qualified, so later edits
-    neither extend a block's interval nor change its whole-block status.
+    are the nodes present when the pair first qualified, dated by the
+    create of that incarnation of each, so later edits neither extend a
+    block's interval nor change its whole-block status.
 
-    One walk applies the log's creates and deletes to a bare _Skeleton,
-    indexes when each object was first created, and tests each pair of the
-    model until it first qualifies. A new node is isolated, so only an edge
-    create or a delete triggers a test, and only of armed splits: gateways
-    with two or more out-flows, re-examined at the nodes each event changes.
-    The walk runs to the end of the log, whose structure must be the model's.
+    One walk applies the log's creates and deletes to a _Skeleton, the
+    class that validated it, indexes each object's latest create, and tests
+    each pair of the model until it first qualifies. A new node is isolated,
+    so only an edge create or a delete triggers a test, and only of armed
+    splits: gateways with two or more out-flows, re-examined at the nodes
+    each event changes. The walk runs to the end of the log, whose
+    structure must be the model's.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
@@ -287,23 +248,20 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     for s, j, _ in find_block_pairs(model):
         pending.setdefault(s, {})[j] = None
     armed: dict[str, None] = {}  # pending splits that are gateways with two out-flows
-    first: dict[str, ModelingEvent] = {}  # each object's first create
+    created: dict[str, ModelingEvent] = {}  # each object's latest create
     node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
     blocks: list[Block] = []
     current = _Skeleton()
     types = current.types
     for ev in log.events:
         event_class = KIND_CLASS[ev.kind]
-        if event_class is EventClass.CREATE:
-            first.setdefault(ev.object_id, ev)
-            if ev.kind is not EventKind.CREATE_EDGE:
+        if event_class is _CREATE:
+            created[ev.object_id] = ev
+            if KIND_OBJECT_TYPE[ev.kind] is not _EDGE:
                 node_creates.append((ev.seq, ev.object_id))
-        elif event_class is not EventClass.DELETE:
+        elif event_class is not _DELETE:
             continue
-        try:
-            changed = current.apply(ev, event_class)
-        except KeyError:  # a flow from or to no node: the log does not replay
-            raise ValueError("model is not the final model of the log") from None
+        changed = current.apply(ev)
         if not changed or not pending:
             continue  # a new node is isolated: it completes no block
         for v in changed:
@@ -321,13 +279,15 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
             rank, idom, ways = _dominator_tree(current, s)
             for _, j, members in _close_blocks(current, ready, idom, ways,
                                                {s: range(len(rank))}, rank):
-                stamps = [first[oid].timestamp for oid in members]
+                stamps = [created[oid].timestamp for oid in members]
                 blocks.append(Block(s, j, members, ev.seq, (min(stamps), max(stamps)),
-                                    _is_whole(members, first, node_creates)))
+                                    _is_whole(members, created, node_creates)))
                 del joins[j]
             if not joins:
                 del pending[s], armed[s]
-    if not current.matches(model):
+    if (current.ends != {e.id: (e.source, e.target) for e in model.edges.values()}
+            or types != {**{n.id: n.type for n in model.nodes.values()},
+                         **dict.fromkeys(model.edges, _EDGE)}):
         raise ValueError("model is not the final model of the log")
     blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
     return blocks

@@ -4,7 +4,16 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from ppmkit.eventlog import EventKind, EventLog, ModelingEvent, ObjectType, parse_log
+from ppmkit.eventlog import (
+    CSV_HEADER,
+    KIND_OBJECT_TYPE,
+    EventKind,
+    EventLog,
+    ModelingEvent,
+    ObjectType,
+    format_timestamp,
+    parse_log,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,9 +49,47 @@ _NODE_KINDS = {
 }
 
 
+def csv_log(*steps: str) -> str:
+    """The CSV of a log whose row n is step n, n seconds after BASE; a step
+    is "KIND id" or "KIND id source target"."""
+    rows = [CSV_HEADER]
+    for seq, step in enumerate(steps, start=1):
+        kind, oid, *ends = step.split()
+        source, target = ends or ("", "")
+        rows.append(f"{seq},{format_timestamp(BASE + timedelta(seconds=seq))},{kind},{oid},"
+                    f"{KIND_OBJECT_TYPE[EventKind[kind]].value},,,,{source},{target}")
+    return "\n".join(rows) + "\n"
+
+
+# Logs that break the lifecycle rule only through a flow's life or ends,
+# each with the CSV line of its first bad row. A node delete takes its
+# flows with it, so the first one acts on a flow that is gone.
+_WIRED = ("CREATE_ACTIVITY a", "CREATE_ACTIVITY b", "CREATE_EDGE e a b")
+UNREPLAYABLE_LOGS = {
+    "bendpoint on cascaded flow": (
+        csv_log(*_WIRED, "DELETE_ACTIVITY a", "CREATE_EDGE_BENDPOINT e"), 6),
+    "delete of cascaded flow": (csv_log(*_WIRED, "DELETE_ACTIVITY a", "DELETE_EDGE e"), 6),
+    "reconnect of cascaded flow": (
+        csv_log(*_WIRED, "CREATE_ACTIVITY c", "DELETE_ACTIVITY a", "RECONNECT_EDGE e b c"), 7),
+    "flow from unknown node": (csv_log("CREATE_ACTIVITY b", "CREATE_EDGE e ghost b"), 3),
+    "flow from deleted node": (
+        csv_log("CREATE_ACTIVITY a", "CREATE_ACTIVITY b", "DELETE_ACTIVITY a",
+                "CREATE_EDGE e a b"), 5),
+    "flow from a flow": (csv_log(*_WIRED, "CREATE_EDGE f e b"), 5),
+    "reconnect to unknown node": (csv_log(*_WIRED, "RECONNECT_EDGE e a ghost"), 5),
+}
+
+_EDGE_EDITS = [
+    EventKind.CREATE_EDGE_BENDPOINT,
+    EventKind.MOVE_EDGE_BENDPOINT,
+    EventKind.DELETE_EDGE_BENDPOINT,
+    EventKind.MOVE_EDGE_LABEL,
+]
+
+
 @st.composite
 def event_logs(draw, min_events: int = 1, max_events: int = 40,
-               allow_reconnects: bool = True):
+               allow_reconnects: bool = True, faults: bool = False):
     """Random but always-valid session logs.
 
     A stateful walk: creates dominate early (there is nothing to edit yet),
@@ -50,6 +97,13 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
     never reused, so the strict parser accepts the serialized form too.
     Deleting a node drops its edges from the pool, mirroring the cascade
     the replay performs.
+
+    With `faults`, about one event in twenty breaks the lifecycle rule
+    through a flow: it acts on a flow a node delete took with it, creates
+    a flow from a deleted or unknown node or from a flow, or reconnects a
+    flow to a deleted node. Such events change no pool, seq and timestamp
+    order still hold, and the result is the tuple of events, since it may
+    make no EventLog.
     """
     n_events = draw(st.integers(min_events, max_events))
     events: list[ModelingEvent] = []
@@ -58,9 +112,38 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
     counter = 0
     live_nodes: dict[str, ObjectType] = {}
     live_edges: dict[str, tuple[str, str]] = {}
+    dead_nodes: list[str] = []
+    cascaded: list[str] = []  # edges a node delete took with it
 
     def node_kind(prefix: str, otype: ObjectType) -> EventKind:
         return EventKind[f"{prefix}_{otype.value}"]
+
+    def lifecycle_fault():
+        """(kind, object_id, source, target) of an event that breaks the
+        rule through a flow, or None when the pools allow none."""
+        nonlocal counter
+        choice = draw(st.integers(0, 2))
+        if choice == 0 and cascaded:
+            edge = draw(st.sampled_from(cascaded))
+            kind = draw(st.sampled_from(_EDGE_EDITS + [
+                EventKind.NAME_EDGE, EventKind.DELETE_EDGE, EventKind.RECONNECT_EDGE]))
+            if kind is not EventKind.RECONNECT_EDGE:
+                return kind, edge, None, None
+            if live_nodes:
+                ends = sorted(live_nodes)
+                return kind, edge, draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+        elif choice == 1:
+            bad = draw(st.sampled_from(
+                ["ghost"] + dead_nodes + sorted(live_edges) + cascaded))
+            good = draw(st.sampled_from(sorted(live_nodes) or [bad]))
+            ends = draw(st.permutations([bad, good]))
+            counter += 1
+            return EventKind.CREATE_EDGE, f"d{counter}", *ends
+        elif choice == 2 and live_edges and live_nodes and dead_nodes:
+            ends = draw(st.permutations(
+                [draw(st.sampled_from(dead_nodes)), draw(st.sampled_from(sorted(live_nodes)))]))
+            return EventKind.RECONNECT_EDGE, draw(st.sampled_from(sorted(live_edges))), *ends
+        return None
 
     while len(events) < n_events:
         seq += draw(st.integers(1, 2))
@@ -68,8 +151,11 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
         roll = draw(st.integers(0, 99))
         kind = object_id = None
         position = label = source = target = None
+        fault = lifecycle_fault() if faults and draw(st.integers(0, 19)) == 0 else None
 
-        if roll < 45 or not live_nodes:
+        if fault is not None:
+            kind, object_id, source, target = fault
+        elif roll < 45 or not live_nodes:
             counter += 1
             object_id = f"n{counter}"
             otype = draw(st.sampled_from(sorted(_NODE_KINDS)))
@@ -135,13 +221,17 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
                 object_id = draw(st.sampled_from(sorted(live_nodes)))
                 otype = live_nodes.pop(object_id)
                 kind = node_kind("DELETE", otype)
+                dead_nodes.append(object_id)
                 for eid in [e for e, (s, t) in live_edges.items()
                             if s == object_id or t == object_id]:
                     del live_edges[eid]
+                    cascaded.append(eid)
 
         events.append(ModelingEvent(
             seq=seq, timestamp=clock, kind=kind, object_id=object_id,
             position=position, label=label, source_id=source, target_id=target,
         ))
 
+    if faults:
+        return tuple(events)
     return EventLog(session_id="generated", events=tuple(events))

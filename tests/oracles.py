@@ -8,7 +8,8 @@ in every marking, the net reduction in full rounds over a net keyed by
 ids, WF-structure by reachability over the arcs, the normalizer's gateway
 walk as two mirrored walkers, the workflow-net translation case by case
 per node type, p-values through
-numeric quadrature in mpmath, three of the log metrics by one walk each.
+numeric quadrature in mpmath, three of the log metrics by one walk each,
+the lifecycle rule by replaying into a ProcessModel.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
@@ -18,13 +19,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import count
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import networkx as nx
 
 from ppmkit.blocks import Block
-from ppmkit.eventlog import EventClass, EventLog, ObjectType
+from ppmkit.eventlog import EventClass, EventKind, EventLog, ObjectType
 from ppmkit.metrics import _seconds
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.replay import apply_event
@@ -476,12 +478,16 @@ def find_block_pairs_maxflow(model: ProcessModel) -> list[tuple[str, str, frozen
     return out
 
 
-def _built_whole(members: frozenset[str], log: EventLog) -> bool:
-    created_seq: dict[str, int] = {}
-    for ev in log.events:
-        if ev.event_class is EventClass.CREATE:
-            created_seq.setdefault(ev.object_id, ev.seq)
-    spans = [created_seq[oid] for oid in members]
+def _latest_creates(log: EventLog, until: int) -> dict:
+    """Each object's last create event at or before seq `until`: the
+    incarnation alive then, if the object was."""
+    return {ev.object_id: ev for ev in log.events
+            if ev.seq <= until and ev.event_class is EventClass.CREATE}
+
+
+def _built_whole(members: frozenset[str], log: EventLog, until: int) -> bool:
+    created = _latest_creates(log, until)
+    spans = [created[oid].seq for oid in members]
     lo, hi = min(spans), max(spans)
     return not any(
         ev.event_class is EventClass.CREATE
@@ -496,12 +502,14 @@ def whole_share(blocks: list[Block], log: EventLog) -> Fraction | None:
     """Share of blocks built as a whole, recomputed from the log.
 
     A block is whole when no foreign node is created between the first and
-    the last create of its members; edge creates never count. Rescans the
-    whole log per block instead of reading the flag detection stored.
+    the last create of its members, each dated by the incarnation alive at
+    the block's completion; edge creates never count. Rescans the whole log
+    per block instead of reading the flag detection stored.
     """
     if not blocks:
         return None
-    return Fraction(sum(_built_whole(b.members, log) for b in blocks), len(blocks))
+    return Fraction(sum(_built_whole(b.members, log, b.completion_seq) for b in blocks),
+                    len(blocks))
 
 
 def _require_expanded(log: EventLog):
@@ -553,6 +561,31 @@ def tot_create_time(log: EventLog) -> Fraction:
     return _seconds(stamps[-1] - stamps[0])
 
 
+def replays(events) -> bool:
+    """Whether `events` replay into a ProcessModel: apply_event takes each
+    in turn, a reconnect as a delete plus a create of its edge.
+
+    An event whose kind names another type than its object's is refused
+    here, since update_node and remove_node do not look at types.
+    """
+    model = ProcessModel()
+    for ev in events:
+        node = model.nodes.get(ev.object_id)
+        if (node is not None and ev.event_class is not EventClass.CREATE
+                and node.type is not ev.object_type):
+            return False
+        steps = [ev]
+        if ev.kind is EventKind.RECONNECT_EDGE:
+            steps = [replace(ev, kind=EventKind.DELETE_EDGE, source_id=None, target_id=None),
+                     replace(ev, kind=EventKind.CREATE_EDGE)]
+        try:
+            for step in steps:
+                apply_event(model, step)
+        except ValueError:
+            return False
+    return True
+
+
 def iter_states(log: EventLog):
     """Yield (event, model) after each event, for checks on every
     intermediate model of a replay.
@@ -570,7 +603,8 @@ def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
     """The final model's blocks, dated by rescanning every gateway pair.
 
     After every create or delete, every split x join pair of the model as
-    it stands is tested by max-flow; a pair's first qualifying event dates it. Then
+    it stands is tested by max-flow; a pair's first qualifying event dates it,
+    and its members by the creates of the incarnations alive then. Then
     the pairs that are blocks of the final model are reported. The log
     must have its reconnect events expanded.
     """
@@ -583,17 +617,14 @@ def blocks_dated_all_pairs(log: EventLog) -> list[Block]:
         for s, j, members in find_block_pairs_maxflow(current):
             first_completed.setdefault((s, j), (ev.seq, members))
 
-    created_at = {}
-    for ev in log.events:
-        if ev.event_class is EventClass.CREATE:
-            created_at.setdefault(ev.object_id, ev.timestamp)
     blocks = []
     for s, j, _ in find_block_pairs_maxflow(current):
         seq, members = first_completed[(s, j)]
-        stamps = [created_at[oid] for oid in members]
+        created = _latest_creates(log, seq)
+        stamps = [created[oid].timestamp for oid in members]
         blocks.append(Block(split=s, join=j, members=members, completion_seq=seq,
                             interval=(min(stamps), max(stamps)),
-                            whole=_built_whole(members, log)))
+                            whole=_built_whole(members, log, seq)))
     blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
     return blocks
 

@@ -194,13 +194,39 @@ class TestDetectBlocks:
         assert detect_blocks(redrawn, diamond_log) == detect_blocks(final, diamond_log)
 
     def test_refuses_a_log_that_does_not_replay(self):
-        log = EventLog("dangling", (
-            ModelingEvent(seq=1, timestamp=ts(1), kind=EventKind.CREATE_XOR, object_id="g"),
-            ModelingEvent(seq=2, timestamp=ts(2), kind=EventKind.CREATE_EDGE, object_id="e",
-                          source_id="g", target_id="gone"),
+        # A flow to no node cannot be in a log, so the dating walk never
+        # meets one.
+        with pytest.raises(ValueError, match="^edge e ends at gone, not a live node at seq 2$"):
+            EventLog("dangling", (
+                ModelingEvent(seq=1, timestamp=ts(1), kind=EventKind.CREATE_XOR, object_id="g"),
+                ModelingEvent(seq=2, timestamp=ts(2), kind=EventKind.CREATE_EDGE, object_id="e",
+                              source_id="g", target_id="gone"),
+            ))
+
+    def test_recreated_node_dated_by_its_live_incarnation(self):
+        # s is created and deleted, a foreign x is created, then s again
+        # and the rest of the block: the block starts at the live s.
+        def event(seq, secs, kind, oid, source=None, target=None):
+            return ModelingEvent(seq=seq, timestamp=ts(secs), kind=kind, object_id=oid,
+                                 source_id=source, target_id=target)
+
+        log = EventLog("recreated", (
+            event(1, 10, EventKind.CREATE_XOR, "s"),
+            event(2, 20, EventKind.DELETE_XOR, "s"),
+            event(3, 30, EventKind.CREATE_ACTIVITY, "x"),
+            event(4, 40, EventKind.CREATE_XOR, "s"),
+            event(5, 50, EventKind.CREATE_ACTIVITY, "a"),
+            event(6, 60, EventKind.CREATE_ACTIVITY, "b"),
+            event(7, 70, EventKind.CREATE_XOR, "j"),
+            *(event(8 + k, 80 + k, EventKind.CREATE_EDGE, f"e{k}", source, target)
+              for k, (source, target) in enumerate(
+                  [("s", "a"), ("s", "b"), ("a", "j"), ("b", "j")])),
         ))
-        with pytest.raises(ValueError, match="not the final model"):
-            detect_blocks(ProcessModel([Node("g", ObjectType.XOR)]), log)
+        [block] = detect_blocks(replay(log), log)
+        assert block.members == frozenset({"s", "a", "b", "j"})
+        assert block.interval == (ts(40), ts(70))
+        assert block.whole is True
+        assert [block] == blocks_dated_all_pairs(log)
 
     def test_members_frozen_at_completion(self, diamond_log):
         # a node wedged into the block after it first qualified is not a

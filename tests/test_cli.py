@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, UNREPLAYABLE_LOGS
 from golden_cases import build
 from ppmkit.cli import build_parser, main
 from ppmkit.eventlog import ObjectType, parse_log
@@ -78,6 +78,13 @@ class TestParse:
         code, out, err = run(capsys, "parse", "--log", str(bad))
         assert code == 1
         assert "error:" in err and "line 3" in err
+
+    def test_flow_of_a_deleted_node_exits_1_with_line(self, capsys, tmp_path):
+        found = tmp_path / "found.csv"
+        found.write_text(UNREPLAYABLE_LOGS["bendpoint on cascaded flow"][0])
+        code, out, err = run(capsys, "parse", "--log", str(found))
+        assert (code, out) == (1, "")
+        assert err == f"error: {found}: action on deleted object e at line 6\n"
 
 
 class TestMalformedLog:
@@ -352,6 +359,21 @@ class TestClassify:
 
     def test_directory_reports_every_good_log(self, capsys, tmp_path):
         out_dir = corpus_run(capsys, tmp_path, "classify")
+        for name in ("diamond", "rewire"):
+            _, single, _ = run(capsys, "classify", "--log", str(FIXTURES / f"{name}.csv"))
+            assert (out_dir / f"{name}.json").read_text() == single
+
+    def test_directory_names_the_line_of_a_log_that_does_not_replay(self, capsys, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "found.csv").write_text(UNREPLAYABLE_LOGS["bendpoint on cascaded flow"][0])
+        shutil.copy(DIAMOND, logs / "diamond.csv")
+        shutil.copy(REWIRE, logs / "rewire.csv")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "classify", "--log", str(logs), "--out", str(out_dir))
+        assert (code, err) == (1, "error: 1 of 3 logs failed\n")
+        assert json.loads((out_dir / "errors.json").read_text()) == [
+            {"file": "found.csv", "error": "action on deleted object e at line 6"}]
         for name in ("diamond", "rewire"):
             _, single, _ = run(capsys, "classify", "--log", str(FIXTURES / f"{name}.csv"))
             assert (out_dir / f"{name}.json").read_text() == single

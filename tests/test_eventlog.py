@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, event_logs, load_fixture
-from oracles import parse_timestamp_strptime
+from conftest import BASE, UNREPLAYABLE_LOGS, event_logs, load_fixture
+from oracles import parse_timestamp_strptime, replays
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventClass,
@@ -38,6 +38,17 @@ def ev(seq, kind, oid, *, secs=None, position=None, label=None,
         source_id=source,
         target_id=target,
     )
+
+
+# Create a and b, a flow e from a to b, delete a, which takes e with it,
+# then edit e: a log the old validator took and replay refused.
+FOUND_EVENTS = (
+    ev(1, EventKind.CREATE_ACTIVITY, "a"),
+    ev(2, EventKind.CREATE_ACTIVITY, "b"),
+    ev(3, EventKind.CREATE_EDGE, "e", source="a", target="b"),
+    ev(4, EventKind.DELETE_ACTIVITY, "a"),
+    ev(5, EventKind.CREATE_EDGE_BENDPOINT, "e"),
+)
 
 
 class TestTimestamps:
@@ -259,6 +270,19 @@ class TestEventLogValidation:
         with pytest.raises(ValueError, match="duplicate create"):
             EventLog("s", events)
 
+    def test_node_delete_ends_its_flows(self):
+        with pytest.raises(ValueError, match="^action on deleted object e at seq 5$"):
+            EventLog("s", FOUND_EVENTS)
+
+    def test_flow_needs_live_nodes_as_ends(self):
+        wired = [ev(1, EventKind.CREATE_ACTIVITY, "a"), ev(2, EventKind.CREATE_ACTIVITY, "b"),
+                 ev(3, EventKind.CREATE_EDGE, "e", source="a", target="b")]
+        for bad in (ev(4, EventKind.CREATE_EDGE, "f", source="e", target="b"),
+                    ev(4, EventKind.RECONNECT_EDGE, "e", source="a", target="ghost")):
+            with pytest.raises(ValueError, match=f"^edge {bad.object_id} ends at "
+                                                 r"(e|ghost), not a live node at seq 4$"):
+                EventLog("s", wired + [bad])
+
 
 class TestParseLog:
     @pytest.mark.parametrize("kind", list(EventKind), ids=lambda kind: kind.value)
@@ -336,6 +360,14 @@ class TestParseLog:
         with pytest.raises(LogFormatError, match="action on deleted object a at line 5") as err:
             parse_log("\n".join(rows) + "\n")
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("name", sorted(UNREPLAYABLE_LOGS))
+    def test_refuses_a_log_that_does_not_replay(self, name):
+        text, line = UNREPLAYABLE_LOGS[name]
+        with pytest.raises(LogFormatError) as err:
+            parse_log(text)
+        assert err.value.line == line
+        assert str(err.value).endswith(f" at line {line}")
 
     def test_field_over_csv_limit(self):
         data = (CSV_HEADER + "\n"
@@ -416,9 +448,8 @@ class TestExpandReconnect:
 @given(log=event_logs())
 @settings(max_examples=40)
 def test_reconnect_flag_matches_a_scan(log):
-    """has_reconnects answers from the validation walk; it must agree with
-    scanning the events, however the log was built. The expansion skips
-    validation, so its output must pass it."""
+    """has_reconnects must agree with scanning the events, however the log
+    was built. The expansion skips validation, so its output must pass it."""
     parsed = parse_log(serialize_log(log), session_id=log.session_id)
     built = EventLog(log.session_id, log.events)
     expanded = expand_reconnect(log)
@@ -520,3 +551,18 @@ def test_parse_refuses_what_the_constructor_refuses(row, message):
         ModelingEvent(seq=int(fields[0]), timestamp=BASE, kind=EventKind(fields[2]),
                       object_id=fields[3], source_id=fields[8] or None,
                       target_id=fields[9] or None)
+
+
+def accepts(events) -> bool:
+    try:
+        EventLog("s", events)
+    except ValueError:
+        return False
+    return True
+
+
+@example(events=FOUND_EVENTS)
+@given(events=event_logs(faults=True))
+@settings(max_examples=300, deadline=None)
+def test_validation_accepts_exactly_what_replays(events):
+    assert accepts(events) == replays(events)
