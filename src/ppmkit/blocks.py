@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .eventlog import (_CREATE, _DELETE, _EDGE, KIND_CLASS, KIND_OBJECT_TYPE, EventLog,
-                       ModelingEvent, _Skeleton, format_timestamp)
+                       ModelingEvent, _Skeleton)
 from .model import GATEWAY_TYPES, ProcessModel
 
 
@@ -37,15 +37,6 @@ class Block:
     completion_seq: int  # event at which the pair first formed a block
     interval: tuple[datetime, datetime]  # first to last member create
     whole: bool  # no foreign node created inside the member-create span
-
-    def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "join": self.join,
-            "members": sorted(self.members),
-            "interval": [format_timestamp(t) for t in self.interval],
-            "whole": self.whole,
-        }
 
 
 def _reverse_postorder(out: dict[str, dict[str, str]], start: str) -> list[str]:

@@ -9,18 +9,26 @@ space too large to decide.
 The stage is not stored: it follows from the evidence a verdict carries,
 the normalization outcome and the soundness report, as does `perspicuous`.
 A report read back from JSON must say the same as its evidence.
+
+One writer, session_json, states the report's JSON layout: json.dumps's
+indent-2 form with keys in a fixed order and collections sorted, each leaf
+from the C string and number formatters. The loader checks each field's
+type once, builds the objects without their constructors, and refuses a
+block no detector could find.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _str
 
 from .blocks import Block, detect_blocks
-from .eventlog import EventLog, expand_reconnect, parse_timestamp
-from .metrics import SessionMetrics, compute_session_metrics
-from .model import ProcessModel, typed
+from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp
+from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
+from .model import ProcessModel, trusted, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
 from .replay import replay
 from .soundness import (
@@ -39,9 +47,91 @@ STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "S
 
 def _strings(value, name: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; anything else raises TypeError."""
-    if type(value) is not list or not set(map(type, value)) <= {str}:
-        raise TypeError(f"{name} must be a list of strings, got {value!r}")
-    return tuple(value)
+    if type(value) is list:
+        try:
+            "".join(value)  # refuses an item that is no string; JSON makes no str subclass
+            return tuple(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be a list of strings, got {value!r}")
+
+
+# The writer states the json.dumps(indent=2) layout of a report and takes each
+# leaf from a C formatter. `pad` is the indent of the line a value starts on.
+_BOOL = ("false", "true")
+
+
+def _scalar(value) -> str:
+    """None, a string, an int or a finite float as json.dumps writes it."""
+    return "null" if value is None else _str(value) if type(value) is str else repr(value)
+
+
+def _array(items, pad: str, write=_str) -> str:
+    if not items:
+        return "[]"
+    inner = "\n  " + pad
+    return f"[{inner}" + f",{inner}".join(map(write, items)) + f"\n{pad}]"
+
+
+def _object(pad: str, *fields: str) -> str:
+    inner = "\n  " + pad
+    return f"{{{inner}" + f",{inner}".join(fields) + f"\n{pad}}}"
+
+
+# Each part of a report sits at a fixed indent; its layout is filled in by %.
+_METRICS = _object("  ", *(f'"{name}": %s' for name in METRIC_NAMES))
+_BLOCK = _object("    ", '"split": %s', '"join": %s', '"members": %s',
+                 '"interval": [\n        "%s",\n        "%s"\n      ]', '"whole": %s')
+_VERDICT = _object("  ", '"perspicuous": %s', '"stage": "%s"', '"normalization": ' + _object(
+    "    ", '"rejected": %s', '"reason": %s', '"applied_rules": %s'), '"soundness": %s')
+_SOUNDNESS = _object("    ", '"verdict": "%s"', '"states_explored": %s', '"violations": %s')
+_RULE = _object(" " * 8, '"rule": %s', '"nodes": %s')
+_VIOLATION = _object(" " * 8, '"kind": %s', '"witness": %s', '"trace": %s')
+
+
+def _block_json(b: Block) -> str:
+    return _BLOCK % (_str(b.split), _str(b.join), _array(sorted(b.members), " " * 6),
+                     *map(format_timestamp, b.interval), _BOOL[b.whole])
+
+
+def _witness_json(w, pad: str) -> str:
+    """A marking, a transition id, node ids or null; anything else through
+    json.dumps, whose every newline is layout: a JSON string holds none."""
+    if w is None or type(w) is str:
+        return _scalar(w)
+    if type(w) in (list, tuple) and set(map(type, w)) == {str}:
+        return _array(w, pad)
+    if type(w) is dict and set(map(type, w)) == {str} and set(map(type, w.values())) == {int}:
+        return _object(pad, *[f"{_str(p)}: {n}" for p, n in w.items()])
+    return json.dumps(w, indent=2).replace("\n", "\n" + pad)
+
+
+def _violation_json(v: Violation) -> str:
+    pad = " " * 10
+    return _VIOLATION % (_str(v.kind), _witness_json(v.witness, pad),
+                         "null" if v.trace is None else _array(v.trace, pad))
+
+
+def _verdict_json(v: PerspicuityVerdict) -> str:
+    norm, s = v.normalization, v.soundness
+    rules = _array(norm.applied_rules, " " * 6,
+                   lambda r: _RULE % (_str(r.rule), _array(r.nodes, " " * 10)))
+    sound = "null" if s is None else _SOUNDNESS % (
+        s.verdict, s.states_explored, _array(s.violations, " " * 6, _violation_json))
+    return _VERDICT % (_BOOL[v.perspicuous], v.stage, _BOOL[norm.rejected],
+                       _scalar(norm.reason), rules, sound)
+
+
+def session_json(session_id: str, metrics: SessionMetrics, blocks,
+                 verdict: PerspicuityVerdict | None = None) -> str:
+    """A session's JSON form: the report's, or its metrics and blocks alone."""
+    values = tuple(_scalar(float(x) if isinstance(x, Fraction) else x)
+                   for x in map(metrics.__getattribute__, METRIC_NAMES))
+    fields = [f'"session_id": {_str(session_id)}', '"metrics": ' + _METRICS % values,
+              f'"blocks": {_array(blocks, "  ", _block_json)}']
+    if verdict is not None:
+        fields.append(f'"verdict": {_verdict_json(verdict)}')
+    return _object("", *fields) + "\n"
 
 
 @dataclass(frozen=True)
@@ -71,31 +161,23 @@ class PerspicuityVerdict:
     def perspicuous(self) -> bool:
         return self.stage == "Sound"
 
-    def to_dict(self) -> dict:
-        return {
-            "perspicuous": self.perspicuous,
-            "stage": self.stage,
-            "normalization": self.normalization.to_dict(),
-            "soundness": self.soundness.to_dict() if self.soundness else None,
-        }
+    def to_json(self) -> str:  # its layout in a report, two spaces less indented
+        return _verdict_json(self).replace("\n  ", "\n") + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerspicuityVerdict":
-        """Rebuild from to_dict output. The written rejected, soundness
+        """Rebuild from the JSON form. The written rejected, soundness
         verdict, stage and perspicuous must equal what the evidence gives:
         a disagreement raises ValueError, a value of the wrong type
         TypeError."""
         norm = data["normalization"]
         rejected = typed(norm["rejected"], "rejected", bool)
         reason = typed(norm["reason"], "reason", str, type(None))
-        applied = [AppliedRule(typed(r["rule"], "applied rule", str),
-                               _strings(r["nodes"], "applied rule nodes"))
+        applied = [trusted(AppliedRule, rule=typed(r["rule"], "applied rule", str),
+                           nodes=_strings(r["nodes"], "applied rule nodes"))
                    for r in norm["applied_rules"]]
-        outcome = NormalizationOutcome(
-            model=None,  # the JSON form does not carry the normalized model
-            reason=reason,
-            applied_rules=tuple(applied),
-        )
+        outcome = trusted(NormalizationOutcome, model=None,  # JSON carries no model
+                          reason=reason, applied_rules=tuple(applied))
         if rejected != outcome.rejected:
             raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
         sound = None
@@ -107,9 +189,10 @@ class PerspicuityVerdict:
                     raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
                                     f", got {v['kind']!r}")
                 trace = None if v["trace"] is None else _strings(v["trace"], "trace")
-                violations.append(Violation(v["kind"], v["witness"], trace))
-            sound = SoundnessReport(tuple(violations),
-                                    typed(s["states_explored"], "states_explored", int))
+                violations.append(trusted(Violation, kind=v["kind"], witness=v["witness"],
+                                          trace=trace))
+            sound = trusted(SoundnessReport, violations=tuple(violations),
+                            states_explored=typed(s["states_explored"], "states_explored", int))
             if s["verdict"] != sound.verdict:
                 raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
                                  f"{sound.verdict!r} from its violations")
@@ -118,7 +201,8 @@ class PerspicuityVerdict:
             raise ValueError(f"unknown stage {stage!r}")
         if perspicuous != (stage == "Sound"):
             raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
-        verdict = cls(normalization=outcome, soundness=sound)
+        verdict = trusted(cls, normalization=outcome, soundness=sound)
+        verdict.__post_init__()
         if stage != verdict.stage:
             raise ValueError(f"stage {stage!r} does not match {verdict.stage!r} "
                              "from its evidence")
@@ -144,49 +228,50 @@ class SessionReport:
     blocks: tuple[Block, ...]
     verdict: PerspicuityVerdict
 
-    def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "metrics": self.metrics.to_dict(),
-            "blocks": [b.to_dict() for b in self.blocks],
-            "verdict": self.verdict.to_dict(),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return session_json(self.session_id, self.metrics, self.blocks, self.verdict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
-        """Rebuild from to_dict output; a missing key or a value of the
-        wrong type raises ValueError."""
+        """Rebuild from the JSON form; a missing key, a value of the wrong
+        type or a block no detector could find raises ValueError."""
+        problems = []  # raised after every other check, in block order
+
         def block(b: dict) -> Block:
             split, join, pair, whole = b["split"], b["join"], b["interval"], b["whole"]
-            # One comparison, not a typed() call per field: a report holds many blocks.
-            if (type(split), type(join), type(whole)) != (str, str, bool):
+            # Inline checks, not a typed() call per field: a report holds many blocks.
+            if type(split) is not str or type(join) is not str or type(whole) is not bool:
                 raise TypeError("block split and join must be strings and whole a bool, "
                                 f"got {split!r}, {join!r}, {whole!r}")
             if type(pair) is not list or len(pair) != 2:
                 raise TypeError(f"interval must be a list of two strings, got {pair!r}")
             # parse_timestamp raises TypeError for a stamp that is no string
             interval = parse_timestamp(pair[0]), parse_timestamp(pair[1])
-            members = frozenset(_strings(b["members"], "members"))
+            names = _strings(b["members"], "members")
+            members = frozenset(names)
+            problem = ("lacks its split or join" if split not in members or join not in members
+                       else "repeats a member" if len(members) < len(names)
+                       else "ends before it starts" if interval[1] < interval[0] else None)
+            if problem:
+                problems.append(f"block {split!r}/{join!r} {problem}")
             # completion_seq is not serialized; JSON-level round-trip only
-            return Block(split, join, members, 0, interval, whole)
+            return trusted(Block, split=split, join=join, members=members, completion_seq=0,
+                           interval=interval, whole=whole)
 
         try:
             blocks = tuple(map(block, data["blocks"]))
-            return cls(
-                session_id=typed(data["session_id"], "session_id", str),
-                metrics=SessionMetrics.from_dict(data["metrics"]),
-                blocks=blocks,
-                verdict=PerspicuityVerdict.from_dict(data["verdict"]),
-            )
+            report = trusted(cls, session_id=typed(data["session_id"], "session_id", str),
+                             metrics=SessionMetrics.from_dict(data["metrics"]), blocks=blocks,
+                             verdict=PerspicuityVerdict.from_dict(data["verdict"]))
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"wrong value type: {exc}") from None
         except OverflowError as exc:  # Fraction() of an infinite float
             raise ValueError(f"bad number: {exc}") from None
+        if problems:
+            raise ValueError(problems[0])
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "SessionReport":

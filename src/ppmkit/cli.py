@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .blocks import detect_blocks
 from .chart import PPMChartSpec, render_ppmchart
-from .classify import SessionReport, classify_model, classify_session
+from .classify import SessionReport, classify_model, classify_session, session_json
 from .eventlog import (
     EventKind,
     EventLog,
@@ -105,15 +105,10 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _session_payload(log: EventLog) -> dict:
+def _session_payload(log: EventLog) -> str:
     expanded = expand_reconnect(log)
     blocks = detect_blocks(replay(expanded), expanded)
-    metrics = compute_session_metrics(expanded, blocks)
-    return {
-        "session_id": log.session_id,
-        "metrics": metrics.to_dict(),
-        "blocks": [b.to_dict() for b in blocks],
-    }
+    return session_json(log.session_id, compute_session_metrics(expanded, blocks), blocks)
 
 
 def _run_per_log(args, render) -> int:
@@ -146,7 +141,7 @@ def _run_per_log(args, render) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    return _run_per_log(args, lambda log: _dump(_session_payload(log)))
+    return _run_per_log(args, _session_payload)
 
 
 def _cmd_classify(args) -> int:
@@ -157,7 +152,7 @@ def _cmd_classify(args) -> int:
             raise ValueError("--log and --model are mutually exclusive")
         model = _load_json(Path(args.model), ProcessModel.from_json)
         verdict = classify_model(model, max_states=args.max_states)
-        _write_or_print(_dump(verdict.to_dict()), args.out)
+        _write_or_print(verdict.to_json(), args.out)
         return 0
     if not args.log:
         raise ValueError("one of --log or --model is required")

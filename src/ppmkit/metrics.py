@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import Block, max_simul_block, perc_blocks_as_whole
-from .eventlog import KIND_CLASS, EventClass, EventLog, expand_reconnect
-from .model import typed
+from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect
+from .model import trusted, typed
 
 #: JSON field order for SessionMetrics.
 METRIC_NAMES = (
@@ -55,18 +55,6 @@ class SessionMetrics:
     tot_time: Fraction
     tot_create_time: Fraction
 
-    def to_dict(self) -> dict:
-        out = {}
-        for name in METRIC_NAMES:
-            value = getattr(self, name)
-            if value is None:
-                out[name] = None
-            elif isinstance(value, Fraction):
-                out[name] = float(value)
-            else:
-                out[name] = value
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "SessionMetrics":
         def frac(name: str, optional: bool = False) -> Fraction | None:
@@ -77,14 +65,13 @@ class SessionMetrics:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             return Fraction(value)
 
-        return cls(
-            max_simul_block=typed(data["max_simul_block"], "max_simul_block", int),
+        return trusted(
+            cls, max_simul_block=typed(data["max_simul_block"], "max_simul_block", int),
             perc_num_block_as_a_whole=frac("perc_num_block_as_a_whole", optional=True),
             avg_move_on_moved_elements=frac("avg_move_on_moved_elements", optional=True),
             perc_num_elements_with_moves=frac("perc_num_elements_with_moves"),
             tot_time=frac("tot_time"),
-            tot_create_time=frac("tot_create_time"),
-        )
+            tot_create_time=frac("tot_create_time"))
 
 
 def compute_session_metrics(log: EventLog, blocks: list[Block]) -> SessionMetrics:
@@ -101,10 +88,10 @@ def compute_session_metrics(log: EventLog, blocks: list[Block]) -> SessionMetric
     first_create = last_create = None
     for ev in log.events:
         event_class = KIND_CLASS[ev.kind]
-        if event_class is EventClass.MOVE:
+        if event_class is _MOVE:
             moves += 1
             moved.add(ev.object_id)
-        elif event_class is EventClass.CREATE:
+        elif event_class is _CREATE:
             created.add(ev.object_id)
             if first_create is None:
                 first_create = ev.timestamp

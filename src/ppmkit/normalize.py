@@ -26,9 +26,6 @@ class AppliedRule:
     rule: str
     nodes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "nodes": list(self.nodes)}
-
 
 @dataclass(frozen=True)
 class NormalizationOutcome:
@@ -39,13 +36,6 @@ class NormalizationOutcome:
     @property
     def rejected(self) -> bool:
         return self.reason is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "rejected": self.rejected,
-            "reason": self.reason,
-            "applied_rules": [r.to_dict() for r in self.applied_rules],
-        }
 
 
 def check_mixed_gateways(model: ProcessModel) -> tuple[str, ...]:

@@ -58,16 +58,6 @@ class Violation:
     witness: object = None  # marking dict, transition id, or offending node ids
     trace: tuple[str, ...] | None = None  # firing sequence from the initial marking
 
-    def to_dict(self) -> dict:
-        witness = self.witness
-        if isinstance(witness, tuple):
-            witness = list(witness)
-        return {
-            "kind": self.kind,
-            "witness": witness,
-            "trace": list(self.trace) if self.trace is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class SoundnessReport:
@@ -83,13 +73,6 @@ class SoundnessReport:
         if any(v.kind == "StateSpaceExceeded" for v in self.violations):
             return UNKNOWN
         return UNSOUND
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "states_explored": self.states_explored,
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
 
 def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> SoundnessReport:

@@ -9,13 +9,16 @@ ids, WF-structure by reachability over the arcs, the normalizer's gateway
 walk as two mirrored walkers, the workflow-net translation case by case
 per node type, p-values through
 numeric quadrature in mpmath, three of the log metrics by one walk each,
-the lifecycle rule by replaying into a ProcessModel.
+the lifecycle rule by replaying into a ProcessModel, the report codec as
+json.dumps over a dict form and a loader that builds every object through
+its constructor.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from itertools import count
@@ -26,11 +29,13 @@ from fractions import Fraction
 import networkx as nx
 
 from ppmkit.blocks import Block
-from ppmkit.eventlog import EventClass, EventKind, EventLog, ObjectType
-from ppmkit.metrics import _seconds
-from ppmkit.model import Edge, ProcessModel
+from ppmkit.classify import STAGES, PerspicuityVerdict, SessionReport, _strings
+from ppmkit.eventlog import EventClass, EventKind, EventLog, ObjectType, parse_timestamp
+from ppmkit.metrics import METRIC_NAMES, SessionMetrics, _seconds
+from ppmkit.model import Edge, ProcessModel, typed
+from ppmkit.normalize import AppliedRule, NormalizationOutcome
 from ppmkit.replay import apply_event
-from ppmkit.soundness import SoundnessReport, Violation
+from ppmkit.soundness import VIOLATION_KINDS, SoundnessReport, Violation
 from ppmkit.wfnet import SINK_PLACE, SOURCE_PLACE, Transition, WFNet
 
 
@@ -806,3 +811,152 @@ def to_wfnet_by_node_type(model: ProcessModel) -> WFNet:
         transitions=tuple(Transition(tid, t.pre, t.post, t.label)
                           for tid, t in zip(ids, transitions)),
     )
+
+
+def format_timestamp_fields(ts: datetime) -> str:
+    """eventlog.format_timestamp field by field."""
+    if ts.tzinfo is not None:
+        ts = ts.astimezone(timezone.utc)
+    return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T{ts.hour:02d}:{ts.minute:02d}:"
+            f"{ts.second:02d}.{ts.microsecond // 1000:03d}Z")
+
+
+def _metric_value(value):
+    return float(value) if isinstance(value, Fraction) else value
+
+
+def soundness_dict(report: SoundnessReport) -> dict:
+    """The dict whose json.dumps(indent=2) is a soundness report's JSON form."""
+    return {
+        "verdict": report.verdict,
+        "states_explored": report.states_explored,
+        "violations": [{"kind": v.kind,
+                        "witness": list(v.witness) if isinstance(v.witness, tuple)
+                        else v.witness,
+                        "trace": None if v.trace is None else list(v.trace)}
+                       for v in report.violations],
+    }
+
+
+def verdict_dict(verdict: PerspicuityVerdict) -> dict:
+    """The dict whose json.dumps(indent=2) is a verdict's JSON form."""
+    norm, sound = verdict.normalization, verdict.soundness
+    return {
+        "perspicuous": verdict.perspicuous,
+        "stage": verdict.stage,
+        "normalization": {
+            "rejected": norm.rejected,
+            "reason": norm.reason,
+            "applied_rules": [{"rule": r.rule, "nodes": list(r.nodes)}
+                              for r in norm.applied_rules],
+        },
+        "soundness": None if sound is None else soundness_dict(sound),
+    }
+
+
+def session_dict(session_id: str, metrics: SessionMetrics, blocks, verdict=None) -> dict:
+    """The dict whose json.dumps(indent=2) is classify.session_json's text."""
+    data = {
+        "session_id": session_id,
+        "metrics": {name: _metric_value(getattr(metrics, name)) for name in METRIC_NAMES},
+        "blocks": [{"split": b.split, "join": b.join, "members": sorted(b.members),
+                    "interval": [format_timestamp_fields(t) for t in b.interval],
+                    "whole": b.whole} for b in blocks],
+    }
+    if verdict is not None:
+        data["verdict"] = verdict_dict(verdict)
+    return data
+
+
+def report_json(report: SessionReport) -> str:
+    """SessionReport.to_json as json.dumps(indent=2) over the report's dict."""
+    data = session_dict(report.session_id, report.metrics, report.blocks, report.verdict)
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _metrics_from_dict(data: dict) -> SessionMetrics:
+    def frac(name: str, optional: bool = False) -> Fraction | None:
+        value = data[name]
+        if value is None and optional:
+            return None
+        if type(value) not in (int, float):  # a bool is an int, but no metric
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        return Fraction(value)
+
+    return SessionMetrics(
+        max_simul_block=typed(data["max_simul_block"], "max_simul_block", int),
+        perc_num_block_as_a_whole=frac("perc_num_block_as_a_whole", optional=True),
+        avg_move_on_moved_elements=frac("avg_move_on_moved_elements", optional=True),
+        perc_num_elements_with_moves=frac("perc_num_elements_with_moves"),
+        tot_time=frac("tot_time"),
+        tot_create_time=frac("tot_create_time"),
+    )
+
+
+def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
+    norm = data["normalization"]
+    rejected = typed(norm["rejected"], "rejected", bool)
+    reason = typed(norm["reason"], "reason", str, type(None))
+    applied = [AppliedRule(typed(r["rule"], "applied rule", str),
+                           _strings(r["nodes"], "applied rule nodes"))
+               for r in norm["applied_rules"]]
+    outcome = NormalizationOutcome(model=None, reason=reason, applied_rules=tuple(applied))
+    if rejected != outcome.rejected:
+        raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
+    sound = None
+    if data["soundness"] is not None:
+        s = data["soundness"]
+        violations = []
+        for v in s["violations"]:
+            if v["kind"] not in VIOLATION_KINDS:
+                raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
+                                f", got {v['kind']!r}")
+            trace = None if v["trace"] is None else _strings(v["trace"], "trace")
+            violations.append(Violation(v["kind"], v["witness"], trace))
+        sound = SoundnessReport(tuple(violations),
+                                typed(s["states_explored"], "states_explored", int))
+        if s["verdict"] != sound.verdict:
+            raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
+                             f"{sound.verdict!r} from its violations")
+    perspicuous, stage = typed(data["perspicuous"], "perspicuous", bool), data["stage"]
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    if perspicuous != (stage == "Sound"):
+        raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
+    verdict = PerspicuityVerdict(normalization=outcome, soundness=sound)
+    if stage != verdict.stage:
+        raise ValueError(f"stage {stage!r} does not match {verdict.stage!r} "
+                         "from its evidence")
+    return verdict
+
+
+def report_from_dict(data: dict) -> SessionReport:
+    """SessionReport.from_dict building every object through its
+    constructor, without the checks that a block is one a detector could
+    find (its split and join among its members, no member twice, an
+    interval in order)."""
+    def block(b: dict) -> Block:
+        split, join, pair, whole = b["split"], b["join"], b["interval"], b["whole"]
+        if (type(split), type(join), type(whole)) != (str, str, bool):
+            raise TypeError("block split and join must be strings and whole a bool, "
+                            f"got {split!r}, {join!r}, {whole!r}")
+        if type(pair) is not list or len(pair) != 2:
+            raise TypeError(f"interval must be a list of two strings, got {pair!r}")
+        interval = parse_timestamp(pair[0]), parse_timestamp(pair[1])
+        members = frozenset(_strings(b["members"], "members"))
+        return Block(split, join, members, 0, interval, whole)
+
+    try:
+        blocks = tuple(map(block, data["blocks"]))
+        return SessionReport(
+            session_id=typed(data["session_id"], "session_id", str),
+            metrics=_metrics_from_dict(data["metrics"]),
+            blocks=blocks,
+            verdict=_verdict_from_dict(data["verdict"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"wrong value type: {exc}") from None
+    except OverflowError as exc:
+        raise ValueError(f"bad number: {exc}") from None

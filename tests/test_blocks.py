@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import sys
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -25,6 +26,7 @@ from ppmkit.blocks import (
     max_simul_block,
     perc_blocks_as_whole,
 )
+from ppmkit.classify import classify_session
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventKind,
@@ -151,8 +153,8 @@ class TestDetectBlocks:
         assert b.interval == (ts(15), ts(35))
         assert b.whole is True
 
-    def test_to_dict_shape(self, diamond_log):
-        d = detect_blocks(replay(diamond_log), diamond_log)[0].to_dict()
+    def test_json_shape(self, diamond_log):
+        d = json.loads(classify_session(diamond_log).to_json())["blocks"][0]
         assert d == {
             "split": "g1",
             "join": "g2",

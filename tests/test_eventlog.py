@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE, UNREPLAYABLE_LOGS, event_logs, load_fixture
-from oracles import parse_timestamp_strptime, replays
+from oracles import format_timestamp_fields, parse_timestamp_strptime, replays
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventClass,
@@ -112,6 +112,35 @@ _ALIGNED_UTC = st.datetimes(
 def test_timestamp_round_trip_matches_strptime(dt):
     text = format_timestamp(dt)
     assert parse_timestamp(text) == dt == parse_timestamp_strptime(text)
+
+
+# Naive stamps and stamps at UTC and at other offsets, the widest ones
+# included, over every year a datetime holds.
+_ANY_STAMP = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999),
+    timezones=st.none() | st.sampled_from([
+        timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8)),
+        timezone(timedelta(hours=23, minutes=59)), timezone(-timedelta(hours=23, minutes=59)),
+    ]),
+)
+
+
+@given(dt=_ANY_STAMP)
+@example(dt=datetime(1, 1, 1))
+@example(dt=datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc))
+@example(dt=datetime(2010, 11, 15, 10, 0, 1, 250999, tzinfo=timezone(timedelta(hours=-8))))
+@example(dt=datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=5))))  # before year 1 in UTC
+@settings(max_examples=300)
+def test_format_timestamp_matches_the_field_by_field_form(dt):
+    """Microseconds are truncated to milliseconds, aware stamps turned to
+    UTC; a stamp whose UTC form no datetime holds raises OverflowError."""
+    try:
+        want = format_timestamp_fields(dt)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            format_timestamp(dt)
+        return
+    assert format_timestamp(dt) == want
 
 
 # The characters timestamps are made of, some near misses and a few

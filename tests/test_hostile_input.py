@@ -3,12 +3,14 @@ with its own error type (LogFormatError for logs, ValueError for model and
 report JSON) and never lets another exception escape."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import event_logs, load_fixture
+from oracles import report_from_dict
 from ppmkit.classify import SessionReport, classify_model, classify_session
 from ppmkit.eventlog import (
     CSV_HEADER,
@@ -17,6 +19,7 @@ from ppmkit.eventlog import (
     ObjectType,
     expand_reconnect,
     parse_log,
+    parse_timestamp,
     serialize_log,
 )
 from ppmkit.model import ProcessModel
@@ -160,6 +163,10 @@ def _with(original: str, path: tuple, value) -> str:
 @example(text=_with(REPORTS[0], ("blocks", 0, "split"), 7))
 @example(text=_with(REPORTS[0], ("blocks", 0, "join"), None))
 @example(text=_with(REPORTS[0], ("session_id",), 1))
+@example(text=_with(REPORTS[0], ("blocks", 0, "members"), ["zz", "a", "a"]))
+@example(text=_with(REPORTS[0], ("blocks", 0, "members"), ["a2", "a3", "g1", "g1", "g2"]))
+@example(text=_with(REPORTS[0], ("blocks", 0, "interval"),
+                    ["2010-11-15T10:00:35.000Z", "2010-11-15T10:00:15.000Z"]))
 @settings(max_examples=100)
 def test_report_json_raises_only_value_error(text):
     load_or_refuse(SessionReport.from_json, text)
@@ -195,3 +202,59 @@ def test_model_value_of_wrong_type_is_refused(path, value):
 def test_report_value_of_wrong_type_is_refused(path, value):
     with pytest.raises(ValueError, match="^wrong value type: "):
         SessionReport.from_json(_with(REPORTS[0], path, value))
+
+
+# A block of REPORTS[0] (split g1, join g2) that no detector could find.
+IMPOSSIBLE_BLOCKS = [
+    ("members", ["zz", "a", "a"], "lacks its split or join"),
+    ("members", ["a2", "a3", "g1"], "lacks its split or join"),
+    ("members", ["a2", "a3", "g1", "g1", "g2"], "repeats a member"),
+    ("interval", ["2010-11-15T10:00:35.000Z", "2010-11-15T10:00:15.000Z"],
+     "ends before it starts"),
+]
+_BLOCK_REFUSAL = re.compile(r"block '.*'/'.*' (lacks its split or join|repeats a member"
+                            r"|ends before it starts)", re.DOTALL)
+
+
+@pytest.mark.parametrize("field, value, problem", IMPOSSIBLE_BLOCKS)
+def test_impossible_block_is_refused(field, value, problem):
+    with pytest.raises(ValueError, match=f"^block 'g1'/'g2' {problem}$"):
+        SessionReport.from_json(_with(REPORTS[0], ("blocks", 0, field), value))
+
+
+def _outcome(load, data):
+    try:
+        return load(data)
+    except Exception as exc:  # noqa: BLE001 - the test compares what each raises
+        return type(exc), str(exc)
+
+
+def _has_impossible_block(data: dict) -> bool:
+    """Whether a report the oracle loads holds a block whose members lack
+    its split or join or repeat an id, or whose interval ends before it
+    starts."""
+    for b in data["blocks"]:
+        members, (start, end) = b["members"], b["interval"]
+        if ({b["split"], b["join"]} - set(members) or len(set(members)) < len(members)
+                or parse_timestamp(end) < parse_timestamp(start)):
+            return True
+    return False
+
+
+@given(text=mutated(REPORTS) | _JSON_VALUES.map(json.dumps))
+@example(text=_with(REPORTS[0], ("metrics", "tot_time"), float("nan")))
+@example(text=_with(_with(REPORTS[0], ("blocks", 0, "members"), ["g1"]), ("session_id",), 1))
+@example(text=_with(_with(REPORTS[0], ("verdict", "normalization", "reason"), "mixed gateway: g"),
+                    ("verdict", "normalization", "rejected"), True))  # rejected, yet soundness
+@settings(max_examples=300)
+def test_loader_refuses_what_the_oracle_refuses_and_impossible_blocks(text):
+    """The loader gives what the constructor-built oracle gives: an equal
+    report, or the same exception type and message. Of what the oracle
+    accepts it refuses exactly the reports with an impossible block, after
+    every other check."""
+    data = json.loads(text)
+    new, old = _outcome(SessionReport.from_dict, data), _outcome(report_from_dict, data)
+    if isinstance(old, SessionReport) and _has_impossible_block(data):
+        assert new[0] is ValueError and _BLOCK_REFUSAL.fullmatch(new[1]), new
+    else:
+        assert new == old

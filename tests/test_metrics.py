@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from datetime import timedelta
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from oracles import (
     whole_share,
 )
 from ppmkit.blocks import detect_blocks
+from ppmkit.classify import session_json
 from ppmkit.eventlog import EventLog, expand_reconnect
 from ppmkit.metrics import (
     METRIC_NAMES,
@@ -121,14 +123,15 @@ def test_seconds_is_exact():
 
 def test_dict_round_trip(diamond_log):
     m = compute_session_metrics(diamond_log, blocks_of(diamond_log))
-    d = m.to_dict()
+    d = json.loads(session_json("s", m, []))["metrics"]
     assert list(d) == list(METRIC_NAMES)
     assert d["avg_move_on_moved_elements"] == 1.5
     assert SessionMetrics.from_dict(d) == m
 
 
 def test_dict_keeps_none(churn_log):
-    d = compute_session_metrics(churn_log, blocks_of(churn_log)).to_dict()
+    d = json.loads(session_json("s", compute_session_metrics(churn_log, blocks_of(churn_log)),
+                                []))["metrics"]
     assert d["perc_num_block_as_a_whole"] is None
     assert SessionMetrics.from_dict(d).perc_num_block_as_a_whole is None
 

@@ -12,11 +12,12 @@ from oracles import (
     explore_every_transition,
     random_wfnet,
     reduces_in_rounds,
+    soundness_dict,
     wf_structured_by_arcs,
 )
-from ppmkit.classify import classify_model
+from ppmkit.classify import PerspicuityVerdict, classify_model
 from ppmkit.eventlog import ObjectType, expand_reconnect
-from ppmkit.normalize import normalize
+from ppmkit.normalize import NormalizationOutcome, normalize
 from ppmkit.replay import replay
 from ppmkit.simulate import PROFILES, simulate
 from ppmkit.soundness import (
@@ -208,9 +209,10 @@ def test_witness_traces_replay():
             assert fire(net, v.trace) == v.witness
 
 
-def test_to_dict_round_trips_shapes():
+def test_json_form_shapes():
     report = check_soundness(diamond(ObjectType.XOR, ObjectType.AND))
-    d = report.to_dict()
+    d = json.loads(PerspicuityVerdict(NormalizationOutcome(None), report).to_json())
+    d = d["soundness"]
     assert d["verdict"] == "Unsound"
     assert d["violations"][0]["kind"] == "DeadlockNoCompletion"
     assert isinstance(d["violations"][0]["trace"], list)
@@ -295,7 +297,8 @@ TRIVIAL_NET = WFNet(("i", "o"), (Transition("t", ("i",), ("o",)),))
 @given(block_models(flip=False), st.sampled_from((1, 2, DEFAULT_MAX_STATES)))
 @settings(max_examples=60, deadline=None)
 def test_reduced_nets_get_the_trivial_nets_explorer_report(net, cap):
-    assert check_soundness(net, cap).to_dict() == _explore(index_net(TRIVIAL_NET), cap).to_dict()
+    assert (soundness_dict(check_soundness(net, cap))
+            == soundness_dict(_explore(index_net(TRIVIAL_NET), cap)))
 
 
 @given(block_models(flip=True))
@@ -304,8 +307,8 @@ def test_flipped_gateway_nets_keep_the_explorer_report(net):
     if _reduces(index_net(net)):
         assert brute_force_soundness(net) == SOUND
     else:
-        assert (check_soundness(net, max_states=DEFAULT_MAX_STATES).to_dict()
-                == explore_every_transition(net, DEFAULT_MAX_STATES).to_dict())
+        assert (soundness_dict(check_soundness(net, max_states=DEFAULT_MAX_STATES))
+                == soundness_dict(explore_every_transition(net, DEFAULT_MAX_STATES)))
 
 
 @st.composite
@@ -340,7 +343,7 @@ def test_explorer_matches_testing_every_transition(drawn, cap):
     if acyclic:
         assert not _may_run_forever(index_net(net))
     report = _explore(index_net(net), cap)
-    assert report.to_dict() == explore_every_transition(net, cap).to_dict()
+    assert soundness_dict(report) == soundness_dict(explore_every_transition(net, cap))
     assert all(c > 0 for v in report.violations if isinstance(v.witness, dict)
                for c in v.witness.values())
 
@@ -440,8 +443,8 @@ def test_wide_and_split_xor_join_matches_the_oracle():
     report = check_soundness(net)
     assert report.states_explored == 6252
     assert kinds(report) == ["DeadlockNoCompletion", "ImproperCompletion"]
-    assert (json.dumps(report.to_dict())
-            == json.dumps(explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()))
+    assert (json.dumps(soundness_dict(report))
+            == json.dumps(soundness_dict(explore_every_transition(net, DEFAULT_MAX_STATES))))
 
 
 def test_stuck_witness_preferred_over_a_live_locked_one():
@@ -467,7 +470,8 @@ def test_stuck_witness_preferred_over_a_live_locked_one():
     assert stuck.witness == {"r": 1}
     assert stuck.trace == ("t1", "t5")
     assert [v.witness for v in report.violations[1:]] == ["t6", "t7"]
-    assert report.to_dict() == explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()
+    assert (soundness_dict(report)
+            == soundness_dict(explore_every_transition(net, DEFAULT_MAX_STATES)))
 
 
 def test_pumping_loop_matches_the_oracle():
@@ -477,8 +481,8 @@ def test_pumping_loop_matches_the_oracle():
     assert kinds(report) == ["Unbounded"]
     unbounded = report.violations[0]
     assert fire(net, unbounded.trace) == unbounded.witness
-    assert (json.dumps(report.to_dict())
-            == json.dumps(explore_every_transition(net, DEFAULT_MAX_STATES).to_dict()))
+    assert (json.dumps(soundness_dict(report))
+            == json.dumps(soundness_dict(explore_every_transition(net, DEFAULT_MAX_STATES))))
 
 
 def test_wide_and_block_is_sound_within_a_small_cap():
