@@ -28,7 +28,7 @@ from .eventlog import (
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import Edge, Node, ProcessModel
 from .normalize import NormalizationOutcome, normalize
-from .replay import apply_event, replay, replay_until
+from .replay import replay, replay_until
 from .simulate import PROFILES, SimulationProfile, simulate, simulate_cohort
 from .soundness import SoundnessReport, check_soundness
 from .stats import (
@@ -67,7 +67,6 @@ __all__ = [
     "SoundnessReport",
     "TTestResult",
     "WFNet",
-    "apply_event",
     "boxplot_summary",
     "check_soundness",
     "classify_model",

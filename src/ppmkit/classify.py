@@ -38,9 +38,9 @@ from .soundness import (
     VIOLATION_KINDS,
     SoundnessReport,
     Violation,
-    check_soundness,
+    check_index,
 )
-from .wfnet import to_wfnet
+from .wfnet import index_model
 
 STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "Sound")
 
@@ -213,12 +213,10 @@ def classify_model(model: ProcessModel,
                    max_states: int = DEFAULT_MAX_STATES) -> PerspicuityVerdict:
     """Normalize, translate, check soundness; the verdict's stage tells
     where it stopped."""
-    if not model.nodes:
-        raise ValueError("empty model")
     outcome = normalize(model)
     if outcome.rejected:
         return PerspicuityVerdict(outcome, None)
-    return PerspicuityVerdict(outcome, check_soundness(to_wfnet(outcome.model), max_states))
+    return PerspicuityVerdict(outcome, check_index(index_model(outcome.model), max_states))
 
 
 @dataclass(frozen=True)

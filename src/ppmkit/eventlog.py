@@ -221,22 +221,24 @@ class EventLog:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        _check_events(self.events)
+        object.__setattr__(self, "_reconnects", _check_events(self.events))
 
     @classmethod
-    def _checked(cls, session_id: str, events: tuple[ModelingEvent, ...]) -> "EventLog":
+    def _checked(cls, session_id: str, events: tuple[ModelingEvent, ...],
+                 reconnects: bool) -> "EventLog":
         """A log over events that already passed _check_events; skips
         validating them again."""
         log = object.__new__(cls)
         object.__setattr__(log, "session_id", session_id)
         object.__setattr__(log, "events", events)
+        object.__setattr__(log, "_reconnects", reconnects)
         return log
 
     def __len__(self) -> int:
         return len(self.events)
 
     def has_reconnects(self) -> bool:
-        return EventKind.RECONNECT_EDGE in (ev.kind for ev in self.events)
+        return self._reconnects  # recorded when the log was made
 
 
 class _Skeleton:
@@ -251,11 +253,11 @@ class _Skeleton:
     deleted object.
     """
 
-    __slots__ = ("types", "ends", "_out", "_in", "_used", "_strict")
+    __slots__ = ("types", "ends", "_out", "_in", "_used", "_strict", "reconnected")
 
     def __init__(self, strict: bool = False):
         self.types, self.ends, self._out, self._in = {}, {}, {}, {}
-        self._used, self._strict = set(), strict  # ids ever created, for `strict`
+        self._used, self._strict, self.reconnected = set(), strict, False  # _used: for `strict`
 
     def apply(self, ev: ModelingEvent) -> tuple[str, ...]:
         """Apply an event; return the nodes deleted or whose out-flows
@@ -280,6 +282,7 @@ class _Skeleton:
             verb = "deleted" if oid in self._used else "unknown"
             raise LogFormatError(f"action on {verb} object {oid}")
         if event_class is _RECONNECT:
+            self.reconnected = True
             return (self._unlink(oid), *self._link(oid, ev.source_id, ev.target_id))
         if event_class is not _DELETE:
             return ()
@@ -305,17 +308,17 @@ class _Skeleton:
         return s
 
 
-def _check_events(events, lines: list[int] | None = None) -> None:
-    """Check the order and lifecycle rules in one walk. The first event
-    breaking them raises LogFormatError at its CSV line from `lines`, for
-    parsed input, else ValueError at its seq.
+def _check_events(events, lines: list[int] | None = None) -> bool:
+    """Check the order and lifecycle rules in one walk; return whether a
+    reconnect was among the events. The first event breaking them raises
+    LogFormatError at its CSV line from `lines`, else ValueError at its seq.
 
     Seq numbers strictly increase and timestamps never go back; _Skeleton
     states the lifecycle rule. A deleted id may be created again, which is
     what reconnect expansion emits; parsed input may not do that.
     """
-    apply = _Skeleton(strict=lines is not None).apply
-    prev = None
+    skeleton = _Skeleton(strict=lines is not None)
+    apply, prev = skeleton.apply, None
     try:
         for index, ev in enumerate(events):
             if prev is not None:
@@ -329,6 +332,7 @@ def _check_events(events, lines: list[int] | None = None) -> None:
         if lines is None:
             raise ValueError(f"{exc} at seq {ev.seq}") from None
         raise LogFormatError(str(exc), lines[index]) from None
+    return skeleton.reconnected
 
 
 def _parse_row(row: list[str], line: int) -> ModelingEvent:
@@ -403,8 +407,7 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             line = reader.line_num + 1
     except csv.Error as exc:
         raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
-    _check_events(events, lines)
-    return EventLog._checked(session_id, tuple(events))
+    return EventLog._checked(session_id, tuple(events), _check_events(events, lines))
 
 
 def serialize_log(log: EventLog) -> str:
@@ -458,4 +461,4 @@ def expand_reconnect(log: EventLog) -> EventLog:
     # Valid by construction: the reconnected edge and its new ends are
     # alive, deleting and recreating it keeps every later event's object
     # state, seq numbers run 1..n and timestamps keep their order.
-    return EventLog._checked(log.session_id, tuple(events))
+    return EventLog._checked(log.session_id, tuple(events), False)

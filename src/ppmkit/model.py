@@ -66,7 +66,8 @@ class Edge:
     bendpoints: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "bendpoints", tuple(tuple(p) for p in self.bendpoints))
+        if self.bendpoints != ():  # points may come as lists
+            object.__setattr__(self, "bendpoints", tuple(map(tuple, self.bendpoints)))
 
 
 class ProcessModel:

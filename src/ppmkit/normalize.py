@@ -10,15 +10,17 @@ splits (2+ in and 2+ out) admits no such reading, so it rejects the model
 outright instead of being repaired.
 
 Repair order: mixed-gateway check, then start/end handling, then
-split/join insertion.
+split/join insertion. A model no rule applies to is returned as it is;
+each stage copies its model once, before its first edit.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .eventlog import ObjectType
-from .model import Edge, Node, ProcessModel
+from .model import GATEWAY_TYPES, Edge, Node, ProcessModel
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,38 @@ class NormalizationOutcome:
         return self.reason is not None
 
 
-def check_mixed_gateways(model: ProcessModel) -> tuple[str, ...]:
-    """Gateways that both join and split (2+ in and 2+ out), sorted."""
-    return tuple(
-        g
-        for g in model.gateway_ids()
-        if model.in_degree(g) >= 2 and model.out_degree(g) >= 2
-    )
+# Per rule, the nodes it applies to, in model order: mixed gateways (rejected),
+# activities without an in-flow or an out-flow, the start or the end events
+# when 2+ (merged), and the other nodes with 2+ in-flows or 2+ out-flows.
+_Hits = namedtuple("_Hits", "mixed sourceless sinkless starts ends joins splits")
+
+
+def _hits(model: ProcessModel) -> _Hits:
+    """One pass over the node degrees, no sort, no copy; an empty model raises."""
+    if not model.nodes:
+        raise ValueError("empty model")
+    hits = _Hits([], [], [], [], [], [], [])
+    for node_id, node in model.nodes.items():
+        n_in, n_out = model.in_degree(node_id), model.out_degree(node_id)
+        if node.type in GATEWAY_TYPES:
+            if n_in >= 2 and n_out >= 2:
+                hits.mixed.append(node_id)
+            continue
+        if n_in > 1:
+            hits.joins.append(node_id)
+        if n_out > 1:
+            hits.splits.append(node_id)
+        if node.type is ObjectType.ACTIVITY:
+            if not n_in:
+                hits.sourceless.append(node_id)
+            if not n_out:
+                hits.sinkless.append(node_id)
+        else:
+            (hits.starts if node.type is ObjectType.START_EVENT else hits.ends).append(node_id)
+    for events in (hits.starts, hits.ends):
+        if len(events) < 2:
+            events.clear()
+    return hits
 
 
 def _fresh(model: ProcessModel, base: str) -> str:
@@ -99,58 +126,42 @@ def normalize_start_end(model: ProcessModel,
     event, then collapse multiple start (end) events into one behind a
     gateway whose kind is copied from the common merge (fork) gateway of
     the original starting (ending) paths, XOR when there is none."""
-    if not model.nodes:
-        raise ValueError("empty model")
+    hits = _hits(model)
+    if not (hits.sourceless or hits.sinkless or hits.starts or hits.ends):
+        return model
     applied = rules if rules is not None else []
     m = model.copy()
 
-    for task in [n.id for n in m.nodes_of_type(ObjectType.ACTIVITY)]:
-        if m.in_degree(task) == 0:
-            start = _fresh(m, f"start_{task}")
-            m.add_node(Node(start, ObjectType.START_EVENT))
-            m.add_edge(Edge(_fresh(m, f"e_{start}"), start, task))
-            applied.append(AppliedRule("insert_start_event", (task,)))
-    for task in [n.id for n in m.nodes_of_type(ObjectType.ACTIVITY)]:
-        if m.out_degree(task) == 0:
-            end = _fresh(m, f"end_{task}")
-            m.add_node(Node(end, ObjectType.END_EVENT))
-            m.add_edge(Edge(_fresh(m, f"e_{end}"), task, end))
-            applied.append(AppliedRule("insert_end_event", (task,)))
-
-    starts = [n.id for n in m.nodes_of_type(ObjectType.START_EVENT)]
-    if len(starts) > 1:
-        merge = _common_gateway([_meeting_gateway(m, s, forward=True) for s in starts])
-        sign = m.nodes[merge].type if merge else ObjectType.XOR
-        targets = [e.target for s in starts for e in _sorted_edges(m.out_edges(s))]
-        for s in starts:
-            m.remove_node(s)
-        new_start = _fresh(m, "start")
-        gateway = _fresh(m, "g_start")
-        m.add_node(Node(new_start, ObjectType.START_EVENT))
-        m.add_node(Node(gateway, sign))
-        m.add_edge(Edge(_fresh(m, f"e_{new_start}"), new_start, gateway))
-        for t in targets:
-            if t in m.nodes:  # a start pointing at another start vanishes
-                m.add_edge(Edge(_fresh(m, f"e_{gateway}_{t}"), gateway, t))
-        applied.append(AppliedRule("merge_start_events", tuple(starts)))
-
-    ends = [n.id for n in m.nodes_of_type(ObjectType.END_EVENT)]
-    if len(ends) > 1:
-        fork = _common_gateway([_meeting_gateway(m, e, forward=False) for e in ends])
-        sign = m.nodes[fork].type if fork else ObjectType.XOR
-        sources = [e.source for x in ends for e in _sorted_edges(m.in_edges(x))]
-        for x in ends:
+    # A start event leads to what it starts; an end event is led to.
+    sides = (("start", ObjectType.START_EVENT, True, hits.sourceless),
+             ("end", ObjectType.END_EVENT, False, hits.sinkless))
+    for name, event_type, forward, tasks in sides:
+        for task in sorted(tasks):  # an inserted event changes no other task's degrees
+            event = _fresh(m, f"{name}_{task}")
+            m.add_node(Node(event, event_type))
+            m.add_edge(Edge(_fresh(m, f"e_{event}"), *((event, task) if forward
+                                                        else (task, event))))
+            applied.append(AppliedRule(f"insert_{name}_event", (task,)))
+    for name, event_type, forward, _ in sides:
+        events = [n.id for n in m.nodes_of_type(event_type)]
+        if len(events) < 2:
+            continue
+        meeting = _common_gateway([_meeting_gateway(m, x, forward) for x in events])
+        sign = m.nodes[meeting].type if meeting else ObjectType.XOR
+        others = [e.target if forward else e.source for x in events
+                  for e in _sorted_edges(m.out_edges(x) if forward else m.in_edges(x))]
+        for x in events:
             m.remove_node(x)
-        new_end = _fresh(m, "end")
-        gateway = _fresh(m, "g_end")
-        m.add_node(Node(new_end, ObjectType.END_EVENT))
+        event, gateway = _fresh(m, name), _fresh(m, f"g_{name}")
+        m.add_node(Node(event, event_type))
         m.add_node(Node(gateway, sign))
-        m.add_edge(Edge(_fresh(m, f"e_{new_end}"), gateway, new_end))
-        for s in sources:
-            if s in m.nodes:
-                m.add_edge(Edge(_fresh(m, f"e_{s}_{gateway}"), s, gateway))
-        applied.append(AppliedRule("merge_end_events", tuple(ends)))
-
+        m.add_edge(Edge(_fresh(m, f"e_{event}"), *((event, gateway) if forward
+                                                    else (gateway, event))))
+        for x in others:
+            if x in m.nodes:  # a flow between two starts (ends) vanishes
+                ends = (gateway, x) if forward else (x, gateway)
+                m.add_edge(Edge(_fresh(m, "e_{}_{}".format(*ends)), *ends))
+        applied.append(AppliedRule(f"merge_{name}_events", tuple(events)))
     return m
 
 
@@ -164,48 +175,38 @@ def normalize_splits_joins(model: ProcessModel,
     All insertions are decided against the model as it enters this stage,
     so the outcome does not depend on processing order.
     """
+    hits = _hits(model)
+    if not (hits.joins or hits.splits):
+        return model
     applied = rules if rules is not None else []
     m = model.copy()
-
-    plans: list[tuple[str, str, ObjectType, list[str]]] = []
-    for node_id in sorted(model.nodes):
-        if model.is_gateway(node_id):
-            continue
-        ins = _sorted_edges(model.in_edges(node_id))
-        if len(ins) > 1:
-            origin = _common_gateway(
-                [_meeting_gateway(model, e.source, forward=False, check_first=True) for e in ins]
-            )
-            sign = model.nodes[origin].type if origin else ObjectType.XOR
-            plans.append(("join", node_id, sign, [e.id for e in ins]))
-        outs = _sorted_edges(model.out_edges(node_id))
-        if len(outs) > 1:
-            dest = _common_gateway(
-                [_meeting_gateway(model, e.target, forward=True, check_first=True) for e in outs]
-            )
-            sign = model.nodes[dest].type if dest else ObjectType.AND
-            plans.append(("split", node_id, sign, [e.id for e in outs]))
-
-    for kind, node_id, sign, edge_ids in plans:
-        end = "target" if kind == "join" else "source"
+    # By node id, a node's join before its split; each read off `model`.
+    for node_id, kind in sorted([(n, "join") for n in hits.joins]
+                                + [(n, "split") for n in hits.splits]):
+        join = kind == "join"
+        edges = _sorted_edges(model.in_edges(node_id) if join else model.out_edges(node_id))
+        meeting = _common_gateway([_meeting_gateway(model, e.source if join else e.target,
+                                                    not join, check_first=True) for e in edges])
         gateway = _fresh(m, f"{kind[0]}_{node_id}")  # j_<node> or s_<node>
-        m.add_node(Node(gateway, sign))
-        for eid in edge_ids:  # edges keep their endpoints: re-add under the same id
-            edge = m.edges[eid]
-            m.remove_edge(eid)
-            m.add_edge(replace(edge, **{end: gateway}))
-        ends = (gateway, node_id) if kind == "join" else (node_id, gateway)
-        m.add_edge(Edge(_fresh(m, f"e_{gateway}"), *ends))
+        m.add_node(Node(gateway, model.nodes[meeting].type if meeting
+                        else ObjectType.XOR if join else ObjectType.AND))
+        for e in edges:  # edges keep their endpoints: re-add under the same id
+            edge = m.edges[e.id]
+            m.remove_edge(e.id)
+            m.add_edge(replace(edge, **{"target" if join else "source": gateway}))
+        m.add_edge(Edge(_fresh(m, f"e_{gateway}"), *((gateway, node_id) if join
+                                                      else (node_id, gateway))))
         applied.append(AppliedRule(f"insert_{kind}", (node_id,)))
-
     return m
 
 
 def normalize(model: ProcessModel) -> NormalizationOutcome:
     """Full repair pipeline; Rejected only for mixed gateways."""
-    offenders = check_mixed_gateways(model)
-    if offenders:
-        return NormalizationOutcome(model=None, reason="mixed gateway: " + ", ".join(offenders))
+    hits = _hits(model)
+    if hits.mixed:
+        return NormalizationOutcome(None, "mixed gateway: " + ", ".join(sorted(hits.mixed)))
+    if not any(hits):
+        return NormalizationOutcome(model=model)
     rules: list[AppliedRule] = []
     m = normalize_start_end(model, rules)
     m = normalize_splits_joins(m, rules)

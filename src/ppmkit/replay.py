@@ -4,6 +4,11 @@ Folding a log over an empty model yields the model as it stood after the
 last event; stopping early at a seq number or timestamp yields any
 intermediate state. Deleting a node also deletes its incident edges, the
 way graphical editors do.
+
+The fold applies each create and delete to eventlog._Skeleton, the
+lifecycle rule the log was checked by, and keeps each object's last label,
+position and bendpoints beside it. Nodes and edges are built once, at the
+end, in creation order; the model takes over the skeleton's adjacency dicts.
 """
 
 from __future__ import annotations
@@ -11,71 +16,51 @@ from __future__ import annotations
 from datetime import datetime
 from itertools import takewhile
 
-from .eventlog import (
-    KIND_CLASS,
-    KIND_OBJECT_TYPE,
-    EventClass,
-    EventKind,
-    EventLog,
-    ModelingEvent,
-    ObjectType,
-    expand_reconnect,
-)
+from .eventlog import (KIND_CLASS, KIND_OBJECT_TYPE, EventClass, EventKind, EventLog, ObjectType,
+                       _Skeleton, expand_reconnect)
 from .model import Edge, Node, ProcessModel
 
-
-def _edit_bendpoints(model: ProcessModel, ev: ModelingEvent) -> None:
-    """Add a bendpoint, or move or drop the last one."""
-    bendpoints = model.edges[ev.object_id].bendpoints
-    if ev.kind is not EventKind.CREATE_EDGE_BENDPOINT:
-        bendpoints = bendpoints[:-1]
-    if ev.kind is not EventKind.DELETE_EDGE_BENDPOINT:
-        bendpoints += (ev.position or (0, 0),)
-    model.update_edge(ev.object_id, bendpoints=bendpoints)
-
-
-def _reconnect(model: ProcessModel, ev: ModelingEvent) -> None:
-    raise ValueError("reconnect events must be expanded before replay")
-
-
-# (action class, acts on an edge) -> what the event does to the model.
-_BY_CLASS = {
-    (EventClass.CREATE, False): lambda m, ev: m.add_node(
-        Node(ev.object_id, KIND_OBJECT_TYPE[ev.kind], ev.label, ev.position or (0, 0))),
-    (EventClass.CREATE, True): lambda m, ev: m.add_edge(
-        Edge(ev.object_id, ev.source_id, ev.target_id, ev.label)),
-    (EventClass.DELETE, False): lambda m, ev: m.remove_node(ev.object_id),
-    (EventClass.DELETE, True): lambda m, ev: m.remove_edge(ev.object_id),
-    # A move without a position keeps the node where it is.
-    (EventClass.MOVE, False): lambda m, ev: m.update_node(ev.object_id, position=ev.position),
-    (EventClass.MOVE, True): _edit_bendpoints,
-    (EventClass.OTHER, False): lambda m, ev: m.update_node(ev.object_id, label=ev.label),
-    (EventClass.OTHER, True): lambda m, ev: m.update_edge(ev.object_id, label=ev.label),
-    (EventClass.RECONNECT, True): _reconnect,
-}
-_APPLY = {kind: _BY_CLASS[(cls, KIND_OBJECT_TYPE[kind] is ObjectType.EDGE)]
-          for kind, cls in KIND_CLASS.items()}
-# A cosmetic label drag changes nothing, but its edge must exist.
-_APPLY[EventKind.MOVE_EDGE_LABEL] = lambda m, ev: m.edges[ev.object_id]
-
-
-def apply_event(model: ProcessModel, event: ModelingEvent) -> None:
-    """Apply one event to the model in place; an action on an object the
-    model does not hold raises ValueError."""
-    try:
-        _APPLY[event.kind](model, event)
-    except KeyError as exc:
-        raise ValueError(f"cannot apply {event.kind.value} at seq {event.seq}: "
-                         f"no such object {exc.args[0]}") from None
-    except ValueError as exc:
-        raise ValueError(f"cannot apply {event.kind.value} at seq {event.seq}: {exc}") from None
+# What each event kind does; only creates and deletes change the skeleton. A
+# node move without a position stays put, and a label drag changes nothing.
+_NODE, _EDGE, _DELETE, _NOTHING, _MOVE, _LABEL, _ADD_BEND, _MOVE_BEND, _DROP_BEND = range(9)
+_STEP = {kind: {EventClass.CREATE: _EDGE if KIND_OBJECT_TYPE[kind] is ObjectType.EDGE else _NODE,
+                EventClass.DELETE: _DELETE, EventClass.MOVE: _MOVE,
+                EventClass.OTHER: _LABEL}.get(cls, _NOTHING) for kind, cls in KIND_CLASS.items()}
+_STEP.update({EventKind.MOVE_EDGE_LABEL: _NOTHING, EventKind.CREATE_EDGE_BENDPOINT: _ADD_BEND,
+              EventKind.MOVE_EDGE_BENDPOINT: _MOVE_BEND,
+              EventKind.DELETE_EDGE_BENDPOINT: _DROP_BEND})
 
 
 def replay(log: EventLog) -> ProcessModel:
     """Fold the whole log into the final model."""
+    if log.has_reconnects():
+        raise ValueError("reconnect events must be expanded before replay")
+    skeleton = _Skeleton()
+    labels, spots, bends = {}, {}, {}
+    for ev in log.events:
+        step, oid = _STEP[ev.kind], ev.object_id
+        if step <= _DELETE:
+            skeleton.apply(ev)
+        if step == _MOVE:
+            if ev.position is not None:
+                spots[oid] = ev.position
+        elif step == _LABEL:
+            labels[oid] = ev.label
+        elif step == _NODE:
+            labels[oid], spots[oid] = ev.label, ev.position or (0, 0)
+        elif step == _EDGE:
+            labels[oid], bends[oid] = ev.label, []
+        elif step >= _ADD_BEND:  # a bendpoint added, or the last one moved or dropped
+            if step != _ADD_BEND and bends[oid]:
+                bends[oid].pop()
+            if step != _DROP_BEND:
+                bends[oid].append(ev.position or (0, 0))
     model = ProcessModel()
-    for event in log.events:
-        apply_event(model, event)
+    model.nodes = {n: Node(n, t, labels[n], spots[n])
+                   for n, t in skeleton.types.items() if t is not ObjectType.EDGE}
+    model.edges = {e: Edge(e, s, t, labels[e], tuple(bends[e]))
+                   for e, (s, t) in skeleton.ends.items()}
+    model._in, model._out = skeleton._in, skeleton._out
     return model
 
 

@@ -5,8 +5,8 @@ completion marking (one token on the sink, nothing else) stays reachable
 from every reachable marking, nothing is ever left over once the sink is
 marked, and every transition can fire in some run.
 
-The net is numbered once (`wfnet.index_net`): the reduction, the
-structure check and the explorer all read that integer form.
+The net is numbered once (`wfnet.index_model` or `wfnet.index_net`): the
+reduction, the structure check and the explorer all read that integer form.
 
 A WF-net is sound exactly when its short-circuited net is live and
 bounded (van der Aalst 1997), and four reduction rules that preserve
@@ -81,10 +81,13 @@ def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> Soundne
     max_states caps the markings explored. A net that reduces to the
     trivial net counts as its 2 markings, so a cap of 1 leaves it Unknown.
     """
+    return check_index(index_net(net), max_states)
+
+
+def check_index(index: NetIndex, max_states: int = DEFAULT_MAX_STATES) -> SoundnessReport:
+    """check_soundness on a numbered net."""
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-
-    index = index_net(net)
     # A net that reduces is WF-structured (see the module docstring).
     if _reduces(index):
         if max_states == 1:

@@ -7,13 +7,16 @@ whiskers at the most extreme points within 1.5 interquartile ranges of the
 hinges. The t-test pools variances, so df = n1 + n2 - 2, and gets its
 two-tailed p-value from the regularized incomplete beta function evaluated
 by continued fraction; no statistics library is involved, which keeps the
-digits reproducible everywhere.
+digits reproducible everywhere. Floats are added left to right by reduce,
+not by the builtin sum, which Python 3.12 made compensated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .metrics import METRIC_NAMES
 
@@ -81,7 +84,7 @@ def boxplot_summary(values: list[float]) -> BoxplotSummary:
         median=_median(xs),
         lower_hinge=lo_hinge,
         upper_hinge=hi_hinge,
-        mean=sum(xs) / n,
+        mean=reduce(add, xs, 0.0) / n,
         whisker_low=inside[0],
         whisker_high=inside[-1],
         outliers=tuple(x for x in xs if x < fence_low or x > fence_high),
@@ -172,10 +175,10 @@ def t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
         raise ValueError(f"each group needs at least 2 values, got {n1} and {n2}")
     xs = [float(v) for v in group_a]
     ys = [float(v) for v in group_b]
-    mean_a = sum(xs) / n1
-    mean_b = sum(ys) / n2
-    ss_a = sum((v - mean_a) ** 2 for v in xs)
-    ss_b = sum((v - mean_b) ** 2 for v in ys)
+    mean_a = reduce(add, xs, 0.0) / n1
+    mean_b = reduce(add, ys, 0.0) / n2
+    ss_a = reduce(add, ((v - mean_a) ** 2 for v in xs), 0.0)
+    ss_b = reduce(add, ((v - mean_b) ** 2 for v in ys), 0.0)
     df = n1 + n2 - 2
     pooled = (ss_a + ss_b) / df
     if pooled == 0.0:

@@ -11,14 +11,16 @@ split x with flow e1 and a task x_e1 both give t_x_e1): ids are handed out
 by node id, then flow id, and a repeated one takes the first suffix _2,
 _3, ... that no transition has. An id nothing clashes with stays as it is.
 
-`index_net` numbers a net's places and transitions; the soundness check
-reads that one integer form for the structure check, the reduction and
-the explorer.
+`index_model` numbers a model's net, places and transitions in id order, in
+the one form the soundness check reads; `to_wfnet` is its view with ids,
+and `index_net` numbers a WFNet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from typing import NamedTuple
 
 from .eventlog import ObjectType
@@ -38,14 +40,6 @@ class Transition:
     def __post_init__(self):
         object.__setattr__(self, "pre", tuple(sorted(self.pre)))
         object.__setattr__(self, "post", tuple(sorted(self.post)))
-
-
-def _sorted_transition(tid: str, pre: tuple[str, ...], post: tuple[str, ...],
-                       label: str | None) -> Transition:
-    """A Transition whose pre and post are sorted tuples already."""
-    t = object.__new__(Transition)
-    object.__setattr__(t, "__dict__", {"id": tid, "pre": pre, "post": post, "label": label})
-    return t
 
 
 @dataclass(frozen=True)
@@ -78,59 +72,6 @@ class WFNet:
                 raise ValueError(f"transition {t.id} consumes the sink place")
 
 
-def to_wfnet(model: ProcessModel) -> WFNet:
-    """Map a model to its workflow net.
-
-    Intended for normalized models. Activities with more than one flow on
-    a side, and XOR gateways mixing 2+ in with 2+ out, have no single-net
-    reading and raise. Degenerate but unambiguous shapes (a missing start
-    event, a dangling gateway) translate to structurally broken nets and
-    are left for the soundness check to reject.
-    """
-    places = [SOURCE_PLACE, SINK_PLACE]  # i and o sort before every p_ place
-    ins: dict[str, list[str]] = {n: [] for n in model.nodes}
-    outs: dict[str, list[str]] = {n: [] for n in model.nodes}
-    for e in sorted(model.edges):
-        edge, p = model.edges[e], f"p_{e}"
-        places.append(p)
-        outs[edge.source].append(p)
-        ins[edge.target].append(p)
-    transitions: list[Transition] = []
-    for node_id in sorted(model.nodes):
-        node = model.nodes[node_id]
-        pre, post = tuple(ins[node_id]), tuple(outs[node_id])
-        if node.type is ObjectType.START_EVENT:
-            pre = (SOURCE_PLACE, *pre)
-        elif node.type is ObjectType.END_EVENT:
-            post = (SINK_PLACE, *post)
-        elif node.type is ObjectType.ACTIVITY and (len(pre) > 1 or len(post) > 1):
-            raise ValueError(f"activity {node_id} has multiple flows on one side; "
-                             "normalize the model first")
-        if node.type is ObjectType.XOR and (len(pre) > 1 or len(post) > 1):
-            if len(pre) > 1 and len(post) > 1:
-                raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
-            # one transition per flow on the branching side
-            split = len(post) > 1
-            for p in post if split else pre:  # p is p_<flow>
-                transitions.append(_sorted_transition(
-                    f"t_{node_id}_{p[2:]}", pre if split else (p,), (p,) if split else post,
-                    node.label))
-        else:
-            transitions.append(_sorted_transition(f"t_{node_id}", pre, post, node.label))
-    taken = {t.id for t in transitions}
-    if len(taken) < len(transitions):  # a branch id met another transition's id
-        seen = set()
-        for k, t in enumerate(transitions):
-            if t.id in seen:
-                n = 2
-                while f"{t.id}_{n}" in taken:
-                    n += 1
-                taken.add(f"{t.id}_{n}")
-                transitions[k] = t = _sorted_transition(f"{t.id}_{n}", t.pre, t.post, t.label)
-            seen.add(t.id)
-    return WFNet(places=tuple(places), transitions=tuple(transitions))
-
-
 class NetIndex(NamedTuple):
     """A net with places and transitions numbered in the net's order.
 
@@ -145,22 +86,88 @@ class NetIndex(NamedTuple):
     consumers: list[list[int]]
     source: int
     sink: int
+    labels: tuple[str | None, ...]  # per transition
+
+
+def _numbered(places: tuple[str, ...], ids: list[str], pre: list[tuple[int, ...]],
+              post: list[tuple[int, ...]], labels: list, source: int, sink: int) -> NetIndex:
+    """The NetIndex of transitions given as columns, in net order."""
+    producers: list[list[int]] = [[] for _ in places]
+    consumers: list[list[int]] = [[] for _ in places]
+    for n, (ins, outs) in enumerate(zip(pre, post)):
+        for k in ins:
+            consumers[k].append(n)
+        for k in outs:
+            producers[k].append(n)
+    return NetIndex(places, tuple(ids), pre, post, producers, consumers, source, sink,
+                    tuple(labels))
+
+
+def index_model(model: ProcessModel) -> NetIndex:
+    """A model's workflow net, numbered as `index_net(to_wfnet(model))` is.
+
+    Intended for normalized models. Activities with more than one flow on
+    a side, and XOR gateways mixing 2+ in with 2+ out, have no single-net
+    reading and raise. Degenerate but unambiguous shapes (a missing start
+    event, a dangling gateway) translate to structurally broken nets and
+    are left for the soundness check to reject.
+    """
+    # i and o sort before every p_ place, so p_<flow> is 2, 3, ... in flow
+    # id order, and every pre and post sorts alike by name and by number.
+    flows = sorted(model.edges)
+    ins: dict[str, list[int]] = {n: [] for n in model.nodes}
+    outs: dict[str, list[int]] = {n: [] for n in model.nodes}
+    for k, e in enumerate(flows, 2):
+        edge = model.edges[e]
+        outs[edge.source].append(k)
+        ins[edge.target].append(k)
+    made = []  # (id, pre, post, label), by node id, then flow id
+    for node_id in sorted(model.nodes):
+        node = model.nodes[node_id]
+        pre, post = tuple(ins[node_id]), tuple(outs[node_id])
+        if node.type is ObjectType.START_EVENT:
+            pre = (0, *pre)
+        elif node.type is ObjectType.END_EVENT:
+            post = (1, *post)
+        elif node.type is ObjectType.ACTIVITY and (len(pre) > 1 or len(post) > 1):
+            raise ValueError(f"activity {node_id} has multiple flows on one side; "
+                             "normalize the model first")
+        if node.type is ObjectType.XOR and (len(pre) > 1 or len(post) > 1):
+            if len(pre) > 1 and len(post) > 1:
+                raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
+            split = len(post) > 1  # one transition per flow on the branching side
+            made += [(f"t_{node_id}_{flows[k - 2]}", pre if split else (k,),
+                      (k,) if split else post, node.label) for k in (post if split else pre)]
+        else:
+            made.append((f"t_{node_id}", pre, post, node.label))
+    taken = {t[0] for t in made}
+    if len(taken) < len(made):  # a branch id met another transition's id
+        seen = set()
+        for k, (tid, *rest) in enumerate(made):
+            if tid in seen:
+                tid = next(f"{tid}_{n}" for n in count(2) if f"{tid}_{n}" not in taken)
+                taken.add(tid)
+                made[k] = (tid, *rest)
+            seen.add(tid)
+    made.sort(key=itemgetter(0))
+    return _numbered((SOURCE_PLACE, SINK_PLACE, *[f"p_{e}" for e in flows]),
+                     *([t[k] for t in made] for k in range(4)), 0, 1)
+
+
+def to_wfnet(model: ProcessModel) -> WFNet:
+    """The view of `index_model(model)` with place and transition ids."""
+    net = index_model(model)
+    name = net.places.__getitem__
+    return WFNet(net.places, tuple(
+        Transition(tid, tuple(map(name, pre)), tuple(map(name, post)), label)
+        for tid, pre, post, label in zip(net.transitions, net.pre, net.post, net.labels)))
 
 
 def index_net(net: WFNet) -> NetIndex:
-    number = {p: k for k, p in enumerate(net.places)}.__getitem__
-    pre = [tuple(map(number, t.pre)) for t in net.transitions]
-    post = [tuple(map(number, t.post)) for t in net.transitions]
-    producers: list[list[int]] = [[] for _ in net.places]
-    consumers: list[list[int]] = [[] for _ in net.places]
-    for n, ks in enumerate(pre):
-        for k in ks:
-            consumers[k].append(n)
-    for n, ks in enumerate(post):
-        for k in ks:
-            producers[k].append(n)
-    return NetIndex(net.places, tuple(t.id for t in net.transitions), pre, post,
-                    producers, consumers, number(net.source), number(net.sink))
+    number, ts = {p: k for k, p in enumerate(net.places)}.__getitem__, net.transitions
+    return _numbered(net.places, [t.id for t in ts], [tuple(map(number, t.pre)) for t in ts],
+                     [tuple(map(number, t.post)) for t in ts], [t.label for t in ts],
+                     number(net.source), number(net.sink))
 
 
 def uncovered(net: NetIndex) -> tuple[str, ...]:

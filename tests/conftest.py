@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from ppmkit.eventlog import (
     format_timestamp,
     parse_log,
 )
+from ppmkit.model import NODE_TYPES, Edge, Node, ProcessModel
+from ppmkit.simulate import PROFILES, simulate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +50,14 @@ _NODE_KINDS = {
     ObjectType.XOR: EventKind.CREATE_XOR,
     ObjectType.AND: EventKind.CREATE_AND,
 }
+
+
+def model_state(model: ProcessModel):
+    """Everything a model holds, each dict in its order: nodes, edges and
+    the per-node adjacency."""
+    return (list(model.nodes.items()), list(model.edges.items()),
+            [(n, list(ways.items())) for n, ways in model._in.items()],
+            [(n, list(ways.items())) for n, ways in model._out.items()])
 
 
 def csv_log(*steps: str) -> str:
@@ -235,3 +246,32 @@ def event_logs(draw, min_events: int = 1, max_events: int = 40,
     if faults:
         return tuple(events)
     return EventLog(session_id="generated", events=tuple(events))
+
+
+# Ids joined by "_" out of one small alphabet, so that a branch transition
+# t_<gateway>_<flow> can meet a task's t_<task> or another branch's id.
+CLASHING_IDS = ["a", "b", "c", "a_b", "b_c", "a_b_c", "a_b_2", "b_2", "2", "a_2"]
+
+
+@st.composite
+def any_models(draw, clashing=False):
+    """Models of 1-8 nodes of every type, with parallel edges and self-loops;
+    with clashing, node and flow ids come from CLASHING_IDS."""
+    types = draw(st.lists(st.sampled_from(NODE_TYPES), min_size=1, max_size=8))
+    node = st.integers(0, len(types) - 1)
+    ends = draw(st.lists(st.tuples(node, node), max_size=14))
+    if clashing:
+        names = draw(st.permutations(CLASHING_IDS)) + [f"x{k}" for k in range(22)]
+        node_ids, edge_ids = names[:len(types)], names[len(types):]
+    else:
+        node_ids = [f"n{k}" for k in range(len(types))]
+        edge_ids = [f"e{k}" for k in range(len(ends))]
+    return ProcessModel([Node(n, t, label=f"l{k}")
+                         for k, (n, t) in enumerate(zip(node_ids, types))],
+                        [Edge(e, node_ids[s], node_ids[t]) for e, (s, t) in zip(edge_ids, ends)])
+
+
+def simulated_logs():
+    """Sessions of the simulator, any profile and seed."""
+    return st.builds(lambda name, seed: simulate(replace(PROFILES[name], seed=seed)),
+                     st.sampled_from(sorted(PROFILES)), st.integers(0, 2**64 - 1))

@@ -11,7 +11,10 @@ per node type, p-values through
 numeric quadrature in mpmath, three of the log metrics by one walk each,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
-its constructor.
+its constructor. Three are the package's own earlier paths: the replay as
+one ProcessModel update per event (`apply_event`), normalization on copies
+whatever it finds, and the net as string-keyed transitions sorted into a
+WFNet.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
@@ -30,11 +33,26 @@ import networkx as nx
 
 from ppmkit.blocks import Block
 from ppmkit.classify import STAGES, PerspicuityVerdict, SessionReport, _strings
-from ppmkit.eventlog import EventClass, EventKind, EventLog, ObjectType, parse_timestamp
+from ppmkit.eventlog import (
+    KIND_CLASS,
+    KIND_OBJECT_TYPE,
+    EventClass,
+    EventKind,
+    EventLog,
+    ModelingEvent,
+    ObjectType,
+    parse_timestamp,
+)
 from ppmkit.metrics import METRIC_NAMES, SessionMetrics, _seconds
-from ppmkit.model import Edge, ProcessModel, typed
-from ppmkit.normalize import AppliedRule, NormalizationOutcome
-from ppmkit.replay import apply_event
+from ppmkit.model import Edge, Node, ProcessModel, typed
+from ppmkit.normalize import (
+    AppliedRule,
+    NormalizationOutcome,
+    _common_gateway,
+    _fresh,
+    _meeting_gateway,
+    _sorted_edges,
+)
 from ppmkit.soundness import VIOLATION_KINDS, SoundnessReport, Violation
 from ppmkit.wfnet import SINK_PLACE, SOURCE_PLACE, Transition, WFNet
 
@@ -566,6 +584,62 @@ def tot_create_time(log: EventLog) -> Fraction:
     return _seconds(stamps[-1] - stamps[0])
 
 
+def _edit_bendpoints(model: ProcessModel, ev: ModelingEvent) -> None:
+    """Add a bendpoint, or move or drop the last one."""
+    bendpoints = model.edges[ev.object_id].bendpoints
+    if ev.kind is not EventKind.CREATE_EDGE_BENDPOINT:
+        bendpoints = bendpoints[:-1]
+    if ev.kind is not EventKind.DELETE_EDGE_BENDPOINT:
+        bendpoints += (ev.position or (0, 0),)
+    model.update_edge(ev.object_id, bendpoints=bendpoints)
+
+
+def _reconnect(model: ProcessModel, ev: ModelingEvent) -> None:
+    raise ValueError("reconnect events must be expanded before replay")
+
+
+# (action class, acts on an edge) -> what the event does to the model.
+_BY_CLASS = {
+    (EventClass.CREATE, False): lambda m, ev: m.add_node(
+        Node(ev.object_id, KIND_OBJECT_TYPE[ev.kind], ev.label, ev.position or (0, 0))),
+    (EventClass.CREATE, True): lambda m, ev: m.add_edge(
+        Edge(ev.object_id, ev.source_id, ev.target_id, ev.label)),
+    (EventClass.DELETE, False): lambda m, ev: m.remove_node(ev.object_id),
+    (EventClass.DELETE, True): lambda m, ev: m.remove_edge(ev.object_id),
+    # A move without a position keeps the node where it is.
+    (EventClass.MOVE, False): lambda m, ev: m.update_node(ev.object_id, position=ev.position),
+    (EventClass.MOVE, True): _edit_bendpoints,
+    (EventClass.OTHER, False): lambda m, ev: m.update_node(ev.object_id, label=ev.label),
+    (EventClass.OTHER, True): lambda m, ev: m.update_edge(ev.object_id, label=ev.label),
+    (EventClass.RECONNECT, True): _reconnect,
+}
+_APPLY = {kind: _BY_CLASS[(cls, KIND_OBJECT_TYPE[kind] is ObjectType.EDGE)]
+          for kind, cls in KIND_CLASS.items()}
+# A cosmetic label drag changes nothing, but its edge must exist.
+_APPLY[EventKind.MOVE_EDGE_LABEL] = lambda m, ev: m.edges[ev.object_id]
+
+
+def apply_event(model: ProcessModel, event: ModelingEvent) -> None:
+    """Apply one event to the model in place, one ProcessModel update per
+    event; an action on an object the model does not hold raises
+    ValueError."""
+    try:
+        _APPLY[event.kind](model, event)
+    except KeyError as exc:
+        raise ValueError(f"cannot apply {event.kind.value} at seq {event.seq}: "
+                         f"no such object {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"cannot apply {event.kind.value} at seq {event.seq}: {exc}") from None
+
+
+def replay_event_by_event(log: EventLog) -> ProcessModel:
+    """The final model by applying each event to a ProcessModel in turn."""
+    model = ProcessModel()
+    for event in log.events:
+        apply_event(model, event)
+    return model
+
+
 def replays(events) -> bool:
     """Whether `events` replay into a ProcessModel: apply_event takes each
     in turn, a reconnect as a delete plus a create of its edge.
@@ -960,3 +1034,169 @@ def report_from_dict(data: dict) -> SessionReport:
         raise ValueError(f"wrong value type: {exc}") from None
     except OverflowError as exc:
         raise ValueError(f"bad number: {exc}") from None
+
+
+def _normalize_start_end_on_a_copy(model: ProcessModel, rules: list) -> ProcessModel:
+    """normalize_start_end as it was before it learned to skip models it
+    leaves alone: it copies every model and finds each rule's nodes by
+    sorted scans of the copy."""
+    if not model.nodes:
+        raise ValueError("empty model")
+    m = model.copy()
+
+    for task in [n.id for n in m.nodes_of_type(ObjectType.ACTIVITY)]:
+        if m.in_degree(task) == 0:
+            start = _fresh(m, f"start_{task}")
+            m.add_node(Node(start, ObjectType.START_EVENT))
+            m.add_edge(Edge(_fresh(m, f"e_{start}"), start, task))
+            rules.append(AppliedRule("insert_start_event", (task,)))
+    for task in [n.id for n in m.nodes_of_type(ObjectType.ACTIVITY)]:
+        if m.out_degree(task) == 0:
+            end = _fresh(m, f"end_{task}")
+            m.add_node(Node(end, ObjectType.END_EVENT))
+            m.add_edge(Edge(_fresh(m, f"e_{end}"), task, end))
+            rules.append(AppliedRule("insert_end_event", (task,)))
+
+    starts = [n.id for n in m.nodes_of_type(ObjectType.START_EVENT)]
+    if len(starts) > 1:
+        merge = _common_gateway([_meeting_gateway(m, s, forward=True) for s in starts])
+        sign = m.nodes[merge].type if merge else ObjectType.XOR
+        targets = [e.target for s in starts for e in _sorted_edges(m.out_edges(s))]
+        for s in starts:
+            m.remove_node(s)
+        new_start = _fresh(m, "start")
+        gateway = _fresh(m, "g_start")
+        m.add_node(Node(new_start, ObjectType.START_EVENT))
+        m.add_node(Node(gateway, sign))
+        m.add_edge(Edge(_fresh(m, f"e_{new_start}"), new_start, gateway))
+        for t in targets:
+            if t in m.nodes:  # a start pointing at another start vanishes
+                m.add_edge(Edge(_fresh(m, f"e_{gateway}_{t}"), gateway, t))
+        rules.append(AppliedRule("merge_start_events", tuple(starts)))
+
+    ends = [n.id for n in m.nodes_of_type(ObjectType.END_EVENT)]
+    if len(ends) > 1:
+        fork = _common_gateway([_meeting_gateway(m, e, forward=False) for e in ends])
+        sign = m.nodes[fork].type if fork else ObjectType.XOR
+        sources = [e.source for x in ends for e in _sorted_edges(m.in_edges(x))]
+        for x in ends:
+            m.remove_node(x)
+        new_end = _fresh(m, "end")
+        gateway = _fresh(m, "g_end")
+        m.add_node(Node(new_end, ObjectType.END_EVENT))
+        m.add_node(Node(gateway, sign))
+        m.add_edge(Edge(_fresh(m, f"e_{new_end}"), gateway, new_end))
+        for s in sources:
+            if s in m.nodes:
+                m.add_edge(Edge(_fresh(m, f"e_{s}_{gateway}"), s, gateway))
+        rules.append(AppliedRule("merge_end_events", tuple(ends)))
+
+    return m
+
+
+def _normalize_splits_joins_on_a_copy(model: ProcessModel, rules: list) -> ProcessModel:
+    """normalize_splits_joins as it was: it copies every model and plans
+    from a scan of every node in id order."""
+    m = model.copy()
+
+    plans: list[tuple[str, str, ObjectType, list[str]]] = []
+    for node_id in sorted(model.nodes):
+        if model.is_gateway(node_id):
+            continue
+        ins = _sorted_edges(model.in_edges(node_id))
+        if len(ins) > 1:
+            origin = _common_gateway(
+                [_meeting_gateway(model, e.source, forward=False, check_first=True) for e in ins]
+            )
+            sign = model.nodes[origin].type if origin else ObjectType.XOR
+            plans.append(("join", node_id, sign, [e.id for e in ins]))
+        outs = _sorted_edges(model.out_edges(node_id))
+        if len(outs) > 1:
+            dest = _common_gateway(
+                [_meeting_gateway(model, e.target, forward=True, check_first=True) for e in outs]
+            )
+            sign = model.nodes[dest].type if dest else ObjectType.AND
+            plans.append(("split", node_id, sign, [e.id for e in outs]))
+
+    for kind, node_id, sign, edge_ids in plans:
+        end = "target" if kind == "join" else "source"
+        gateway = _fresh(m, f"{kind[0]}_{node_id}")  # j_<node> or s_<node>
+        m.add_node(Node(gateway, sign))
+        for eid in edge_ids:  # edges keep their endpoints: re-add under the same id
+            edge = m.edges[eid]
+            m.remove_edge(eid)
+            m.add_edge(replace(edge, **{end: gateway}))
+        ends = (gateway, node_id) if kind == "join" else (node_id, gateway)
+        m.add_edge(Edge(_fresh(m, f"e_{gateway}"), *ends))
+        rules.append(AppliedRule(f"insert_{kind}", (node_id,)))
+
+    return m
+
+
+def normalize_on_copies(model: ProcessModel) -> NormalizationOutcome:
+    """The repair pipeline with both stages run on copies, whatever they
+    find; the mixed-gateway check over the sorted gateway ids."""
+    offenders = tuple(g for g in model.gateway_ids()
+                      if model.in_degree(g) >= 2 and model.out_degree(g) >= 2)
+    if offenders:
+        return NormalizationOutcome(model=None, reason="mixed gateway: " + ", ".join(offenders))
+    rules: list[AppliedRule] = []
+    m = _normalize_start_end_on_a_copy(model, rules)
+    m = _normalize_splits_joins_on_a_copy(m, rules)
+    return NormalizationOutcome(model=m, applied_rules=tuple(rules))
+
+
+def _sorted_transition(tid: str, pre: tuple[str, ...], post: tuple[str, ...],
+                       label: str | None) -> Transition:
+    """A Transition whose pre and post are sorted tuples already."""
+    t = object.__new__(Transition)
+    object.__setattr__(t, "__dict__", {"id": tid, "pre": pre, "post": post, "label": label})
+    return t
+
+
+def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
+    """The workflow-net translation over place and transition ids, as
+    `to_wfnet` made it before nets were numbered from the model: one
+    string-keyed Transition per transition, sorted and validated by WFNet."""
+    places = [SOURCE_PLACE, SINK_PLACE]  # i and o sort before every p_ place
+    ins: dict[str, list[str]] = {n: [] for n in model.nodes}
+    outs: dict[str, list[str]] = {n: [] for n in model.nodes}
+    for e in sorted(model.edges):
+        edge, p = model.edges[e], f"p_{e}"
+        places.append(p)
+        outs[edge.source].append(p)
+        ins[edge.target].append(p)
+    transitions: list[Transition] = []
+    for node_id in sorted(model.nodes):
+        node = model.nodes[node_id]
+        pre, post = tuple(ins[node_id]), tuple(outs[node_id])
+        if node.type is ObjectType.START_EVENT:
+            pre = (SOURCE_PLACE, *pre)
+        elif node.type is ObjectType.END_EVENT:
+            post = (SINK_PLACE, *post)
+        elif node.type is ObjectType.ACTIVITY and (len(pre) > 1 or len(post) > 1):
+            raise ValueError(f"activity {node_id} has multiple flows on one side; "
+                             "normalize the model first")
+        if node.type is ObjectType.XOR and (len(pre) > 1 or len(post) > 1):
+            if len(pre) > 1 and len(post) > 1:
+                raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
+            # one transition per flow on the branching side
+            split = len(post) > 1
+            for p in post if split else pre:  # p is p_<flow>
+                transitions.append(_sorted_transition(
+                    f"t_{node_id}_{p[2:]}", pre if split else (p,), (p,) if split else post,
+                    node.label))
+        else:
+            transitions.append(_sorted_transition(f"t_{node_id}", pre, post, node.label))
+    taken = {t.id for t in transitions}
+    if len(taken) < len(transitions):  # a branch id met another transition's id
+        seen = set()
+        for k, t in enumerate(transitions):
+            if t.id in seen:
+                n = 2
+                while f"{t.id}_{n}" in taken:
+                    n += 1
+                taken.add(f"{t.id}_{n}")
+                transitions[k] = t = _sorted_transition(f"{t.id}_{n}", t.pre, t.post, t.label)
+            seen.add(t.id)
+    return WFNet(places=tuple(places), transitions=tuple(transitions))

@@ -478,11 +478,14 @@ class TestExpandReconnect:
 @settings(max_examples=40)
 def test_reconnect_flag_matches_a_scan(log):
     """has_reconnects must agree with scanning the events, however the log
-    was built. The expansion skips validation, so its output must pass it."""
+    was built. The expansion skips validation, so its output must pass it.
+    The answer is recorded, not a field: ==, repr and hash ignore it."""
     parsed = parse_log(serialize_log(log), session_id=log.session_id)
     built = EventLog(log.session_id, log.events)
     expanded = expand_reconnect(log)
     assert EventLog(expanded.session_id, expanded.events) == expanded
+    assert [f.name for f in dataclasses.fields(EventLog)] == ["session_id", "events"]
+    assert (hash(parsed), repr(parsed)) == (hash(built), repr(built))
     for each in (log, parsed, built, expanded):
         assert each.has_reconnects() == any(
             e.kind is EventKind.RECONNECT_EDGE for e in each.events)

@@ -2,18 +2,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import any_models, event_logs, model_state, simulated_logs
 from golden_cases import GOLDEN_CASES, build
-from oracles import backward_split_gateway, forward_merge_gateway, models_isomorphic
-from ppmkit.eventlog import ObjectType
+from oracles import (
+    backward_split_gateway,
+    forward_merge_gateway,
+    models_isomorphic,
+    normalize_on_copies,
+)
+from ppmkit.eventlog import ObjectType, expand_reconnect
 from ppmkit.model import NODE_TYPES, Edge, Node, ProcessModel
 from ppmkit.normalize import (
     AppliedRule,
     _meeting_gateway,
-    check_mixed_gateways,
     normalize,
     normalize_splits_joins,
     normalize_start_end,
 )
+from ppmkit.replay import replay
 from ppmkit.wfnet import to_wfnet
 
 
@@ -103,7 +109,7 @@ class TestMixedGateway:
         )
 
     def test_detected(self):
-        assert check_mixed_gateways(self.build_mixed()) == ("g",)
+        assert normalize(self.build_mixed()).reason == "mixed gateway: g"
 
     def test_rejection(self):
         outcome = normalize(self.build_mixed())
@@ -129,7 +135,7 @@ class TestMixedGateway:
                    ("c", ObjectType.ACTIVITY), ("d", ObjectType.ACTIVITY)],
             edges=[("a", "j"), ("b", "j"), ("j", "s"), ("s", "c"), ("s", "d")],
         )
-        assert check_mixed_gateways(m) == ()
+        assert not normalize(m).rejected
 
 
 def test_empty_model_raises():
@@ -218,3 +224,32 @@ def test_meeting_gateway_matches_mirrored_walkers(model):
                     == forward_merge_gateway(model, node, check_first))
             assert (_meeting_gateway(model, node, forward=False, check_first=check_first)
                     == backward_split_gateway(model, node, check_first))
+
+
+def _outcome_or_error(run, model):
+    try:
+        return run(model)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Drawn models, and the final models of random logs and simulated sessions.
+ANY_MODEL = st.one_of(any_models(), any_models(clashing=True),
+                      event_logs().map(lambda log: replay(expand_reconnect(log))),
+                      simulated_logs().map(replay))
+
+
+@given(model=ANY_MODEL)
+@example(model=ProcessModel())
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_the_stages_on_copies(model):
+    before = model_state(model)
+    outcome = _outcome_or_error(normalize, model)
+    expected = _outcome_or_error(normalize_on_copies, model)
+    assert outcome == expected
+    assert model_state(model) == before
+    if isinstance(outcome, str) or outcome.rejected:
+        return
+    # the input comes back exactly when no rule applies to it
+    assert (outcome.model is model) == (outcome.applied_rules == ())
+    assert model_state(outcome.model) == model_state(expected.model)

@@ -8,7 +8,7 @@ PUBLIC = [
     "GroupComparison", "LogFormatError", "METRIC_NAMES", "ModelingEvent", "Node",
     "NormalizationOutcome", "ObjectType", "PPMChartSpec", "PROFILES",
     "PerspicuityVerdict", "ProcessModel", "SessionMetrics", "SessionReport",
-    "SimulationProfile", "SoundnessReport", "TTestResult", "WFNet", "apply_event",
+    "SimulationProfile", "SoundnessReport", "TTestResult", "WFNet",
     "boxplot_summary", "check_soundness", "classify_model", "classify_session",
     "compare_groups", "compute_session_metrics", "detect_blocks", "expand_reconnect",
     "max_simul_block", "normalize", "parse_log", "perc_blocks_as_whole",

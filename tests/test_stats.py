@@ -49,6 +49,10 @@ class TestBoxplot:
         with pytest.raises(ValueError, match="at least one value"):
             boxplot_summary([])
 
+    def test_mean_adds_left_to_right_on_every_python(self):
+        # The builtin sum of Python 3.12+ compensates and would give 1/3.
+        assert boxplot_summary([1e16, 1.0, -1e16]).mean == 0.0
+
     def test_dict_shape(self):
         d = boxplot_summary([1.0, 2.0]).to_dict()
         assert d["mean"] == 1.5

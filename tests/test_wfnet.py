@@ -1,17 +1,21 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import any_models, event_logs, simulated_logs
 from golden_cases import build
-from oracles import to_wfnet_by_node_type
-from ppmkit.eventlog import ObjectType
+from oracles import to_wfnet_by_node_type, to_wfnet_by_place_names
+from ppmkit.eventlog import ObjectType, expand_reconnect
 from ppmkit.model import Edge, Node, ProcessModel
+from ppmkit.normalize import normalize
+from ppmkit.replay import replay
 from ppmkit.soundness import check_soundness
 from ppmkit.wfnet import (
     SINK_PLACE,
     SOURCE_PLACE,
     Transition,
     WFNet,
+    index_model,
     index_net,
     to_wfnet,
     uncovered,
@@ -111,33 +115,6 @@ class TestToWfnet:
         assert next(t for t in net.transitions if t.id == "t_a").label == "review order"
 
 
-NODE_TYPES = [ObjectType.START_EVENT, ObjectType.END_EVENT, ObjectType.ACTIVITY,
-              ObjectType.XOR, ObjectType.AND]
-
-
-# Ids joined by "_" out of one small alphabet, so that a branch transition
-# t_<gateway>_<flow> can meet a task's t_<task> or another branch's id.
-CLASHING_IDS = ["a", "b", "c", "a_b", "b_c", "a_b_c", "a_b_2", "b_2", "2", "a_2"]
-
-
-@st.composite
-def any_models(draw, clashing=False):
-    """Models of 1-8 nodes of every type, with parallel edges and self-loops;
-    with clashing, node and flow ids come from CLASHING_IDS."""
-    types = draw(st.lists(st.sampled_from(NODE_TYPES), min_size=1, max_size=8))
-    node = st.integers(0, len(types) - 1)
-    ends = draw(st.lists(st.tuples(node, node), max_size=14))
-    if clashing:
-        names = draw(st.permutations(CLASHING_IDS)) + [f"x{k}" for k in range(22)]
-        node_ids, edge_ids = names[:len(types)], names[len(types):]
-    else:
-        node_ids = [f"n{k}" for k in range(len(types))]
-        edge_ids = [f"e{k}" for k in range(len(ends))]
-    return ProcessModel([Node(n, t, label=f"l{k}")
-                         for k, (n, t) in enumerate(zip(node_ids, types))],
-                        [Edge(e, node_ids[s], node_ids[t]) for e, (s, t) in zip(edge_ids, ends)])
-
-
 def _net_or_error(translate, model):
     try:
         return translate(model)
@@ -149,6 +126,32 @@ def _net_or_error(translate, model):
 @settings(max_examples=400, deadline=None)
 def test_to_wfnet_matches_per_type_translation(model):
     assert _net_or_error(to_wfnet, model) == _net_or_error(to_wfnet_by_node_type, model)
+
+
+def _normal_form(model):
+    """The normalized model, or the model itself when normalize rejects it."""
+    return normalize(model).model or model if model.nodes else model
+
+
+# XOR split a's branch t_a_x comes before task a_b's t_a_b by node id, after
+# it by transition id.
+SPLIT_BEFORE_TASK = ProcessModel(
+    [Node("s", ObjectType.START_EVENT), Node("a", ObjectType.XOR),
+     Node("a_b", ObjectType.ACTIVITY), Node("c", ObjectType.ACTIVITY)],
+    [Edge("f", "s", "a"), Edge("x", "a", "a_b"), Edge("y", "a", "c")])
+
+
+@given(model=st.one_of(
+    any_models(), any_models(clashing=True),
+    event_logs().map(lambda log: _normal_form(replay(expand_reconnect(log)))),
+    simulated_logs().map(lambda log: _normal_form(replay(log)))))
+@example(model=SPLIT_BEFORE_TASK)
+@settings(max_examples=300, deadline=None)
+def test_net_numbered_from_the_model_as_from_its_wfnet(model):
+    expected = _net_or_error(to_wfnet_by_place_names, model)
+    assert _net_or_error(to_wfnet, model) == expected
+    numbered = _net_or_error(index_model, model)
+    assert numbered == (expected if isinstance(expected, str) else index_net(expected))
 
 
 def xor_block(split, join, tasks, flows):
