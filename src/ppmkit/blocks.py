@@ -12,8 +12,9 @@ The search grows with the model. One dominator pass from a split answers
 every split whose dominator subtree no flow leaves, by a climb up the tree
 from each join; a split no pass answered roots its own. The dating walk
 applies the log's creates and deletes to the validator's bare skeleton,
-eventlog._Skeleton, and tests only the armed splits, those of undated
-blocks that have two or more out-flows, by the same climb.
+eventlog._Skeleton. After each edge create or delete it tests, by the same
+climb, the splits of undated blocks that are gateways with two or more
+out-flows at that moment; it reads those degrees off the skeleton itself.
 """
 
 from __future__ import annotations
@@ -228,17 +229,15 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     One walk applies the log's creates and deletes to a _Skeleton, the
     class that validated it, indexes each object's latest create, and tests
     each pair of the model until it first qualifies. A new node is isolated,
-    so only an edge create or a delete triggers a test, and only of armed
-    splits: gateways with two or more out-flows, re-examined at the nodes
-    each event changes. The walk runs to the end of the log, whose
-    structure must be the model's.
+    so only an edge create or a delete triggers a test, and only of the
+    undated splits that are then gateways with two or more out-flows. The
+    walk runs to the end of the log, whose structure must be the model's.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
     pending: dict[str, dict[str, None]] = {}  # split -> joins of its undated blocks
     for s, j, _ in find_block_pairs(model):
         pending.setdefault(s, {})[j] = None
-    armed: dict[str, None] = {}  # pending splits that are gateways with two out-flows
     created: dict[str, ModelingEvent] = {}  # each object's latest create
     node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
     blocks: list[Block] = []
@@ -250,19 +249,15 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
             created[ev.object_id] = ev
             if KIND_OBJECT_TYPE[ev.kind] is not _EDGE:
                 node_creates.append((ev.seq, ev.object_id))
+                current.apply(ev)
+                continue  # a new node is isolated: it completes no block
         elif event_class is not _DELETE:
             continue
-        changed = current.apply(ev)
-        if not changed or not pending:
-            continue  # a new node is isolated: it completes no block
-        for v in changed:
+        current.apply(ev)
+        for s, joins in list(pending.items()):
             # An unstrict log may recreate a deleted id as another type.
-            if v in pending and types.get(v) in GATEWAY_TYPES and len(current._out[v]) >= 2:
-                armed[v] = None
-            else:
-                armed.pop(v, None)
-        for s in list(armed):
-            joins = pending[s]
+            if types.get(s) not in GATEWAY_TYPES or len(current._out[s]) < 2:
+                continue
             ready = [j for j in joins
                      if types.get(j) in GATEWAY_TYPES and len(current._in[j]) >= 2]
             if not ready:
@@ -275,7 +270,7 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
                                     _is_whole(members, created, node_creates)))
                 del joins[j]
             if not joins:
-                del pending[s], armed[s]
+                del pending[s]
     if (current.ends != {e.id: (e.source, e.target) for e in model.edges.values()}
             or types != {**{n.id: n.type for n in model.nodes.values()},
                          **dict.fromkeys(model.edges, _EDGE)}):

@@ -45,6 +45,18 @@ from .wfnet import index_model
 STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "Sound")
 
 
+# The witness each violation kind writes, as (its shape, a test of a loaded
+# value); a marking for the kinds not named.
+_WITNESSES = {
+    "StateSpaceExceeded": ("null", lambda w: w is None),
+    "DeadTransition": ("a string", lambda w: type(w) is str),
+    "NotWFStructured": ("a non-empty list of strings",
+                        lambda w: type(w) is list and w and all(type(x) is str for x in w)),
+}
+_MARKING = ("a non-empty object of string to int", lambda w: type(w) is dict and w and all(
+    type(p) is str and type(n) is int for p, n in w.items()))
+
+
 def _strings(value, name: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; anything else raises TypeError."""
     if type(value) is list:
@@ -95,15 +107,10 @@ def _block_json(b: Block) -> str:
 
 
 def _witness_json(w, pad: str) -> str:
-    """A marking, a transition id, node ids or null; anything else through
-    json.dumps, whose every newline is layout: a JSON string holds none."""
-    if w is None or type(w) is str:
-        return _scalar(w)
-    if type(w) in (list, tuple) and set(map(type, w)) == {str}:
-        return _array(w, pad)
-    if type(w) is dict and set(map(type, w)) == {str} and set(map(type, w.values())) == {int}:
+    """A marking, node ids, a transition id or null."""
+    if type(w) is dict:
         return _object(pad, *[f"{_str(p)}: {n}" for p, n in w.items()])
-    return json.dumps(w, indent=2).replace("\n", "\n" + pad)
+    return _array(w, pad) if type(w) in (list, tuple) else _scalar(w)
 
 
 def _violation_json(v: Violation) -> str:
@@ -189,6 +196,9 @@ class PerspicuityVerdict:
                     raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
                                     f", got {v['kind']!r}")
                 trace = None if v["trace"] is None else _strings(v["trace"], "trace")
+                shape, fits = _WITNESSES.get(v["kind"], _MARKING)
+                if not fits(v["witness"]):
+                    raise TypeError(f"{v['kind']} witness must be {shape}, got {v['witness']!r}")
                 violations.append(trusted(Violation, kind=v["kind"], witness=v["witness"],
                                           trace=trace))
             sound = trusted(SoundnessReport, violations=tuple(violations),

@@ -92,8 +92,6 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if args.at is not None and args.at_time is not None:
-        raise ValueError("--at and --at-time are mutually exclusive")
     log = _read_log(args.log)
     if args.at is not None:
         model = replay_until(log, args.at)
@@ -147,15 +145,11 @@ def _cmd_metrics(args) -> int:
 def _cmd_classify(args) -> int:
     if args.max_states < 1:
         raise ValueError(f"--max-states must be >= 1, got {args.max_states}")
-    if args.model:
-        if args.log:
-            raise ValueError("--log and --model are mutually exclusive")
+    if args.model is not None:
         model = _load_json(Path(args.model), ProcessModel.from_json)
         verdict = classify_model(model, max_states=args.max_states)
         _write_or_print(verdict.to_json(), args.out)
         return 0
-    if not args.log:
-        raise ValueError("one of --log or --model is required")
 
     def render(log: EventLog) -> str:
         return classify_session(log, max_states=args.max_states).to_json()
@@ -217,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="fold a log into a model (JSON)")
     p.add_argument("--log", required=True)
-    p.add_argument("--at", type=int, help="stop after this seq number")
-    p.add_argument("--at-time", help="stop after this timestamp")
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--at", type=int, help="stop after this seq number")
+    stop.add_argument("--at-time", help="stop after this timestamp")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_replay)
 
@@ -228,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("classify", help="full session report with perspicuity verdict")
-    p.add_argument("--log", help="CSV log or a directory of logs")
-    p.add_argument("--model", help="classify a model JSON instead of a session")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--log", help="CSV log or a directory of logs")
+    source.add_argument("--model", help="classify a model JSON instead of a session")
     p.add_argument("--out")
     p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
                    help="cap on the markings the soundness check explores")

@@ -244,7 +244,7 @@ class EventLog:
 class _Skeleton:
     """The lifecycle rule, checked while applying events to what the block
     search reads: each live object's type, each edge's ends, and
-    ProcessModel's adjacency dicts.
+    ProcessModel's adjacency dicts, which a reader looks at itself.
 
     A create needs a free id, and under `strict` one never used before. An
     edge create or reconnect needs two live nodes as ends. Every other
@@ -259,10 +259,9 @@ class _Skeleton:
         self.types, self.ends, self._out, self._in = {}, {}, {}, {}
         self._used, self._strict, self.reconnected = set(), strict, False  # _used: for `strict`
 
-    def apply(self, ev: ModelingEvent) -> tuple[str, ...]:
-        """Apply an event; return the nodes deleted or whose out-flows
-        changed, none for a new node or an edit. An event that breaks the
-        rule raises LogFormatError without a line."""
+    def apply(self, ev: ModelingEvent) -> None:
+        """Apply an event; one that breaks the rule raises LogFormatError
+        without a line."""
         oid, kind, types = ev.object_id, ev.kind, self.types
         otype, event_class = KIND_OBJECT_TYPE[kind], KIND_CLASS[kind]
         if event_class is _CREATE:
@@ -272,10 +271,11 @@ class _Skeleton:
                 raise LogFormatError(f"recreation of deleted object {oid}")
             self._used.add(oid)
             if otype is _EDGE:
-                return self._link(oid, ev.source_id, ev.target_id)
-            types[oid] = otype
-            self._out[oid], self._in[oid] = {}, {}
-            return ()
+                self._link(oid, ev.source_id, ev.target_id)
+            else:
+                types[oid] = otype
+                self._out[oid], self._in[oid] = {}, {}
+            return
         if types.get(oid) is not otype:
             if oid in types:
                 raise LogFormatError(f"object {oid} changes type")
@@ -283,29 +283,25 @@ class _Skeleton:
             raise LogFormatError(f"action on {verb} object {oid}")
         if event_class is _RECONNECT:
             self.reconnected = True
-            return (self._unlink(oid), *self._link(oid, ev.source_id, ev.target_id))
-        if event_class is not _DELETE:
-            return ()
-        if otype is _EDGE:
-            return (self._unlink(oid),)
-        into = dict(self._in[oid])
-        for eid in {**self._out[oid], **into}:
-            self._unlink(eid)
-        del types[oid], self._out[oid], self._in[oid]
-        return (oid, *into.values())
+            self._unlink(oid)
+            self._link(oid, ev.source_id, ev.target_id)
+        elif event_class is _DELETE and otype is _EDGE:
+            self._unlink(oid)
+        elif event_class is _DELETE:
+            for eid in {**self._out[oid], **self._in[oid]}:
+                self._unlink(eid)
+            del types[oid], self._out[oid], self._in[oid]
 
-    def _link(self, eid: str, s: str, t: str) -> tuple[str]:
+    def _link(self, eid: str, s: str, t: str) -> None:
         outs = self._out  # one entry per live node
         if s not in outs or t not in outs:
             raise LogFormatError(f"edge {eid} ends at {t if s in outs else s}, not a live node")
         self.types[eid], self.ends[eid] = _EDGE, (s, t)
         outs[s][eid], self._in[t][eid] = t, s
-        return (s,)
 
-    def _unlink(self, eid: str) -> str:
+    def _unlink(self, eid: str) -> None:
         s, t = self.ends.pop(eid)
         del self.types[eid], self._out[s][eid], self._in[t][eid]
-        return s
 
 
 def _check_events(events, lines: list[int] | None = None) -> bool:

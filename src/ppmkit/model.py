@@ -114,15 +114,13 @@ class ProcessModel:
         self._out[edge.source][edge.id] = edge.target
         self._in[edge.target][edge.id] = edge.source
 
-    def remove_node(self, node_id: str) -> list[str]:
-        """Remove a node and every incident edge; returns removed edge ids."""
+    def remove_node(self, node_id: str) -> None:
+        """Remove a node and every incident edge."""
         if node_id not in self.nodes:
             raise KeyError(node_id)
-        cascade = [eid for eid, e in self.edges.items() if node_id in (e.source, e.target)]
-        for eid in cascade:
+        for eid in {**self._out[node_id], **self._in[node_id]}:
             self.remove_edge(eid)
         del self.nodes[node_id], self._in[node_id], self._out[node_id]
-        return cascade
 
     def remove_edge(self, edge_id: str):
         edge = self.edges.pop(edge_id)
@@ -138,16 +136,6 @@ class ProcessModel:
                     old.position if position is None else position)
         self.nodes[node_id] = node
         return node
-
-    def update_edge(self, edge_id: str, **changes) -> Edge:
-        """Change an edge's label or bendpoints; its endpoints stay."""
-        if changes.keys() - {"label", "bendpoints"}:
-            raise ValueError(f"edge {edge_id} can change only its label and bendpoints")
-        old = self.edges[edge_id]
-        edge = Edge(edge_id, old.source, old.target, changes.get("label", old.label),
-                    changes.get("bendpoints", old.bendpoints))
-        self.edges[edge_id] = edge
-        return edge
 
     # -- queries ----------------------------------------------------------
 
@@ -171,9 +159,6 @@ class ProcessModel:
 
     def is_gateway(self, node_id: str) -> bool:
         return self.nodes[node_id].type in GATEWAY_TYPES
-
-    def gateway_ids(self) -> list[str]:
-        return sorted(n.id for n in self.nodes.values() if n.type in GATEWAY_TYPES)
 
     def nodes_of_type(self, node_type: ObjectType) -> list[Node]:
         return sorted(

@@ -120,16 +120,15 @@ def _sorted_edges(edges: list[Edge]) -> list[Edge]:
     return sorted(edges, key=lambda e: e.id)
 
 
-def normalize_start_end(model: ProcessModel,
-                        rules: list[AppliedRule] | None = None) -> ProcessModel:
+def normalize_start_end(model: ProcessModel, rules: list[AppliedRule]) -> ProcessModel:
     """Give every source task a start event and every sink task an end
     event, then collapse multiple start (end) events into one behind a
     gateway whose kind is copied from the common merge (fork) gateway of
-    the original starting (ending) paths, XOR when there is none."""
+    the original starting (ending) paths, XOR when there is none. Each
+    rule applied is appended to `rules`."""
     hits = _hits(model)
     if not (hits.sourceless or hits.sinkless or hits.starts or hits.ends):
         return model
-    applied = rules if rules is not None else []
     m = model.copy()
 
     # A start event leads to what it starts; an end event is led to.
@@ -141,7 +140,7 @@ def normalize_start_end(model: ProcessModel,
             m.add_node(Node(event, event_type))
             m.add_edge(Edge(_fresh(m, f"e_{event}"), *((event, task) if forward
                                                         else (task, event))))
-            applied.append(AppliedRule(f"insert_{name}_event", (task,)))
+            rules.append(AppliedRule(f"insert_{name}_event", (task,)))
     for name, event_type, forward, _ in sides:
         events = [n.id for n in m.nodes_of_type(event_type)]
         if len(events) < 2:
@@ -161,24 +160,23 @@ def normalize_start_end(model: ProcessModel,
             if x in m.nodes:  # a flow between two starts (ends) vanishes
                 ends = (gateway, x) if forward else (x, gateway)
                 m.add_edge(Edge(_fresh(m, "e_{}_{}".format(*ends)), *ends))
-        applied.append(AppliedRule(f"merge_{name}_events", tuple(events)))
+        rules.append(AppliedRule(f"merge_{name}_events", tuple(events)))
     return m
 
 
-def normalize_splits_joins(model: ProcessModel,
-                           rules: list[AppliedRule] | None = None) -> ProcessModel:
+def normalize_splits_joins(model: ProcessModel, rules: list[AppliedRule]) -> ProcessModel:
     """Bundle multiple flows at activities and events through fresh
     gateways: a join (XOR unless all flows come from one common split
     gateway) before the node, a split (AND unless all flows lead to one
     common join gateway) after it.
 
     All insertions are decided against the model as it enters this stage,
-    so the outcome does not depend on processing order.
+    so the outcome does not depend on processing order. Each rule applied
+    is appended to `rules`.
     """
     hits = _hits(model)
     if not (hits.joins or hits.splits):
         return model
-    applied = rules if rules is not None else []
     m = model.copy()
     # By node id, a node's join before its split; each read off `model`.
     for node_id, kind in sorted([(n, "join") for n in hits.joins]
@@ -196,7 +194,7 @@ def normalize_splits_joins(model: ProcessModel,
             m.add_edge(replace(edge, **{"target" if join else "source": gateway}))
         m.add_edge(Edge(_fresh(m, f"e_{gateway}"), *((gateway, node_id) if join
                                                       else (node_id, gateway))))
-        applied.append(AppliedRule(f"insert_{kind}", (node_id,)))
+        rules.append(AppliedRule(f"insert_{kind}", (node_id,)))
     return m
 
 

@@ -14,7 +14,7 @@ not by the builtin sum, which Python 3.12 made compensated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add
 
@@ -45,18 +45,6 @@ class BoxplotSummary:
     whisker_high: float
     outliers: tuple[float, ...]
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "lower_hinge": self.lower_hinge,
-            "upper_hinge": self.upper_hinge,
-            "mean": self.mean,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-            "n": self.n,
-        }
 
 
 def _median(xs: list[float]) -> float:
@@ -157,16 +145,6 @@ class TTestResult:
     group_means: tuple[float, float]
     group_variances: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "t_value": self.t_value,
-            "df": self.df,
-            "p_value": self.p_value,
-            "group_sizes": list(self.group_sizes),
-            "group_means": list(self.group_means),
-            "group_variances": list(self.group_variances),
-        }
-
 
 def t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
     """Pooled-variance two-sample t-test, two-tailed."""
@@ -203,16 +181,6 @@ class MetricComparison:
     test: TTestResult
     significant: bool  # p < 0.05
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "conjecture": self.conjecture,
-            "group_a": self.group_a.to_dict(),
-            "group_b": self.group_b.to_dict(),
-            "test": self.test.to_dict(),
-            "significant": self.significant,
-        }
-
 
 @dataclass(frozen=True)
 class GroupComparison:
@@ -228,7 +196,7 @@ class GroupComparison:
                 "a": {"label": self.group_a_label, "sessions": self.group_a_size},
                 "b": {"label": self.group_b_label, "sessions": self.group_b_size},
             },
-            "metrics": [row.to_dict() for row in self.rows],
+            "metrics": [asdict(row) for row in self.rows],
         }
 
     def row(self, metric: str) -> MetricComparison:

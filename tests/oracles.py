@@ -11,7 +11,8 @@ per node type, p-values through
 numeric quadrature in mpmath, three of the log metrics by one walk each,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
-its constructor. Three are the package's own earlier paths: the replay as
+its constructor, and a session's whole report (`reference_report`) as
+these definitions composed. Three are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
 whatever it finds, and the net as string-keyed transitions sorted into a
 WFNet.
@@ -26,7 +27,7 @@ import random
 from collections import deque
 from itertools import count
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import networkx as nx
@@ -41,10 +42,11 @@ from ppmkit.eventlog import (
     EventLog,
     ModelingEvent,
     ObjectType,
+    expand_reconnect,
     parse_timestamp,
 )
 from ppmkit.metrics import METRIC_NAMES, SessionMetrics, _seconds
-from ppmkit.model import Edge, Node, ProcessModel, typed
+from ppmkit.model import GATEWAY_TYPES, Edge, Node, ProcessModel, typed
 from ppmkit.normalize import (
     AppliedRule,
     NormalizationOutcome,
@@ -474,6 +476,10 @@ def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,
     return found
 
 
+def _gateway_ids(model: ProcessModel) -> list[str]:
+    return sorted(n.id for n in model.nodes.values() if n.type in GATEWAY_TYPES)
+
+
 def find_block_pairs_maxflow(model: ProcessModel) -> list[tuple[str, str, frozenset[str]]]:
     """All (split, join, member nodes) blocks of a model, sorted by
     (split, join), by testing every split x join pair.
@@ -485,8 +491,8 @@ def find_block_pairs_maxflow(model: ProcessModel) -> list[tuple[str, str, frozen
     graph = nx.MultiDiGraph()
     graph.add_nodes_from(model.nodes)
     graph.add_edges_from((e.source, e.target) for e in model.edges.values())
-    splits = [g for g in model.gateway_ids() if model.out_degree(g) >= 2]
-    joins = [g for g in model.gateway_ids() if model.in_degree(g) >= 2]
+    splits = [g for g in _gateway_ids(model) if model.out_degree(g) >= 2]
+    joins = [g for g in _gateway_ids(model) if model.in_degree(g) >= 2]
     out = []
     for s in splits:
         descendants = nx.descendants(graph, s) | {s}
@@ -584,6 +590,11 @@ def tot_create_time(log: EventLog) -> Fraction:
     return _seconds(stamps[-1] - stamps[0])
 
 
+def _edit_edge(model: ProcessModel, ev: ModelingEvent, **changes) -> None:
+    """Change an edge's label or bendpoints; its ends stay."""
+    model.edges[ev.object_id] = replace(model.edges[ev.object_id], **changes)
+
+
 def _edit_bendpoints(model: ProcessModel, ev: ModelingEvent) -> None:
     """Add a bendpoint, or move or drop the last one."""
     bendpoints = model.edges[ev.object_id].bendpoints
@@ -591,7 +602,7 @@ def _edit_bendpoints(model: ProcessModel, ev: ModelingEvent) -> None:
         bendpoints = bendpoints[:-1]
     if ev.kind is not EventKind.DELETE_EDGE_BENDPOINT:
         bendpoints += (ev.position or (0, 0),)
-    model.update_edge(ev.object_id, bendpoints=bendpoints)
+    _edit_edge(model, ev, bendpoints=bendpoints)
 
 
 def _reconnect(model: ProcessModel, ev: ModelingEvent) -> None:
@@ -610,7 +621,7 @@ _BY_CLASS = {
     (EventClass.MOVE, False): lambda m, ev: m.update_node(ev.object_id, position=ev.position),
     (EventClass.MOVE, True): _edit_bendpoints,
     (EventClass.OTHER, False): lambda m, ev: m.update_node(ev.object_id, label=ev.label),
-    (EventClass.OTHER, True): lambda m, ev: m.update_edge(ev.object_id, label=ev.label),
+    (EventClass.OTHER, True): lambda m, ev: _edit_edge(m, ev, label=ev.label),
     (EventClass.RECONNECT, True): _reconnect,
 }
 _APPLY = {kind: _BY_CLASS[(cls, KIND_OBJECT_TYPE[kind] is ObjectType.EDGE)]
@@ -967,6 +978,26 @@ def _metrics_from_dict(data: dict) -> SessionMetrics:
     )
 
 
+def _witness(kind: str, w):
+    """The witness `kind` writes, one kind at a time: null, a transition
+    id, offending ids, else a marking."""
+    if kind == "StateSpaceExceeded":
+        shape, ok = "null", w is None
+    elif kind == "DeadTransition":
+        shape, ok = "a string", isinstance(w, str)
+    elif kind == "NotWFStructured":
+        shape = "a non-empty list of strings"
+        ok = isinstance(w, list) and len(w) > 0 and all(isinstance(x, str) for x in w)
+    else:
+        shape = "a non-empty object of string to int"
+        ok = isinstance(w, dict) and len(w) > 0 and all(
+            isinstance(p, str) and isinstance(n, int) and not isinstance(n, bool)
+            for p, n in w.items())
+    if not ok:
+        raise TypeError(f"{kind} witness must be {shape}, got {w!r}")
+    return w
+
+
 def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
     norm = data["normalization"]
     rejected = typed(norm["rejected"], "rejected", bool)
@@ -986,7 +1017,7 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
                 raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
                                 f", got {v['kind']!r}")
             trace = None if v["trace"] is None else _strings(v["trace"], "trace")
-            violations.append(Violation(v["kind"], v["witness"], trace))
+            violations.append(Violation(v["kind"], _witness(v["kind"], v["witness"]), trace))
         sound = SoundnessReport(tuple(violations),
                                 typed(s["states_explored"], "states_explored", int))
         if s["verdict"] != sound.verdict:
@@ -1136,7 +1167,7 @@ def _normalize_splits_joins_on_a_copy(model: ProcessModel, rules: list) -> Proce
 def normalize_on_copies(model: ProcessModel) -> NormalizationOutcome:
     """The repair pipeline with both stages run on copies, whatever they
     find; the mixed-gateway check over the sorted gateway ids."""
-    offenders = tuple(g for g in model.gateway_ids()
+    offenders = tuple(g for g in _gateway_ids(model)
                       if model.in_degree(g) >= 2 and model.out_degree(g) >= 2)
     if offenders:
         return NormalizationOutcome(model=None, reason="mixed gateway: " + ", ".join(offenders))
@@ -1200,3 +1231,39 @@ def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
                 transitions[k] = t = _sorted_transition(f"{t.id}_{n}", t.pre, t.post, t.label)
             seen.add(t.id)
     return WFNet(places=tuple(places), transitions=tuple(transitions))
+
+
+def _most_blocks_at_once(blocks: list[Block]) -> int:
+    """max_simul_block by counting, at each block's start, the closed
+    intervals that hold it: the most overlap is reached at some start."""
+    return max((sum(b.interval[0] <= a.interval[0] <= b.interval[1] for b in blocks)
+                for a in blocks), default=0)
+
+
+def reference_report(log: EventLog) -> tuple[SessionMetrics, list[Block], str]:
+    """A session's metrics, dated blocks and verdict stage from the slow
+    definitions alone: blocks by rescanning every gateway pair, the metrics
+    by one walk each, normalization on copies, the net per node type and
+    soundness straight from its definition. Only reconnect expansion is
+    the package's. A session no stage can take raises ValueError.
+    """
+    expanded = expand_reconnect(log)
+    blocks = blocks_dated_all_pairs(expanded)
+    if not expanded.events:
+        raise ValueError("empty session: no events")
+    span = expanded.events[-1].timestamp - expanded.events[0].timestamp
+    metrics = SessionMetrics(
+        max_simul_block=_most_blocks_at_once(blocks),
+        perc_num_block_as_a_whole=whole_share(blocks, expanded),
+        avg_move_on_moved_elements=avg_move_on_moved_elements(expanded),
+        perc_num_elements_with_moves=perc_num_elements_with_moves(expanded),
+        tot_time=Fraction(span // timedelta(microseconds=1), 10**6),
+        tot_create_time=tot_create_time(expanded),
+    )
+    outcome = normalize_on_copies(replay_event_by_event(expanded))
+    if outcome.rejected:
+        return metrics, blocks, "MixedGateway"
+    net = to_wfnet_by_node_type(outcome.model)
+    if not wf_structured_by_arcs(net)[0]:
+        return metrics, blocks, "NotWFStructured"
+    return metrics, blocks, brute_force_soundness(net)

@@ -191,7 +191,8 @@ class TestDetectBlocks:
         for nid in final.nodes:
             redrawn.update_node(nid, label="renamed", position=(7, 7))
         for eid in final.edges:
-            redrawn.update_edge(eid, label="flow", bendpoints=((1, 2),))
+            redrawn.edges[eid] = dataclasses.replace(final.edges[eid], label="flow",
+                                                 bendpoints=((1, 2),))
         assert redrawn != final
         assert detect_blocks(redrawn, diamond_log) == detect_blocks(final, diamond_log)
 
@@ -458,9 +459,13 @@ def churn_log(*steps):
 NODES = (("XOR", "g1"), ("ACTIVITY", "t1"), ("ACTIVITY", "t2"), ("XOR", "g2"), ("XOR", "g3"))
 
 
-# In both, split g1's pass at seq 9 reaches g1, t1, t2 and g2 but not g3.
-# Then g2 stops being ready, t2 -> g3 extends g1's reach with no join ready
-# to test, and the flow from g3 into g2 completes the block g1..g2.
+# In the first two, split g1's pass at seq 9 reaches g1, t1, t2 and g2 but
+# not g3. Then g2 stops being ready, t2 -> g3 extends g1's reach with no join
+# ready to test, and the flow from g3 into g2 completes the block g1..g2. In
+# the third, g1 loses its second out-flow while g2 is ready and regains it,
+# which completes the block.
+@example(log=churn_log(*NODES, ("g1", "t1"), ("g1", "t2"), ("t1", "g2"), ("DELETE", "e7"),
+                       ("t2", "g2"), ("g1", "t2")))
 @example(log=churn_log(*NODES, ("g1", "t1"), ("g1", "t2"), ("t1", "g2"), ("t1", "g2"),
                        ("DELETE", "e9"), ("t2", "g3"), ("g3", "g2")))
 @example(log=churn_log(*NODES, ("g1", "t1"), ("g1", "t2"), ("t1", "g2"), ("g3", "g2"),

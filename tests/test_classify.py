@@ -4,12 +4,12 @@ from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, csv_log, event_logs, load_fixture, simulated_logs
 from golden_cases import GOLDEN_CASES, build
-from oracles import report_json, session_dict, verdict_dict
+from oracles import reference_report, report_json, session_dict, verdict_dict
 from ppmkit.blocks import Block
 from ppmkit.cli import main as cli_main
 from ppmkit.classify import (
@@ -20,7 +20,7 @@ from ppmkit.classify import (
     classify_session,
     session_json,
 )
-from ppmkit.eventlog import EventClass, ObjectType, _Skeleton, expand_reconnect
+from ppmkit.eventlog import EventClass, ObjectType, _Skeleton, expand_reconnect, parse_log
 from ppmkit.metrics import SessionMetrics
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.normalize import AppliedRule, NormalizationOutcome
@@ -140,7 +140,7 @@ def test_report_json_round_trip(diamond_log):
 # Per stage, the normalization reason and soundness violations that give it.
 STAGE_EVIDENCE = {
     "MixedGateway": ("mixed gateway: g", None),
-    "NotWFStructured": (None, (Violation("NotWFStructured", witness=None),)),
+    "NotWFStructured": (None, (Violation("NotWFStructured", witness=["t_a"]),)),
     "Unsound": (None, (Violation("DeadTransition", witness="t_a"),)),
     "StateSpaceExceeded": (None, (Violation("StateSpaceExceeded"),)),
     "Sound": (None, ()),
@@ -195,16 +195,14 @@ _FRACTIONS = st.builds(Fraction, st.integers(-10**300, 10**300), st.integers(1, 
 _STAMPS = st.datetimes(
     min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
     timezones=st.none() | st.sampled_from([timezone.utc, timezone(timedelta(hours=-3))]))
-_FREE_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=6)
-# The witness shapes the checker writes (a marking, a transition id, node
-# ids, none) and free JSON, which takes the json.dumps path.
-_WITNESSES = st.one_of(
-    st.dictionaries(_IDS, st.integers(1, 10**20), max_size=4), _IDS,
-    st.lists(_IDS, max_size=4).map(tuple), st.lists(_IDS, max_size=4), st.none(), _FREE_JSON)
+# The witness each kind's checker writes: a marking, a transition id, node
+# ids (a tuple in memory, a list once loaded) or none.
+_MARKINGS = st.dictionaries(_IDS, st.integers(1, 10**20), min_size=1, max_size=4)
+_NODE_IDS = st.lists(_IDS, min_size=1, max_size=4)
+_WITNESSES = {"DeadlockNoCompletion": _MARKINGS, "ImproperCompletion": _MARKINGS,
+              "Unbounded": _MARKINGS, "DeadTransition": _IDS,
+              "NotWFStructured": _NODE_IDS.map(tuple) | _NODE_IDS,
+              "StateSpaceExceeded": st.none()}
 _LOG_KINDS = [k for k in VIOLATION_KINDS if k not in ("NotWFStructured", "StateSpaceExceeded")]
 
 
@@ -226,7 +224,7 @@ def verdicts(draw) -> PerspicuityVerdict:
     if stage == "Sound":
         kinds = []
     violations = tuple(
-        Violation(kind, draw(_WITNESSES), draw(st.none() | st.lists(_IDS, max_size=3).map(tuple)))
+        Violation(kind, draw(_WITNESSES[kind]), draw(st.none() | st.lists(_IDS, max_size=3).map(tuple)))
         for kind in kinds)
     verdict = PerspicuityVerdict(normalization,
                                  SoundnessReport(violations, draw(st.integers(0, 10**6))))
@@ -252,3 +250,37 @@ def test_writer_matches_json_dumps_of_the_dict_form(report):
     parts = report.session_id, report.metrics, report.blocks
     assert session_json(*parts) == json.dumps(session_dict(*parts), indent=2) + "\n"
     assert report.verdict.to_json() == json.dumps(verdict_dict(report.verdict), indent=2) + "\n"
+
+
+def _matches_reference(log) -> None:
+    """classify_session composes its fast stages into what the slow
+    definitions give: the same metrics, blocks (every field) and stage."""
+    try:
+        expected = reference_report(log)
+    except ValueError:
+        with pytest.raises(ValueError):
+            classify_session(log)
+        return
+    report = classify_session(log)
+    assert (report.metrics, list(report.blocks), report.verdict.stage) == expected
+
+
+# Task t1 flows out of the would-be block g1..g2 to x until a delete of
+# that flow, or of x, makes the block at the delete.
+_LEAKY_BLOCK = ("CREATE_XOR g1", "CREATE_ACTIVITY t1", "CREATE_ACTIVITY t2", "CREATE_XOR g2",
+                "CREATE_ACTIVITY x", "CREATE_EDGE e1 g1 t1", "CREATE_EDGE e2 g1 t2",
+                "CREATE_EDGE e3 t1 x", "CREATE_EDGE e4 t1 g2", "CREATE_EDGE e5 t2 g2")
+
+
+@example(log=parse_log(csv_log(*_LEAKY_BLOCK, "DELETE_EDGE e3")))
+@example(log=parse_log(csv_log(*_LEAKY_BLOCK, "DELETE_ACTIVITY x")))
+@given(log=event_logs())
+@settings(max_examples=200, deadline=None)
+def test_session_matches_the_reference_pipeline_on_random_logs(log):
+    _matches_reference(log)
+
+
+@given(log=simulated_logs())
+@settings(max_examples=200, deadline=None)
+def test_session_matches_the_reference_pipeline_on_simulated_sessions(log):
+    _matches_reference(log)

@@ -131,10 +131,11 @@ class TestReplay:
         assert set(ProcessModel.from_json(out).nodes) == {"s1", "a1"}
 
     def test_at_and_at_time_exclusive(self, capsys):
-        code, _, err = run(capsys, "replay", "--log", DIAMOND,
-                           "--at", "3", "--at-time", "2010-11-15T10:00:10.000Z")
-        assert code == 1
-        assert "mutually exclusive" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["replay", "--log", DIAMOND, "--at", "3",
+                  "--at-time", "2010-11-15T10:00:10.000Z"])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("at, ends", [("5", set()), ("6", {"x1"})])
     def test_at_counts_the_logs_own_seqs(self, capsys, tmp_path, at, ends):
@@ -270,15 +271,16 @@ class TestClassify:
     def test_log_and_model_exclusive(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"
         model_path.write_text(ProcessModel().to_json())
-        code, _, err = run(capsys, "classify", "--log", DIAMOND,
-                           "--model", str(model_path))
-        assert code == 1
-        assert "mutually exclusive" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", "--log", DIAMOND, "--model", str(model_path)])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_neither_input(self, capsys):
-        code, _, err = run(capsys, "classify")
-        assert code == 1
-        assert "one of --log or --model is required" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify"])
+        assert exit_.value.code == 2
+        assert "one of the arguments --log --model is required" in capsys.readouterr().err
 
     def test_max_states_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "--log", DIAMOND,
@@ -576,6 +578,29 @@ class TestSimulateAndStats:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {broken}: wrong value type: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, witness", [
+        *((kind, witness) for kind in ("DeadlockNoCompletion", "ImproperCompletion", "Unbounded")
+          for witness in (3.5, [1, 2], {"p": True}, {"p": "x"}, [], {}, None, "p")),
+        *(("DeadTransition", witness) for witness in (None, 5, ["t"], {"t": 1})),
+        *(("NotWFStructured", witness) for witness in ([], "n", ["n", 5], {"n": 1}, None)),
+        *(("StateSpaceExceeded", witness) for witness in ("x", 0, [], {})),
+    ])
+    def test_stats_report_with_witness_of_wrong_shape_exits_1(self, capsys, tmp_path,
+                                                              kind, witness):
+        # Each kind has one witness shape; the first report's first is a marking.
+        reports = self.prepare_reports(capsys, tmp_path, sessions=2)
+        broken = sorted(reports.glob("*.json"))[0]
+        data = json.loads(broken.read_text())
+        violation = data["verdict"]["soundness"]["violations"][0]
+        assert violation["kind"] == "DeadlockNoCompletion"
+        violation.update(kind=kind, witness=witness)
+        broken.write_text(json.dumps(data))
+        code, out, err = run(capsys, "stats", "--reports", str(reports))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {broken}: wrong value type: {kind} witness must be ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mangle, message", [
