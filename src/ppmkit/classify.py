@@ -19,7 +19,6 @@ block no detector could find.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _str
 from .blocks import Block, detect_blocks
 from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
-from .model import ProcessModel, trusted, typed
+from .model import ProcessModel, read_json, trusted, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
 from .replay import replay
 from .soundness import (
@@ -38,9 +37,9 @@ from .soundness import (
     VIOLATION_KINDS,
     SoundnessReport,
     Violation,
-    check_index,
+    check_soundness,
 )
-from .wfnet import index_model
+from .wfnet import to_wfnet
 
 STAGES = ("MixedGateway", "NotWFStructured", "Unsound", "StateSpaceExceeded", "Sound")
 
@@ -199,8 +198,9 @@ class PerspicuityVerdict:
                 shape, fits = _WITNESSES.get(v["kind"], _MARKING)
                 if not fits(v["witness"]):
                     raise TypeError(f"{v['kind']} witness must be {shape}, got {v['witness']!r}")
-                violations.append(trusted(Violation, kind=v["kind"], witness=v["witness"],
-                                          trace=trace))
+                witness = v["witness"]  # a NotWFStructured list loads as its tuple
+                violations.append(trusted(Violation, kind=v["kind"], trace=trace, witness=(
+                    tuple(witness) if type(witness) is list else witness)))
             sound = trusted(SoundnessReport, violations=tuple(violations),
                             states_explored=typed(s["states_explored"], "states_explored", int))
             if s["verdict"] != sound.verdict:
@@ -226,7 +226,7 @@ def classify_model(model: ProcessModel,
     outcome = normalize(model)
     if outcome.rejected:
         return PerspicuityVerdict(outcome, None)
-    return PerspicuityVerdict(outcome, check_index(index_model(outcome.model), max_states))
+    return PerspicuityVerdict(outcome, check_soundness(to_wfnet(outcome.model), max_states))
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ class SessionReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SessionReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text))
 
 
 def classify_session(log: EventLog, max_states: int = DEFAULT_MAX_STATES) -> SessionReport:

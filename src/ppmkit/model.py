@@ -37,6 +37,14 @@ def typed(value, name: str, *types: type):
     return value
 
 
+def read_json(text: str):
+    """json.loads, refusing input nested too deep for it with ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def trusted(cls: type, **fields):
     """An instance of frozen dataclass `cls` from checked fields: one dict
     update, no __init__ or __post_init__."""
@@ -247,4 +255,4 @@ class ProcessModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ProcessModel":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text))

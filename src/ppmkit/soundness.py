@@ -5,8 +5,8 @@ completion marking (one token on the sink, nothing else) stays reachable
 from every reachable marking, nothing is ever left over once the sink is
 marked, and every transition can fire in some run.
 
-The net is numbered once (`wfnet.index_model` or `wfnet.index_net`): the
-reduction, the structure check and the explorer all read that integer form.
+The net comes numbered (`wfnet.to_wfnet` or `WFNet.of`): the reduction,
+the structure check and the explorer all read that one integer form.
 
 A WF-net is sound exactly when its short-circuited net is live and
 bounded (van der Aalst 1997), and four reduction rules that preserve
@@ -40,7 +40,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .wfnet import NetIndex, WFNet, index_net, uncovered
+from .wfnet import WFNet, uncovered
 
 DEFAULT_MAX_STATES = 100_000
 
@@ -81,28 +81,23 @@ def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> Soundne
     max_states caps the markings explored. A net that reduces to the
     trivial net counts as its 2 markings, so a cap of 1 leaves it Unknown.
     """
-    return check_index(index_net(net), max_states)
-
-
-def check_index(index: NetIndex, max_states: int = DEFAULT_MAX_STATES) -> SoundnessReport:
-    """check_soundness on a numbered net."""
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     # A net that reduces is WF-structured (see the module docstring).
-    if _reduces(index):
+    if _reduces(net):
         if max_states == 1:
             return SoundnessReport((Violation("StateSpaceExceeded"),), 2)
         return SoundnessReport((), 2)
-    offending = uncovered(index)
+    offending = uncovered(net)
     if offending:
         return SoundnessReport(
             violations=(Violation("NotWFStructured", witness=offending),),
             states_explored=0,
         )
-    return _explore(index, max_states)
+    return _explore(net, max_states)
 
 
-def _reduces(net: NetIndex) -> bool:
+def _reduces(net: WFNet) -> bool:
     """Whether the reduction rules collapse the net to i -> t -> o.
 
     Only the source place is marked. The rules, applied until none does:
@@ -214,7 +209,7 @@ def _reduces(net: NetIndex) -> bool:
             and post[alive[0]] == {net.sink})
 
 
-def _explore(net: NetIndex, max_states: int) -> SoundnessReport:
+def _explore(net: WFNet, max_states: int) -> SoundnessReport:
     """Decide soundness of a WF-structured net from its reachable markings."""
     # Per transition: id, input bitmask, inputs of weight > 1, token change per place and in all.
     compiled = []
@@ -342,7 +337,7 @@ def _explore(net: NetIndex, max_states: int) -> SoundnessReport:
     return SoundnessReport(tuple(violations), len(preds))
 
 
-def _may_run_forever(net: NetIndex) -> bool:
+def _may_run_forever(net: WFNet) -> bool:
     """Whether the net has a cycle or a transition without inputs; without
     either every run is finite, so no marking strictly dominates an ancestor."""
     if not all(net.pre):

@@ -11,14 +11,13 @@ split x with flow e1 and a task x_e1 both give t_x_e1): ids are handed out
 by node id, then flow id, and a repeated one takes the first suffix _2,
 _3, ... that no transition has. An id nothing clashes with stays as it is.
 
-`index_model` numbers a model's net, places and transitions in id order, in
-the one form the soundness check reads; `to_wfnet` is its view with ids,
-and `index_net` numbers a WFNet.
+A net has one form, the one the soundness check reads: places and
+transitions numbered in id order. `to_wfnet` numbers a model's net
+straight from the model, and `WFNet.of` numbers a net given by ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import NamedTuple
@@ -30,54 +29,12 @@ SOURCE_PLACE = "i"
 SINK_PLACE = "o"
 
 
-@dataclass(frozen=True)
-class Transition:
-    id: str
-    pre: tuple[str, ...]
-    post: tuple[str, ...]
-    label: str | None = None
+class WFNet(NamedTuple):
+    """A workflow net with its places and transitions numbered in id order.
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre", tuple(sorted(self.pre)))
-        object.__setattr__(self, "post", tuple(sorted(self.post)))
-
-
-@dataclass(frozen=True)
-class WFNet:
-    places: tuple[str, ...]
-    transitions: tuple[Transition, ...]
-    source: str = SOURCE_PLACE
-    sink: str = SINK_PLACE
-
-    def __post_init__(self):
-        object.__setattr__(self, "places", tuple(sorted(self.places)))
-        object.__setattr__(
-            self, "transitions", tuple(sorted(self.transitions, key=lambda t: t.id))
-        )
-        place_set = set(self.places)
-        if len(place_set) != len(self.places):
-            raise ValueError("duplicate place ids")
-        ids = [t.id for t in self.transitions]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate transition ids")
-        if self.source not in place_set or self.sink not in place_set:
-            raise ValueError("source and sink must be places")
-        for t in self.transitions:
-            for p in t.pre + t.post:
-                if p not in place_set:
-                    raise ValueError(f"transition {t.id} touches unknown place {p}")
-            if self.source in t.post:
-                raise ValueError(f"transition {t.id} feeds the source place")
-            if self.sink in t.pre:
-                raise ValueError(f"transition {t.id} consumes the sink place")
-
-
-class NetIndex(NamedTuple):
-    """A net with places and transitions numbered in the net's order.
-
-    Per transition its input and output place numbers, repeated per arc;
-    per place the numbers of the transitions that give to and take from
-    it, once per arc."""
+    Per transition its input and output place numbers, sorted and repeated
+    per arc; per place the numbers of the transitions that give to and
+    take from it, once per arc. source and sink are place numbers."""
     places: tuple[str, ...]
     transitions: tuple[str, ...]  # ids
     pre: list[tuple[int, ...]]
@@ -88,10 +45,36 @@ class NetIndex(NamedTuple):
     sink: int
     labels: tuple[str | None, ...]  # per transition
 
+    @staticmethod
+    def of(places, transitions, source: str = SOURCE_PLACE, sink: str = SINK_PLACE) -> WFNet:
+        """The net of places and transitions given by id, each transition
+        as (id, pre, post) or (id, pre, post, label) with place ids."""
+        places = tuple(sorted(places))
+        ts = sorted((t if len(t) == 4 else (*t, None) for t in transitions), key=itemgetter(0))
+        number = {p: k for k, p in enumerate(places)}
+        if len(number) != len(places):
+            raise ValueError("duplicate place ids")
+        if len({t[0] for t in ts}) != len(ts):
+            raise ValueError("duplicate transition ids")
+        if source not in number or sink not in number:
+            raise ValueError("source and sink must be places")
+        for tid, pre, post, _ in ts:
+            for p in sorted(pre) + sorted(post):
+                if p not in number:
+                    raise ValueError(f"transition {tid} touches unknown place {p}")
+            if source in post:
+                raise ValueError(f"transition {tid} feeds the source place")
+            if sink in pre:
+                raise ValueError(f"transition {tid} consumes the sink place")
+        n = number.__getitem__
+        return _numbered(places, [t[0] for t in ts], [tuple(sorted(map(n, t[1]))) for t in ts],
+                         [tuple(sorted(map(n, t[2]))) for t in ts], [t[3] for t in ts],
+                         n(source), n(sink))
+
 
 def _numbered(places: tuple[str, ...], ids: list[str], pre: list[tuple[int, ...]],
-              post: list[tuple[int, ...]], labels: list, source: int, sink: int) -> NetIndex:
-    """The NetIndex of transitions given as columns, in net order."""
+              post: list[tuple[int, ...]], labels: list, source: int, sink: int) -> WFNet:
+    """The WFNet of transitions given as columns, in net order."""
     producers: list[list[int]] = [[] for _ in places]
     consumers: list[list[int]] = [[] for _ in places]
     for n, (ins, outs) in enumerate(zip(pre, post)):
@@ -99,12 +82,12 @@ def _numbered(places: tuple[str, ...], ids: list[str], pre: list[tuple[int, ...]
             consumers[k].append(n)
         for k in outs:
             producers[k].append(n)
-    return NetIndex(places, tuple(ids), pre, post, producers, consumers, source, sink,
-                    tuple(labels))
+    return WFNet(places, tuple(ids), pre, post, producers, consumers, source, sink,
+                 tuple(labels))
 
 
-def index_model(model: ProcessModel) -> NetIndex:
-    """A model's workflow net, numbered as `index_net(to_wfnet(model))` is.
+def to_wfnet(model: ProcessModel) -> WFNet:
+    """A model's workflow net.
 
     Intended for normalized models. Activities with more than one flow on
     a side, and XOR gateways mixing 2+ in with 2+ out, have no single-net
@@ -154,23 +137,7 @@ def index_model(model: ProcessModel) -> NetIndex:
                      *([t[k] for t in made] for k in range(4)), 0, 1)
 
 
-def to_wfnet(model: ProcessModel) -> WFNet:
-    """The view of `index_model(model)` with place and transition ids."""
-    net = index_model(model)
-    name = net.places.__getitem__
-    return WFNet(net.places, tuple(
-        Transition(tid, tuple(map(name, pre)), tuple(map(name, post)), label)
-        for tid, pre, post, label in zip(net.transitions, net.pre, net.post, net.labels)))
-
-
-def index_net(net: WFNet) -> NetIndex:
-    number, ts = {p: k for k, p in enumerate(net.places)}.__getitem__, net.transitions
-    return _numbered(net.places, [t.id for t in ts], [tuple(map(number, t.pre)) for t in ts],
-                     [tuple(map(number, t.post)) for t in ts], [t.label for t in ts],
-                     number(net.source), number(net.sink))
-
-
-def uncovered(net: NetIndex) -> tuple[str, ...]:
+def uncovered(net: WFNet) -> tuple[str, ...]:
     """Ids of the places and transitions on no path from source to sink, sorted."""
 
     def reach(start: int, takers: list[list[int]], gives: list[tuple[int, ...]]):

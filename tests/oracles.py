@@ -14,8 +14,9 @@ json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
 these definitions composed. Three are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
-whatever it finds, and the net as string-keyed transitions sorted into a
-WFNet.
+whatever it finds, and the net as string-keyed transitions that WFNet.of
+sorts and numbers. The net oracles read a numbered WFNet back by ids
+through `named`.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
@@ -25,10 +26,12 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from itertools import count
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -56,7 +59,31 @@ from ppmkit.normalize import (
     _sorted_edges,
 )
 from ppmkit.soundness import VIOLATION_KINDS, SoundnessReport, Violation
-from ppmkit.wfnet import SINK_PLACE, SOURCE_PLACE, Transition, WFNet
+from ppmkit.wfnet import SINK_PLACE, SOURCE_PLACE, WFNet
+
+
+class NamedTransition(NamedTuple):
+    id: str
+    pre: tuple[str, ...]
+    post: tuple[str, ...]
+    label: str | None
+
+
+class NamedNet(NamedTuple):
+    """A WFNet read by ids, the form the net oracles are written against."""
+    places: tuple[str, ...]
+    transitions: tuple[NamedTransition, ...]
+    source: str
+    sink: str
+
+
+def named(net: WFNet) -> NamedNet:
+    """The net with its place and transition numbers read back as ids."""
+    name = net.places.__getitem__
+    return NamedNet(net.places, tuple(
+        NamedTransition(tid, tuple(map(name, pre)), tuple(map(name, post)), label)
+        for tid, pre, post, label in zip(net.transitions, net.pre, net.post, net.labels)),
+        name(net.source), name(net.sink))
 
 
 def random_wfnet(seed: int) -> WFNet:
@@ -105,22 +132,16 @@ def random_wfnet(seed: int) -> WFNet:
                 post.add(p)
                 arcs += 1
 
-    return WFNet(
-        places=tuple(places),
-        transitions=tuple(
-            Transition(tid, tuple(sorted(pre)), tuple(sorted(post)))
-            for tid, pre, post in trans
-        ),
-    )
+    return WFNet.of(places, trans)
 
 
-def _arcs(net: WFNet) -> list[tuple[str, str]]:
+def _arcs(net: NamedNet) -> list[tuple[str, str]]:
     """All (from, to) arcs, place -> transition and transition -> place."""
     return ([(p, t.id) for t in net.transitions for p in t.pre]
             + [(t.id, p) for t in net.transitions for p in t.post])
 
 
-def _successors(net: WFNet, marking: tuple[int, ...], index: dict[str, int]):
+def _successors(net: NamedNet, marking: tuple[int, ...], index: dict[str, int]):
     out = []
     for t in net.transitions:
         pre = [index[p] for p in t.pre]
@@ -134,7 +155,7 @@ def _successors(net: WFNet, marking: tuple[int, ...], index: dict[str, int]):
     return out
 
 
-def _unbounded(net: WFNet, initial: tuple[int, ...], index: dict[str, int]) -> bool:
+def _unbounded(net: NamedNet, initial: tuple[int, ...], index: dict[str, int]) -> bool:
     # Unmemoized tree search; a branch stops at a repeat of or strict
     # domination over any marking on its own path. Dickson's lemma keeps
     # every path finite, so the whole tree is finite.
@@ -151,7 +172,15 @@ def _unbounded(net: WFNet, initial: tuple[int, ...], index: dict[str, int]) -> b
 
 
 def brute_force_soundness(net: WFNet) -> str:
-    """'Sound' or 'Unsound', straight from the definition."""
+    """'Sound' or 'Unsound', straight from the definition.
+
+    The answer is kept per net, keyed on its ids and arcs: simulated
+    sessions end in few distinct nets, and an unsound one can take seconds."""
+    return _sound_by_definition(named(net))
+
+
+@lru_cache
+def _sound_by_definition(net: NamedNet) -> str:
     graph = nx.DiGraph()
     graph.add_nodes_from(net.places)
     graph.add_nodes_from(t.id for t in net.transitions)
@@ -212,6 +241,7 @@ def reduces_in_rounds(net: WFNet) -> bool:
        same place goes. If no other transition touches that place, the
        place is left isolated, and no rule removes an isolated place.
     """
+    net = named(net)
     if any(len(set(t.pre)) < len(t.pre) or len(set(t.post)) < len(t.post)
            for t in net.transitions):
         return False  # arc weights above 1 are outside the rules
@@ -295,6 +325,7 @@ def wf_structured_by_arcs(net: WFNet) -> tuple[bool, tuple[str, ...]]:
     Returns (ok, offending ids). Uses plain reachability over the arc
     graph; token counts play no role here.
     """
+    net = named(net)
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
     for a, b in _arcs(net):
@@ -325,6 +356,7 @@ def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
     order, witnesses, traces and state count of soundness._explore must
     match this report exactly.
     """
+    net = named(net)
     index = {p: k for k, p in enumerate(net.places)}
     compiled = [
         (t.id, tuple(index[p] for p in t.pre), tuple(index[p] for p in t.post))
@@ -840,62 +872,44 @@ def to_wfnet_by_node_type(model: ProcessModel) -> WFNet:
     """The workflow-net translation written out once per node type, each
     XOR side on its own."""
     places = [SOURCE_PLACE, SINK_PLACE] + [_wf_place(e) for e in sorted(model.edges)]
-    transitions: list[Transition] = []
+    transitions: list[tuple] = []  # (id, pre, post, label)
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
         in_places = [_wf_place(e.id) for e in model.in_edges(node_id)]
         out_places = [_wf_place(e.id) for e in model.out_edges(node_id)]
         if node.type is ObjectType.START_EVENT:
             transitions.append(
-                Transition(f"t_{node_id}", [SOURCE_PLACE] + in_places, out_places,
-                           label=node.label)
-            )
+                (f"t_{node_id}", [SOURCE_PLACE] + in_places, out_places, node.label))
         elif node.type is ObjectType.END_EVENT:
             transitions.append(
-                Transition(f"t_{node_id}", in_places, [SINK_PLACE] + out_places,
-                           label=node.label)
-            )
+                (f"t_{node_id}", in_places, [SINK_PLACE] + out_places, node.label))
         elif node.type is ObjectType.ACTIVITY:
             if len(in_places) > 1 or len(out_places) > 1:
                 raise ValueError(f"activity {node_id} has multiple flows on one side; "
                                  "normalize the model first")
-            transitions.append(
-                Transition(f"t_{node_id}", in_places, out_places, label=node.label)
-            )
+            transitions.append((f"t_{node_id}", in_places, out_places, node.label))
         elif node.type is ObjectType.AND:
-            transitions.append(
-                Transition(f"t_{node_id}", in_places, out_places, label=node.label)
-            )
+            transitions.append((f"t_{node_id}", in_places, out_places, node.label))
         else:  # XOR: one transition per branch
             if len(in_places) >= 2 and len(out_places) >= 2:
                 raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
             if len(out_places) >= 2:
                 for e in sorted(model.out_edges(node_id), key=lambda e: e.id):
                     transitions.append(
-                        Transition(f"t_{node_id}_{e.id}", in_places, [_wf_place(e.id)],
-                                   label=node.label)
-                    )
+                        (f"t_{node_id}_{e.id}", in_places, [_wf_place(e.id)], node.label))
             elif len(in_places) >= 2:
                 for e in sorted(model.in_edges(node_id), key=lambda e: e.id):
                     transitions.append(
-                        Transition(f"t_{node_id}_{e.id}", [_wf_place(e.id)], out_places,
-                                   label=node.label)
-                    )
+                        (f"t_{node_id}_{e.id}", [_wf_place(e.id)], out_places, node.label))
             else:
-                transitions.append(
-                    Transition(f"t_{node_id}", in_places, out_places, label=node.label)
-                )
+                transitions.append((f"t_{node_id}", in_places, out_places, node.label))
     # A repeated id, after the first, takes the least free suffix _2, _3, ...
-    ids = [t.id for t in transitions]
+    ids = [t[0] for t in transitions]
     for k in range(len(ids)):
         if ids[k] in ids[:k]:
             ids[k] = next(f"{ids[k]}_{n}" for n in count(2)
                           if f"{ids[k]}_{n}" not in ids)
-    return WFNet(
-        places=tuple(places),
-        transitions=tuple(Transition(tid, t.pre, t.post, t.label)
-                          for tid, t in zip(ids, transitions)),
-    )
+    return WFNet.of(places, [(tid, *t[1:]) for tid, t in zip(ids, transitions)])
 
 
 def format_timestamp_fields(ts: datetime) -> str:
@@ -980,7 +994,7 @@ def _metrics_from_dict(data: dict) -> SessionMetrics:
 
 def _witness(kind: str, w):
     """The witness `kind` writes, one kind at a time: null, a transition
-    id, offending ids, else a marking."""
+    id, offending ids (as the tuple the check gives), else a marking."""
     if kind == "StateSpaceExceeded":
         shape, ok = "null", w is None
     elif kind == "DeadTransition":
@@ -995,7 +1009,7 @@ def _witness(kind: str, w):
             for p, n in w.items())
     if not ok:
         raise TypeError(f"{kind} witness must be {shape}, got {w!r}")
-    return w
+    return tuple(w) if kind == "NotWFStructured" else w
 
 
 def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
@@ -1177,18 +1191,11 @@ def normalize_on_copies(model: ProcessModel) -> NormalizationOutcome:
     return NormalizationOutcome(model=m, applied_rules=tuple(rules))
 
 
-def _sorted_transition(tid: str, pre: tuple[str, ...], post: tuple[str, ...],
-                       label: str | None) -> Transition:
-    """A Transition whose pre and post are sorted tuples already."""
-    t = object.__new__(Transition)
-    object.__setattr__(t, "__dict__", {"id": tid, "pre": pre, "post": post, "label": label})
-    return t
-
-
 def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
     """The workflow-net translation over place and transition ids, as
     `to_wfnet` made it before nets were numbered from the model: one
-    string-keyed Transition per transition, sorted and validated by WFNet."""
+    string-keyed transition per transition, sorted, validated and numbered
+    by WFNet.of."""
     places = [SOURCE_PLACE, SINK_PLACE]  # i and o sort before every p_ place
     ins: dict[str, list[str]] = {n: [] for n in model.nodes}
     outs: dict[str, list[str]] = {n: [] for n in model.nodes}
@@ -1197,7 +1204,7 @@ def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
         places.append(p)
         outs[edge.source].append(p)
         ins[edge.target].append(p)
-    transitions: list[Transition] = []
+    transitions: list[tuple] = []  # (id, pre, post, label)
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
         pre, post = tuple(ins[node_id]), tuple(outs[node_id])
@@ -1214,23 +1221,23 @@ def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
             # one transition per flow on the branching side
             split = len(post) > 1
             for p in post if split else pre:  # p is p_<flow>
-                transitions.append(_sorted_transition(
-                    f"t_{node_id}_{p[2:]}", pre if split else (p,), (p,) if split else post,
-                    node.label))
+                transitions.append((f"t_{node_id}_{p[2:]}", pre if split else (p,),
+                                    (p,) if split else post, node.label))
         else:
-            transitions.append(_sorted_transition(f"t_{node_id}", pre, post, node.label))
-    taken = {t.id for t in transitions}
+            transitions.append((f"t_{node_id}", pre, post, node.label))
+    taken = {t[0] for t in transitions}
     if len(taken) < len(transitions):  # a branch id met another transition's id
         seen = set()
-        for k, t in enumerate(transitions):
-            if t.id in seen:
+        for k, (tid, *rest) in enumerate(transitions):
+            if tid in seen:
                 n = 2
-                while f"{t.id}_{n}" in taken:
+                while f"{tid}_{n}" in taken:
                     n += 1
-                taken.add(f"{t.id}_{n}")
-                transitions[k] = t = _sorted_transition(f"{t.id}_{n}", t.pre, t.post, t.label)
-            seen.add(t.id)
-    return WFNet(places=tuple(places), transitions=tuple(transitions))
+                tid = f"{tid}_{n}"
+                taken.add(tid)
+                transitions[k] = (tid, *rest)
+            seen.add(tid)
+    return WFNet.of(places, transitions)
 
 
 def _most_blocks_at_once(blocks: list[Block]) -> int:

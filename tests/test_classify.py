@@ -140,7 +140,7 @@ def test_report_json_round_trip(diamond_log):
 # Per stage, the normalization reason and soundness violations that give it.
 STAGE_EVIDENCE = {
     "MixedGateway": ("mixed gateway: g", None),
-    "NotWFStructured": (None, (Violation("NotWFStructured", witness=["t_a"]),)),
+    "NotWFStructured": (None, (Violation("NotWFStructured", witness=("t_a",)),)),
     "Unsound": (None, (Violation("DeadTransition", witness="t_a"),)),
     "StateSpaceExceeded": (None, (Violation("StateSpaceExceeded"),)),
     "Sound": (None, ()),
@@ -158,6 +158,25 @@ def test_verdict_round_trip_for_every_stage(stage):
     assert again == verdict
     assert again.stage == stage
     assert again.perspicuous is (stage == "Sound")
+
+
+# Per violation kind, a witness and trace of the shape the check gives.
+KIND_EVIDENCE = {
+    "NotWFStructured": (("p_x", "t_a"), None),
+    "DeadlockNoCompletion": ({"p_f4": 1}, ("t_s", "t_g1_f2")),
+    "ImproperCompletion": ({"o": 1, "p_f5": 1}, ("t_s", "t_g1", "t_g2_f4")),
+    "DeadTransition": ("t_a", None),
+    "Unbounded": ({"p": 1, "q": 2}, ("t1", "t2", "t2")),
+    "StateSpaceExceeded": (None, None),
+}
+
+
+@pytest.mark.parametrize("kind", VIOLATION_KINDS)
+def test_verdict_of_every_violation_kind_loads_back_equal(kind):
+    witness, trace = KIND_EVIDENCE[kind]
+    verdict = PerspicuityVerdict(NormalizationOutcome(model=None),
+                                 SoundnessReport((Violation(kind, witness, trace),), 7))
+    assert PerspicuityVerdict.from_dict(json.loads(verdict.to_json())) == verdict
 
 
 @pytest.mark.parametrize("reason, soundness", [
@@ -196,7 +215,7 @@ _STAMPS = st.datetimes(
     min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
     timezones=st.none() | st.sampled_from([timezone.utc, timezone(timedelta(hours=-3))]))
 # The witness each kind's checker writes: a marking, a transition id, node
-# ids (a tuple in memory, a list once loaded) or none.
+# ids (a tuple, also once loaded; a list is written alike) or none.
 _MARKINGS = st.dictionaries(_IDS, st.integers(1, 10**20), min_size=1, max_size=4)
 _NODE_IDS = st.lists(_IDS, min_size=1, max_size=4)
 _WITNESSES = {"DeadlockNoCompletion": _MARKINGS, "ImproperCompletion": _MARKINGS,

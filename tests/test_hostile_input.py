@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import event_logs, load_fixture
 from oracles import report_from_dict
 from ppmkit.classify import SessionReport, classify_model, classify_session
+from ppmkit.cli import main
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventKind,
@@ -144,6 +145,12 @@ def load_or_refuse(from_json, text):
         pass
 
 
+def _nested(key: str) -> str:
+    """An object whose `key` holds arrays nested deeper than json.loads
+    can recurse."""
+    return f'{{"{key}": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
 def _with(original: str, path: tuple, value) -> str:
     data = json.loads(original)
     container = data
@@ -167,6 +174,7 @@ def _with(original: str, path: tuple, value) -> str:
 @example(text=_with(REPORTS[0], ("blocks", 0, "members"), ["a2", "a3", "g1", "g1", "g2"]))
 @example(text=_with(REPORTS[0], ("blocks", 0, "interval"),
                     ["2010-11-15T10:00:35.000Z", "2010-11-15T10:00:15.000Z"]))
+@example(text=_nested("blocks"))
 @settings(max_examples=100)
 def test_report_json_raises_only_value_error(text):
     load_or_refuse(SessionReport.from_json, text)
@@ -175,6 +183,7 @@ def test_report_json_raises_only_value_error(text):
 @given(text=mutated(MODELS) | _JSON_VALUES.map(json.dumps))
 @example(text=_with(MODELS[0], ("nodes", 0, "x"), float("inf")))
 @example(text=_with(MODELS[0], ("nodes", 0, "id"), 5))
+@example(text=_nested("nodes"))
 @settings(max_examples=100)
 def test_model_json_raises_only_value_error(text):
     # A model that loads also classifies, or is refused with ValueError.
@@ -182,6 +191,17 @@ def test_model_json_raises_only_value_error(text):
         classify_model(ProcessModel.from_json(text))
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("command, key", [("classify", "nodes"), ("stats", "blocks")])
+def test_cli_refuses_deeply_nested_json_in_one_line(capsys, tmp_path, command, key):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(key), encoding="utf-8")
+    flag = "--model" if command == "classify" else "--reports"
+    assert main([command, flag, str(path if command == "classify" else tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize("path, value", [

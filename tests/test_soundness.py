@@ -10,6 +10,7 @@ from golden_cases import build
 from oracles import (
     brute_force_soundness,
     explore_every_transition,
+    named,
     random_wfnet,
     reduces_in_rounds,
     soundness_dict,
@@ -30,7 +31,7 @@ from ppmkit.soundness import (
     _reduces,
     check_soundness,
 )
-from ppmkit.wfnet import Transition, WFNet, index_net, to_wfnet, uncovered
+from ppmkit.wfnet import WFNet, to_wfnet, uncovered
 
 
 def diamond(split_type, join_type):
@@ -55,6 +56,7 @@ def linear_net():
 
 def fire(net, trace):
     """Replay a firing sequence; returns the non-zero part of the marking."""
+    net = named(net)
     marking = dict.fromkeys(net.places, 0)
     marking[net.source] = 1
     by_id = {t.id: t for t in net.transitions}
@@ -106,13 +108,13 @@ def test_xor_split_and_join_deadlocks():
 
 def test_unbounded_pump():
     # t2 pumps q while holding p, so {p,q} strictly dominates {p}
-    net = WFNet(
-        places=("i", "o", "p", "q"),
-        transitions=(
-            Transition("t1", ("i",), ("p",)),
-            Transition("t2", ("p",), ("p", "q")),
-            Transition("t3", ("p", "q"), ("o",)),
-        ),
+    net = WFNet.of(
+        ("i", "o", "p", "q"),
+        [
+            ("t1", ("i",), ("p",)),
+            ("t2", ("p",), ("p", "q")),
+            ("t3", ("p", "q"), ("o",)),
+        ],
     )
     report = check_soundness(net)
     assert report.verdict == UNSOUND
@@ -124,12 +126,12 @@ def test_unbounded_pump():
 
 def test_repeated_input_arc_needs_a_token_per_arc():
     # b takes two tokens from p, and p only ever holds one.
-    net = WFNet(
-        places=("i", "p", "o"),
-        transitions=(
-            Transition("a", ("i",), ("p",)),
-            Transition("b", ("p", "p"), ("o",)),
-        ),
+    net = WFNet.of(
+        ("i", "p", "o"),
+        [
+            ("a", ("i",), ("p",)),
+            ("b", ("p", "p"), ("o",)),
+        ],
     )
     report = check_soundness(net)
     assert report.verdict == UNSOUND
@@ -143,12 +145,12 @@ def test_repeated_input_arc_needs_a_token_per_arc():
 def test_weighted_arc_is_not_reduced():
     # t1 puts two tokens on p and t2 takes one: read with arc weight 1,
     # the net would collapse to i -> t -> o.
-    net = WFNet(
-        places=("i", "o", "p"),
-        transitions=(
-            Transition("t1", ("i",), ("p", "p")),
-            Transition("t2", ("p",), ("o",)),
-        ),
+    net = WFNet.of(
+        ("i", "o", "p"),
+        [
+            ("t1", ("i",), ("p", "p")),
+            ("t2", ("p",), ("o",)),
+        ],
     )
     report = check_soundness(net)
     assert report.verdict == UNSOUND
@@ -156,13 +158,13 @@ def test_weighted_arc_is_not_reduced():
 
 
 def test_not_wf_structured_short_circuits():
-    net = WFNet(
-        places=("i", "o", "p_live", "p_dead"),
-        transitions=(
-            Transition("t1", ("i",), ("p_live",)),
-            Transition("t2", ("p_live",), ("o",)),
-            Transition("t_stray", ("p_dead",), ("p_dead",)),
-        ),
+    net = WFNet.of(
+        ("i", "o", "p_live", "p_dead"),
+        [
+            ("t1", ("i",), ("p_live",)),
+            ("t2", ("p_live",), ("o",)),
+            ("t_stray", ("p_dead",), ("p_dead",)),
+        ],
     )
     report = check_soundness(net)
     assert report.verdict == UNSOUND
@@ -188,13 +190,8 @@ def test_verdict_survives_transition_renames():
     for net in (diamond(ObjectType.AND, ObjectType.XOR),
                 diamond(ObjectType.XOR, ObjectType.AND),
                 diamond(ObjectType.XOR, ObjectType.XOR)):
-        renamed = WFNet(
-            places=net.places,
-            transitions=tuple(
-                Transition(f"zz_{t.id}", t.pre, t.post, t.label)
-                for t in net.transitions
-            ),
-        )
+        renamed = WFNet.of(net.places, [(f"zz_{t.id}", t.pre, t.post, t.label)
+                                        for t in named(net).transitions])
         a, b = check_soundness(net), check_soundness(renamed)
         assert a.verdict == b.verdict
         assert sorted(kinds(a)) == sorted(kinds(b))
@@ -287,24 +284,24 @@ def block_models(draw, flip):
 @given(block_models(flip=False))
 @settings(max_examples=60, deadline=None)
 def test_block_structured_nets_reduce_and_are_sound(net):
-    assert _reduces(index_net(net))
+    assert _reduces(net)
     assert brute_force_soundness(net) == SOUND
 
 
-TRIVIAL_NET = WFNet(("i", "o"), (Transition("t", ("i",), ("o",)),))
+TRIVIAL_NET = WFNet.of(("i", "o"), [("t", ("i",), ("o",))])
 
 
 @given(block_models(flip=False), st.sampled_from((1, 2, DEFAULT_MAX_STATES)))
 @settings(max_examples=60, deadline=None)
 def test_reduced_nets_get_the_trivial_nets_explorer_report(net, cap):
     assert (soundness_dict(check_soundness(net, cap))
-            == soundness_dict(_explore(index_net(TRIVIAL_NET), cap)))
+            == soundness_dict(_explore(TRIVIAL_NET, cap)))
 
 
 @given(block_models(flip=True))
 @settings(max_examples=60, deadline=None)
 def test_flipped_gateway_nets_keep_the_explorer_report(net):
-    if _reduces(index_net(net)):
+    if _reduces(net):
         assert brute_force_soundness(net) == SOUND
     else:
         assert (soundness_dict(check_soundness(net, max_states=DEFAULT_MAX_STATES))
@@ -332,8 +329,8 @@ def small_nets(draw):
         else:
             pre = draw(st.lists(st.sampled_from(line[:-1]), max_size=3))
             post = draw(st.lists(st.sampled_from(line[1:]), max_size=3))
-        transitions.append(Transition(f"t{n}", tuple(pre), tuple(post)))
-    return WFNet(places=tuple(line), transitions=tuple(transitions)), acyclic
+        transitions.append((f"t{n}", pre, post))
+    return WFNet.of(line, transitions), acyclic
 
 
 @given(small_nets(), st.integers(1, 200))
@@ -341,8 +338,8 @@ def small_nets(draw):
 def test_explorer_matches_testing_every_transition(drawn, cap):
     net, acyclic = drawn
     if acyclic:
-        assert not _may_run_forever(index_net(net))
-    report = _explore(index_net(net), cap)
+        assert not _may_run_forever(net)
+    report = _explore(net, cap)
     assert soundness_dict(report) == soundness_dict(explore_every_transition(net, cap))
     assert all(c > 0 for v in report.violations if isinstance(v.witness, dict)
                for c in v.witness.values())
@@ -362,8 +359,8 @@ def simulated_model(profile, seed):
 
 
 def assert_structure_check_and_reduction_match_the_definitions(net):
-    offending = uncovered(index_net(net))
-    reduces = _reduces(index_net(net))
+    offending = uncovered(net)
+    reduces = _reduces(net)
     assert (not offending, offending) == wf_structured_by_arcs(net)
     assert reduces == reduces_in_rounds(net)
     # check_soundness runs the structure check only when the reduction fails.
@@ -388,8 +385,7 @@ def test_structure_check_and_worklist_reduction_on_simulated_sessions(profile, s
 
 def is_free_choice(net):
     """Two transitions sharing an input place share all their inputs."""
-    return all(set(t.pre) == set(u.pre) or not set(t.pre) & set(u.pre)
-               for t in net.transitions for u in net.transitions)
+    return all(set(t) == set(u) or not set(t) & set(u) for t in net.pre for u in net.pre)
 
 
 # Each place has one consuming node, whose transitions either share one
@@ -450,19 +446,19 @@ def test_wide_and_split_xor_join_matches_the_oracle():
 def test_stuck_witness_preferred_over_a_live_locked_one():
     # From p, q live-locks (q <-> q2 forever, t6 waits for s) and comes
     # first in breadth-first order; r, reached after it, enables nothing.
-    net = WFNet(
-        places=("i", "o", "p", "q", "q2", "r", "s"),
-        transitions=(
-            Transition("t1", ("i",), ("p",)),
-            Transition("t2", ("p",), ("q",)),
-            Transition("t3", ("q",), ("q2",)),
-            Transition("t4", ("q2",), ("q",)),
-            Transition("t5", ("p",), ("r",)),
-            Transition("t6", ("q", "s"), ("o",)),
-            Transition("t7", ("r", "s"), ("o",)),
-            Transition("t8", ("p",), ("s",)),
-            Transition("t9", ("p",), ("o",)),
-        ),
+    net = WFNet.of(
+        ("i", "o", "p", "q", "q2", "r", "s"),
+        [
+            ("t1", ("i",), ("p",)),
+            ("t2", ("p",), ("q",)),
+            ("t3", ("q",), ("q2",)),
+            ("t4", ("q2",), ("q",)),
+            ("t5", ("p",), ("r",)),
+            ("t6", ("q", "s"), ("o",)),
+            ("t7", ("r", "s"), ("o",)),
+            ("t8", ("p",), ("s",)),
+            ("t9", ("p",), ("o",)),
+        ],
     )
     report = check_soundness(net)
     assert kinds(report) == ["DeadlockNoCompletion", "DeadTransition", "DeadTransition"]
@@ -476,7 +472,7 @@ def test_stuck_witness_preferred_over_a_live_locked_one():
 
 def test_pumping_loop_matches_the_oracle():
     net = pumping_loop()
-    assert _may_run_forever(index_net(net))
+    assert _may_run_forever(net)
     report = check_soundness(net)
     assert kinds(report) == ["Unbounded"]
     unbounded = report.violations[0]
