@@ -13,13 +13,12 @@ every split whose dominator subtree no flow leaves, by a climb up the tree
 from each join; a split no pass answered roots its own. The dating walk
 applies the log's creates and deletes to the validator's bare skeleton,
 eventlog._Skeleton. After each edge create or delete it tests, by the same
-climb, the splits of undated blocks that are gateways with two or more
-out-flows at that moment; it reads those degrees off the skeleton itself.
+climb, the splits of undated blocks that exist by then and are gateways
+with two or more out-flows; it reads those degrees off the skeleton itself.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
@@ -205,15 +204,12 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     return pairs
 
 
-def _is_whole(members: frozenset[str], created: dict[str, ModelingEvent],
-              node_creates: list[tuple[int, str]]) -> bool:
+def _is_whole(members: frozenset[str], creates: list[ModelingEvent],
+              latest: dict[str, int]) -> bool:
     # A block was made as a whole if no foreign NODE was created between
     # its first and last member create. Edge creates never break this.
-    spans = [created[oid].seq for oid in members]
-    lo, hi = min(spans), max(spans)
-    inside = node_creates[bisect_right(node_creates, lo, key=itemgetter(0)):
-                          bisect_left(node_creates, hi, key=itemgetter(0))]
-    return all(oid in members for _, oid in inside)
+    at = [latest[oid] for oid in members]
+    return all(ev.object_id in members for ev in creates[min(at) + 1:max(at)])
 
 
 def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
@@ -221,35 +217,39 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
 
     The log must have reconnect events expanded already, and `model` must
     have the nodes, node types and flows that replaying it gives, else
-    ValueError; labels, positions and bendpoints shape no block. Members
+    ValueError; a label, a position or a bendpoint shapes no block. Members
     are the nodes present when the pair first qualified, dated by the
     create of that incarnation of each, so later edits neither extend a
     block's interval nor change its whole-block status.
 
     One walk applies the log's creates and deletes to a _Skeleton, the
-    class that validated it, indexes each object's latest create, and tests
-    each pair of the model until it first qualifies. A new node is isolated,
-    so only an edge create or a delete triggers a test, and only of the
-    undated splits that are then gateways with two or more out-flows. The
-    walk runs to the end of the log, whose structure must be the model's.
+    class that validated it, keeps the node creates in order with each
+    node's latest, and tests each pair of the model until it first
+    qualifies. A new node is isolated, so only an edge create or a delete
+    triggers a test, and only of the undated splits created by then that
+    are gateways with two or more out-flows. The walk runs to the end of
+    the log, whose structure must be the model's.
     """
     if log.has_reconnects():
         raise ValueError("expand reconnect events before block detection")
-    pending: dict[str, dict[str, None]] = {}  # split -> joins of its undated blocks
+    joins_of: dict[str, dict[str, None]] = {}  # split -> joins of its blocks
     for s, j, _ in find_block_pairs(model):
-        pending.setdefault(s, {})[j] = None
-    created: dict[str, ModelingEvent] = {}  # each object's latest create
-    node_creates: list[tuple[int, str]] = []  # (seq, id), in seq order
+        joins_of.setdefault(s, {})[j] = None
+    pending: dict[str, dict[str, None]] = {}  # created split -> joins of its undated blocks
+    creates: list[ModelingEvent] = []  # node creates, in log order
+    latest: dict[str, int] = {}  # node id -> index of its latest create in `creates`
     blocks: list[Block] = []
     current = _Skeleton()
     types = current.types
     for ev in log.events:
         event_class = KIND_CLASS[ev.kind]
         if event_class is _CREATE:
-            created[ev.object_id] = ev
             if KIND_OBJECT_TYPE[ev.kind] is not _EDGE:
-                node_creates.append((ev.seq, ev.object_id))
+                latest[ev.object_id] = len(creates)
+                creates.append(ev)
                 current.apply(ev)
+                if ev.object_id in joins_of:
+                    pending[ev.object_id] = joins_of.pop(ev.object_id)
                 continue  # a new node is isolated: it completes no block
         elif event_class is not _DELETE:
             continue
@@ -265,9 +265,9 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
             rank, idom, ways = _dominator_tree(current, s)
             for _, j, members in _close_blocks(current, ready, idom, ways,
                                                {s: range(len(rank))}, rank):
-                stamps = [created[oid].timestamp for oid in members]
+                stamps = [creates[latest[oid]].timestamp for oid in members]
                 blocks.append(Block(s, j, members, ev.seq, (min(stamps), max(stamps)),
-                                    _is_whole(members, created, node_creates)))
+                                    _is_whole(members, creates, latest)))
                 del joins[j]
             if not joins:
                 del pending[s]
@@ -282,19 +282,14 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
 def max_simul_block(blocks: list[Block]) -> int:
     """Most blocks under construction at once; intervals are closed, so a
     block ending exactly when another starts counts as overlap."""
-    points = []
-    for b in blocks:
-        start, end = b.interval
-        points.append((start, 0))  # starts sort before ends at equal time
-        points.append((end, 1))
-    points.sort()
-    best = current = 0
-    for _, kind in points:
-        if kind == 0:
-            current += 1
-            best = max(best, current)
-        else:
-            current -= 1
+    starts = sorted([b.interval[0] for b in blocks])
+    ends = sorted([b.interval[1] for b in blocks])
+    best = closed = 0
+    for opened, start in enumerate(starts, 1):  # the most overlap is at some start
+        while closed < opened and ends[closed] < start:
+            closed += 1
+        if opened - closed > best:
+            best = opened - closed
     return best
 
 

@@ -14,7 +14,7 @@ One writer, session_json, states the report's JSON layout: json.dumps's
 indent-2 form with keys in a fixed order and collections sorted, each leaf
 from the C string and number formatters. The loader checks each field's
 type once, builds the objects without their constructors, and refuses a
-block no detector could find.
+block no detector could find and block metrics its own blocks do not give.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _str
 
-from .blocks import Block, detect_blocks
+from .blocks import Block, detect_blocks, max_simul_block, perc_blocks_as_whole
 from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import ProcessModel, read_json, trusted, typed
@@ -242,7 +242,8 @@ class SessionReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
         """Rebuild from the JSON form; a missing key, a value of the wrong
-        type or a block no detector could find raises ValueError."""
+        type, a block no detector could find or block metrics its blocks do
+        not give raises ValueError."""
         problems = []  # raised after every other check, in block order
 
         def block(b: dict) -> Block:
@@ -279,6 +280,10 @@ class SessionReport:
             raise ValueError(f"bad number: {exc}") from None
         if problems:
             raise ValueError(problems[0])
+        whole = perc_blocks_as_whole(blocks)  # compared as JSON writes it
+        if (report.metrics.max_simul_block != max_simul_block(blocks) or data["metrics"][
+                "perc_num_block_as_a_whole"] != (whole if whole is None else float(whole))):
+            raise ValueError("block metrics do not match the report's blocks")
         return report
 
     @classmethod

@@ -36,9 +36,9 @@ Sound, a StateSpaceExceeded (the cap) is Unknown, anything else Unsound.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from graphlib import CycleError, TopologicalSorter
 
 from .wfnet import WFNet, uncovered
 
@@ -342,13 +342,10 @@ def _may_run_forever(net: WFNet) -> bool:
     either every run is finite, so no marking strictly dominates an ancestor."""
     if not all(net.pre):
         return True
-    # Kahn's algorithm on places, p -> q when a transition takes p, gives q.
-    after = [{q for t in ts for q in net.post[t]} for ts in net.consumers]
-    waiting = Counter(chain.from_iterable(after))
-    ready = [p for p in range(len(after)) if not waiting[p]]
-    for p in ready:
-        for q in after[p]:
-            waiting[q] -= 1
-            if not waiting[q]:
-                ready.append(q)
-    return len(ready) < len(after)
+    # On places, p -> q when a transition takes p and gives q.
+    try:
+        TopologicalSorter({p: {q for t in ts for q in net.post[t]}
+                           for p, ts in enumerate(net.consumers)}).prepare()
+    except CycleError:
+        return True
+    return False

@@ -5,10 +5,11 @@ Boxplot quartiles are Tukey hinges (medians of the lower and upper halves,
 the overall median belonging to both halves when the count is odd), with
 whiskers at the most extreme points within 1.5 interquartile ranges of the
 hinges. The t-test pools variances, so df = n1 + n2 - 2, and gets its
-two-tailed p-value from the regularized incomplete beta function evaluated
-by continued fraction; no statistics library is involved, which keeps the
-digits reproducible everywhere. Floats are added left to right by reduce,
-not by the builtin sum, which Python 3.12 made compensated.
+two-tailed p-value from the regularized incomplete beta function, written
+out here as a continued fraction so the digits are the same everywhere.
+statistics.median sorts and takes (a + b) / 2 alike on Pythons 3.10 to
+3.13. Floats are added left to right by reduce, not by the builtin sum,
+which Python 3.12 made compensated.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add
+from statistics import median
 
 from .metrics import METRIC_NAMES
 
@@ -47,14 +49,6 @@ class BoxplotSummary:
     n: int
 
 
-def _median(xs: list[float]) -> float:
-    n = len(xs)
-    mid = n // 2
-    if n % 2:
-        return xs[mid]
-    return (xs[mid - 1] + xs[mid]) / 2
-
-
 def boxplot_summary(values: list[float]) -> BoxplotSummary:
     if not values:
         raise ValueError("boxplot needs at least one value")
@@ -62,14 +56,14 @@ def boxplot_summary(values: list[float]) -> BoxplotSummary:
     n = len(xs)
     lower = xs[: (n + 1) // 2]
     upper = xs[n // 2 :]
-    lo_hinge = _median(lower)
-    hi_hinge = _median(upper)
+    lo_hinge = median(lower)
+    hi_hinge = median(upper)
     iqr = hi_hinge - lo_hinge
     fence_low = lo_hinge - 1.5 * iqr
     fence_high = hi_hinge + 1.5 * iqr
     inside = [x for x in xs if fence_low <= x <= fence_high]
     return BoxplotSummary(
-        median=_median(xs),
+        median=median(xs),
         lower_hinge=lo_hinge,
         upper_hinge=hi_hinge,
         mean=reduce(add, xs, 0.0) / n,
@@ -92,25 +86,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # step m applies its even coefficient, then its odd one
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -184,8 +171,6 @@ class MetricComparison:
 
 @dataclass(frozen=True)
 class GroupComparison:
-    group_a_label: str
-    group_b_label: str
     group_a_size: int
     group_b_size: int
     rows: tuple[MetricComparison, ...]
@@ -193,17 +178,11 @@ class GroupComparison:
     def to_dict(self) -> dict:
         return {
             "groups": {
-                "a": {"label": self.group_a_label, "sessions": self.group_a_size},
-                "b": {"label": self.group_b_label, "sessions": self.group_b_size},
+                "a": {"label": GROUP_A, "sessions": self.group_a_size},
+                "b": {"label": GROUP_B, "sessions": self.group_b_size},
             },
             "metrics": [asdict(row) for row in self.rows],
         }
-
-    def row(self, metric: str) -> MetricComparison:
-        for r in self.rows:
-            if r.metric == metric:
-                return r
-        raise KeyError(metric)
 
 
 def compare_groups(reports, exclude_unknown: bool = False,
@@ -224,6 +203,8 @@ def compare_groups(reports, exclude_unknown: bool = False,
     if not group_b:
         raise ValueError(f"group {GROUP_B} is empty")
 
+    if not metrics:
+        raise ValueError("no metric to compare")
     for name in metrics:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}")
@@ -253,8 +234,6 @@ def compare_groups(reports, exclude_unknown: bool = False,
             )
         )
     return GroupComparison(
-        group_a_label=GROUP_A,
-        group_b_label=GROUP_B,
         group_a_size=len(group_a),
         group_b_size=len(group_b),
         rows=tuple(rows),
@@ -279,8 +258,8 @@ def render_table(comparison: GroupComparison) -> str:
         max(len(header[k]), *(len(r[k]) for r in body)) for k in range(len(header))
     ]
     lines = [
-        f"groups: {comparison.group_a_label} n={comparison.group_a_size}, "
-        f"{comparison.group_b_label} n={comparison.group_b_size}",
+        f"groups: {GROUP_A} n={comparison.group_a_size}, "
+        f"{GROUP_B} n={comparison.group_b_size}",
         "  ".join(h.ljust(widths[k]) for k, h in enumerate(header)).rstrip(),
     ]
     for r in body:

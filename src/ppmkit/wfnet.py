@@ -12,8 +12,10 @@ by node id, then flow id, and a repeated one takes the first suffix _2,
 _3, ... that no transition has. An id nothing clashes with stays as it is.
 
 A net has one form, the one the soundness check reads: places and
-transitions numbered in id order. `to_wfnet` numbers a model's net
-straight from the model, and `WFNet.of` numbers a net given by ids.
+transitions numbered in id order. No node's label enters it: witnesses
+and traces name transitions by id. `to_wfnet` numbers a model's net straight
+from the model, and `WFNet.of` numbers a net given by ids, each transition
+as (id, pre, post).
 """
 
 from __future__ import annotations
@@ -43,14 +45,13 @@ class WFNet(NamedTuple):
     consumers: list[list[int]]
     source: int
     sink: int
-    labels: tuple[str | None, ...]  # per transition
 
     @staticmethod
     def of(places, transitions, source: str = SOURCE_PLACE, sink: str = SINK_PLACE) -> WFNet:
         """The net of places and transitions given by id, each transition
-        as (id, pre, post) or (id, pre, post, label) with place ids."""
+        as (id, pre, post) with place ids."""
         places = tuple(sorted(places))
-        ts = sorted((t if len(t) == 4 else (*t, None) for t in transitions), key=itemgetter(0))
+        ts = sorted(transitions, key=itemgetter(0))
         number = {p: k for k, p in enumerate(places)}
         if len(number) != len(places):
             raise ValueError("duplicate place ids")
@@ -58,7 +59,7 @@ class WFNet(NamedTuple):
             raise ValueError("duplicate transition ids")
         if source not in number or sink not in number:
             raise ValueError("source and sink must be places")
-        for tid, pre, post, _ in ts:
+        for tid, pre, post in ts:
             for p in sorted(pre) + sorted(post):
                 if p not in number:
                     raise ValueError(f"transition {tid} touches unknown place {p}")
@@ -68,12 +69,11 @@ class WFNet(NamedTuple):
                 raise ValueError(f"transition {tid} consumes the sink place")
         n = number.__getitem__
         return _numbered(places, [t[0] for t in ts], [tuple(sorted(map(n, t[1]))) for t in ts],
-                         [tuple(sorted(map(n, t[2]))) for t in ts], [t[3] for t in ts],
-                         n(source), n(sink))
+                         [tuple(sorted(map(n, t[2]))) for t in ts], n(source), n(sink))
 
 
 def _numbered(places: tuple[str, ...], ids: list[str], pre: list[tuple[int, ...]],
-              post: list[tuple[int, ...]], labels: list, source: int, sink: int) -> WFNet:
+              post: list[tuple[int, ...]], source: int, sink: int) -> WFNet:
     """The WFNet of transitions given as columns, in net order."""
     producers: list[list[int]] = [[] for _ in places]
     consumers: list[list[int]] = [[] for _ in places]
@@ -82,8 +82,7 @@ def _numbered(places: tuple[str, ...], ids: list[str], pre: list[tuple[int, ...]
             consumers[k].append(n)
         for k in outs:
             producers[k].append(n)
-    return WFNet(places, tuple(ids), pre, post, producers, consumers, source, sink,
-                 tuple(labels))
+    return WFNet(places, tuple(ids), pre, post, producers, consumers, source, sink)
 
 
 def to_wfnet(model: ProcessModel) -> WFNet:
@@ -104,7 +103,7 @@ def to_wfnet(model: ProcessModel) -> WFNet:
         edge = model.edges[e]
         outs[edge.source].append(k)
         ins[edge.target].append(k)
-    made = []  # (id, pre, post, label), by node id, then flow id
+    made = []  # (id, pre, post), by node id, then flow id
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
         pre, post = tuple(ins[node_id]), tuple(outs[node_id])
@@ -120,9 +119,9 @@ def to_wfnet(model: ProcessModel) -> WFNet:
                 raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
             split = len(post) > 1  # one transition per flow on the branching side
             made += [(f"t_{node_id}_{flows[k - 2]}", pre if split else (k,),
-                      (k,) if split else post, node.label) for k in (post if split else pre)]
+                      (k,) if split else post) for k in (post if split else pre)]
         else:
-            made.append((f"t_{node_id}", pre, post, node.label))
+            made.append((f"t_{node_id}", pre, post))
     taken = {t[0] for t in made}
     if len(taken) < len(made):  # a branch id met another transition's id
         seen = set()
@@ -134,7 +133,7 @@ def to_wfnet(model: ProcessModel) -> WFNet:
             seen.add(tid)
     made.sort(key=itemgetter(0))
     return _numbered((SOURCE_PLACE, SINK_PLACE, *[f"p_{e}" for e in flows]),
-                     *([t[k] for t in made] for k in range(4)), 0, 1)
+                     *([t[k] for t in made] for k in range(3)), 0, 1)
 
 
 def uncovered(net: WFNet) -> tuple[str, ...]:

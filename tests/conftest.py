@@ -275,3 +275,48 @@ def simulated_logs():
     """Sessions of the simulator, any profile and seed."""
     return st.builds(lambda name, seed: simulate(replace(PROFILES[name], seed=seed)),
                      st.sampled_from(sorted(PROFILES)), st.integers(0, 2**64 - 1))
+
+
+def _flows(pairs, first: int = 0) -> list[str]:
+    """CREATE_EDGE steps for (source, target) pairs, as flows f<first>, ..."""
+    return [f"CREATE_EDGE f{n} {s} {t}" for n, (s, t) in enumerate(pairs, first)]
+
+
+@st.composite
+def back_to_front_chains(draw):
+    """Chains of 1-6 XOR blocks of 2-3 tasks whose nodes are all placed
+    first, in a drawn order, and then wired from the end event back to the
+    start event, block by block, each block's flows in a drawn order."""
+    k = draw(st.integers(1, 6))
+    blocks = [(f"x{i}", f"y{i}", [f"a{i}_{n}" for n in range(draw(st.integers(2, 3)))])
+              for i in range(k)]
+    nodes = ["CREATE_START_EVENT start", "CREATE_END_EVENT end"]
+    for x, y, tasks in blocks:
+        nodes += [f"CREATE_XOR {x}", f"CREATE_XOR {y}", *(f"CREATE_ACTIVITY {t}" for t in tasks)]
+    pairs, after = [], "end"
+    for x, y, tasks in reversed(blocks):
+        pairs += draw(st.permutations([(y, after), *((t, y) for t in tasks),
+                                       *((x, t) for t in tasks)]))
+        after = x
+    pairs.append(("start", after))
+    return parse_log(csv_log(*draw(st.permutations(nodes)), *_flows(pairs)),
+                     session_id="back_to_front")
+
+
+@st.composite
+def outside_in_nests(draw):
+    """XOR blocks nested 1-6 deep and built from the outside in: each level
+    places its split, its join and a task for its first branch, then wires
+    them and the flows from and to the level around it, each in a drawn
+    order, before the level inside starts. The innermost level's second
+    branch is one more task."""
+    depth = draw(st.integers(1, 6))
+    steps, before, after = ["CREATE_START_EVENT start", "CREATE_END_EVENT end"], "start", "end"
+    for i in range(depth):
+        x, y, a = f"x{i}", f"y{i}", f"a{i}"
+        steps += draw(st.permutations([f"CREATE_XOR {x}", f"CREATE_XOR {y}",
+                                       f"CREATE_ACTIVITY {a}"]))
+        steps += _flows(draw(st.permutations([(before, x), (y, after), (x, a), (a, y)])), 4 * i)
+        before, after = x, y
+    steps += ["CREATE_ACTIVITY b", *_flows([(before, "b"), ("b", after)], 4 * depth)]
+    return parse_log(csv_log(*steps), session_id="outside_in")

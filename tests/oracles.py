@@ -66,7 +66,6 @@ class NamedTransition(NamedTuple):
     id: str
     pre: tuple[str, ...]
     post: tuple[str, ...]
-    label: str | None
 
 
 class NamedNet(NamedTuple):
@@ -81,8 +80,8 @@ def named(net: WFNet) -> NamedNet:
     """The net with its place and transition numbers read back as ids."""
     name = net.places.__getitem__
     return NamedNet(net.places, tuple(
-        NamedTransition(tid, tuple(map(name, pre)), tuple(map(name, post)), label)
-        for tid, pre, post, label in zip(net.transitions, net.pre, net.post, net.labels)),
+        NamedTransition(tid, tuple(map(name, pre)), tuple(map(name, post)))
+        for tid, pre, post in zip(net.transitions, net.pre, net.post)),
         name(net.source), name(net.sink))
 
 
@@ -872,37 +871,37 @@ def to_wfnet_by_node_type(model: ProcessModel) -> WFNet:
     """The workflow-net translation written out once per node type, each
     XOR side on its own."""
     places = [SOURCE_PLACE, SINK_PLACE] + [_wf_place(e) for e in sorted(model.edges)]
-    transitions: list[tuple] = []  # (id, pre, post, label)
+    transitions: list[tuple] = []  # (id, pre, post)
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
         in_places = [_wf_place(e.id) for e in model.in_edges(node_id)]
         out_places = [_wf_place(e.id) for e in model.out_edges(node_id)]
         if node.type is ObjectType.START_EVENT:
             transitions.append(
-                (f"t_{node_id}", [SOURCE_PLACE] + in_places, out_places, node.label))
+                (f"t_{node_id}", [SOURCE_PLACE] + in_places, out_places))
         elif node.type is ObjectType.END_EVENT:
             transitions.append(
-                (f"t_{node_id}", in_places, [SINK_PLACE] + out_places, node.label))
+                (f"t_{node_id}", in_places, [SINK_PLACE] + out_places))
         elif node.type is ObjectType.ACTIVITY:
             if len(in_places) > 1 or len(out_places) > 1:
                 raise ValueError(f"activity {node_id} has multiple flows on one side; "
                                  "normalize the model first")
-            transitions.append((f"t_{node_id}", in_places, out_places, node.label))
+            transitions.append((f"t_{node_id}", in_places, out_places))
         elif node.type is ObjectType.AND:
-            transitions.append((f"t_{node_id}", in_places, out_places, node.label))
+            transitions.append((f"t_{node_id}", in_places, out_places))
         else:  # XOR: one transition per branch
             if len(in_places) >= 2 and len(out_places) >= 2:
                 raise ValueError(f"mixed XOR gateway {node_id}; normalize rejects this")
             if len(out_places) >= 2:
                 for e in sorted(model.out_edges(node_id), key=lambda e: e.id):
                     transitions.append(
-                        (f"t_{node_id}_{e.id}", in_places, [_wf_place(e.id)], node.label))
+                        (f"t_{node_id}_{e.id}", in_places, [_wf_place(e.id)]))
             elif len(in_places) >= 2:
                 for e in sorted(model.in_edges(node_id), key=lambda e: e.id):
                     transitions.append(
-                        (f"t_{node_id}_{e.id}", [_wf_place(e.id)], out_places, node.label))
+                        (f"t_{node_id}_{e.id}", [_wf_place(e.id)], out_places))
             else:
-                transitions.append((f"t_{node_id}", in_places, out_places, node.label))
+                transitions.append((f"t_{node_id}", in_places, out_places))
     # A repeated id, after the first, takes the least free suffix _2, _3, ...
     ids = [t[0] for t in transitions]
     for k in range(len(ids)):
@@ -1204,7 +1203,7 @@ def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
         places.append(p)
         outs[edge.source].append(p)
         ins[edge.target].append(p)
-    transitions: list[tuple] = []  # (id, pre, post, label)
+    transitions: list[tuple] = []  # (id, pre, post)
     for node_id in sorted(model.nodes):
         node = model.nodes[node_id]
         pre, post = tuple(ins[node_id]), tuple(outs[node_id])
@@ -1222,9 +1221,9 @@ def to_wfnet_by_place_names(model: ProcessModel) -> WFNet:
             split = len(post) > 1
             for p in post if split else pre:  # p is p_<flow>
                 transitions.append((f"t_{node_id}_{p[2:]}", pre if split else (p,),
-                                    (p,) if split else post, node.label))
+                                    (p,) if split else post))
         else:
-            transitions.append((f"t_{node_id}", pre, post, node.label))
+            transitions.append((f"t_{node_id}", pre, post))
     taken = {t[0] for t in transitions}
     if len(taken) < len(transitions):  # a branch id met another transition's id
         seen = set()

@@ -160,10 +160,11 @@ def test_criterion_5_cohort_separation(capsys):
                 f"{row.metric}: p={row.test.p_value:.4f} not significant"
             )
         # direction checks, group a being the perspicuous sessions
-        assert comparison.row("max_simul_block").test.t_value < 0
-        assert comparison.row("perc_num_block_as_a_whole").test.t_value > 0
-        assert comparison.row("tot_time").test.t_value < 0
-        assert comparison.row("tot_create_time").test.t_value < 0
+        t_value = {row.metric: row.test.t_value for row in comparison.rows}
+        assert t_value["max_simul_block"] < 0
+        assert t_value["perc_num_block_as_a_whole"] > 0
+        assert t_value["tot_time"] < 0
+        assert t_value["tot_create_time"] < 0
 
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s, budget is 30s"

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, event_logs
+from conftest import BASE, back_to_front_chains, event_logs, outside_in_nests
 from oracles import (
+    _most_blocks_at_once,
     blocks_dated_all_pairs,
     edge_disjoint_path_count,
     find_block_pairs_maxflow,
@@ -360,6 +361,39 @@ def test_chain_search_is_one_pass_and_dating_tests_each_pair_once(monkeypatch):
     assert len(passes) == 1 + 1 + 320
 
 
+def _splits_examined(log: EventLog, monkeypatch) -> int:
+    """How often dating looks up the type of a split of the final model, as
+    a counting mapping in place of the skeleton's types tells."""
+    looked = []
+
+    class Types(dict):
+        def get(self, key, default=None):
+            looked.append(key)
+            return dict.get(self, key, default)
+
+    class Skeleton(blocks_module._Skeleton):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.types = Types()
+
+    model = replay(log)
+    splits = {s for s, _, _ in find_block_pairs(model)}
+    monkeypatch.setattr(blocks_module, "_Skeleton", Skeleton)
+    assert len(detect_blocks(model, log)) == len(splits)
+    return sum(key in splits for key in looked)
+
+
+def test_forward_chain_dating_examines_splits_a_linear_number_of_times(monkeypatch):
+    # Work counted, not timed: a split joins the dating scan at its create,
+    # so a chain four times as long takes about four times the looks. A scan
+    # of every undated split of the final model from the first event on
+    # takes about sixteen.
+    small, large = (_splits_examined(xor_chain_log(k), monkeypatch) for k in (100, 400))
+    assert large < 6 * small, (small, large)
+
+
 def mk_block(start_s, end_s, tag):
     return Block(split=f"s{tag}", join=f"j{tag}",
                  members=frozenset({f"s{tag}", f"j{tag}"}),
@@ -396,6 +430,14 @@ def test_max_simul_is_order_free(order):
     base = [mk_block(i * 3, i * 3 + 7, i + 1) for i in range(6)]
     shuffled = [base[i] for i in order]
     assert max_simul_block(shuffled) == max_simul_block(base)
+
+
+@given(spans=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 8)), max_size=8))
+@settings(max_examples=200)
+def test_max_simul_matches_the_counting_oracle(spans):
+    # Small integers make many intervals start or end at one instant.
+    blocks = [mk_block(start, start + length, k) for k, (start, length) in enumerate(spans)]
+    assert max_simul_block(blocks) == _most_blocks_at_once(blocks)
 
 
 @st.composite
@@ -487,6 +529,18 @@ def test_dating_matches_all_pairs_oracle_on_random_logs(log):
 @settings(max_examples=30, deadline=None)
 def test_dating_matches_all_pairs_oracle_on_simulated_sessions(profile, seed):
     log = simulate(dataclasses.replace(PROFILES[profile], seed=seed))
+    assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
+
+
+@given(log=back_to_front_chains())
+@settings(max_examples=40, deadline=None)
+def test_dating_matches_all_pairs_oracle_on_back_to_front_chains(log):
+    assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
+
+
+@given(log=outside_in_nests())
+@settings(max_examples=40, deadline=None)
+def test_dating_matches_all_pairs_oracle_on_outside_in_nests(log):
     assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
 
 

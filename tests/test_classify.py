@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, csv_log, event_logs, load_fixture, simulated_logs
+from conftest import (
+    FIXTURES,
+    back_to_front_chains,
+    csv_log,
+    event_logs,
+    load_fixture,
+    outside_in_nests,
+    simulated_logs,
+)
 from golden_cases import GOLDEN_CASES, build
 from oracles import reference_report, report_json, session_dict, verdict_dict
 from ppmkit.blocks import Block
@@ -302,4 +310,16 @@ def test_session_matches_the_reference_pipeline_on_random_logs(log):
 @given(log=simulated_logs())
 @settings(max_examples=200, deadline=None)
 def test_session_matches_the_reference_pipeline_on_simulated_sessions(log):
+    _matches_reference(log)
+
+
+@given(log=back_to_front_chains())
+@settings(max_examples=40, deadline=None)
+def test_session_matches_the_reference_pipeline_on_back_to_front_chains(log):
+    _matches_reference(log)
+
+
+@given(log=outside_in_nests())
+@settings(max_examples=40, deadline=None)
+def test_session_matches_the_reference_pipeline_on_outside_in_nests(log):
     _matches_reference(log)

@@ -4,13 +4,14 @@ report JSON) and never lets another exception escape."""
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import event_logs, load_fixture
-from oracles import report_from_dict
+from oracles import _most_blocks_at_once, report_from_dict
 from ppmkit.classify import SessionReport, classify_model, classify_session
 from ppmkit.cli import main
 from ppmkit.eventlog import (
@@ -242,6 +243,34 @@ def test_impossible_block_is_refused(field, value, problem):
         SessionReport.from_json(_with(REPORTS[0], ("blocks", 0, field), value))
 
 
+# Block metrics a report's own blocks do not give: REPORTS[0] holds one
+# whole block, REPORTS[1] none.
+CONTRADICTED_METRICS = [
+    (0, {"max_simul_block": 40}), (0, {"perc_num_block_as_a_whole": -7.5}),
+    (0, {"perc_num_block_as_a_whole": None}), (0, {"perc_num_block_as_a_whole": 0.0}),
+    (1, {"perc_num_block_as_a_whole": 1.0}), (1, {"max_simul_block": 1}),
+]
+_METRICS_REFUSAL = "block metrics do not match the report's blocks"
+
+
+def _contradicted(index: int, metrics: dict) -> str:
+    data = json.loads(REPORTS[index])
+    data["metrics"].update(metrics)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("index, metrics", CONTRADICTED_METRICS)
+def test_stats_refuses_contradicted_block_metrics_in_one_line(capsys, tmp_path, index, metrics):
+    for k, report in enumerate(REPORTS):
+        (tmp_path / f"r{k}.json").write_text(report, encoding="utf-8")
+    bad = tmp_path / f"r{index}.json"
+    bad.write_text(_contradicted(index, metrics), encoding="utf-8")
+    assert main(["stats", "--reports", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {_METRICS_REFUSAL}\n"
+
+
 def _outcome(load, data):
     try:
         return load(data)
@@ -261,8 +290,21 @@ def _has_impossible_block(data: dict) -> bool:
     return False
 
 
+def _contradicts_its_blocks(report: SessionReport) -> bool:
+    """Whether a report's block metrics differ from the most blocks open at
+    once and the share of whole blocks, as JSON writes it, of its blocks."""
+    blocks, m = report.blocks, report.metrics
+    if not blocks:
+        return (m.max_simul_block, m.perc_num_block_as_a_whole) != (0, None)
+    whole = Fraction(sum(b.whole for b in blocks), len(blocks))
+    return (m.max_simul_block, m.perc_num_block_as_a_whole) != (
+        _most_blocks_at_once(list(blocks)), Fraction(float(whole)))
+
+
 @given(text=mutated(REPORTS) | _JSON_VALUES.map(json.dumps))
 @example(text=_with(REPORTS[0], ("metrics", "tot_time"), float("nan")))
+@example(text=_with(REPORTS[0], ("metrics", "max_simul_block"), 40))
+@example(text=_with(REPORTS[0], ("blocks", 0, "whole"), False))
 @example(text=_with(_with(REPORTS[0], ("blocks", 0, "members"), ["g1"]), ("session_id",), 1))
 @example(text=_with(_with(REPORTS[0], ("verdict", "normalization", "reason"), "mixed gateway: g"),
                     ("verdict", "normalization", "rejected"), True))  # rejected, yet soundness
@@ -271,10 +313,13 @@ def test_loader_refuses_what_the_oracle_refuses_and_impossible_blocks(text):
     """The loader gives what the constructor-built oracle gives: an equal
     report, or the same exception type and message. Of what the oracle
     accepts it refuses exactly the reports with an impossible block, after
-    every other check."""
+    every other check, and then those whose block metrics their blocks do
+    not give."""
     data = json.loads(text)
     new, old = _outcome(SessionReport.from_dict, data), _outcome(report_from_dict, data)
     if isinstance(old, SessionReport) and _has_impossible_block(data):
         assert new[0] is ValueError and _BLOCK_REFUSAL.fullmatch(new[1]), new
+    elif isinstance(old, SessionReport) and _contradicts_its_blocks(old):
+        assert new == (ValueError, _METRICS_REFUSAL)
     else:
         assert new == old

@@ -190,7 +190,7 @@ def test_verdict_survives_transition_renames():
     for net in (diamond(ObjectType.AND, ObjectType.XOR),
                 diamond(ObjectType.XOR, ObjectType.AND),
                 diamond(ObjectType.XOR, ObjectType.XOR)):
-        renamed = WFNet.of(net.places, [(f"zz_{t.id}", t.pre, t.post, t.label)
+        renamed = WFNet.of(net.places, [(f"zz_{t.id}", t.pre, t.post)
                                         for t in named(net).transitions])
         a, b = check_soundness(net), check_soundness(renamed)
         assert a.verdict == b.verdict

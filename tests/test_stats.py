@@ -215,31 +215,41 @@ def sample_reports():
     return reports
 
 
+def row(comparison, metric):
+    """The comparison's row for `metric`."""
+    return next(r for r in comparison.rows if r.metric == metric)
+
+
 class TestCompareGroups:
     def test_splits_and_labels(self):
         cmp = compare_groups(sample_reports())
-        assert (cmp.group_a_label, cmp.group_b_label) == (GROUP_A, GROUP_B)
+        groups = cmp.to_dict()["groups"]
+        assert (groups["a"]["label"], groups["b"]["label"]) == (GROUP_A, GROUP_B)
         assert (cmp.group_a_size, cmp.group_b_size) == (4, 3)
         assert [r.metric for r in cmp.rows] == list(METRIC_NAMES)
 
     def test_conjecture_tags(self):
         cmp = compare_groups(sample_reports())
-        assert cmp.row("max_simul_block").conjecture == "C1"
-        assert cmp.row("avg_move_on_moved_elements").conjecture == "C2"
-        assert cmp.row("tot_time").conjecture == "C3"
+        assert row(cmp, "max_simul_block").conjecture == "C1"
+        assert row(cmp, "avg_move_on_moved_elements").conjecture == "C2"
+        assert row(cmp, "tot_time").conjecture == "C3"
         assert set(METRIC_CONJECTURE) == set(METRIC_NAMES)
 
     def test_direction_of_pinned_gap(self):
         cmp = compare_groups(sample_reports())
-        row = cmp.row("tot_time")
-        assert row.test.t_value < 0  # non-perspicuous sessions took longer
-        assert row.test.group_means[0] < row.test.group_means[1]
+        tot = row(cmp, "tot_time")
+        assert tot.test.t_value < 0  # non-perspicuous sessions took longer
+        assert tot.test.group_means[0] < tot.test.group_means[1]
 
     def test_empty_groups_named(self):
         with pytest.raises(ValueError, match="group non-perspicuous is empty"):
             compare_groups([make_report("p", True), make_report("q", True)])
         with pytest.raises(ValueError, match="group perspicuous is empty"):
             compare_groups([make_report("n", False)])
+
+    def test_empty_metric_list_rejected(self):
+        with pytest.raises(ValueError, match="^no metric to compare$"):
+            compare_groups(sample_reports(), metrics=())
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric 'speed'"):
@@ -258,8 +268,8 @@ class TestCompareGroups:
         reports = sample_reports()
         reports[0] = make_report("p0", True, perc_whole=None)
         cmp = compare_groups(reports)
-        assert cmp.row("perc_num_block_as_a_whole").group_a.n == 3
-        assert cmp.row("tot_time").group_a.n == 4
+        assert row(cmp, "perc_num_block_as_a_whole").group_a.n == 3
+        assert row(cmp, "tot_time").group_a.n == 4
 
     def test_too_few_applicable_values(self):
         reports = [
@@ -275,9 +285,7 @@ class TestCompareGroups:
 
     def test_single_metric_selection(self):
         cmp = compare_groups(sample_reports(), metrics=("tot_time",))
-        assert len(cmp.rows) == 1
-        with pytest.raises(KeyError):
-            cmp.row("max_simul_block")
+        assert [r.metric for r in cmp.rows] == ["tot_time"]
 
     def test_to_dict_shape(self):
         d = compare_groups(sample_reports()).to_dict()

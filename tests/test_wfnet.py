@@ -44,7 +44,7 @@ class TestToWfnet:
         by_id = transitions(net)
         assert by_id["t_s"].pre == ("i",)
         assert by_id["t_s"].post == ("p_f1",)
-        assert by_id["t_a"] == ("t_a", ("p_f1",), ("p_f2",), None)
+        assert by_id["t_a"] == ("t_a", ("p_f1",), ("p_f2",))
         assert by_id["t_e"].post == ("o",)
 
     def test_place_count_is_edges_plus_two(self, diamond_log):
@@ -102,11 +102,6 @@ class TestToWfnet:
         with pytest.raises(ValueError, match="mixed XOR gateway g"):
             to_wfnet(model)
 
-    def test_labels_carried_onto_transitions(self):
-        model = linear()
-        model.update_node("a", label="review order")
-        assert transitions(to_wfnet(model))["t_a"].label == "review order"
-
 
 def _net_or_error(translate, model):
     try:
@@ -160,8 +155,8 @@ class TestTransitionIdClashes:
         # XOR split x with flow e1 and a task x_e1 both give t_x_e1.
         model = xor_block("x", "j", ("x_e1", "b"), ("e0", "e1", "e2", "e3", "e4", "e5"))
         by_id = transitions(to_wfnet(model))
-        assert by_id["t_x_e1"] == ("t_x_e1", ("p_e0",), ("p_e1",), None)
-        assert by_id["t_x_e1_2"] == ("t_x_e1_2", ("p_e1",), ("p_e3",), None)
+        assert by_id["t_x_e1"] == ("t_x_e1", ("p_e0",), ("p_e1",))
+        assert by_id["t_x_e1_2"] == ("t_x_e1_2", ("p_e1",), ("p_e3",))
         assert check_soundness(to_wfnet(model)).verdict == "Sound"
 
     def test_two_gateways_branches_clash(self):
@@ -210,7 +205,7 @@ class TestWFNetValidation:
     def test_ordering_is_canonical(self):
         net = WFNet.of((SINK_PLACE, SOURCE_PLACE, "p_z", "p_a"),
                        [("t2", ("p_z",), ("o",)), ("t1", ("i",), ("p_z", "p_a")),
-                        ("t0", ("p_a",), ("o",), "last")])
+                        ("t0", ("p_a",), ("o",))])
         assert net.places == ("i", "o", "p_a", "p_z")
         assert net.transitions == ("t0", "t1", "t2")
         assert net.pre == [(2,), (0,), (3,)]
@@ -218,7 +213,6 @@ class TestWFNetValidation:
         assert net.producers == [[], [0, 2], [1], [1]]
         assert net.consumers == [[1], [], [0], [2]]
         assert (net.source, net.sink) == (0, 1)
-        assert net.labels == ("last", None, None)
 
     def test_arc_weight_two_repeats_the_place(self):
         net = WFNet.of(("i", "o", "p"), [("t1", ("i",), ("p", "p")), ("t2", ("p", "p"), ("o",))])
@@ -230,7 +224,7 @@ class TestWFNetValidation:
                        source="start", sink="end")
         assert net.places == ("end", "p", "start")
         assert (net.source, net.sink) == (2, 0)
-        assert named(net).transitions[0] == ("a", ("start",), ("p",), None)
+        assert named(net).transitions[0] == ("a", ("start",), ("p",))
 
 
 class TestWfStructured:
