@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .eventlog import (_CREATE, _DELETE, _EDGE, KIND_CLASS, KIND_OBJECT_TYPE, EventLog,
-                       ModelingEvent, _Skeleton)
+                       ModelingEvent, _Skeleton, expand_reconnect)
 from .model import GATEWAY_TYPES, ProcessModel
 
 
@@ -215,12 +215,13 @@ def _is_whole(members: frozenset[str], creates: list[ModelingEvent],
 def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     """Find the model's blocks and date them against the log that built it.
 
-    The log must have reconnect events expanded already, and `model` must
-    have the nodes, node types and flows that replaying it gives, else
-    ValueError; a label, a position or a bendpoint shapes no block. Members
-    are the nodes present when the pair first qualified, dated by the
-    create of that incarnation of each, so later edits neither extend a
-    block's interval nor change its whole-block status.
+    The log's reconnects are expanded first, so `completion_seq` counts
+    the expanded log's events. `model` must have the nodes, node types and
+    flows that replaying the log gives, else ValueError; a label, a
+    position or a bendpoint shapes no block. Members are the nodes present
+    when the pair first qualified, dated by the create of that incarnation
+    of each, so later edits neither extend a block's interval nor change
+    its whole-block status.
 
     One walk applies the log's creates and deletes to a _Skeleton, the
     class that validated it, keeps the node creates in order with each
@@ -230,8 +231,7 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     are gateways with two or more out-flows. The walk runs to the end of
     the log, whose structure must be the model's.
     """
-    if log.has_reconnects():
-        raise ValueError("expand reconnect events before block detection")
+    log = expand_reconnect(log)
     joins_of: dict[str, dict[str, None]] = {}  # split -> joins of its blocks
     for s, j, _ in find_block_pairs(model):
         joins_of.setdefault(s, {})[j] = None

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from xml.sax.saxutils import quoteattr
 
-from .eventlog import EventClass, EventLog
+from .eventlog import EventClass, EventLog, expand_reconnect
 
 ROW_HEIGHT = 20.0  # pixels per row when the spec leaves the height open
 
@@ -57,6 +57,8 @@ def _num(value: float) -> str:
 
 
 def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
+    """The session as an SVG dotted chart, its reconnects expanded first."""
+    log = expand_reconnect(log)
     if spec is None:
         spec = PPMChartSpec()
     missing = [key for key in _CLASS_KEY.values() if key not in spec.colors]
@@ -64,8 +66,6 @@ def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
         raise ValueError(f"spec colors lack {', '.join(missing)}")
     if not log.events:
         raise ValueError("cannot chart an empty session")
-    if log.has_reconnects():
-        raise ValueError("expand reconnect events before charting")
 
     t_first = log.events[0].timestamp
     t_last = log.events[-1].timestamp

@@ -293,7 +293,7 @@ class SessionReport:
 
 def classify_session(log: EventLog, max_states: int = DEFAULT_MAX_STATES) -> SessionReport:
     """Replay, measure, and classify one session end to end."""
-    expanded = expand_reconnect(log)
+    expanded = expand_reconnect(log)  # once; each stage's own expansion then returns it
     final = replay(expanded)
     blocks = detect_blocks(final, expanded)
     return SessionReport(

@@ -98,13 +98,13 @@ def _cmd_replay(args) -> int:
     elif args.at_time is not None:
         model = replay_until(log, parse_timestamp(args.at_time))
     else:
-        model = replay(expand_reconnect(log))
+        model = replay(log)
     _write_or_print(model.to_json() + "\n", args.out)
     return 0
 
 
 def _session_payload(log: EventLog) -> str:
-    expanded = expand_reconnect(log)
+    expanded = expand_reconnect(log)  # once; each stage's own expansion then returns it
     blocks = detect_blocks(replay(expanded), expanded)
     return session_json(log.session_id, compute_session_metrics(expanded, blocks), blocks)
 
@@ -158,12 +158,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_chart(args) -> int:
-    log = expand_reconnect(_read_log(args.log))
+    log = _read_log(args.log)
     spec = PPMChartSpec(window=args.window, width=args.width, height=args.height)
-    spec.colors["create"] = args.color_create
-    spec.colors["move"] = args.color_move
-    spec.colors["delete"] = args.color_delete
-    spec.colors["name"] = args.color_name
+    spec.colors.update((key, getattr(args, f"color_{key}")) for key in spec.colors)
     _write_or_print(render_ppmchart(log, spec), args.out)
     return 0
 
@@ -234,13 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chart", help="render a session as a dotted chart (SVG)")
     p.add_argument("--log", required=True)
     p.add_argument("--out")
-    p.add_argument("--window", type=float, default=3600.0, help="seconds of chart width")
-    p.add_argument("--width", type=float, default=1200.0)
-    p.add_argument("--height", type=float, default=None)
-    p.add_argument("--color-create", default="green")
-    p.add_argument("--color-move", default="blue")
-    p.add_argument("--color-delete", default="red")
-    p.add_argument("--color-name", default="orange")
+    chart = PPMChartSpec()
+    p.add_argument("--window", type=float, default=chart.window, help="seconds of chart width")
+    p.add_argument("--width", type=float, default=chart.width)
+    p.add_argument("--height", type=float, default=chart.height)
+    for key, color in chart.colors.items():
+        p.add_argument(f"--color-{key}", default=color)
     p.set_defaults(func=_cmd_chart)
 
     p = sub.add_parser("stats", help="compare metric distributions between groups")

@@ -435,7 +435,8 @@ def expand_reconnect(log: EventLog) -> EventLog:
 
     Both synthetic events keep the reconnect's timestamp; the create carries
     the reconnect's endpoints. Seq numbers are reassigned consecutively so
-    relative order is preserved. Applying this twice is a no-op.
+    relative order is preserved. A log without reconnects, an expanded one
+    too, is returned as it is: the flag recorded when it was made says so.
     """
     if not log.has_reconnects():
         return log

@@ -13,30 +13,18 @@ for a session (no blocks, no moves) are None rather than 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from datetime import timedelta
 from fractions import Fraction
 
 from .blocks import Block, max_simul_block, perc_blocks_as_whole
 from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect
 from .model import trusted, typed
 
-#: JSON field order for SessionMetrics.
-METRIC_NAMES = (
-    "max_simul_block",
-    "perc_num_block_as_a_whole",
-    "avg_move_on_moved_elements",
-    "perc_num_elements_with_moves",
-    "tot_time",
-    "tot_create_time",
-)
 
-
-def _seconds(delta) -> Fraction:
+def _seconds(delta: timedelta) -> Fraction:
     # exact: timedelta stores integer microseconds
-    return Fraction(
-        (delta.days * 86_400 + delta.seconds) * 10**6 + delta.microseconds,
-        10**6,
-    )
+    return Fraction(delta // timedelta(microseconds=1), 10**6)
 
 
 def tot_time(log: EventLog) -> Fraction:
@@ -74,12 +62,14 @@ class SessionMetrics:
             tot_create_time=frac("tot_create_time"))
 
 
+#: JSON field order for SessionMetrics.
+METRIC_NAMES = tuple(f.name for f in fields(SessionMetrics))
+
+
 def compute_session_metrics(log: EventLog, blocks: list[Block]) -> SessionMetrics:
     """All six metrics for one session, given the blocks detect_blocks
-    found and dated on the same log with reconnect events expanded.
-
-    Reconnect events are expanded here, so raw parsed logs are fine. The
-    four log metrics come from one walk.
+    found and dated on the same log. The log's reconnects are expanded
+    first, as every stage does; the four log metrics come from one walk.
     """
     log = expand_reconnect(log)
     moves = 0

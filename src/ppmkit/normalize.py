@@ -10,8 +10,10 @@ splits (2+ in and 2+ out) admits no such reading, so it rejects the model
 outright instead of being repaired.
 
 Repair order: mixed-gateway check, then start/end handling, then
-split/join insertion. A model no rule applies to is returned as it is;
-each stage copies its model once, before its first edit.
+split/join insertion. One pass over the node degrees serves all three;
+they are read again only from a copy that the start/end stage edited.
+A model no rule applies to is returned as it is; each stage copies its
+model once, before its first edit.
 """
 
 from __future__ import annotations
@@ -120,13 +122,12 @@ def _sorted_edges(edges: list[Edge]) -> list[Edge]:
     return sorted(edges, key=lambda e: e.id)
 
 
-def normalize_start_end(model: ProcessModel, rules: list[AppliedRule]) -> ProcessModel:
+def _start_end(model: ProcessModel, hits: _Hits, rules: list[AppliedRule]) -> ProcessModel:
     """Give every source task a start event and every sink task an end
     event, then collapse multiple start (end) events into one behind a
     gateway whose kind is copied from the common merge (fork) gateway of
-    the original starting (ending) paths, XOR when there is none. Each
-    rule applied is appended to `rules`."""
-    hits = _hits(model)
+    the original starting (ending) paths, XOR when there is none. `hits`
+    are the model's; each rule applied is appended to `rules`."""
     if not (hits.sourceless or hits.sinkless or hits.starts or hits.ends):
         return model
     m = model.copy()
@@ -164,17 +165,16 @@ def normalize_start_end(model: ProcessModel, rules: list[AppliedRule]) -> Proces
     return m
 
 
-def normalize_splits_joins(model: ProcessModel, rules: list[AppliedRule]) -> ProcessModel:
+def _splits_joins(model: ProcessModel, hits: _Hits, rules: list[AppliedRule]) -> ProcessModel:
     """Bundle multiple flows at activities and events through fresh
     gateways: a join (XOR unless all flows come from one common split
     gateway) before the node, a split (AND unless all flows lead to one
     common join gateway) after it.
 
     All insertions are decided against the model as it enters this stage,
-    so the outcome does not depend on processing order. Each rule applied
-    is appended to `rules`.
+    so the outcome does not depend on processing order. `hits` are the
+    model's; each rule applied is appended to `rules`.
     """
-    hits = _hits(model)
     if not (hits.joins or hits.splits):
         return model
     m = model.copy()
@@ -199,13 +199,12 @@ def normalize_splits_joins(model: ProcessModel, rules: list[AppliedRule]) -> Pro
 
 
 def normalize(model: ProcessModel) -> NormalizationOutcome:
-    """Full repair pipeline; Rejected only for mixed gateways."""
+    """Full repair pipeline; Rejected only for mixed gateways. The model
+    itself comes back, with no rules, when no rule applies to it."""
     hits = _hits(model)
     if hits.mixed:
         return NormalizationOutcome(None, "mixed gateway: " + ", ".join(sorted(hits.mixed)))
-    if not any(hits):
-        return NormalizationOutcome(model=model)
     rules: list[AppliedRule] = []
-    m = normalize_start_end(model, rules)
-    m = normalize_splits_joins(m, rules)
+    m = _start_end(model, hits, rules)
+    m = _splits_joins(m, hits if m is model else _hits(m), rules)
     return NormalizationOutcome(model=m, applied_rules=tuple(rules))

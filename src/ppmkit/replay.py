@@ -32,9 +32,8 @@ _STEP.update({EventKind.MOVE_EDGE_LABEL: _NOTHING, EventKind.CREATE_EDGE_BENDPOI
 
 
 def replay(log: EventLog) -> ProcessModel:
-    """Fold the whole log into the final model."""
-    if log.has_reconnects():
-        raise ValueError("reconnect events must be expanded before replay")
+    """Fold the whole log, its reconnects expanded, into the final model."""
+    log = expand_reconnect(log)
     skeleton = _Skeleton()
     labels, spots, bends = {}, {}, {}
     for ev in log.events:
@@ -66,10 +65,9 @@ def replay(log: EventLog) -> ProcessModel:
 
 def replay_until(log: EventLog, cutoff: int | datetime) -> ProcessModel:
     """The model after the events up to and including the cutoff, a seq
-    number or a timestamp of the log as given; reconnects in that prefix
-    are expanded before the replay, which renumbers seqs."""
+    number or a timestamp of the log as given."""
     if isinstance(cutoff, datetime):
         prefix = takewhile(lambda e: e.timestamp <= cutoff, log.events)
     else:
         prefix = takewhile(lambda e: e.seq <= cutoff, log.events)
-    return replay(expand_reconnect(EventLog(log.session_id, prefix)))
+    return replay(EventLog(log.session_id, prefix))

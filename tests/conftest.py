@@ -320,3 +320,87 @@ def outside_in_nests(draw):
         before, after = x, y
     steps += ["CREATE_ACTIVITY b", *_flows([(before, "b"), ("b", after)], 4 * depth)]
     return parse_log(csv_log(*steps), session_id="outside_in")
+
+
+@st.composite
+def rewired_blocks(draw):
+    """Chains of 1-4 XOR or AND blocks of 2-3 tasks, built forward: each
+    block places its split, the flow into it, each task and the flow to
+    it, then its join and the flows into that. 1-3 flows first go to a
+    wrong live node and are moved to their target by RECONNECT_EDGE at a
+    drawn later step. In some logs one block is then deleted, its nodes in
+    a drawn order, and rebuilt under fresh ids."""
+    k = draw(st.integers(1, 4))
+    blocks = [(draw(st.sampled_from(["XOR", "AND"])), f"x{i}", f"y{i}",
+               [f"a{i}_{n}" for n in range(draw(st.integers(2, 3)))]) for i in range(k)]
+
+    def built(kind, x, y, tasks, before):
+        steps = [f"CREATE_{kind} {x}", (before, x)]
+        for t in tasks:
+            steps += [f"CREATE_ACTIVITY {t}", (x, t)]
+        return steps + [f"CREATE_{kind} {y}", *((t, y) for t in tasks)]
+
+    steps, before = ["CREATE_START_EVENT start"], "start"
+    for kind, x, y, tasks in blocks:
+        steps += built(kind, x, y, tasks, before)
+        before = y
+    steps += ["CREATE_END_EVENT end", (before, "end")]
+    flow_no = {i: n for n, i in enumerate(i for i, step in enumerate(steps)
+                                          if isinstance(step, tuple))}
+    moves: dict[int, list[str]] = {}  # step index -> reconnects made just before it
+    for i in draw(st.lists(st.sampled_from(sorted(flow_no)), min_size=1, max_size=3,
+                           unique=True)):
+        source, target = steps[i]
+        live = [step.split()[1] for step in steps[:i] if isinstance(step, str)]
+        steps[i] = (source, draw(st.sampled_from([n for n in live if n != target])))
+        moves.setdefault(draw(st.integers(i + 1, len(steps))), []).append(
+            f"RECONNECT_EDGE f{flow_no[i]} {source} {target}")
+    rows = []
+    for i, step in enumerate(steps):
+        rows += moves.get(i, [])
+        rows += [step] if isinstance(step, str) else _flows([step], flow_no[i])
+    rows += moves.get(len(steps), [])
+    if draw(st.booleans()):
+        b = draw(st.integers(0, k - 1))
+        kind, x, y, tasks = blocks[b]
+        rows += draw(st.permutations([f"DELETE_{kind} {x}", f"DELETE_{kind} {y}",
+                                      *(f"DELETE_ACTIVITY {t}" for t in tasks)]))
+        fresh = built(kind, f"{x}r", f"{y}r", [f"{t}r" for t in tasks],
+                      blocks[b - 1][2] if b else "start")
+        fresh.append((f"{y}r", blocks[b + 1][1] if b + 1 < k else "end"))
+        n = len(flow_no)
+        for step in fresh:
+            rows += [step] if isinstance(step, str) else _flows([step], n)
+            n += not isinstance(step, str)
+    return parse_log(csv_log(*rows), session_id="rewired")
+
+
+@st.composite
+def loops(draw):
+    """start -> XOR join j -> body -> XOR split s -> end, with a redo task
+    r from s back to j. The body is a task, an AND block or an XOR block
+    of two tasks. The steps come in a drawn order, each flow as soon as
+    both its ends exist."""
+    body = draw(st.sampled_from(["task", "AND", "XOR"]))
+    nodes = ["CREATE_START_EVENT start", "CREATE_XOR j", "CREATE_XOR s", "CREATE_ACTIVITY r",
+             "CREATE_END_EVENT end"]
+    pairs = [("start", "j"), ("s", "end"), ("s", "r"), ("r", "j")]
+    if body == "task":
+        nodes.append("CREATE_ACTIVITY b")
+        pairs += [("j", "b"), ("b", "s")]
+    else:
+        nodes += [f"CREATE_{body} p", "CREATE_ACTIVITY b", "CREATE_ACTIVITY c",
+                  f"CREATE_{body} q"]
+        pairs += [("j", "p"), ("p", "b"), ("p", "c"), ("b", "q"), ("c", "q"), ("q", "s")]
+    steps, live, waiting, flows = [], set(), [], 0
+    for step in draw(st.permutations(nodes + pairs)):
+        if isinstance(step, str):
+            steps.append(step)
+            live.add(step.split()[1])
+        else:
+            waiting.append(step)
+        ready = [pair for pair in waiting if live.issuperset(pair)]
+        waiting = [pair for pair in waiting if pair not in ready]
+        steps += _flows(ready, flows)
+        flows += len(ready)
+    return parse_log(csv_log(*steps), session_id="loop")

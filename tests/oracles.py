@@ -8,7 +8,8 @@ in every marking, the net reduction in full rounds over a net keyed by
 ids, WF-structure by reachability over the arcs, the normalizer's gateway
 walk as two mirrored walkers, the workflow-net translation case by case
 per node type, p-values through
-numeric quadrature in mpmath, three of the log metrics by one walk each,
+numeric quadrature in mpmath, three of the log metrics by one walk each
+and durations from timedelta's fields,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
@@ -48,7 +49,7 @@ from ppmkit.eventlog import (
     expand_reconnect,
     parse_timestamp,
 )
-from ppmkit.metrics import METRIC_NAMES, SessionMetrics, _seconds
+from ppmkit.metrics import METRIC_NAMES, SessionMetrics
 from ppmkit.model import GATEWAY_TYPES, Edge, Node, ProcessModel, typed
 from ppmkit.normalize import (
     AppliedRule,
@@ -612,13 +613,19 @@ def perc_num_elements_with_moves(log: EventLog) -> Fraction:
     return Fraction(len(moved), len(created))
 
 
+def seconds_by_fields(delta: timedelta) -> Fraction:
+    """A timedelta in exact seconds, summed from its days, seconds and
+    microseconds fields."""
+    return Fraction((delta.days * 86_400 + delta.seconds) * 10**6 + delta.microseconds, 10**6)
+
+
 def tot_create_time(log: EventLog) -> Fraction:
     """Seconds between the first and last create action."""
     _require_expanded(log)
     stamps = [ev.timestamp for ev in log.events if ev.event_class is EventClass.CREATE]
     if not stamps:
         raise ValueError("empty session: no create events")
-    return _seconds(stamps[-1] - stamps[0])
+    return seconds_by_fields(stamps[-1] - stamps[0])
 
 
 def _edit_edge(model: ProcessModel, ev: ModelingEvent, **changes) -> None:

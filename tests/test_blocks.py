@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, back_to_front_chains, event_logs, outside_in_nests
+from conftest import BASE, back_to_front_chains, event_logs, loops, outside_in_nests
 from oracles import (
     _most_blocks_at_once,
     blocks_dated_all_pairs,
@@ -163,10 +163,6 @@ class TestDetectBlocks:
             "interval": ["2010-11-15T10:00:15.000Z", "2010-11-15T10:00:35.000Z"],
             "whole": True,
         }
-
-    def test_requires_expanded_log(self, rewire_log):
-        with pytest.raises(ValueError, match="expand reconnect events"):
-            detect_blocks(ProcessModel(), rewire_log)
 
     def test_requires_final_model(self, diamond_log):
         with pytest.raises(ValueError, match="not the final model"):
@@ -541,6 +537,12 @@ def test_dating_matches_all_pairs_oracle_on_back_to_front_chains(log):
 @given(log=outside_in_nests())
 @settings(max_examples=40, deadline=None)
 def test_dating_matches_all_pairs_oracle_on_outside_in_nests(log):
+    assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
+
+
+@given(log=loops())
+@settings(max_examples=30, deadline=None)
+def test_dating_matches_all_pairs_oracle_on_loops(log):
     assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import event_logs
 from ppmkit.chart import PPMChartSpec, render_ppmchart
-from ppmkit.eventlog import EventKind, EventLog, expand_reconnect
+from ppmkit.eventlog import EventKind, EventLog
 
 
 DOT = re.compile(r'<circle cx="([0-9.]+)" cy="([0-9.]+)" r="3" fill="([^"]+)">'
@@ -128,12 +128,6 @@ def test_height_defaults_to_rows_times_row_height(churn_log):
 def test_empty_session_rejected():
     with pytest.raises(ValueError, match="cannot chart an empty session"):
         render_ppmchart(EventLog("s", []))
-
-
-def test_reconnects_must_be_expanded(rewire_log):
-    with pytest.raises(ValueError, match="expand reconnect events"):
-        render_ppmchart(rewire_log)
-    render_ppmchart(expand_reconnect(rewire_log))
 
 
 def test_window_too_small(diamond_log):

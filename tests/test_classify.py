@@ -13,7 +13,9 @@ from conftest import (
     csv_log,
     event_logs,
     load_fixture,
+    loops,
     outside_in_nests,
+    rewired_blocks,
     simulated_logs,
 )
 from golden_cases import GOLDEN_CASES, build
@@ -322,4 +324,16 @@ def test_session_matches_the_reference_pipeline_on_back_to_front_chains(log):
 @given(log=outside_in_nests())
 @settings(max_examples=40, deadline=None)
 def test_session_matches_the_reference_pipeline_on_outside_in_nests(log):
+    _matches_reference(log)
+
+
+@given(log=rewired_blocks())
+@settings(max_examples=40, deadline=None)
+def test_session_matches_the_reference_pipeline_on_rewired_blocks(log):
+    _matches_reference(log)
+
+
+@given(log=loops())
+@settings(max_examples=30, deadline=None)
+def test_session_matches_the_reference_pipeline_on_loops(log):
     _matches_reference(log)

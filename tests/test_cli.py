@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIXTURES, UNREPLAYABLE_LOGS
 from golden_cases import build
+from ppmkit.chart import PPMChartSpec
 from ppmkit.cli import build_parser, main
 from ppmkit.eventlog import ObjectType, parse_log
 from ppmkit.model import ProcessModel
@@ -672,6 +673,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, "parse", "--log", "no/such/file.csv")
         assert code == 1
         assert "error:" in err
+
+
+def test_chart_defaults_are_the_specs():
+    args = build_parser().parse_args(["chart", "--log", DIAMOND])
+    spec = PPMChartSpec()
+    assert (args.window, args.width, args.height) == (spec.window, spec.width, spec.height)
+    assert {key: getattr(args, f"color_{key}") for key in spec.colors} == spec.colors
 
 
 def test_readme_cli_lines_parse():

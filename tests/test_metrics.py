@@ -11,6 +11,7 @@ from conftest import event_logs
 from oracles import (
     avg_move_on_moved_elements,
     perc_num_elements_with_moves,
+    seconds_by_fields,
     tot_create_time,
     whole_share,
 )
@@ -119,6 +120,11 @@ def test_seconds_is_exact():
     assert _seconds(timedelta(days=1, microseconds=1)) == \
         Fraction(86_400_000_001, 10**6)
     assert _seconds(timedelta(0)) == 0
+
+
+@given(delta=st.timedeltas())
+def test_seconds_match_the_field_sum(delta):
+    assert _seconds(delta) == seconds_by_fields(delta)
 
 
 def test_dict_round_trip(diamond_log):

@@ -16,8 +16,6 @@ from ppmkit.normalize import (
     AppliedRule,
     _meeting_gateway,
     normalize,
-    normalize_splits_joins,
-    normalize_start_end,
 )
 from ppmkit.replay import replay
 from ppmkit.wfnet import to_wfnet
@@ -140,8 +138,6 @@ class TestMixedGateway:
 
 def test_empty_model_raises():
     with pytest.raises(ValueError, match="empty model"):
-        normalize_start_end(ProcessModel(), [])
-    with pytest.raises(ValueError, match="empty model"):
         normalize(ProcessModel())
 
 
@@ -158,8 +154,7 @@ def test_plans_use_entering_snapshot():
     # case 5: D's join must stay XOR even though A gains an AND split in
     # the same pass; the later insertion must not be mistaken for a hint
     source, _ = dict(GOLDEN_CASES)["implicit split and join, both defaults"]()
-    staged = normalize_start_end(source, [])
-    done = normalize_splits_joins(staged, [])
+    done = normalize(source).model
     join = next(n for n in done.nodes.values() if n.id.startswith("j_"))
     assert join.type is ObjectType.XOR
 

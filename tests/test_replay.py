@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, event_logs, load_fixture, model_state, simulated_logs
+from conftest import BASE, event_logs, load_fixture, model_state, rewired_blocks, simulated_logs
 from oracles import replay_event_by_event
 from ppmkit.eventlog import (
     EventKind,
@@ -12,6 +12,9 @@ from ppmkit.eventlog import (
     ModelingEvent,
     expand_reconnect,
 )
+from ppmkit.blocks import detect_blocks
+from ppmkit.chart import render_ppmchart
+from ppmkit.metrics import compute_session_metrics
 from ppmkit.model import ProcessModel
 from ppmkit.replay import replay, replay_until
 
@@ -86,10 +89,17 @@ class TestBendpoints:
         assert after.edges == before.edges
 
 
-def test_reconnect_must_be_expanded(rewire_log):
-    with pytest.raises(ValueError, match="must be expanded before replay"):
-        replay(rewire_log)
-    replay(expand_reconnect(rewire_log))  # fine after expansion
+@given(log=st.one_of(rewired_blocks(), event_logs()))
+@settings(max_examples=60, deadline=None)
+def test_every_stage_expands_reconnects_itself(log):
+    # A raw log gives each stage what its expansion gives.
+    expanded = expand_reconnect(log)
+    model = replay(log)
+    assert model_state(model) == model_state(replay(expanded))
+    blocks = detect_blocks(model, log)
+    assert blocks == detect_blocks(model, expanded)
+    assert compute_session_metrics(log, blocks) == compute_session_metrics(expanded, blocks)
+    assert render_ppmchart(log) == render_ppmchart(expanded)
 
 
 def test_errors_name_the_seq():
