@@ -77,45 +77,31 @@ def render_ppmchart(log: EventLog, spec: PPMChartSpec | None = None) -> str:
         )
 
     # Row per object, in order of first appearance.
-    row_of: dict[str, int] = {}
+    rows: dict[str, list] = {}
     for ev in log.events:
-        if ev.object_id not in row_of:
-            row_of[ev.object_id] = len(row_of)
+        rows.setdefault(ev.object_id, []).append(ev)
 
-    rows = len(row_of)
-    height = spec.height if spec.height is not None else rows * ROW_HEIGHT
+    height = spec.height if spec.height is not None else len(rows) * ROW_HEIGHT
+    row_height = height / len(rows)
 
     def x_of(ts) -> float:
         return spec.width * (1.0 - (t_last - ts).total_seconds() / spec.window)
 
     # Quoted once per class; a title is a seq and an EventKind value, safe in XML.
     fills = {cls: f"fill={quoteattr(spec.colors[key])}" for cls, key in _CLASS_KEY.items()}
-    dots: dict[str, list[str]] = {obj: [] for obj in row_of}
-    first_x: dict[str, float] = {}
-    for ev in log.events:
-        x = x_of(ev.timestamp)
-        obj = ev.object_id
-        if obj not in first_x:
-            first_x[obj] = x
-        y = (row_of[obj] + 0.5) * (height / rows)
-        dots[obj].append(
-            f'    <circle cx="{_num(x)}" cy="{_num(y)}" r="3" '
-            f"{fills[ev.event_class]}><title>{ev.seq} {ev.kind.value}</title></circle>"
-        )
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(spec.width)}" '
         f'height="{_num(height)}" viewBox="0 0 {_num(spec.width)} {_num(height)}">',
         f'  <rect width="{_num(spec.width)}" height="{_num(height)}" fill="white"/>',
     ]
-    for obj, row in row_of.items():
-        y = (row + 0.5) * (height / rows)
+    for row, (obj, events) in enumerate(rows.items()):
+        y = _num((row + 0.5) * row_height)
         lines.append(f"  <g class=\"row\" data-object={quoteattr(obj)}>")
-        lines.append(
-            f'    <line x1="{_num(first_x[obj])}" y1="{_num(y)}" '
-            f'x2="{_num(spec.width)}" y2="{_num(y)}" stroke="#ddd"/>'
-        )
-        lines.extend(dots[obj])
+        lines.append(f'    <line x1="{_num(x_of(events[0].timestamp))}" y1="{y}" '
+                     f'x2="{_num(spec.width)}" y2="{y}" stroke="#ddd"/>')
+        lines.extend(f'    <circle cx="{_num(x_of(ev.timestamp))}" cy="{y}" r="3" '
+                     f"{fills[ev.event_class]}><title>{ev.seq} {ev.kind.value}</title></circle>"
+                     for ev in events)
         lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -25,9 +25,9 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _str
 
 from .blocks import Block, detect_blocks, max_simul_block, perc_blocks_as_whole
-from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp
+from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp, trusted
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
-from .model import ProcessModel, read_json, trusted, typed
+from .model import ProcessModel, read_json, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
 from .replay import replay
 from .soundness import (
@@ -211,8 +211,7 @@ class PerspicuityVerdict:
             raise ValueError(f"unknown stage {stage!r}")
         if perspicuous != (stage == "Sound"):
             raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
-        verdict = trusted(cls, normalization=outcome, soundness=sound)
-        verdict.__post_init__()
+        verdict = cls(outcome, sound)
         if stage != verdict.stage:
             raise ValueError(f"stage {stage!r} does not match {verdict.stage!r} "
                              "from its evidence")

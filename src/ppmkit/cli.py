@@ -63,16 +63,6 @@ def _dump(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _log_paths(path: str) -> list[Path]:
-    p = Path(path)
-    if p.is_dir():
-        found = sorted(p.glob("*.csv"))
-        if not found:
-            raise ValueError(f"no .csv logs in {path}")
-        return found
-    return [p]
-
-
 def _cmd_parse(args) -> int:
     log = _read_log(args.log)
     if args.out:
@@ -115,7 +105,9 @@ def _run_per_log(args, render) -> int:
             raise ValueError("--out directory is required with a log directory")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = _log_paths(args.log)
+        paths = sorted(Path(args.log).glob("*.csv"))
+        if not paths:
+            raise ValueError(f"no .csv logs in {args.log}")
         errors_path = out_dir / ERRORS_FILE
         errors_path.unlink(missing_ok=True)  # the failure list of an earlier run
         errors = []

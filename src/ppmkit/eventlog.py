@@ -191,6 +191,14 @@ class ModelingEvent:
         return KIND_CLASS[self.kind]
 
 
+def trusted(cls: type, **fields):
+    """An instance of frozen dataclass `cls` from checked fields: one dict
+    update, no __init__ or __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # Setting a field through its slot skips the frozen __setattr__.
 (_set_seq, _set_timestamp, _set_kind, _set_object_id, _set_position, _set_label,
  _set_source_id, _set_target_id) = (ModelingEvent.__dict__[f.name].__set__
@@ -222,17 +230,6 @@ class EventLog:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "_reconnects", _check_events(self.events))
-
-    @classmethod
-    def _checked(cls, session_id: str, events: tuple[ModelingEvent, ...],
-                 reconnects: bool) -> "EventLog":
-        """A log over events that already passed _check_events; skips
-        validating them again."""
-        log = object.__new__(cls)
-        object.__setattr__(log, "session_id", session_id)
-        object.__setattr__(log, "events", events)
-        object.__setattr__(log, "_reconnects", reconnects)
-        return log
 
     def __len__(self) -> int:
         return len(self.events)
@@ -403,7 +400,8 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             line = reader.line_num + 1
     except csv.Error as exc:
         raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
-    return EventLog._checked(session_id, tuple(events), _check_events(events, lines))
+    return trusted(EventLog, session_id=session_id, events=tuple(events),
+                   _reconnects=_check_events(events, lines))
 
 
 def serialize_log(log: EventLog) -> str:
@@ -411,22 +409,10 @@ def serialize_log(log: EventLog) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for ev in log.events:
-        x, y = ("", "") if ev.position is None else (str(ev.position[0]), str(ev.position[1]))
-        writer.writerow(
-            [
-                str(ev.seq),
-                format_timestamp(ev.timestamp),
-                ev.kind.value,
-                ev.object_id,
-                ev.object_type.value,
-                x,
-                y,
-                ev.label or "",
-                ev.source_id or "",
-                ev.target_id or "",
-            ]
-        )
+    # csv writes an int through str and None as an empty field.
+    writer.writerows((ev.seq, format_timestamp(ev.timestamp), ev.kind.value, ev.object_id,
+                      ev.object_type.value, *(ev.position or (None, None)), ev.label,
+                      ev.source_id, ev.target_id) for ev in log.events)
     return out.getvalue()
 
 
@@ -458,4 +444,5 @@ def expand_reconnect(log: EventLog) -> EventLog:
     # Valid by construction: the reconnected edge and its new ends are
     # alive, deleting and recreating it keeps every later event's object
     # state, seq numbers run 1..n and timestamps keep their order.
-    return EventLog._checked(log.session_id, tuple(events), False)
+    return trusted(EventLog, session_id=log.session_id, events=tuple(events),
+                   _reconnects=False)

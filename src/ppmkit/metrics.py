@@ -18,8 +18,8 @@ from datetime import timedelta
 from fractions import Fraction
 
 from .blocks import Block, max_simul_block, perc_blocks_as_whole
-from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect
-from .model import trusted, typed
+from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect, trusted
+from .model import typed
 
 
 def _seconds(delta: timedelta) -> Fraction:

@@ -45,14 +45,6 @@ def read_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def trusted(cls: type, **fields):
-    """An instance of frozen dataclass `cls` from checked fields: one dict
-    update, no __init__ or __post_init__."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class Node:
     id: str

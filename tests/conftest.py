@@ -277,6 +277,19 @@ def simulated_logs():
                      st.sampled_from(sorted(PROFILES)), st.integers(0, 2**64 - 1))
 
 
+# One event whose id needs quoting in both CSV and XML, with an empty label
+# and a position of zeros: the fields a writer could drop or mistake for none.
+HOSTILE_LOG = EventLog("hostile", [ModelingEvent(
+    seq=1, timestamp=BASE, kind=EventKind.CREATE_ACTIVITY, object_id='a"b,c&d<e\nf',
+    position=(0, 0), label="")])
+
+
+def session_logs():
+    """Logs the session writers take: random ones with reconnects, rewired
+    blocks and simulated sessions."""
+    return st.one_of(event_logs(), rewired_blocks(), simulated_logs())
+
+
 def _flows(pairs, first: int = 0) -> list[str]:
     """CREATE_EDGE steps for (source, target) pairs, as flows f<first>, ..."""
     return [f"CREATE_EDGE f{n} {s} {t}" for n, (s, t) in enumerate(pairs, first)]

@@ -13,10 +13,11 @@ and durations from timedelta's fields,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
-these definitions composed. Three are the package's own earlier paths: the replay as
+these definitions composed. Five are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
-whatever it finds, and the net as string-keyed transitions that WFNet.of
-sorts and numbers. The net oracles read a numbered WFNet back by ids
+whatever it finds, the net as string-keyed transitions that WFNet.of
+sorts and numbers, the chart in two passes over the events and the CSV
+writer field by field. The net oracles read a numbered WFNet back by ids
 through `named`.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
@@ -24,6 +25,8 @@ the model after each event of a replay.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from collections import deque
@@ -33,12 +36,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
+from xml.sax.saxutils import quoteattr
 
 import networkx as nx
 
 from ppmkit.blocks import Block
+from ppmkit.chart import _CLASS_KEY, ROW_HEIGHT, PPMChartSpec, _num
 from ppmkit.classify import STAGES, PerspicuityVerdict, SessionReport, _strings
 from ppmkit.eventlog import (
+    CSV_HEADER,
     KIND_CLASS,
     KIND_OBJECT_TYPE,
     EventClass,
@@ -47,6 +53,7 @@ from ppmkit.eventlog import (
     ModelingEvent,
     ObjectType,
     expand_reconnect,
+    format_timestamp,
     parse_timestamp,
 )
 from ppmkit.metrics import METRIC_NAMES, SessionMetrics
@@ -924,6 +931,94 @@ def format_timestamp_fields(ts: datetime) -> str:
         ts = ts.astimezone(timezone.utc)
     return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T{ts.hour:02d}:{ts.minute:02d}:"
             f"{ts.second:02d}.{ts.microsecond // 1000:03d}Z")
+
+
+def serialize_log_by_fields(log: EventLog) -> str:
+    """eventlog.serialize_log with each field converted to its string here."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for ev in log.events:
+        x, y = ("", "") if ev.position is None else (str(ev.position[0]), str(ev.position[1]))
+        writer.writerow(
+            [
+                str(ev.seq),
+                format_timestamp(ev.timestamp),
+                ev.kind.value,
+                ev.object_id,
+                ev.object_type.value,
+                x,
+                y,
+                ev.label or "",
+                ev.source_id or "",
+                ev.target_id or "",
+            ]
+        )
+    return out.getvalue()
+
+
+def render_ppmchart_two_pass(log: EventLog, spec: PPMChartSpec | None = None) -> str:
+    """chart.render_ppmchart as two passes over the events: one numbers the
+    rows, one draws every dot into its object's list and notes its first x."""
+    log = expand_reconnect(log)
+    if spec is None:
+        spec = PPMChartSpec()
+    missing = [key for key in _CLASS_KEY.values() if key not in spec.colors]
+    if missing:
+        raise ValueError(f"spec colors lack {', '.join(missing)}")
+    if not log.events:
+        raise ValueError("cannot chart an empty session")
+
+    t_first = log.events[0].timestamp
+    t_last = log.events[-1].timestamp
+    span = (t_last - t_first).total_seconds()
+    if span > spec.window:
+        raise ValueError(
+            f"session spans {span:.0f}s but the window is {spec.window:.0f}s; "
+            "pass a larger window"
+        )
+
+    row_of: dict[str, int] = {}
+    for ev in log.events:
+        if ev.object_id not in row_of:
+            row_of[ev.object_id] = len(row_of)
+
+    rows = len(row_of)
+    height = spec.height if spec.height is not None else rows * ROW_HEIGHT
+
+    def x_of(ts) -> float:
+        return spec.width * (1.0 - (t_last - ts).total_seconds() / spec.window)
+
+    fills = {cls: f"fill={quoteattr(spec.colors[key])}" for cls, key in _CLASS_KEY.items()}
+    dots: dict[str, list[str]] = {obj: [] for obj in row_of}
+    first_x: dict[str, float] = {}
+    for ev in log.events:
+        x = x_of(ev.timestamp)
+        obj = ev.object_id
+        if obj not in first_x:
+            first_x[obj] = x
+        y = (row_of[obj] + 0.5) * (height / rows)
+        dots[obj].append(
+            f'    <circle cx="{_num(x)}" cy="{_num(y)}" r="3" '
+            f"{fills[ev.event_class]}><title>{ev.seq} {ev.kind.value}</title></circle>"
+        )
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(spec.width)}" '
+        f'height="{_num(height)}" viewBox="0 0 {_num(spec.width)} {_num(height)}">',
+        f'  <rect width="{_num(spec.width)}" height="{_num(height)}" fill="white"/>',
+    ]
+    for obj, row in row_of.items():
+        y = (row + 0.5) * (height / rows)
+        lines.append(f"  <g class=\"row\" data-object={quoteattr(obj)}>")
+        lines.append(
+            f'    <line x1="{_num(first_x[obj])}" y1="{_num(y)}" '
+            f'x2="{_num(spec.width)}" y2="{_num(y)}" stroke="#ddd"/>'
+        )
+        lines.extend(dots[obj])
+        lines.append("  </g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def _metric_value(value):

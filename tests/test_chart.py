@@ -4,10 +4,11 @@ from datetime import timedelta
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import event_logs
+from conftest import HOSTILE_LOG, event_logs, session_logs
+from oracles import render_ppmchart_two_pass
 from ppmkit.chart import PPMChartSpec, render_ppmchart
 from ppmkit.eventlog import EventKind, EventLog
 
@@ -169,3 +170,29 @@ def test_time_translation_byte_identity(log, hours):
         for ev in log.events
     ])
     assert render_ppmchart(shifted, spec) == render_ppmchart(log, spec)
+
+
+_SIZES = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def charted_logs(draw):
+    """A session log and a spec that fits it: any width, a height left open
+    or drawn, a window of at least the span, and colors that need quoting."""
+    log = draw(session_logs())
+    span = (log.events[-1].timestamp - log.events[0].timestamp).total_seconds()
+    colors = {key: draw(st.text("ab#0 \"'&<>", min_size=1, max_size=6))
+              for key in PPMChartSpec().colors}
+    return log, PPMChartSpec(window=draw(st.floats(min_value=max(span, 1e-3),
+                                                   allow_infinity=False)),
+                             width=draw(_SIZES), height=draw(st.none() | _SIZES),
+                             colors=colors)
+
+
+@given(case=charted_logs())
+@example(case=(HOSTILE_LOG, PPMChartSpec(colors={
+    "create": "\"'&<", "move": "blue", "delete": "red", "name": "orange"})))
+@settings(max_examples=60)
+def test_chart_matches_the_two_pass_renderer(case):
+    log, spec = case
+    assert render_ppmchart(log, spec) == render_ppmchart_two_pass(log, spec)

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, UNREPLAYABLE_LOGS, event_logs, load_fixture
-from oracles import format_timestamp_fields, parse_timestamp_strptime, replays
+from conftest import (
+    BASE,
+    HOSTILE_LOG,
+    UNREPLAYABLE_LOGS,
+    event_logs,
+    load_fixture,
+    session_logs,
+)
+from oracles import (
+    format_timestamp_fields,
+    parse_timestamp_strptime,
+    replays,
+    serialize_log_by_fields,
+)
 from ppmkit.eventlog import (
     CSV_HEADER,
     EventClass,
@@ -472,6 +484,13 @@ class TestExpandReconnect:
 
     def test_no_reconnects_is_identity(self, diamond_log):
         assert expand_reconnect(diamond_log) == diamond_log
+
+
+@given(log=session_logs())
+@example(log=HOSTILE_LOG)
+@settings(max_examples=60)
+def test_serialize_matches_the_field_by_field_writer(log):
+    assert serialize_log(log) == serialize_log_by_fields(log)
 
 
 @given(log=event_logs())
