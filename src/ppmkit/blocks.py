@@ -7,6 +7,9 @@ entry, single exit). Edges are never block members; blocks are about where
 the modeler placed the nodes. Each block found in the final model is dated
 by the event at which it first satisfied the definition during replay and
 by the create timestamps of the member nodes present at that moment.
+Every node of a cycle through split and join is a member, being a descendant
+of the split that reaches the join; so a loop around a block, entered and left
+at gateways outside it, leaves no block.
 
 The search grows with the model. One dominator pass from a split answers
 every split whose dominator subtree no flow leaves, by a climb up the tree

@@ -41,7 +41,7 @@ from xml.sax.saxutils import quoteattr
 import networkx as nx
 
 from ppmkit.blocks import Block
-from ppmkit.chart import _CLASS_KEY, ROW_HEIGHT, PPMChartSpec, _num
+from ppmkit.chart import _CLASS_KEY, ROW_HEIGHT, PPMChartSpec
 from ppmkit.classify import STAGES, PerspicuityVerdict, SessionReport, _strings
 from ppmkit.eventlog import (
     CSV_HEADER,
@@ -955,6 +955,10 @@ def serialize_log_by_fields(log: EventLog) -> str:
             ]
         )
     return out.getvalue()
+
+
+def _num(value: float) -> str:
+    return f"{value:.2f}"
 
 
 def render_ppmchart_two_pass(log: EventLog, spec: PPMChartSpec | None = None) -> str:

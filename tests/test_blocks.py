@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, back_to_front_chains, event_logs, loops, outside_in_nests
+from conftest import BASE, back_to_front_chains, csv_log, event_logs, loops, outside_in_nests
 from oracles import (
     _most_blocks_at_once,
     blocks_dated_all_pairs,
@@ -544,6 +544,35 @@ def test_dating_matches_all_pairs_oracle_on_outside_in_nests(log):
 @settings(max_examples=30, deadline=None)
 def test_dating_matches_all_pairs_oracle_on_loops(log):
     assert detect_blocks(replay(log), log) == blocks_dated_all_pairs(log)
+
+
+# start -> XOR j -> AND p -> {b, c} -> AND q -> XOR s -> end, with no loop,
+# with the back flow s -> j around the AND block, or with q -> p closing it.
+_LOOPED_NODES = [("start", ObjectType.START_EVENT), ("j", ObjectType.XOR),
+                 ("p", ObjectType.AND), ("b", ObjectType.ACTIVITY), ("c", ObjectType.ACTIVITY),
+                 ("q", ObjectType.AND), ("s", ObjectType.XOR), ("end", ObjectType.END_EVENT)]
+_LOOPED_FLOWS = [("f1", "start", "j"), ("f2", "j", "p"), ("f3", "p", "b"), ("f4", "p", "c"),
+                 ("f5", "b", "q"), ("f6", "c", "q"), ("f7", "q", "s"), ("f8", "s", "end")]
+
+
+@pytest.mark.parametrize("back, pairs", [
+    ([], [("p", "q", frozenset("bcpq"))]),
+    # j and s are descendants of p that reach q, so they would be members,
+    # and the flows start -> j and s -> end cross the block's boundary.
+    ([("back", "s", "j")], []),
+    # A loop that only the pair closes adds no member.
+    ([("back", "q", "p")], [("p", "q", frozenset("bcpq"))]),
+])
+def test_no_gateway_pair_inside_a_wider_cycle_is_a_block(back, pairs):
+    flows = _LOOPED_FLOWS + back
+    model = ProcessModel(nodes=[Node(nid, ntype) for nid, ntype in _LOOPED_NODES],
+                         edges=[Edge(*flow) for flow in flows])
+    assert find_block_pairs(model) == find_block_pairs_maxflow(model) == pairs
+    log = parse_log(csv_log(*(f"CREATE_{ntype.value} {nid}" for nid, ntype in _LOOPED_NODES),
+                            *(f"CREATE_EDGE {eid} {a} {b}" for eid, a, b in flows)))
+    blocks = detect_blocks(replay(log), log)
+    assert blocks == blocks_dated_all_pairs(log)
+    assert [(b.split, b.join, b.members) for b in blocks] == pairs
 
 
 @st.composite

@@ -1,16 +1,18 @@
 import dataclasses
 import re
+import xml.etree.ElementTree as ET
 from datetime import timedelta
-from xml.sax.saxutils import escape
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import HOSTILE_LOG, event_logs, session_logs
+from conftest import BASE, FIXTURES, HOSTILE_LOG, event_logs, session_logs
 from oracles import render_ppmchart_two_pass
-from ppmkit.chart import PPMChartSpec, render_ppmchart
-from ppmkit.eventlog import EventKind, EventLog
+from ppmkit.chart import PPMChartSpec, _quoted, render_ppmchart
+from ppmkit.classify import classify_session
+from ppmkit.eventlog import EventKind, EventLog, ModelingEvent, expand_reconnect, parse_log
 
 
 DOT = re.compile(r'<circle cx="([0-9.]+)" cy="([0-9.]+)" r="3" fill="([^"]+)">'
@@ -42,9 +44,6 @@ def test_x_positions_follow_window_formula(diamond_log):
 
 def test_seventeen_minute_session_lands_at_860():
     events = []
-    from conftest import BASE
-    from ppmkit.eventlog import EventKind, ModelingEvent
-
     for k, secs in enumerate([0, 1020], start=1):
         events.append(ModelingEvent(
             seq=k, timestamp=BASE + timedelta(seconds=secs),
@@ -172,14 +171,61 @@ def test_time_translation_byte_identity(log, hours):
     assert render_ppmchart(shifted, spec) == render_ppmchart(log, spec)
 
 
+# What XML 1.0 cannot carry, even escaped: C0 controls other than tab,
+# newline and return, U+FFFE and U+FFFF, and (category Cs) lone surrogates.
+NOT_XML = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
+QUOTED = '&<>"\'\t\n\r'  # what quoteattr escapes, and the quote it may switch to
+XML_TEXT = st.text(st.sampled_from(QUOTED) | st.characters(exclude_categories=["Cs"],
+                                                           exclude_characters=NOT_XML))
+# Object ids: what quoteattr escapes and letters, ASCII or not.
+IDS = st.text(st.sampled_from(QUOTED) | st.characters(categories=["L"]), min_size=1, max_size=6)
+
+
+@given(value=XML_TEXT)
+@example(value="it's")
+@example(value="\"'")
+@settings(max_examples=300)
+def test_quoting_matches_quoteattr_and_parses_back(value):
+    quoted = _quoted(value, "object id")
+    assert quoted == quoteattr(value)
+    assert ET.fromstring(f"<a b={quoted}/>").get("b") == value
+
+
+@given(before=XML_TEXT, bad=st.sampled_from(NOT_XML) | st.characters(categories=["Cs"]),
+       after=XML_TEXT)
+def test_quoting_refuses_what_xml_cannot_carry(before, bad, after):
+    with pytest.raises(ValueError, match=f"^color move .* holds {re.escape(repr(bad))}, "
+                                         "which XML cannot carry$"):
+        _quoted(before + bad + after, "color move")
+
+
+def test_chart_refuses_an_id_xml_cannot_carry(churn_log):
+    csv_text = (FIXTURES / "churn.csv").read_text().replace(",a1,", ",a\x01b,")
+    log = parse_log(csv_text, session_id="control")  # the log itself is valid
+    assert classify_session(log).session_id == "control"
+    with pytest.raises(ValueError, match=r"^object id 'a\\x01b' holds '\\x01', which XML"):
+        render_ppmchart(log)
+    colors = dict(PPMChartSpec().colors, delete="red\ufffe")
+    with pytest.raises(ValueError, match=r"^color delete 'red\\ufffe' holds '\\ufffe'"):
+        render_ppmchart(churn_log, PPMChartSpec(colors=colors))
+
+
 _SIZES = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def charted_logs(draw):
-    """A session log and a spec that fits it: any width, a height left open
-    or drawn, a window of at least the span, and colors that need quoting."""
+    """A session log whose object ids are renamed one to one onto IDS, and a
+    spec that fits it: any width, a height left open or drawn, a window of
+    at least the span, and colors that need quoting."""
     log = draw(session_logs())
+    ids = list(dict.fromkeys(oid for ev in log.events
+                             for oid in (ev.object_id, ev.source_id, ev.target_id) if oid))
+    new = dict(zip(ids, draw(st.lists(IDS, min_size=len(ids), max_size=len(ids), unique=True))))
+    log = EventLog(log.session_id, [
+        dataclasses.replace(ev, object_id=new[ev.object_id], source_id=new.get(ev.source_id),
+                            target_id=new.get(ev.target_id))
+        for ev in log.events])
     span = (log.events[-1].timestamp - log.events[0].timestamp).total_seconds()
     colors = {key: draw(st.text("ab#0 \"'&<>", min_size=1, max_size=6))
               for key in PPMChartSpec().colors}
@@ -196,3 +242,19 @@ def charted_logs(draw):
 def test_chart_matches_the_two_pass_renderer(case):
     log, spec = case
     assert render_ppmchart(log, spec) == render_ppmchart_two_pass(log, spec)
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+@given(case=charted_logs())
+@example(case=(HOSTILE_LOG, PPMChartSpec()))
+@settings(max_examples=60)
+def test_chart_is_well_formed_with_one_row_per_object(case):
+    log, spec = case
+    svg = render_ppmchart(log, spec)
+    root = ET.fromstring(svg)
+    objects = list(dict.fromkeys(ev.object_id for ev in expand_reconnect(log).events))
+    assert svg.count('<g class="row"') == len(objects)
+    assert [g.get("data-object") for g in root.iter(f"{SVG}g")] == objects
+    assert len(list(root.iter(f"{SVG}circle"))) == len(expand_reconnect(log).events)

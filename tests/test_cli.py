@@ -439,6 +439,23 @@ class TestChart:
         assert 'width="300.00"' in out
         assert 'height="80.00"' in out
 
+    def test_id_xml_cannot_carry_is_refused(self, capsys, tmp_path):
+        log = tmp_path / "control.csv"
+        log.write_text(Path(CHURN).read_text().replace(",a1,", ",a\x01b,"))
+        code, out, err = run(capsys, "chart", "--log", str(log))
+        assert (code, out) == (1, "")
+        assert err == ("error: object id 'a\\x01b' holds '\\x01', "
+                       "which XML cannot carry\n")
+        # JSON escapes the character, so the report path keeps the log.
+        code, out, _ = run(capsys, "classify", "--log", str(log))
+        assert code == 0
+        assert json.loads(out)["session_id"] == "control"
+
+    def test_color_xml_cannot_carry_is_refused(self, capsys):
+        code, out, err = run(capsys, "chart", "--log", CHURN, "--color-move", "blue\x0b")
+        assert (code, out) == (1, "")
+        assert err == "error: color move 'blue\\x0b' holds '\\x0b', which XML cannot carry\n"
+
 
 class TestSimulateAndStats:
     def prepare_reports(self, capsys, tmp_path, sessions=6):
