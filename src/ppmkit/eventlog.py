@@ -146,21 +146,6 @@ def format_timestamp(ts: datetime) -> str:
         ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, ts.microsecond // 1000)
 
 
-def _event_problem(seq: int, kind: EventKind, object_id: str,
-                   source_id: str | None, target_id: str | None) -> str | None:
-    """Why these fields make no event, or None."""
-    if seq < 1:
-        return f"seq must be positive, got {seq}"
-    if not object_id:
-        return "object_id must be non-empty"
-    if kind in _EDGE_ENDED:
-        if not source_id or not target_id:
-            return f"{kind.value} requires source_id and target_id"
-    elif source_id or target_id:
-        return f"{kind.value} must not carry edge endpoints"
-    return None
-
-
 @dataclass(frozen=True, slots=True)
 class ModelingEvent:
     """One timestamped editor action on one model object."""
@@ -174,13 +159,29 @@ class ModelingEvent:
     source_id: str | None = None
     target_id: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.kind, EventKind):
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        problem = _event_problem(self.seq, self.kind, self.object_id, self.source_id,
-                                 self.target_id)
-        if problem is not None:
-            raise ValueError(problem)
+    def __init__(self, seq: int, timestamp: datetime, kind: EventKind, object_id: str,
+                 position: tuple[int, int] | None = None, label: str | None = None,
+                 source_id: str | None = None, target_id: str | None = None):
+        if not isinstance(kind, EventKind):
+            raise ValueError(f"unknown event kind {kind!r}")
+        if seq < 1:
+            raise ValueError(f"seq must be positive, got {seq}")
+        if not object_id:
+            raise ValueError("object_id must be non-empty")
+        if kind in _EDGE_ENDED:
+            if not source_id or not target_id:
+                raise ValueError(f"{kind.value} requires source_id and target_id")
+        elif source_id or target_id:
+            raise ValueError(f"{kind.value} must not carry edge endpoints")
+        # The slot setters (after the class) skip the frozen __setattr__.
+        _set_seq(self, seq)
+        _set_timestamp(self, timestamp)
+        _set_kind(self, kind)
+        _set_object_id(self, object_id)
+        _set_position(self, position)
+        _set_label(self, label)
+        _set_source_id(self, source_id)
+        _set_target_id(self, target_id)
 
     @property
     def object_type(self) -> ObjectType:
@@ -191,33 +192,17 @@ class ModelingEvent:
         return KIND_CLASS[self.kind]
 
 
+(_set_seq, _set_timestamp, _set_kind, _set_object_id, _set_position, _set_label,
+ _set_source_id, _set_target_id) = (ModelingEvent.__dict__[f.name].__set__
+                                    for f in fields(ModelingEvent))
+
+
 def trusted(cls: type, **fields):
     """An instance of frozen dataclass `cls` from checked fields: one dict
     update, no __init__ or __post_init__."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-# Setting a field through its slot skips the frozen __setattr__.
-(_set_seq, _set_timestamp, _set_kind, _set_object_id, _set_position, _set_label,
- _set_source_id, _set_target_id) = (ModelingEvent.__dict__[f.name].__set__
-                                    for f in fields(ModelingEvent))
-
-
-def _trusted_event(seq, timestamp, kind, object_id, position, label, source_id,
-                   target_id) -> ModelingEvent:
-    """A ModelingEvent from fields that already passed _event_problem."""
-    ev = object.__new__(ModelingEvent)
-    _set_seq(ev, seq)
-    _set_timestamp(ev, timestamp)
-    _set_kind(ev, kind)
-    _set_object_id(ev, object_id)
-    _set_position(ev, position)
-    _set_label(ev, label)
-    _set_source_id(ev, source_id)
-    _set_target_id(ev, target_id)
-    return ev
 
 
 @dataclass(frozen=True)
@@ -328,14 +313,18 @@ def _check_events(events, lines: list[int] | None = None) -> bool:
     return skeleton.reconnected
 
 
+def _is_int(text: str) -> bool:
+    """Whether text is ASCII -?[0-9]+, the only integer form parse_log reads."""
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
 def _parse_row(row: list[str], line: int) -> ModelingEvent:
     if len(row) != 10:
         raise LogFormatError(f"expected 10 fields, got {len(row)}", line)
     raw_seq, raw_ts, raw_kind, oid, raw_otype, x, y, label, src, tgt = row
-    try:
-        seq = int(raw_seq)
-    except ValueError:
-        raise LogFormatError(f"bad seq {raw_seq!r}", line) from None
+    if not _is_int(raw_seq):
+        raise LogFormatError(f"bad seq {raw_seq!r}", line)
+    seq = int(raw_seq)
     try:
         ts = parse_timestamp(raw_ts)
     except ValueError as exc:
@@ -350,18 +339,17 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
         raise LogFormatError("x and y must be given together", line)
     position = None
     if x:
-        try:
-            position = (int(x), int(y))
-        except ValueError:
-            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line) from None
+        if not (_is_int(x) and _is_int(y)):
+            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
+        position = (int(x), int(y))
     expected = KIND_OBJECT_TYPE[kind]
     if otype is not expected:
         raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
                              line)
-    problem = _event_problem(seq, kind, oid, src, tgt)
-    if problem is not None:
-        raise LogFormatError(problem, line)
-    return _trusted_event(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
+    try:
+        return ModelingEvent(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
+    except ValueError as exc:
+        raise LogFormatError(str(exc), line) from None
 
 
 def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
@@ -430,17 +418,17 @@ def expand_reconnect(log: EventLog) -> EventLog:
     seq = 0
     for ev in log.events:
         if ev.kind is EventKind.RECONNECT_EDGE:
-            events.append(_trusted_event(seq + 1, ev.timestamp, EventKind.DELETE_EDGE,
-                                         ev.object_id, None, None, None, None))
-            events.append(_trusted_event(seq + 2, ev.timestamp, EventKind.CREATE_EDGE,
-                                         ev.object_id, ev.position, ev.label, ev.source_id,
-                                         ev.target_id))
+            events.append(ModelingEvent(seq + 1, ev.timestamp, EventKind.DELETE_EDGE,
+                                        ev.object_id))
+            events.append(ModelingEvent(seq + 2, ev.timestamp, EventKind.CREATE_EDGE,
+                                        ev.object_id, ev.position, ev.label, ev.source_id,
+                                        ev.target_id))
             seq += 2
         else:
             seq += 1
             events.append(ev if ev.seq == seq else
-                          _trusted_event(seq, ev.timestamp, ev.kind, ev.object_id,
-                                         ev.position, ev.label, ev.source_id, ev.target_id))
+                          ModelingEvent(seq, ev.timestamp, ev.kind, ev.object_id,
+                                        ev.position, ev.label, ev.source_id, ev.target_id))
     # Valid by construction: the reconnected edge and its new ends are
     # alive, deleting and recreating it keeps every later event's object
     # state, seq numbers run 1..n and timestamps keep their order.

@@ -13,12 +13,13 @@ and durations from timedelta's fields,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
-these definitions composed. Five are the package's own earlier paths: the replay as
+these definitions composed. Six are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
 whatever it finds, the net as string-keyed transitions that WFNet.of
-sorts and numbers, the chart in two passes over the events and the CSV
-writer field by field. The net oracles read a numbered WFNet back by ids
-through `named`.
+sorts and numbers, the chart in two passes over the events, the CSV
+writer field by field and the event rule as a function that names the
+first broken field (`event_problem`). The net oracles read a numbered
+WFNet back by ids through `named`.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
@@ -931,6 +932,23 @@ def format_timestamp_fields(ts: datetime) -> str:
         ts = ts.astimezone(timezone.utc)
     return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T{ts.hour:02d}:{ts.minute:02d}:"
             f"{ts.second:02d}.{ts.microsecond // 1000:03d}Z")
+
+
+def event_problem(seq, kind, object_id, source_id, target_id) -> str | None:
+    """Why these fields make no ModelingEvent, or None: the rule as a
+    function apart from the constructor, checks in the constructor's order."""
+    if not isinstance(kind, EventKind):
+        return f"unknown event kind {kind!r}"
+    if seq < 1:
+        return f"seq must be positive, got {seq}"
+    if not object_id:
+        return "object_id must be non-empty"
+    if kind in (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE):
+        if not source_id or not target_id:
+            return f"{kind.value} requires source_id and target_id"
+    elif source_id or target_id:
+        return f"{kind.value} must not carry edge endpoints"
+    return None
 
 
 def serialize_log_by_fields(log: EventLog) -> str:

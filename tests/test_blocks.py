@@ -575,6 +575,34 @@ def test_no_gateway_pair_inside_a_wider_cycle_is_a_block(back, pairs):
     assert [(b.split, b.join, b.members) for b in blocks] == pairs
 
 
+# start -> AND p -> {b, c} -> AND q -> end with a redo task r on q -> r -> p.
+_REDO_NODES = [("start", ObjectType.START_EVENT), ("p", ObjectType.AND),
+               ("b", ObjectType.ACTIVITY), ("c", ObjectType.ACTIVITY), ("q", ObjectType.AND),
+               ("r", ObjectType.ACTIVITY), ("end", ObjectType.END_EVENT)]
+_REDO_FLOWS = [("f1", "start", "p"), ("f2", "p", "b"), ("f3", "p", "c"), ("f4", "b", "q"),
+               ("f5", "c", "q"), ("f6", "q", "end")]
+_REDO_LOOP = [("r1", "q", "r"), ("r2", "r", "p")]
+
+
+@pytest.mark.parametrize("flows, dated", [
+    # The block is dated when f5 closes it, before r is on the loop.
+    (_REDO_FLOWS + _REDO_LOOP, frozenset("bcpq")),
+    (_REDO_LOOP + _REDO_FLOWS, frozenset("bcpqr")),
+], ids=["loop_drawn_after", "loop_drawn_before"])
+def test_a_redo_task_on_a_loop_through_a_block_is_a_member(flows, dated):
+    """r is a descendant of p that reaches q, so it widens the block of the
+    final model; the dated block holds the members present when it closed."""
+    model = ProcessModel(nodes=[Node(nid, ntype) for nid, ntype in _REDO_NODES],
+                         edges=[Edge(*flow) for flow in flows])
+    assert find_block_pairs(model) == find_block_pairs_maxflow(model) == [
+        ("p", "q", frozenset("bcpqr"))]
+    log = parse_log(csv_log(*(f"CREATE_{ntype.value} {nid}" for nid, ntype in _REDO_NODES),
+                            *(f"CREATE_EDGE {eid} {a} {b}" for eid, a, b in flows)))
+    blocks = detect_blocks(replay(log), log)
+    assert blocks == blocks_dated_all_pairs(log)
+    assert [(b.split, b.join, b.members) for b in blocks] == [("p", "q", dated)]
+
+
 @st.composite
 def gateway_multigraphs(draw):
     """Models of up to seven gateways and activities with arbitrary flows.

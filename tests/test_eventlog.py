@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     session_logs,
 )
 from oracles import (
+    event_problem,
     format_timestamp_fields,
     parse_timestamp_strptime,
     replays,
@@ -539,8 +541,9 @@ def rebuilt(event: ModelingEvent) -> ModelingEvent:
 
 
 def assert_events_as_constructed(log: EventLog) -> None:
-    """parse_log and expand_reconnect build events on a trusted path that
-    skips validation; each must be the event the public constructor makes."""
+    """parse_log and expand_reconnect build events through the public
+    constructor; each must equal, hash and print as the event built again
+    from its fields."""
     parsed = parse_log(serialize_log(log), session_id=log.session_id)
     assert parsed.events == log.events
     for event in parsed.events + expand_reconnect(parsed).events:
@@ -562,6 +565,37 @@ def test_parsed_simulated_events_equal_constructed_ones(profile, seed):
     assert_events_as_constructed(simulate(dataclasses.replace(PROFILES[profile], seed=seed)))
 
 
+@given(seq=st.integers(-3, 5),
+       kind=st.sampled_from([*EventKind, "CREATE_ACTIVITY", "BOGUS", None]),
+       object_id=st.sampled_from(["", "a", "e1"]),
+       source_id=st.sampled_from([None, "", "a"]),
+       target_id=st.sampled_from([None, "", "a"]))
+@settings(max_examples=300)
+def test_constructor_refuses_exactly_what_the_rule_names(seq, kind, object_id, source_id,
+                                                         target_id):
+    fields = dict(seq=seq, timestamp=BASE, kind=kind, object_id=object_id,
+                  source_id=source_id, target_id=target_id)
+    problem = event_problem(seq, kind, object_id, source_id, target_id)
+    if problem is not None:
+        with pytest.raises(ValueError) as excinfo:
+            ModelingEvent(**fields)
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == problem
+    else:
+        event = ModelingEvent(**fields)
+        assert {name: getattr(event, name) for name in fields} == fields
+        assert event.position is None and event.label is None
+
+
+def test_constructor_signature_is_the_fields():
+    """The hand-written __init__ takes the dataclass fields, in order, with
+    their defaults."""
+    params = inspect.signature(ModelingEvent).parameters.values()
+    empty, missing = inspect.Parameter.empty, dataclasses.MISSING
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         empty if f.default is missing else f.default) for f in dataclasses.fields(ModelingEvent)]
+
+
 def test_events_are_frozen_and_slotted(diamond_log):
     event = diamond_log.events[0]
     assert not hasattr(event, "__dict__")
@@ -578,6 +612,8 @@ ROWS_BEFORE = (
 @pytest.mark.parametrize("row, message", [
     ("0,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,,,,,",
      "seq must be positive, got 0"),
+    ("-1,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,,,,,",
+     "seq must be positive, got -1"),
     ("3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,,ACTIVITY,,,,,",
      "object_id must be non-empty"),
     ("3,2010-11-15T10:00:02.000Z,CREATE_EDGE,e,EDGE,,,,a,",
@@ -588,10 +624,10 @@ ROWS_BEFORE = (
      "CREATE_ACTIVITY must not carry edge endpoints"),
     ("3,2010-11-15T10:00:02.000Z,DELETE_EDGE,e,EDGE,,,,,b",
      "DELETE_EDGE must not carry edge endpoints"),
-], ids=["seq_zero", "empty_object_id", "edge_without_target", "reconnect_without_source",
-        "endpoints_on_node", "endpoints_on_delete"])
+], ids=["seq_zero", "seq_negative", "empty_object_id", "edge_without_target",
+        "reconnect_without_source", "endpoints_on_node", "endpoints_on_delete"])
 def test_parse_refuses_what_the_constructor_refuses(row, message):
-    """The parser checks the constructor's rules itself, with the same
+    """The parser refuses what the constructor refuses, with the same
     message, and names the line."""
     with pytest.raises(LogFormatError) as excinfo:
         parse_log(CSV_HEADER + "\n" + ROWS_BEFORE + row + "\n")
@@ -602,6 +638,40 @@ def test_parse_refuses_what_the_constructor_refuses(row, message):
         ModelingEvent(seq=int(fields[0]), timestamp=BASE, kind=EventKind(fields[2]),
                       object_id=fields[3], source_id=fields[8] or None,
                       target_id=fields[9] or None)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,,,,,", "bad seq 'x'"),
+    ("3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,BLOB,,,,,", "unknown object type 'BLOB'"),
+    ("3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,5,y,,,", "bad coordinates '5','y'"),
+], ids=["seq", "object_type", "coordinates"])
+def test_parse_refuses_a_bad_field_at_its_line(row, message):
+    with pytest.raises(LogFormatError) as excinfo:
+        parse_log(CSV_HEADER + "\n" + ROWS_BEFORE + row + "\n")
+    assert str(excinfo.value) == f"{message} at line 4"
+    assert excinfo.value.line == 4
+
+
+# Forms int() reads but serialize_log never writes; '1_0' would read as 10.
+@pytest.mark.parametrize("text", [" 1", "+1", "1_0", "\uff11", "1_000", "\u0665", "1 ", "-",
+                                  "--1", "-+1", "\u00b2"])
+def test_parse_reads_integers_only_as_ascii_digits(text):
+    def refusal(seq, x, y):
+        row = f"{seq},2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,{x},{y},,,"
+        with pytest.raises(LogFormatError) as excinfo:
+            parse_log(CSV_HEADER + "\n" + ROWS_BEFORE + row + "\n")
+        return str(excinfo.value)
+
+    assert refusal(text, "", "") == f"bad seq {text!r} at line 4"
+    assert refusal(3, text, "7") == f"bad coordinates {text!r},'7' at line 4"
+    assert refusal(3, "7", text) == f"bad coordinates '7',{text!r} at line 4"
+
+
+def test_parse_reads_signed_ascii_coordinates():
+    row = "3,2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,-12,0,,,\n"
+    log = parse_log(CSV_HEADER + "\n" + ROWS_BEFORE + row)
+    assert log.events[2].position == (-12, 0)
+    assert serialize_log(log).endswith(row)
 
 
 def accepts(events) -> bool:

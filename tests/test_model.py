@@ -37,6 +37,15 @@ def test_node_and_edge_share_namespace():
         m.add_node(Node("f1", ObjectType.ACTIVITY))
 
 
+def test_duplicate_edge_id():
+    m = linear_model()
+    with pytest.raises(ValueError, match="^duplicate object id f1$"):
+        m.add_edge(Edge("f1", "s", "e"))
+    with pytest.raises(ValueError, match="^duplicate object id a$"):
+        m.add_edge(Edge("a", "s", "e"))
+    assert set(m.edges) == {"f1", "f2"}
+
+
 def test_edge_endpoints_must_exist():
     m = linear_model()
     with pytest.raises(ValueError, match="unknown source"):
