@@ -1,12 +1,15 @@
 """Modeling-event logs: event vocabulary, CSV parsing, validation, classification.
 
-A session log is a CSV file (UTF-8, LF line endings) with the exact header
+A session log is a UTF-8 CSV file (LF, CRLF or CR line ends) with the exact header
 
     seq,timestamp,event,object_id,object_type,x,y,label,source_id,target_id
 
 holding one editor action per row, ordered by ``seq``. Timestamps are
 ISO-8601 UTC with millisecond precision (``YYYY-MM-DDThh:mm:ss.sssZ``).
 Labels follow RFC 4180 quoting; optional fields may be empty.
+
+parse_log accepts a valid log a column at a time; any other log is read
+again a row at a time, which names its first bad line.
 
 Every EventLog keeps the lifecycle rule of _Skeleton, the structure the
 events build, so every EventLog replays; block dating walks the same
@@ -97,7 +100,7 @@ _MOVE, _EDGE_ENDED = EventClass.MOVE, (EventKind.CREATE_EDGE, EventKind.RECONNEC
 
 # CSV field value -> member; a dict lookup costs less than EventKind(raw).
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
-_OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
+_TYPE_OF_KIND = {kind.value: otype.value for kind, otype in KIND_OBJECT_TYPE.items()}
 
 
 class LogFormatError(ValueError):
@@ -115,8 +118,15 @@ CSV_HEADER = (
 )
 
 # Hours stop at 23 here whatever a given Python's fromisoformat takes;
-# the constructor it calls checks every other field's range.
-_TS_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):\d\d:\d\d\.\d{1,6}Z", re.ASCII)
+# the constructor it calls checks every other field's range. %s: fraction digits.
+_TS = r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):\d\d:\d\d\.\d{%s}Z"
+_TS_SHAPE = re.compile(_TS % "1,6", re.ASCII)
+_MS_STAMPS = re.compile(f"(?:{_TS % 3}\n)*{_TS % 3}", re.ASCII)  # a column, newline-joined
+# The only integer form parse_log reads: ASCII digits, an optional "-", no
+# leading zero and no "-0", so serialize_log writes each one back as read.
+_INT = "(?:0|-?[1-9][0-9]*)"
+_is_int = re.compile(_INT).fullmatch
+_INTS = re.compile(f"(?:{_INT}\n)*{_INT}")
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -313,18 +323,12 @@ def _check_events(events, lines: list[int] | None = None) -> bool:
     return skeleton.reconnected
 
 
-def _is_int(text: str) -> bool:
-    """Whether text is ASCII -?[0-9]+, the only integer form parse_log reads."""
-    return text.isascii() and text.removeprefix("-").isdigit()
-
-
 def _parse_row(row: list[str], line: int) -> ModelingEvent:
     if len(row) != 10:
         raise LogFormatError(f"expected 10 fields, got {len(row)}", line)
     raw_seq, raw_ts, raw_kind, oid, raw_otype, x, y, label, src, tgt = row
     if not _is_int(raw_seq):
         raise LogFormatError(f"bad seq {raw_seq!r}", line)
-    seq = int(raw_seq)
     try:
         ts = parse_timestamp(raw_ts)
     except ValueError as exc:
@@ -332,28 +336,63 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
     kind = _KIND_BY_VALUE.get(raw_kind)
     if kind is None:
         raise LogFormatError(f"unknown event {raw_kind!r}", line)
-    otype = _OBJECT_TYPE_BY_VALUE.get(raw_otype)
-    if otype is None:
+    if raw_otype not in ObjectType.__members__:  # each name is its value
         raise LogFormatError(f"unknown object type {raw_otype!r}", line)
     if bool(x) != bool(y):
         raise LogFormatError("x and y must be given together", line)
-    position = None
-    if x:
-        if not (_is_int(x) and _is_int(y)):
-            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
-        position = (int(x), int(y))
-    expected = KIND_OBJECT_TYPE[kind]
-    if otype is not expected:
-        raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
-                             line)
+    if x and not (_is_int(x) and _is_int(y)):
+        raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
+    if raw_otype != (expected := _TYPE_OF_KIND[raw_kind]):
+        raise LogFormatError(f"{raw_kind} implies object type {expected}, got {raw_otype}", line)
     try:
-        return ModelingEvent(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
+        return ModelingEvent(int(raw_seq), ts, kind, oid, (int(x), int(y)) if x else None,
+                             label or None, src or None, tgt or None)
     except ValueError as exc:
         raise LogFormatError(str(exc), line) from None
 
 
+def _accept_columns(text: str) -> tuple[list[ModelingEvent], bool] | None:
+    """(events, whether one is a reconnect) of a valid log, checked a column
+    at a time; None on any refusal, so no line number is read."""
+    if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
+        try:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error:
+            return None
+    else:  # csv would split this at each "\n" and ",", a blank line as []
+        rows = [line and line.split(",") for line in text.split("\n")]
+    if not rows or rows[0] != CSV_HEADER.split(","):
+        return None
+    rows = [row for row in rows[1:] if row]
+    if set(map(len, rows)) != {10}:
+        return None if rows else ([], False)
+    seqs, stamps, kinds, oids, types, xs, ys, labels, sources, targets = zip(*rows)
+    joined, coords = "\n".join(stamps), "\n".join(filter(None, xs + ys))
+    if ("\n" in "".join(seqs + stamps + xs + ys)  # joined, such a field would split
+            or _INTS.fullmatch("\n".join(seqs)) is None
+            or tuple(map(_TYPE_OF_KIND.get, kinds)) != types
+            or list(map(bool, xs)) != list(map(bool, ys))
+            or coords and _INTS.fullmatch(coords) is None):
+        return None
+    # Six fraction digits and "+00:00", a form fromisoformat reads on every Python.
+    stamps = (map(datetime.fromisoformat, joined.replace("Z", "000+00:00").split("\n"))
+              if _MS_STAMPS.fullmatch(joined) else map(parse_timestamp, stamps))
+    try:
+        events = list(map(ModelingEvent, map(int, seqs), stamps,
+                          map(_KIND_BY_VALUE.__getitem__, kinds), oids,
+                          [(int(x), int(y)) if x else None for x, y in zip(xs, ys)],
+                          [v or None for v in labels], [v or None for v in sources],
+                          [v or None for v in targets]))
+        return events, _check_events(events, range(len(events)))
+    except ValueError:  # LogFormatError too
+        return None
+
+
 def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
     """Parse and validate an event-log CSV.
+
+    A pass over whole columns accepts a valid log; on any other, the row
+    loop reads it again and names the first bad line.
 
     Raises LogFormatError with a 1-based line number on input that is not
     UTF-8 or not CSV, any malformed row, unknown event name, an object
@@ -370,6 +409,14 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             raise LogFormatError(f"not UTF-8 (byte {exc.start}: {exc.reason})", 1) from None
     else:
         text = data
+    accepted = _accept_columns(text)
+    events, reconnects = accepted if accepted is not None else _read_rows(text)
+    return trusted(EventLog, session_id=session_id, events=tuple(events),
+                   _reconnects=reconnects)
+
+
+def _read_rows(text: str) -> tuple[list[ModelingEvent], bool]:
+    """The row loop: _accept_columns' result, or LogFormatError at the first bad line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     events: list[ModelingEvent] = []
     lines: list[int] = []
@@ -388,8 +435,7 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             line = reader.line_num + 1
     except csv.Error as exc:
         raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
-    return trusted(EventLog, session_id=session_id, events=tuple(events),
-                   _reconnects=_check_events(events, lines))
+    return events, _check_events(events, lines)
 
 
 def serialize_log(log: EventLog) -> str:

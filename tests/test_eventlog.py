@@ -1,6 +1,10 @@
+import csv
 import dataclasses
 import inspect
+import io
+import sys
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +16,10 @@ from conftest import (
     UNREPLAYABLE_LOGS,
     event_logs,
     load_fixture,
+    loops,
+    rewired_blocks,
     session_logs,
+    simulated_logs,
 )
 from oracles import (
     event_problem,
@@ -31,6 +38,8 @@ from ppmkit.eventlog import (
     LogFormatError,
     ModelingEvent,
     ObjectType,
+    _accept_columns,
+    _read_rows,
     expand_reconnect,
     format_timestamp,
     parse_log,
@@ -654,7 +663,7 @@ def test_parse_refuses_a_bad_field_at_its_line(row, message):
 
 # Forms int() reads but serialize_log never writes; '1_0' would read as 10.
 @pytest.mark.parametrize("text", [" 1", "+1", "1_0", "\uff11", "1_000", "\u0665", "1 ", "-",
-                                  "--1", "-+1", "\u00b2"])
+                                  "--1", "-+1", "\u00b2", "007", "00", "-0", "-007"])
 def test_parse_reads_integers_only_as_ascii_digits(text):
     def refusal(seq, x, y):
         row = f"{seq},2010-11-15T10:00:02.000Z,CREATE_ACTIVITY,c,ACTIVITY,{x},{y},,,"
@@ -687,3 +696,167 @@ def accepts(events) -> bool:
 @settings(max_examples=300, deadline=None)
 def test_validation_accepts_exactly_what_replays(events):
     assert accepts(events) == replays(events)
+
+
+_INTEGER_TEXT = st.from_regex(r"-?[0-9]{1,3}", fullmatch=True)
+
+
+@given(seq=_INTEGER_TEXT, x=_INTEGER_TEXT, y=_INTEGER_TEXT)
+@settings(max_examples=200)
+def test_accepted_integers_round_trip(seq, x, y):
+    """An integer field is read only in the form serialize_log writes, so
+    an accepted row comes back byte for byte; any other form is refused
+    as the first field the row loop checks."""
+    text = (CSV_HEADER + "\n"
+            + f"{seq},2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,{x},{y},,,\n")
+    canonical = {t: str(int(t)) == t for t in (seq, x, y)}
+    if not canonical[seq]:
+        problem = f"bad seq {seq!r}"
+    elif not (canonical[x] and canonical[y]):
+        problem = f"bad coordinates {x!r},{y!r}"
+    elif int(seq) < 1:
+        problem = f"seq must be positive, got {seq}"
+    else:
+        assert serialize_log(parse_log(text)) == text
+        return
+    with pytest.raises(LogFormatError) as excinfo:
+        parse_log(text)
+    assert str(excinfo.value) == f"{problem} at line 2"
+
+
+def row_loop(text):
+    """The row loop's events and reconnect flag, or None when it refuses."""
+    try:
+        return _read_rows(text)
+    except LogFormatError:
+        return None
+
+
+def assert_passes_agree(text):
+    """The column pass accepts exactly the logs the row loop accepts, with
+    equal events and reconnect flag. parse_log sets the session id from its
+    argument on either path."""
+    columns, rows = _accept_columns(text), row_loop(text)
+    assert columns == rows
+    assert repr(columns) == repr(rows)
+
+
+def _quoted(value: str) -> str:
+    return '"' + value.replace('"', '""') + '"'
+
+
+def _token(value: str) -> str:
+    """A field as CSV text, quoted when it must be."""
+    return _quoted(value) if any(c in value for c in ',"\r\n') else value
+
+
+_MISSES = ["digit", "separator", "kind", "type", "empty x", "day", "fraction", "quote"]
+
+
+@st.composite
+def near_miss_logs(draw):
+    """The CSV of a log, valid or broken only in its lifecycle, with one
+    field of one row changed: a digit of seq, timestamp, x or y inserted,
+    replaced or deleted; a separator dropped, doubled or replaced; another
+    kind or type; an empty x or y; a stamp's day or fraction; or quotes
+    around a field."""
+    # serialize_log reads only .events, so it writes events no EventLog takes.
+    broken = event_logs(max_events=12, faults=True).map(lambda events: SimpleNamespace(
+        events=events))
+    log = draw(st.one_of(event_logs(max_events=12), broken))
+    header, *rows = csv.reader(io.StringIO(serialize_log(log), newline=""))
+    index = draw(st.integers(0, len(rows) - 1))
+    row, quoted, seps = rows[index], None, [","] * 9
+    miss = draw(st.sampled_from(_MISSES))
+    if miss == "digit":
+        field = draw(st.sampled_from([0, 1, 5, 6]))
+        value, digit = row[field], draw(st.sampled_from(["", *"0123456789"]))
+        at, cut = draw(st.integers(0, len(value))), draw(st.integers(0, 1))
+        row[field] = value[:at] + digit + value[at + cut:]  # cut 0 inserts, 1 replaces
+    elif miss == "separator":
+        seps[draw(st.integers(0, 8))] = draw(st.sampled_from(["", ",,", ";", "\n", " ,"]))
+    elif miss == "kind":
+        row[2] = draw(st.sampled_from([kind.value for kind in EventKind] + ["BOGUS", ""]))
+    elif miss == "type":
+        row[4] = draw(st.sampled_from([otype.value for otype in ObjectType] + ["NODE", ""]))
+    elif miss == "empty x":
+        row[draw(st.sampled_from([5, 6]))] = ""
+    elif miss == "day":
+        row[1] = f"{row[1][:8]}{draw(st.integers(0, 32)):02d}{row[1][10:]}"
+    elif miss == "fraction":
+        row[1] = row[1][:20] + draw(st.from_regex(r"[0-9]{0,7}", fullmatch=True)) + "Z"
+    else:
+        quoted = draw(st.integers(0, 9))
+    tokens = [_quoted(value) if field == quoted else _token(value)
+              for field, value in enumerate(row)]
+    rows = [",".join(map(_token, other)) for other in rows]
+    rows[index] = "".join(token + sep for token, sep in zip(tokens, seps + [""]))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+@given(text=near_miss_logs())
+@settings(max_examples=400, deadline=None)
+def test_column_pass_agrees_with_the_row_loop_on_near_misses(text):
+    assert_passes_agree(text)
+
+
+@given(log=st.one_of(event_logs(), simulated_logs(), rewired_blocks(), loops()))
+@settings(max_examples=60, deadline=None)
+def test_column_pass_accepts_every_valid_log(log):
+    text = serialize_log(log)
+    assert _accept_columns(text) == _read_rows(text) == (list(log.events), log.has_reconnects())
+
+
+# Routes around the column pass's own split: a log with one change to
+# CRLF/LF, blank lines, quoting or a field, and what parse_log made of it
+# before the column pass: the second event's changed fields, or the
+# refusal.
+_ROWS = [
+    "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,10,20,,,",
+    "2,2010-11-15T10:00:01.000Z,CREATE_ACTIVITY,b,ACTIVITY,,,,,",
+    "3,2010-11-15T10:00:02.000Z,CREATE_EDGE,e,EDGE,,,,a,b",
+]
+_PLAIN = "\n".join([CSV_HEADER, *_ROWS]) + "\n"
+_NUL_IN_LABEL = ({"label": "x\0y"} if sys.version_info >= (3, 11)  # 3.10's csv refuses NUL
+                 else "malformed CSV: line contains NUL at line 3")
+ROUTES = {
+    "crlf": (_PLAIN.replace("\n", "\r\n"), {}),
+    "lone cr": (_PLAIN.replace("\n", "\r"), {}),
+    "cr in a label": (_PLAIN.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\ry"),
+                      "expected 10 fields, got 8 at line 3"),
+    "nul in a label": (_PLAIN.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\0y"), _NUL_IN_LABEL),
+    "quoted label": (_PLAIN.replace("b,ACTIVITY,,,", 'b,ACTIVITY,,,"x, ""y""\nz"'),
+                     {"label": 'x, "y"\nz'}),
+    "quoted newline in seq": (_PLAIN.replace("\n2,", '\n"2\n3",').replace("\n3,", "\n4,"),
+                              "bad seq '2\\n3' at line 3"),
+    "quoted newline in timestamp": (
+        _PLAIN.replace("2,2010-11-15T10:00:01.000Z", '2,"2010-11-15T10:00:01.000Z\n'
+                                                     '2010-11-15T10:00:01.500Z"'),
+        "bad timestamp '2010-11-15T10:00:01.000Z\\n2010-11-15T10:00:01.500Z' at line 3"),
+    "blank line before header": ("\n" + _PLAIN, "bad header '' at line 1"),
+    "blank line between rows": (_PLAIN.replace("\n2,", "\n\n2,"), {}),
+    "blank line at end": (_PLAIN + "\n", {}),
+    "no final newline": (_PLAIN[:-1], {}),
+    "1-digit fraction": (_PLAIN.replace("01.000Z", "01.5Z"),
+                         {"timestamp": BASE + timedelta(seconds=1.5)}),
+    "2-digit fraction": (_PLAIN.replace("01.000Z", "01.25Z"),
+                         {"timestamp": BASE + timedelta(seconds=1.25)}),
+    "6-digit fraction": (_PLAIN.replace("01.000Z", "01.125000Z"),
+                         {"timestamp": BASE + timedelta(seconds=1.125)}),
+    "february 30": (_PLAIN.replace("11-15T10:00:01", "02-30T10:00:01"),
+                    "bad timestamp '2010-02-30T10:00:01.000Z' at line 3"),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_parse_routes_around_the_column_split(name):
+    text, expected = ROUTES[name]
+    assert_passes_agree(text)
+    if isinstance(expected, str):
+        with pytest.raises(LogFormatError) as excinfo:
+            parse_log(text)
+        assert str(excinfo.value) == expected
+    else:
+        events = list(parse_log(_PLAIN).events)
+        events[1] = dataclasses.replace(events[1], **expected)
+        assert list(parse_log(text).events) == events
