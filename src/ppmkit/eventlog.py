@@ -100,6 +100,7 @@ _MOVE, _EDGE_ENDED = EventClass.MOVE, (EventKind.CREATE_EDGE, EventKind.RECONNEC
 
 # CSV field value -> member; a dict lookup costs less than EventKind(raw).
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
+_OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
 _TYPE_OF_KIND = {kind.value: otype.value for kind, otype in KIND_OBJECT_TYPE.items()}
 
 
@@ -329,6 +330,7 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
     raw_seq, raw_ts, raw_kind, oid, raw_otype, x, y, label, src, tgt = row
     if not _is_int(raw_seq):
         raise LogFormatError(f"bad seq {raw_seq!r}", line)
+    seq = int(raw_seq)
     try:
         ts = parse_timestamp(raw_ts)
     except ValueError as exc:
@@ -336,17 +338,22 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
     kind = _KIND_BY_VALUE.get(raw_kind)
     if kind is None:
         raise LogFormatError(f"unknown event {raw_kind!r}", line)
-    if raw_otype not in ObjectType.__members__:  # each name is its value
+    otype = _OBJECT_TYPE_BY_VALUE.get(raw_otype)
+    if otype is None:
         raise LogFormatError(f"unknown object type {raw_otype!r}", line)
     if bool(x) != bool(y):
         raise LogFormatError("x and y must be given together", line)
-    if x and not (_is_int(x) and _is_int(y)):
-        raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
-    if raw_otype != (expected := _TYPE_OF_KIND[raw_kind]):
-        raise LogFormatError(f"{raw_kind} implies object type {expected}, got {raw_otype}", line)
+    position = None
+    if x:
+        if not (_is_int(x) and _is_int(y)):
+            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
+        position = (int(x), int(y))
+    expected = KIND_OBJECT_TYPE[kind]
+    if otype is not expected:
+        raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
+                             line)
     try:
-        return ModelingEvent(int(raw_seq), ts, kind, oid, (int(x), int(y)) if x else None,
-                             label or None, src or None, tgt or None)
+        return ModelingEvent(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
     except ValueError as exc:
         raise LogFormatError(str(exc), line) from None
 
@@ -354,37 +361,31 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
 def _accept_columns(text: str) -> tuple[list[ModelingEvent], bool] | None:
     """(events, whether one is a reconnect) of a valid log, checked a column
     at a time; None on any refusal, so no line number is read."""
-    if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
-        try:
-            rows = list(csv.reader(io.StringIO(text, newline="")))
-        except csv.Error:
-            return None
-    else:  # csv would split this at each "\n" and ",", a blank line as []
-        rows = [line and line.split(",") for line in text.split("\n")]
-    if not rows or rows[0] != CSV_HEADER.split(","):
-        return None
-    rows = [row for row in rows[1:] if row]
-    if set(map(len, rows)) != {10}:
-        return None if rows else ([], False)
-    seqs, stamps, kinds, oids, types, xs, ys, labels, sources, targets = zip(*rows)
-    joined, coords = "\n".join(stamps), "\n".join(filter(None, xs + ys))
-    if ("\n" in "".join(seqs + stamps + xs + ys)  # joined, such a field would split
-            or _INTS.fullmatch("\n".join(seqs)) is None
-            or tuple(map(_TYPE_OF_KIND.get, kinds)) != types
-            or list(map(bool, xs)) != list(map(bool, ys))
-            or coords and _INTS.fullmatch(coords) is None):
-        return None
-    # Six fraction digits and "+00:00", a form fromisoformat reads on every Python.
-    stamps = (map(datetime.fromisoformat, joined.replace("Z", "000+00:00").split("\n"))
-              if _MS_STAMPS.fullmatch(joined) else map(parse_timestamp, stamps))
     try:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        if header != CSV_HEADER.split(","):
+            return None
+        rows = [row for row in rows if row]
+        if set(map(len, rows)) != {10}:
+            return None if rows else ([], False)
+        seqs, stamps, kinds, oids, types, xs, ys, labels, sources, targets = zip(*rows)
+        joined, coords = "\n".join(stamps), "\n".join(filter(None, xs + ys))
+        if ("\n" in "".join(seqs + stamps + xs + ys)  # joined, such a field would split
+                or _INTS.fullmatch("\n".join(seqs)) is None
+                or tuple(map(_TYPE_OF_KIND.get, kinds)) != types
+                or list(map(bool, xs)) != list(map(bool, ys))
+                or coords and _INTS.fullmatch(coords) is None):
+            return None
+        # Six fraction digits and "+00:00", a form fromisoformat reads on every Python.
+        stamps = (map(datetime.fromisoformat, joined.replace("Z", "000+00:00").split("\n"))
+                  if _MS_STAMPS.fullmatch(joined) else map(parse_timestamp, stamps))
         events = list(map(ModelingEvent, map(int, seqs), stamps,
                           map(_KIND_BY_VALUE.__getitem__, kinds), oids,
                           [(int(x), int(y)) if x else None for x, y in zip(xs, ys)],
                           [v or None for v in labels], [v or None for v in sources],
                           [v or None for v in targets]))
         return events, _check_events(events, range(len(events)))
-    except ValueError:  # LogFormatError too
+    except (csv.Error, ValueError):  # LogFormatError too; ValueError on empty text
         return None
 
 
@@ -409,8 +410,7 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             raise LogFormatError(f"not UTF-8 (byte {exc.start}: {exc.reason})", 1) from None
     else:
         text = data
-    accepted = _accept_columns(text)
-    events, reconnects = accepted if accepted is not None else _read_rows(text)
+    events, reconnects = _accept_columns(text) or _read_rows(text)
     return trusted(EventLog, session_id=session_id, events=tuple(events),
                    _reconnects=reconnects)
 

@@ -807,10 +807,9 @@ def test_column_pass_accepts_every_valid_log(log):
     assert _accept_columns(text) == _read_rows(text) == (list(log.events), log.has_reconnects())
 
 
-# Routes around the column pass's own split: a log with one change to
-# CRLF/LF, blank lines, quoting or a field, and what parse_log made of it
-# before the column pass: the second event's changed fields, or the
-# refusal.
+# Routes through the column pass: a log with one change to its line ends,
+# blank lines, quoting or a field, and what parse_log made of it before the
+# column pass: the second event's changed fields, or the refusal.
 _ROWS = [
     "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,10,20,,,",
     "2,2010-11-15T10:00:01.000Z,CREATE_ACTIVITY,b,ACTIVITY,,,,,",
@@ -834,6 +833,8 @@ ROUTES = {
                                                      '2010-11-15T10:00:01.500Z"'),
         "bad timestamp '2010-11-15T10:00:01.000Z\\n2010-11-15T10:00:01.500Z' at line 3"),
     "blank line before header": ("\n" + _PLAIN, "bad header '' at line 1"),
+    "renamed column": (_PLAIN.replace("label", "name", 1),
+                       f"bad header {CSV_HEADER.replace('label', 'name')!r} at line 1"),
     "blank line between rows": (_PLAIN.replace("\n2,", "\n\n2,"), {}),
     "blank line at end": (_PLAIN + "\n", {}),
     "no final newline": (_PLAIN[:-1], {}),
@@ -849,7 +850,7 @@ ROUTES = {
 
 
 @pytest.mark.parametrize("name", list(ROUTES))
-def test_parse_routes_around_the_column_split(name):
+def test_parse_routes_through_the_column_pass(name):
     text, expected = ROUTES[name]
     assert_passes_agree(text)
     if isinstance(expected, str):
