@@ -8,8 +8,9 @@ holding one editor action per row, ordered by ``seq``. Timestamps are
 ISO-8601 UTC with millisecond precision (``YYYY-MM-DDThh:mm:ss.sssZ``).
 Labels follow RFC 4180 quoting; optional fields may be empty.
 
-parse_log accepts a valid log a column at a time; any other log is read
-again a row at a time, which names its first bad line.
+parse_log checks each row rule once, on whole columns: on all rows of a
+log, and only when that refuses, on one row at a time to name the first
+bad line.
 
 Every EventLog keeps the lifecycle rule of _Skeleton, the structure the
 events build, so every EventLog replays; block dating walks the same
@@ -98,9 +99,10 @@ _CREATE, _DELETE, _RECONNECT, _EDGE = (EventClass.CREATE, EventClass.DELETE,
                                        EventClass.RECONNECT, ObjectType.EDGE)
 _MOVE, _EDGE_ENDED = EventClass.MOVE, (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE)
 
-# CSV field value -> member; a dict lookup costs less than EventKind(raw).
+# CSV field values: each kind's member (a dict lookup costs less than
+# EventKind(raw)), the type names, and the type name each kind implies.
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
-_OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
+_TYPE_VALUES = {otype.value for otype in ObjectType}
 _TYPE_OF_KIND = {kind.value: otype.value for kind, otype in KIND_OBJECT_TYPE.items()}
 
 
@@ -122,12 +124,11 @@ CSV_HEADER = (
 # the constructor it calls checks every other field's range. %s: fraction digits.
 _TS = r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):\d\d:\d\d\.\d{%s}Z"
 _TS_SHAPE = re.compile(_TS % "1,6", re.ASCII)
-_MS_STAMPS = re.compile(f"(?:{_TS % 3}\n)*{_TS % 3}", re.ASCII)  # a column, newline-joined
+_MS_STAMPS = re.compile(f"(?:{_TS % 3}\0)*{_TS % 3}", re.ASCII)  # a column, NUL-joined
 # The only integer form parse_log reads: ASCII digits, an optional "-", no
 # leading zero and no "-0", so serialize_log writes each one back as read.
 _INT = "(?:0|-?[1-9][0-9]*)"
-_is_int = re.compile(_INT).fullmatch
-_INTS = re.compile(f"(?:{_INT}\n)*{_INT}")
+_INTS = re.compile(f"(?:{_INT}\0)*{_INT}")  # a column, NUL-joined
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -324,82 +325,64 @@ def _check_events(events, lines: list[int] | None = None) -> bool:
     return skeleton.reconnected
 
 
-def _parse_row(row: list[str], line: int) -> ModelingEvent:
-    if len(row) != 10:
-        raise LogFormatError(f"expected 10 fields, got {len(row)}", line)
-    raw_seq, raw_ts, raw_kind, oid, raw_otype, x, y, label, src, tgt = row
-    if not _is_int(raw_seq):
-        raise LogFormatError(f"bad seq {raw_seq!r}", line)
-    seq = int(raw_seq)
-    try:
-        ts = parse_timestamp(raw_ts)
-    except ValueError as exc:
-        raise LogFormatError(str(exc), line) from None
-    kind = _KIND_BY_VALUE.get(raw_kind)
-    if kind is None:
-        raise LogFormatError(f"unknown event {raw_kind!r}", line)
-    otype = _OBJECT_TYPE_BY_VALUE.get(raw_otype)
-    if otype is None:
-        raise LogFormatError(f"unknown object type {raw_otype!r}", line)
-    if bool(x) != bool(y):
-        raise LogFormatError("x and y must be given together", line)
-    position = None
-    if x:
-        if not (_is_int(x) and _is_int(y)):
-            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
-        position = (int(x), int(y))
-    expected = KIND_OBJECT_TYPE[kind]
-    if otype is not expected:
-        raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
-                             line)
-    try:
-        return ModelingEvent(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
-    except ValueError as exc:
-        raise LogFormatError(str(exc), line) from None
+def _events(rows: list[list[str]]) -> list[ModelingEvent]:
+    """The events of CSV rows, each row rule checked on whole columns in the
+    order a row's fields are read. A broken rule raises ValueError worded
+    from the first row, so on one row it is that row's own message. No
+    field holds NUL (parse_log refuses it), so NUL joins a column.
+    """
+    if set(map(len, rows)) != {10}:
+        raise ValueError(f"expected 10 fields, got {len(rows[0])}")
+    seqs, stamps, kinds, oids, types, xs, ys, labels, sources, targets = zip(*rows)
+    seq, _, kind, _, otype, x, y = rows[0][:7]
+    if _INTS.fullmatch("\0".join(seqs)) is None:
+        raise ValueError(f"bad seq {seq!r}")
+    joined = "\0".join(stamps)
+    try:  # six fraction digits and "+00:00", a form fromisoformat reads on every Python
+        times = _MS_STAMPS.fullmatch(joined) and list(map(
+            datetime.fromisoformat, joined.replace("Z", "000+00:00").split("\0")))
+    except ValueError:  # a stamp's shape but no such date: parse_timestamp words it
+        times = None
+    times = times or list(map(parse_timestamp, stamps))
+    members = list(map(_KIND_BY_VALUE.get, kinds))
+    if None in members:
+        raise ValueError(f"unknown event {kind!r}")
+    if not _TYPE_VALUES.issuperset(types):
+        raise ValueError(f"unknown object type {otype!r}")
+    if list(map(bool, xs)) != list(map(bool, ys)):
+        raise ValueError("x and y must be given together")
+    coords = "\0".join(filter(None, xs + ys))
+    if coords and _INTS.fullmatch(coords) is None:
+        raise ValueError(f"bad coordinates {x!r},{y!r}")
+    if tuple(map(_TYPE_OF_KIND.get, kinds)) != types:
+        raise ValueError(f"{kind} implies object type {_TYPE_OF_KIND[kind]}, got {otype}")
+    return list(map(ModelingEvent, map(int, seqs), times, members, oids,
+                    [(int(x), int(y)) if x else None for x, y in zip(xs, ys)],
+                    [v or None for v in labels], [v or None for v in sources],
+                    [v or None for v in targets]))
 
 
-def _accept_columns(text: str) -> tuple[list[ModelingEvent], bool] | None:
-    """(events, whether one is a reconnect) of a valid log, checked a column
-    at a time; None on any refusal, so no line number is read."""
-    try:
-        header, *rows = csv.reader(io.StringIO(text, newline=""))
-        if header != CSV_HEADER.split(","):
-            return None
-        rows = [row for row in rows if row]
-        if set(map(len, rows)) != {10}:
-            return None if rows else ([], False)
-        seqs, stamps, kinds, oids, types, xs, ys, labels, sources, targets = zip(*rows)
-        joined, coords = "\n".join(stamps), "\n".join(filter(None, xs + ys))
-        if ("\n" in "".join(seqs + stamps + xs + ys)  # joined, such a field would split
-                or _INTS.fullmatch("\n".join(seqs)) is None
-                or tuple(map(_TYPE_OF_KIND.get, kinds)) != types
-                or list(map(bool, xs)) != list(map(bool, ys))
-                or coords and _INTS.fullmatch(coords) is None):
-            return None
-        # Six fraction digits and "+00:00", a form fromisoformat reads on every Python.
-        stamps = (map(datetime.fromisoformat, joined.replace("Z", "000+00:00").split("\n"))
-                  if _MS_STAMPS.fullmatch(joined) else map(parse_timestamp, stamps))
-        events = list(map(ModelingEvent, map(int, seqs), stamps,
-                          map(_KIND_BY_VALUE.__getitem__, kinds), oids,
-                          [(int(x), int(y)) if x else None for x, y in zip(xs, ys)],
-                          [v or None for v in labels], [v or None for v in sources],
-                          [v or None for v in targets]))
-        return events, _check_events(events, range(len(events)))
-    except (csv.Error, ValueError):  # LogFormatError too; ValueError on empty text
-        return None
+def _lines(text: str):
+    """The lines csv.reader reads of a log. The first that holds NUL is
+    refused, as Python 3.10's csv module refuses it, on every Python."""
+    for number, line in enumerate(io.StringIO(text, newline=""), 1):
+        if "\0" in line:
+            raise LogFormatError("malformed CSV: line contains NUL", number)
+        yield line
 
 
 def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
     """Parse and validate an event-log CSV.
 
-    A pass over whole columns accepts a valid log; on any other, the row
-    loop reads it again and names the first bad line.
+    The row rules are checked on all rows at once, and a valid log is read
+    with no line numbers. A log refused there is read again a record at a
+    time, and the rows are checked one by one up to the first bad line.
 
     Raises LogFormatError with a 1-based line number on input that is not
-    UTF-8 or not CSV, any malformed row, unknown event name, an object
-    type other than the one the event name implies, seq or timestamp
-    disorder, missing edge endpoints, an edge whose ends are not live
-    nodes, action on a never-created or deleted object (an edge of a
+    UTF-8 or not CSV (a NUL included), any malformed row, unknown event
+    name, an object type other than the one the event name implies, seq or
+    timestamp disorder, missing edge endpoints, an edge whose ends are not
+    live nodes, action on a never-created or deleted object (an edge of a
     deleted node included), an object changing type, or recreation of a
     previously deleted object id.
     """
@@ -410,16 +393,17 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             raise LogFormatError(f"not UTF-8 (byte {exc.start}: {exc.reason})", 1) from None
     else:
         text = data
-    events, reconnects = _accept_columns(text) or _read_rows(text)
-    return trusted(EventLog, session_id=session_id, events=tuple(events),
-                   _reconnects=reconnects)
-
-
-def _read_rows(text: str) -> tuple[list[ModelingEvent], bool]:
-    """The row loop: _accept_columns' result, or LogFormatError at the first bad line."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    events: list[ModelingEvent] = []
-    lines: list[int] = []
+    try:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        rows = [row for row in rows if row]
+        if header == CSV_HEADER.split(",") and "\0" not in text:
+            events = _events(rows) if rows else []
+            return trusted(EventLog, session_id=session_id, events=tuple(events),
+                           _reconnects=_check_events(events, range(len(events))))
+    except (csv.Error, ValueError):  # LogFormatError too; ValueError on empty text
+        pass
+    reader = csv.reader(_lines(text))
+    events, lines = [], []
     try:
         header = next(reader, None)
         if header is None:
@@ -430,12 +414,16 @@ def _read_rows(text: str) -> tuple[list[ModelingEvent], bool]:
         line = reader.line_num + 1
         for row in reader:
             if row:
-                events.append(_parse_row(row, line))
+                try:
+                    events += _events([row])
+                except ValueError as exc:
+                    raise LogFormatError(str(exc), line) from None
                 lines.append(line)
             line = reader.line_num + 1
     except csv.Error as exc:
         raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
-    return events, _check_events(events, lines)
+    return trusted(EventLog, session_id=session_id, events=tuple(events),
+                   _reconnects=_check_events(events, lines))
 
 
 def serialize_log(log: EventLog) -> str:

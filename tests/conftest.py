@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from oracles import parse_log_row_by_row
 from ppmkit.eventlog import (
     CSV_HEADER,
     KIND_OBJECT_TYPE,
     EventKind,
     EventLog,
+    LogFormatError,
     ModelingEvent,
     ObjectType,
     format_timestamp,
@@ -26,6 +28,27 @@ BASE = datetime(2010, 11, 15, 10, 0, 0, tzinfo=timezone.utc)
 def load_fixture(name: str) -> EventLog:
     path = FIXTURES / name
     return parse_log(path.read_text(encoding="utf-8"), session_id=path.stem)
+
+
+def parse_outcome(parse, text):
+    """What `parse` makes of `text`: the events and reconnect flag of a log
+    it accepts, or the message and line of its LogFormatError."""
+    try:
+        result = parse(text)
+    except LogFormatError as exc:
+        return str(exc), exc.line
+    if isinstance(result, EventLog):
+        result = list(result.events), result.has_reconnects()
+    return result
+
+
+def assert_parses_as_the_row_loop(text):
+    """parse_log accepts exactly the logs the row loop accepts, with equal
+    events and reconnect flag, and refuses the others with its message at
+    its line."""
+    got, expected = parse_outcome(parse_log, text), parse_outcome(parse_log_row_by_row, text)
+    assert got == expected
+    assert repr(got) == repr(expected)
 
 
 @pytest.fixture

@@ -13,12 +13,13 @@ and durations from timedelta's fields,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
-these definitions composed. Six are the package's own earlier paths: the replay as
+these definitions composed. Seven are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
 whatever it finds, the net as string-keyed transitions that WFNet.of
 sorts and numbers, the chart in two passes over the events, the CSV
-writer field by field and the event rule as a function that names the
-first broken field (`event_problem`). The net oracles read a numbered
+writer field by field, the event rule as a function that names the
+first broken field (`event_problem`) and the log reader as a loop that
+parses each row on its own (`parse_log_row_by_row`). The net oracles read a numbered
 WFNet back by ids through `named`.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
@@ -30,6 +31,7 @@ import csv
 import io
 import json
 import random
+import re
 from collections import deque
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -51,8 +53,10 @@ from ppmkit.eventlog import (
     EventClass,
     EventKind,
     EventLog,
+    LogFormatError,
     ModelingEvent,
     ObjectType,
+    _check_events,
     expand_reconnect,
     format_timestamp,
     parse_timestamp,
@@ -973,6 +977,87 @@ def serialize_log_by_fields(log: EventLog) -> str:
             ]
         )
     return out.getvalue()
+
+
+_is_int = re.compile("(?:0|-?[1-9][0-9]*)").fullmatch
+_KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
+_OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
+
+
+def _parse_row(row: list[str], line: int) -> ModelingEvent:
+    if len(row) != 10:
+        raise LogFormatError(f"expected 10 fields, got {len(row)}", line)
+    raw_seq, raw_ts, raw_kind, oid, raw_otype, x, y, label, src, tgt = row
+    if not _is_int(raw_seq):
+        raise LogFormatError(f"bad seq {raw_seq!r}", line)
+    seq = int(raw_seq)
+    try:
+        ts = parse_timestamp(raw_ts)
+    except ValueError as exc:
+        raise LogFormatError(str(exc), line) from None
+    kind = _KIND_BY_VALUE.get(raw_kind)
+    if kind is None:
+        raise LogFormatError(f"unknown event {raw_kind!r}", line)
+    otype = _OBJECT_TYPE_BY_VALUE.get(raw_otype)
+    if otype is None:
+        raise LogFormatError(f"unknown object type {raw_otype!r}", line)
+    if bool(x) != bool(y):
+        raise LogFormatError("x and y must be given together", line)
+    position = None
+    if x:
+        if not (_is_int(x) and _is_int(y)):
+            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
+        position = (int(x), int(y))
+    expected = KIND_OBJECT_TYPE[kind]
+    if otype is not expected:
+        raise LogFormatError(f"{raw_kind} implies object type {expected.value}, got {raw_otype}",
+                             line)
+    try:
+        return ModelingEvent(seq, ts, kind, oid, position, label or None, src or None, tgt or None)
+    except ValueError as exc:
+        raise LogFormatError(str(exc), line) from None
+
+
+class _Nul(Exception):
+    pass
+
+
+def _refuse_nul(text: str):
+    """The log's lines as csv.reader reads them, stopping at the first line
+    that holds NUL, the line Python 3.10's csv module refuses."""
+    for line in io.StringIO(text, newline=""):
+        if "\0" in line:
+            raise _Nul
+        yield line
+
+
+def parse_log_row_by_row(text: str) -> tuple[list[ModelingEvent], bool]:
+    """eventlog.parse_log's events and reconnect flag, or its LogFormatError,
+    as its row loop gave them before the column checks: each row parsed on
+    its own as it is read, each rule a statement of its own, the lifecycle
+    walk last. A NUL ends the read at its line on every Python, as 3.10's
+    csv module does."""
+    reader = csv.reader(_refuse_nul(text))
+    events: list[ModelingEvent] = []
+    lines: list[int] = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise LogFormatError("empty input, expected header row", 1)
+        if header != CSV_HEADER.split(","):
+            raise LogFormatError(f"bad header {','.join(header)!r}", 1)
+        # A record's number is its first line; a quoted field may span lines.
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                events.append(_parse_row(row, line))
+                lines.append(line)
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
+    except _Nul:  # the reader had not yet counted the line it was refused
+        raise LogFormatError("malformed CSV: line contains NUL", reader.line_num + 1) from None
+    return events, _check_events(events, lines)
 
 
 def _num(value: float) -> str:

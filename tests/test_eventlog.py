@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import inspect
 import io
-import sys
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -14,9 +13,11 @@ from conftest import (
     BASE,
     HOSTILE_LOG,
     UNREPLAYABLE_LOGS,
+    assert_parses_as_the_row_loop,
     event_logs,
     load_fixture,
     loops,
+    parse_outcome,
     rewired_blocks,
     session_logs,
     simulated_logs,
@@ -24,6 +25,7 @@ from conftest import (
 from oracles import (
     event_problem,
     format_timestamp_fields,
+    parse_log_row_by_row,
     parse_timestamp_strptime,
     replays,
     serialize_log_by_fields,
@@ -38,8 +40,6 @@ from ppmkit.eventlog import (
     LogFormatError,
     ModelingEvent,
     ObjectType,
-    _accept_columns,
-    _read_rows,
     expand_reconnect,
     format_timestamp,
     parse_log,
@@ -430,10 +430,11 @@ class TestParseLog:
         assert err.value.line == 2
 
     def test_nul_byte(self):
-        # Python 3.10's csv module refuses NUL; later versions read it
+        # refused on every Python, as Python 3.10's csv module refuses it
         data = CSV_HEADER + "\n" + "\n" + "1,2010-11-15T10:00:00.000Z,CREATE_\0,a,ACTIVITY,,,,,\n"
         with pytest.raises(LogFormatError) as err:
             parse_log(data)
+        assert str(err.value) == "malformed CSV: line contains NUL at line 3"
         assert err.value.line == 3
 
     def test_invalid_utf8(self):
@@ -724,23 +725,6 @@ def test_accepted_integers_round_trip(seq, x, y):
     assert str(excinfo.value) == f"{problem} at line 2"
 
 
-def row_loop(text):
-    """The row loop's events and reconnect flag, or None when it refuses."""
-    try:
-        return _read_rows(text)
-    except LogFormatError:
-        return None
-
-
-def assert_passes_agree(text):
-    """The column pass accepts exactly the logs the row loop accepts, with
-    equal events and reconnect flag. parse_log sets the session id from its
-    argument on either path."""
-    columns, rows = _accept_columns(text), row_loop(text)
-    assert columns == rows
-    assert repr(columns) == repr(rows)
-
-
 def _quoted(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
@@ -796,34 +780,62 @@ def near_miss_logs(draw):
 
 @given(text=near_miss_logs())
 @settings(max_examples=400, deadline=None)
-def test_column_pass_agrees_with_the_row_loop_on_near_misses(text):
-    assert_passes_agree(text)
+def test_parse_log_agrees_with_the_row_loop_on_near_misses(text):
+    assert_parses_as_the_row_loop(text)
 
 
 @given(log=st.one_of(event_logs(), simulated_logs(), rewired_blocks(), loops()))
 @settings(max_examples=60, deadline=None)
-def test_column_pass_accepts_every_valid_log(log):
+def test_parse_log_accepts_every_valid_log_as_the_row_loop_does(log):
     text = serialize_log(log)
-    assert _accept_columns(text) == _read_rows(text) == (list(log.events), log.has_reconnects())
+    assert parse_outcome(parse_log, text) == parse_outcome(parse_log_row_by_row, text) == (
+        list(log.events), log.has_reconnects())
 
 
-# Routes through the column pass: a log with one change to its line ends,
-# blank lines, quoting or a field, and what parse_log made of it before the
-# column pass: the second event's changed fields, or the refusal.
+# Routes through parse_log: a log with one change to its line ends, blank
+# lines, quoting or a field, or two faults of which the row loop names one,
+# and what parse_log makes of it: the second event's changed fields, or the
+# refusal.
 _ROWS = [
     "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,10,20,,,",
     "2,2010-11-15T10:00:01.000Z,CREATE_ACTIVITY,b,ACTIVITY,,,,,",
     "3,2010-11-15T10:00:02.000Z,CREATE_EDGE,e,EDGE,,,,a,b",
 ]
 _PLAIN = "\n".join([CSV_HEADER, *_ROWS]) + "\n"
-_NUL_IN_LABEL = ({"label": "x\0y"} if sys.version_info >= (3, 11)  # 3.10's csv refuses NUL
-                 else "malformed CSV: line contains NUL at line 3")
+_UNKNOWN_A = _PLAIN.replace("CREATE_ACTIVITY,a", "MOVE_ACTIVITY,a")  # a lifecycle fault on line 2
+_BAD_SEQ = _PLAIN.replace("\n1,", "\nx,")
+_OVER_LIMIT = ("4,2010-11-15T10:00:03.000Z,CREATE_ACTIVITY,c,ACTIVITY,,," + "x" * 200_000
+               + ",,\n")
 ROUTES = {
     "crlf": (_PLAIN.replace("\n", "\r\n"), {}),
     "lone cr": (_PLAIN.replace("\n", "\r"), {}),
     "cr in a label": (_PLAIN.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\ry"),
                       "expected 10 fields, got 8 at line 3"),
-    "nul in a label": (_PLAIN.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\0y"), _NUL_IN_LABEL),
+    "nul in a label": (_PLAIN.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\0y"),
+                       "malformed CSV: line contains NUL at line 3"),
+    "bad seq before a nul": (_BAD_SEQ.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\0y"),
+                             "bad seq 'x' at line 2"),
+    "nul on a quoted label's second line": (
+        _PLAIN.replace("b,ACTIVITY,,,", 'b,ACTIVITY,,,"x\ny\0"'),
+        "malformed CSV: line contains NUL at line 4"),
+    "lifecycle fault before a nul": (_UNKNOWN_A.replace("b,ACTIVITY,,,", "b,ACTIVITY,,,x\0y"),
+                                     "malformed CSV: line contains NUL at line 3"),
+    "bad row before a field over csv's limit": (_BAD_SEQ + _OVER_LIMIT, "bad seq 'x' at line 2"),
+    "lifecycle fault before a csv error": (
+        _UNKNOWN_A + _OVER_LIMIT,
+        "malformed CSV: field larger than field limit (131072) at line 5"),
+    "csv error before a bad row": (
+        _PLAIN + _OVER_LIMIT + "x,2010-11-15T10:00:04.000Z,CREATE_ACTIVITY,d,ACTIVITY,,,,,\n",
+        "malformed CSV: field larger than field limit (131072) at line 5"),
+    "unknown kind and unknown type": (_PLAIN.replace("CREATE_ACTIVITY,a,ACTIVITY", "BOGUS,a,NODE"),
+                                      "unknown event 'BOGUS' at line 2"),
+    "x without y and bad coordinates": (_PLAIN.replace("a,ACTIVITY,10,20", "a,ACTIVITY,1x,"),
+                                        "x and y must be given together at line 2"),
+    "unknown kind and bad coordinates": (
+        _PLAIN.replace("CREATE_ACTIVITY,a,ACTIVITY,10,", "BOGUS,a,ACTIVITY,1x,"),
+        "unknown event 'BOGUS' at line 2"),
+    "mismatched type and x without y": (_PLAIN.replace("a,ACTIVITY,10,20", "a,XOR,10,"),
+                                        "x and y must be given together at line 2"),
     "quoted label": (_PLAIN.replace("b,ACTIVITY,,,", 'b,ACTIVITY,,,"x, ""y""\nz"'),
                      {"label": 'x, "y"\nz'}),
     "quoted newline in seq": (_PLAIN.replace("\n2,", '\n"2\n3",').replace("\n3,", "\n4,"),
@@ -837,6 +849,7 @@ ROUTES = {
                        f"bad header {CSV_HEADER.replace('label', 'name')!r} at line 1"),
     "blank line between rows": (_PLAIN.replace("\n2,", "\n\n2,"), {}),
     "blank line at end": (_PLAIN + "\n", {}),
+    "bad row after a blank line": (_PLAIN.replace("\n2,", "\n\nx,"), "bad seq 'x' at line 4"),
     "no final newline": (_PLAIN[:-1], {}),
     "1-digit fraction": (_PLAIN.replace("01.000Z", "01.5Z"),
                          {"timestamp": BASE + timedelta(seconds=1.5)}),
@@ -846,13 +859,15 @@ ROUTES = {
                          {"timestamp": BASE + timedelta(seconds=1.125)}),
     "february 30": (_PLAIN.replace("11-15T10:00:01", "02-30T10:00:01"),
                     "bad timestamp '2010-02-30T10:00:01.000Z' at line 3"),
+    "month 21 in a 3-digit stamp": (_PLAIN.replace("11-15T10:00:01", "21-15T10:00:01"),
+                                    "bad timestamp '2010-21-15T10:00:01.000Z' at line 3"),
 }
 
 
 @pytest.mark.parametrize("name", list(ROUTES))
-def test_parse_routes_through_the_column_pass(name):
+def test_parse_routes_agree_with_the_row_loop(name):
     text, expected = ROUTES[name]
-    assert_passes_agree(text)
+    assert_parses_as_the_row_loop(text)
     if isinstance(expected, str):
         with pytest.raises(LogFormatError) as excinfo:
             parse_log(text)

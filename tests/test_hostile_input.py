@@ -1,6 +1,7 @@
 """Hostile input: whatever the bytes, text or JSON, each reader refuses it
 with its own error type (LogFormatError for logs, ValueError for model and
-report JSON) and never lets another exception escape."""
+report JSON) and never lets another exception escape. parse_log gives
+the row loop's answer on such text too (oracles.parse_log_row_by_row)."""
 
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import event_logs, load_fixture
+from conftest import assert_parses_as_the_row_loop, event_logs, load_fixture
 from oracles import _most_blocks_at_once, report_from_dict
 from ppmkit.classify import SessionReport, classify_model, classify_session
 from ppmkit.cli import main
@@ -50,7 +51,7 @@ _ROWS = st.lists(st.lists(_FIELDS, max_size=12).map(",".join), max_size=8)
 @given(rows=_ROWS, newline=st.sampled_from(["\n", "\r\n", "\r"]))
 @settings(max_examples=80)
 def test_parse_log_csv_like_text(rows, newline):
-    parse_or_refuse(newline.join([CSV_HEADER] + rows))
+    assert_parses_as_the_row_loop(newline.join([CSV_HEADER] + rows))
 
 
 @given(text=st.text(max_size=200))
@@ -73,7 +74,15 @@ def test_parse_log_spliced_valid_log(log, data):
     text = serialize_log(log)
     start = data.draw(st.integers(0, len(text)))
     end = data.draw(st.integers(start, len(text)))
-    parse_or_refuse(text[:start] + data.draw(st.text(max_size=20)) + text[end:])
+    assert_parses_as_the_row_loop(text[:start] + data.draw(st.text(max_size=20)) + text[end:])
+
+
+def test_parse_log_refuses_an_integer_too_long_for_int():
+    seq = "1" * 5000  # over int()'s default limit of 4300 digits
+    row = f"{seq},2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,"
+    with pytest.raises(LogFormatError, match="integer string conversion") as err:
+        parse_log(f"{CSV_HEADER}\n{row}\n")
+    assert err.value.line == 2
 
 
 # Leaves include the edge cases of number conversion: non-finite floats,
