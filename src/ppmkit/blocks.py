@@ -11,13 +11,14 @@ Every node of a cycle through split and join is a member, being a descendant
 of the split that reaches the join; so a loop around a block, entered and left
 at gateways outside it, leaves no block.
 
-The search grows with the model. One dominator pass from a split answers
-every split whose dominator subtree no flow leaves, by a climb up the tree
-from each join; a split no pass answered roots its own. The dating walk
-applies the log's creates and deletes to the validator's bare skeleton,
-eventlog._Skeleton. After each edge create or delete it tests, by the same
-climb, the splits of undated blocks that exist by then and are gateways
-with two or more out-flows; it reads those degrees off the skeleton itself.
+The search grows with the model. A dominator pass ranks what its split
+reaches in reverse postorder and keeps the tree in lists by rank, settled
+in one sweep unless a flow enters a node from a higher rank. One pass
+answers every split whose dominator subtree no flow leaves, by a climb up
+the tree from each join; a split no pass answered roots its own. The dating
+walk applies the log's creates and deletes to the validator's skeleton,
+eventlog._Skeleton, and after each edge create or delete tests, by the same
+climb, the undated splits then present as gateways of two or more out-flows.
 """
 
 from __future__ import annotations
@@ -62,46 +63,45 @@ def _reverse_postorder(out: dict[str, dict[str, str]], start: str) -> list[str]:
 
 
 def _dominator_tree(graph, root: str):
-    """Rank in reverse postorder of every node `root` reaches, each one's
-    immediate dominator, and each one's ways in but the root's.
+    """The nodes `root` reaches in reverse postorder, their ranks, and per
+    rank the rank of its immediate dominator and its ways in (0 at the root).
 
-    One iterative pass (Cooper, Harvey & Kennedy 2001) over the adjacency
-    dicts `_out` and `_in` of a ProcessModel or a _Skeleton. An in-flow
-    (p, v) from a reached p other than v is a way into v unless v
-    dominates p.
+    Cooper, Harvey & Kennedy's iterative algorithm (2001) on ranks, over the
+    `_out` dicts of a ProcessModel or a _Skeleton. An in-flow (p, v) from p
+    other than v is a way into v unless v dominates p. With no in-flow from
+    a higher rank one sweep settles every node, each after its in-flows'
+    sources; only a reach with such a back flow sweeps until none changes.
     """
-    order = _reverse_postorder(graph._out, root)
+    out = graph._out
+    order = _reverse_postorder(out, root)
     rank = {v: k for k, v in enumerate(order)}
-    in_ = graph._in
-    preds = {v: [p for p in in_[v].values() if p in rank and p != v] for v in order}
-    idom = {root: root}
-
-    def climb(a: str, above: str) -> str:
-        while rank[a] > rank[above]:
-            a = idom[a]
-        return a
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            a = climb(a, b)
-            b = climb(b, a)
-        return a
-
-    changed = True
+    preds: list[list[int]] = [[] for _ in order]
+    for k, u in enumerate(order):
+        for w in out[u].values():
+            preds[rank[w]].append(k)
+    idom, ways = [0] + [-1] * (len(order) - 1), [0] * len(order)  # -1: not yet swept
+    back, changed = False, True
     while changed:
         changed = False
-        for v in order[1:]:
-            new = None
-            for p in preds[v]:
-                if p in idom:
-                    new = p if new is None else intersect(p, new)
-            if idom.get(v) != new:
+        for v in range(1, len(order)):
+            ps = preds[v]
+            new, way = ps[0], 0  # the lowest rank, the DFS parent's or below
+            for p in ps:
+                a = p
+                while a > v:  # a flow from a higher rank, which v may dominate
+                    a, back = idom[a], True
+                way += a != v
+                if idom[p] >= 0:  # unset on the first sweep for p ranked at or above v
+                    while p != new:
+                        while p > new:
+                            p = idom[p]
+                        while new > p:
+                            new = idom[new]
+            ways[v] = way
+            if idom[v] != new:
                 idom[v] = new
-                changed = True
-
-    # climb returns p at once when p comes before v: v cannot dominate it.
-    ways = {v: sum(1 for p in preds[v] if climb(p, v) != v) for v in order[1:]}
-    return rank, idom, ways
+                changed = back
+    return order, rank, idom, ways
 
 
 def _block_members(graph, s: str, j: str, pos: dict[str, int],
@@ -129,11 +129,10 @@ def _block_members(graph, s: str, j: str, pos: dict[str, int],
     return frozenset(members) if sealed else None
 
 
-def _close_blocks(graph, joins, idom: dict[str, str], ways: dict[str, int],
-                  answers: dict[str, range], pos: dict[str, int]):
+def _close_blocks(graph, joins, tree, answers: dict[int, range], pos: dict[str, int]):
     """Yield (split, join, members) for each of `joins` that closes a block
-    at an answered split; `answers` maps a split to the span of `pos` its
-    descendants take.
+    at an answered split of `tree`, a _dominator_tree; `answers` maps the
+    rank of a split to the span of `pos` its descendants take.
 
     By Menger's theorem a join has two edge-disjoint paths from a split
     exactly when no single edge lies on every path to it: when every node on
@@ -141,38 +140,38 @@ def _close_blocks(graph, joins, idom: dict[str, str], ways: dict[str, int],
     climb from a join goes up the tree while nodes have two ways in, and
     each answered split it reaches gets its members checked.
     """
+    order, rank, idom, ways = tree
     for j in joins:
-        v = j
-        while ways.get(v, 0) >= 2:
+        v = rank.get(j, 0)  # a join the pass does not reach starts at the root
+        while ways[v] >= 2:
             v = idom[v]
             if v in answers:
-                members = _block_members(graph, v, j, pos, answers[v])
+                members = _block_members(graph, order[v], j, pos, answers[v])
                 if members is not None:
-                    yield v, j, members
+                    yield order[v], j, members
 
 
-def _closed_subtrees(model: ProcessModel, rank: dict[str, int], idom: dict[str, str],
-                     splits: list[str]) -> tuple[dict[str, int], dict[str, range]]:
-    """Number a dominator tree in preorder, so that each subtree is a range;
-    return the numbers and the range of each of `splits` whose subtree no
-    flow leaves."""
-    order = list(rank)
-    size = dict.fromkeys(order, 1)
-    for v in reversed(order[1:]):
+def _closed_subtrees(model: ProcessModel, tree, splits: list[int]):
+    """Number a _dominator_tree in preorder, so that each subtree is a range;
+    return each node's number and the range of each of `splits`, ranks,
+    whose subtree no flow leaves."""
+    order, rank, idom, _ = tree
+    size = [1] * len(order)
+    for v in range(len(order) - 1, 0, -1):
         size[idom[v]] += size[v]
-    pre, free = {order[0]: 0}, {order[0]: 1}
-    for v in order[1:]:  # a dominator ranks before the nodes it dominates
+    pre, free = [0] * len(order), [1] * len(order)
+    for v in range(1, len(order)):  # a dominator ranks before the nodes it dominates
         pre[v] = free[idom[v]]
         free[idom[v]] += size[v]
         free[v] = pre[v] + 1
-    lo, hi = dict(pre), dict(pre)  # extremes of pre a subtree's flows reach
-    for v in reversed(order[1:]):
-        for w in model._out[v].values():
-            lo[v], hi[v] = min(lo[v], pre[w]), max(hi[v], pre[w])
+    lo, hi = pre[:], pre[:]  # extremes of pre a subtree's flows reach
+    for v in range(len(order) - 1, 0, -1):
+        for w in model._out[order[v]].values():
+            lo[v], hi[v] = min(lo[v], pre[rank[w]]), max(hi[v], pre[rank[w]])
         up = idom[v]
         lo[up], hi[up] = min(lo[up], lo[v]), max(hi[up], hi[v])
     spans = {s: range(pre[s], pre[s] + size[s]) for s in splits}
-    return pre, {s: span for s, span in spans.items() if lo[s] in span and hi[s] in span}
+    return dict(zip(order, pre)), {s: r for s, r in spans.items() if lo[s] in r and hi[s] in r}
 
 
 def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]]]:
@@ -194,15 +193,15 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     pairs = []
     while unanswered:
         root = next(iter(unanswered))
-        rank, idom, ways = _dominator_tree(model, root)
-        pos, answers = rank, {root: range(len(rank))}
-        inner = [s for s in unanswered if s in rank and s != root]
+        tree = order, rank, _, _ = _dominator_tree(model, root)
+        pos, answers = rank, {0: range(len(order))}
+        inner = [k for k in map(rank.get, unanswered) if k]  # reached, but not the root
         if inner:  # only a tree holding other splits needs the subtree ranges
-            pos, closed = _closed_subtrees(model, rank, idom, inner)
+            pos, closed = _closed_subtrees(model, tree, inner)
             answers.update(closed)
-        for s in answers:
-            del unanswered[s]
-        pairs.extend(_close_blocks(model, joins, idom, ways, answers, pos))
+        for k in answers:
+            del unanswered[order[k]]
+        pairs.extend(_close_blocks(model, joins, tree, answers, pos))
     pairs.sort(key=itemgetter(0, 1))
     return pairs
 
@@ -265,9 +264,9 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
                      if types.get(j) in GATEWAY_TYPES and len(current._in[j]) >= 2]
             if not ready:
                 continue
-            rank, idom, ways = _dominator_tree(current, s)
-            for _, j, members in _close_blocks(current, ready, idom, ways,
-                                               {s: range(len(rank))}, rank):
+            tree = order, rank, _, _ = _dominator_tree(current, s)
+            for _, j, members in _close_blocks(current, ready, tree,
+                                               {0: range(len(order))}, rank):
                 stamps = [creates[latest[oid]].timestamp for oid in members]
                 blocks.append(Block(s, j, members, ev.seq, (min(stamps), max(stamps)),
                                     _is_whole(members, creates, latest)))

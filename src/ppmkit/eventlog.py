@@ -126,8 +126,9 @@ _TS = r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):\d\d:\d\d\.\d{%s}Z"
 _TS_SHAPE = re.compile(_TS % "1,6", re.ASCII)
 _MS_STAMPS = re.compile(f"(?:{_TS % 3}\0)*{_TS % 3}", re.ASCII)  # a column, NUL-joined
 # The only integer form parse_log reads: ASCII digits, an optional "-", no
-# leading zero and no "-0", so serialize_log writes each one back as read.
-_INT = "(?:0|-?[1-9][0-9]*)"
+# leading zero and no "-0", so serialize_log writes each one back as read;
+# at most 640 digits, the least limit sys.set_int_max_str_digits sets int().
+_INT = "(?:0|-?[1-9][0-9]{0,639})"
 _INTS = re.compile(f"(?:{_INT}\0)*{_INT}")  # a column, NUL-joined
 
 

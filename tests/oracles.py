@@ -520,6 +520,36 @@ def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,
     return found
 
 
+def dominators_by_removal(model: ProcessModel,
+                          root: str) -> tuple[dict[str, str], dict[str, int]]:
+    """Each node `root` reaches, but the root, mapped to its immediate
+    dominator and to its number of ways in, from the definitions: v
+    dominates w when w is unreachable from `root` once v is removed; the
+    immediate dominator of w is the one strict dominator of w that all the
+    others dominate; an in-flow (p, w) from a reached p other than w is a
+    way in unless w dominates p."""
+    def reach(removed):
+        seen = {root} - {removed}
+        stack = list(seen)
+        while stack:
+            for t in model.successors(stack.pop()):
+                if t != removed and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    reached = reach(None)
+    dominated = {v: reached - reach(v) for v in reached}  # v itself included
+    dominators = {w: {v for v in reached if w in dominated[v]} for w in reached}
+    idom, ways = {}, {}
+    for w in reached - {root}:
+        strict = dominators[w] - {w}
+        idom[w], = (d for d in strict if strict <= dominators[d])
+        ways[w] = sum(1 for p in model.predecessors(w)
+                      if p in reached and p != w and p not in dominated[w])
+    return idom, ways
+
+
 def _gateway_ids(model: ProcessModel) -> list[str]:
     return sorted(n.id for n in model.nodes.values() if n.type in GATEWAY_TYPES)
 
@@ -979,7 +1009,14 @@ def serialize_log_by_fields(log: EventLog) -> str:
     return out.getvalue()
 
 
-_is_int = re.compile("(?:0|-?[1-9][0-9]*)").fullmatch
+
+
+def _is_int(text: str) -> bool:
+    """The one integer form serialize_log writes, of at most 640 digits:
+    int() reads that many under any sys.set_int_max_str_digits."""
+    return re.fullmatch("0|-?[1-9][0-9]*", text) is not None and len(text.lstrip("-")) <= 640
+
+
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 _OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
 

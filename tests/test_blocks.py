@@ -13,6 +13,7 @@ from conftest import BASE, back_to_front_chains, csv_log, event_logs, loops, out
 from oracles import (
     _most_blocks_at_once,
     blocks_dated_all_pairs,
+    dominators_by_removal,
     edge_disjoint_path_count,
     find_block_pairs_maxflow,
     iter_states,
@@ -620,17 +621,29 @@ def gateway_multigraphs(draw):
     )
 
 
+# An irreducible loop c <-> d entered at both: d -> c is the only flow from a
+# higher rank (r, b, a, c, d), so one sweep would leave idom(c) = a, where r
+# is right by r -> b -> d -> c, and miss the block (r, c).
+_IRREDUCIBLE = ProcessModel(
+    nodes=[Node("r", ObjectType.XOR), Node("a", ObjectType.ACTIVITY),
+           Node("b", ObjectType.ACTIVITY), Node("c", ObjectType.XOR),
+           Node("d", ObjectType.ACTIVITY)],
+    edges=[Edge("e0", "r", "a"), Edge("e1", "r", "b"), Edge("e2", "a", "c"),
+           Edge("e3", "b", "d"), Edge("e4", "c", "d"), Edge("e5", "d", "c")],
+)
+
+
 def _assert_matches_maxflow(model):
     assert find_block_pairs(model) == find_block_pairs_maxflow(model)
     for s in model.nodes:
         # The climb from every node to s asks for members exactly at the
         # nodes s reaches by two edge-disjoint paths.
-        rank, idom, ways = _dominator_tree(model, s)
+        tree = order, rank, _, _ = _dominator_tree(model, s)
         climbed = []
         with mock.patch.object(blocks_module, "_block_members",
                                lambda graph, split, j, pos, span: climbed.append(j)):
-            assert list(_close_blocks(model, model.nodes, idom, ways,
-                                      {s: range(len(rank))}, rank)) == []
+            assert list(_close_blocks(model, model.nodes, tree,
+                                      {0: range(len(order))}, rank)) == []
         for v in model.nodes:
             assert (v in climbed) == (edge_disjoint_path_count(model, s, v) >= 2), (s, v)
 
@@ -691,10 +704,22 @@ def _assert_matches_maxflow(model):
     edges=[Edge("e0", "r", "s"), Edge("e1", "r", "s"), Edge("e2", "s", "a"), Edge("e3", "s", "b"),
            Edge("e4", "a", "j"), Edge("e5", "b", "j"), Edge("e6", "b", "r")],
 ))
+@example(model=_IRREDUCIBLE)
 @given(model=gateway_multigraphs())
 @settings(max_examples=300, deadline=None)
 def test_dominator_search_matches_maxflow_on_multigraphs(model):
     _assert_matches_maxflow(model)
+
+
+@example(model=_IRREDUCIBLE)
+@given(model=gateway_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_dominator_tree_matches_the_definition(model):
+    for root in model.nodes:
+        order, _, idom, ways = _dominator_tree(model, root)
+        assert ({order[k]: order[d] for k, d in enumerate(idom) if k},
+                {order[k]: n for k, n in enumerate(ways) if k}
+                ) == dominators_by_removal(model, root), root
 
 
 @given(log=block_churn_logs())

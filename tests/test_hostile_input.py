@@ -5,6 +5,7 @@ the row loop's answer on such text too (oracles.parse_log_row_by_row)."""
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -77,12 +78,34 @@ def test_parse_log_spliced_valid_log(log, data):
     assert_parses_as_the_row_loop(text[:start] + data.draw(st.text(max_size=20)) + text[end:])
 
 
-def test_parse_log_refuses_an_integer_too_long_for_int():
-    seq = "1" * 5000  # over int()'s default limit of 4300 digits
-    row = f"{seq},2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,"
-    with pytest.raises(LogFormatError, match="integer string conversion") as err:
+@pytest.mark.parametrize("seq, x, message", [
+    ("1" * 641, "", "bad seq '1111"),
+    ("1" * 5000, "", "bad seq '1111"),  # over int()'s default limit of 4300 digits
+    ("1", "-" + "1" * 641, "bad coordinates '-1111"),
+    ("1", "1" * 5000, "bad coordinates '1111"),
+], ids=["seq_641", "seq_5000", "x_641", "x_5000"])
+def test_parse_log_refuses_an_integer_too_long_for_int(seq, x, message):
+    # At most 640 digits, the least limit int() can be set to, so the
+    # message is parse_log's own on every Python and under any setting.
+    row = f"{seq},2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,{x},{x and 5},,,"
+    with pytest.raises(LogFormatError, match=re.escape(message)) as err:
         parse_log(f"{CSV_HEADER}\n{row}\n")
     assert err.value.line == 2
+    assert_parses_as_the_row_loop(f"{CSV_HEADER}\n{row}\n")
+
+
+def test_parse_log_reads_integers_of_640_digits_under_the_least_int_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no digit limit on int()")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        seq, x = "9" * 640, "-" + "9" * 640
+        row = f"{seq},2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,{x},{seq},,,"
+        log = parse_log(f"{CSV_HEADER}\n{row}\n")
+        assert serialize_log(log) == f"{CSV_HEADER}\n{row}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # Leaves include the edge cases of number conversion: non-finite floats,
