@@ -33,7 +33,7 @@ from .eventlog import (_CREATE, _DELETE, _EDGE, KIND_CLASS, KIND_OBJECT_TYPE, Ev
 from .model import GATEWAY_TYPES, ProcessModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     split: str
     join: str

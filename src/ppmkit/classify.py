@@ -13,7 +13,7 @@ A report read back from JSON must say the same as its evidence.
 One writer, session_json, states the report's JSON layout: json.dumps's
 indent-2 form with keys in a fixed order and collections sorted, each leaf
 from the C string and number formatters. The loader checks each field's
-type once, builds the objects without their constructors, and refuses a
+type once, builds the objects through their constructors, and refuses a
 block no detector could find and block metrics its own blocks do not give.
 """
 
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _str
 
 from .blocks import Block, detect_blocks, max_simul_block, perc_blocks_as_whole
-from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp, trusted
+from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import ProcessModel, read_json, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
@@ -140,7 +139,7 @@ def session_json(session_id: str, metrics: SessionMetrics, blocks,
     return _object("", *fields) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerspicuityVerdict:
     normalization: NormalizationOutcome
     soundness: SoundnessReport | None  # None exactly when normalization rejected
@@ -151,17 +150,17 @@ class PerspicuityVerdict:
             raise ValueError(f"soundness {given} does not match rejected "
                              f"{self.normalization.rejected}")
 
-    @cached_property  # the fields are frozen, and stats reads it several times a report
+    @property
     def stage(self) -> str:
         """Where the model fell out of the pipeline, read off the evidence."""
         if self.soundness is None:
             return "MixedGateway"
         verdict = self.soundness.verdict
-        if verdict == UNKNOWN:
-            return "StateSpaceExceeded"
+        if verdict in (SOUND, UNKNOWN):  # a few comparisons: stats reads it for every report
+            return "Sound" if verdict == SOUND else "StateSpaceExceeded"
         if any(v.kind == "NotWFStructured" for v in self.soundness.violations):
             return "NotWFStructured"
-        return "Sound" if verdict == SOUND else "Unsound"
+        return "Unsound"
 
     @property
     def perspicuous(self) -> bool:
@@ -179,11 +178,10 @@ class PerspicuityVerdict:
         norm = data["normalization"]
         rejected = typed(norm["rejected"], "rejected", bool)
         reason = typed(norm["reason"], "reason", str, type(None))
-        applied = [trusted(AppliedRule, rule=typed(r["rule"], "applied rule", str),
-                           nodes=_strings(r["nodes"], "applied rule nodes"))
+        applied = [AppliedRule(typed(r["rule"], "applied rule", str),
+                               _strings(r["nodes"], "applied rule nodes"))
                    for r in norm["applied_rules"]]
-        outcome = trusted(NormalizationOutcome, model=None,  # JSON carries no model
-                          reason=reason, applied_rules=tuple(applied))
+        outcome = NormalizationOutcome(None, reason, tuple(applied))  # JSON carries no model
         if rejected != outcome.rejected:
             raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
         sound = None
@@ -199,10 +197,12 @@ class PerspicuityVerdict:
                 if not fits(v["witness"]):
                     raise TypeError(f"{v['kind']} witness must be {shape}, got {v['witness']!r}")
                 witness = v["witness"]  # a NotWFStructured list loads as its tuple
-                violations.append(trusted(Violation, kind=v["kind"], trace=trace, witness=(
-                    tuple(witness) if type(witness) is list else witness)))
-            sound = trusted(SoundnessReport, violations=tuple(violations),
-                            states_explored=typed(s["states_explored"], "states_explored", int))
+                witness = tuple(witness) if type(witness) is list else witness
+                violations.append(Violation(v["kind"], witness, trace))
+            explored = typed(s["states_explored"], "states_explored", int)
+            if explored < 0:
+                raise ValueError(f"states_explored must be a non-negative int, got {explored}")
+            sound = SoundnessReport(tuple(violations), explored)
             if s["verdict"] != sound.verdict:
                 raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
                                  f"{sound.verdict!r} from its violations")
@@ -228,7 +228,7 @@ def classify_model(model: ProcessModel,
     return PerspicuityVerdict(outcome, check_soundness(to_wfnet(outcome.model), max_states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionReport:
     session_id: str
     metrics: SessionMetrics
@@ -263,14 +263,13 @@ class SessionReport:
             if problem:
                 problems.append(f"block {split!r}/{join!r} {problem}")
             # completion_seq is not serialized; JSON-level round-trip only
-            return trusted(Block, split=split, join=join, members=members, completion_seq=0,
-                           interval=interval, whole=whole)
+            return Block(split, join, members, 0, interval, whole)
 
         try:
             blocks = tuple(map(block, data["blocks"]))
-            report = trusted(cls, session_id=typed(data["session_id"], "session_id", str),
-                             metrics=SessionMetrics.from_dict(data["metrics"]), blocks=blocks,
-                             verdict=PerspicuityVerdict.from_dict(data["verdict"]))
+            report = cls(typed(data["session_id"], "session_id", str),
+                         SessionMetrics.from_dict(data["metrics"]), blocks,
+                         PerspicuityVerdict.from_dict(data["verdict"]))
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except TypeError as exc:

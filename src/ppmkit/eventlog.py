@@ -131,6 +131,14 @@ _MS_STAMPS = re.compile(f"(?:{_TS % 3}\0)*{_TS % 3}", re.ASCII)  # a column, NUL
 _INT = "(?:0|-?[1-9][0-9]{0,639})"
 _INTS = re.compile(f"(?:{_INT}\0)*{_INT}")  # a column, NUL-joined
 
+_QUOTE_LIMIT = 200  # characters of a field a refusal quotes; a longer one is cut
+
+
+def _quote(text: str) -> str:
+    """repr(text), cut after _QUOTE_LIMIT characters and then given its length."""
+    cut = f"... ({len(text)} characters)" if len(text) > _QUOTE_LIMIT else ""
+    return repr(text[:_QUOTE_LIMIT]) + cut
+
 
 def parse_timestamp(text: str) -> datetime:
     """Parse a UTC timestamp of exactly the shape YYYY-MM-DDThh:mm:ss.fZ.
@@ -140,7 +148,7 @@ def parse_timestamp(text: str) -> datetime:
     whole number of milliseconds.
     """
     if _TS_SHAPE.fullmatch(text) is None:
-        raise ValueError(f"bad timestamp {text!r}")
+        raise ValueError(f"bad timestamp {_quote(text)}")
     try:
         # the fraction padded to six digits, a form every Python 3.10+ reads
         ts = datetime.fromisoformat(text[:-1].ljust(26, "0") + "+00:00")
@@ -210,14 +218,6 @@ class ModelingEvent:
                                     for f in fields(ModelingEvent))
 
 
-def trusted(cls: type, **fields):
-    """An instance of frozen dataclass `cls` from checked fields: one dict
-    update, no __init__ or __post_init__."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class EventLog:
     """An immutable, validated sequence of modeling events for one session."""
@@ -234,6 +234,16 @@ class EventLog:
 
     def has_reconnects(self) -> bool:
         return self._reconnects  # recorded when the log was made
+
+
+def _checked_log(session_id: str, events: list[ModelingEvent], reconnects: bool) -> EventLog:
+    """The EventLog of events that parse_log's _check_events walk checked,
+    or that expand_reconnect made valid; __post_init__'s walk is skipped."""
+    log = object.__new__(EventLog)
+    object.__setattr__(log, "session_id", session_id)
+    object.__setattr__(log, "events", tuple(events))
+    object.__setattr__(log, "_reconnects", reconnects)
+    return log
 
 
 class _Skeleton:
@@ -337,7 +347,7 @@ def _events(rows: list[list[str]]) -> list[ModelingEvent]:
     seqs, stamps, kinds, oids, types, xs, ys, labels, sources, targets = zip(*rows)
     seq, _, kind, _, otype, x, y = rows[0][:7]
     if _INTS.fullmatch("\0".join(seqs)) is None:
-        raise ValueError(f"bad seq {seq!r}")
+        raise ValueError(f"bad seq {_quote(seq)}")
     joined = "\0".join(stamps)
     try:  # six fraction digits and "+00:00", a form fromisoformat reads on every Python
         times = _MS_STAMPS.fullmatch(joined) and list(map(
@@ -347,14 +357,14 @@ def _events(rows: list[list[str]]) -> list[ModelingEvent]:
     times = times or list(map(parse_timestamp, stamps))
     members = list(map(_KIND_BY_VALUE.get, kinds))
     if None in members:
-        raise ValueError(f"unknown event {kind!r}")
+        raise ValueError(f"unknown event {_quote(kind)}")
     if not _TYPE_VALUES.issuperset(types):
-        raise ValueError(f"unknown object type {otype!r}")
+        raise ValueError(f"unknown object type {_quote(otype)}")
     if list(map(bool, xs)) != list(map(bool, ys)):
         raise ValueError("x and y must be given together")
     coords = "\0".join(filter(None, xs + ys))
     if coords and _INTS.fullmatch(coords) is None:
-        raise ValueError(f"bad coordinates {x!r},{y!r}")
+        raise ValueError(f"bad coordinates {_quote(x)},{_quote(y)}")
     if tuple(map(_TYPE_OF_KIND.get, kinds)) != types:
         raise ValueError(f"{kind} implies object type {_TYPE_OF_KIND[kind]}, got {otype}")
     return list(map(ModelingEvent, map(int, seqs), times, members, oids,
@@ -399,8 +409,7 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
         rows = [row for row in rows if row]
         if header == CSV_HEADER.split(",") and "\0" not in text:
             events = _events(rows) if rows else []
-            return trusted(EventLog, session_id=session_id, events=tuple(events),
-                           _reconnects=_check_events(events, range(len(events))))
+            return _checked_log(session_id, events, _check_events(events, range(len(events))))
     except (csv.Error, ValueError):  # LogFormatError too; ValueError on empty text
         pass
     reader = csv.reader(_lines(text))
@@ -410,7 +419,7 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
         if header is None:
             raise LogFormatError("empty input, expected header row", 1)
         if header != CSV_HEADER.split(","):
-            raise LogFormatError(f"bad header {','.join(header)!r}", 1)
+            raise LogFormatError(f"bad header {_quote(','.join(header))}", 1)
         # A record's number is its first line; a quoted field may span lines.
         line = reader.line_num + 1
         for row in reader:
@@ -423,8 +432,7 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
             line = reader.line_num + 1
     except csv.Error as exc:
         raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
-    return trusted(EventLog, session_id=session_id, events=tuple(events),
-                   _reconnects=_check_events(events, lines))
+    return _checked_log(session_id, events, _check_events(events, lines))
 
 
 def serialize_log(log: EventLog) -> str:
@@ -467,5 +475,4 @@ def expand_reconnect(log: EventLog) -> EventLog:
     # Valid by construction: the reconnected edge and its new ends are
     # alive, deleting and recreating it keeps every later event's object
     # state, seq numbers run 1..n and timestamps keep their order.
-    return trusted(EventLog, session_id=log.session_id, events=tuple(events),
-                   _reconnects=False)
+    return _checked_log(log.session_id, events, False)

@@ -18,7 +18,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 from .blocks import Block, max_simul_block, perc_blocks_as_whole
-from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect, trusted
+from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect
 from .model import typed
 
 
@@ -34,7 +34,7 @@ def tot_time(log: EventLog) -> Fraction:
     return _seconds(log.events[-1].timestamp - log.events[0].timestamp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionMetrics:
     max_simul_block: int
     perc_num_block_as_a_whole: Fraction | None
@@ -53,13 +53,10 @@ class SessionMetrics:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             return Fraction(value)
 
-        return trusted(
-            cls, max_simul_block=typed(data["max_simul_block"], "max_simul_block", int),
-            perc_num_block_as_a_whole=frac("perc_num_block_as_a_whole", optional=True),
-            avg_move_on_moved_elements=frac("avg_move_on_moved_elements", optional=True),
-            perc_num_elements_with_moves=frac("perc_num_elements_with_moves"),
-            tot_time=frac("tot_time"),
-            tot_create_time=frac("tot_create_time"))
+        return cls(typed(data["max_simul_block"], "max_simul_block", int),
+                   frac("perc_num_block_as_a_whole", optional=True),
+                   frac("avg_move_on_moved_elements", optional=True),
+                   frac("perc_num_elements_with_moves"), frac("tot_time"), frac("tot_create_time"))
 
 
 #: JSON field order for SessionMetrics.

@@ -45,7 +45,7 @@ def read_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     type: ObjectType
@@ -57,17 +57,13 @@ class Node:
             raise ValueError(f"invalid node type {self.type.value} for node {self.id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     source: str
     target: str
     label: str | None = None
     bendpoints: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.bendpoints != ():  # points may come as lists
-            object.__setattr__(self, "bendpoints", tuple(map(tuple, self.bendpoints)))
 
 
 class ProcessModel:

@@ -25,13 +25,13 @@ from .eventlog import ObjectType
 from .model import GATEWAY_TYPES, Edge, Node, ProcessModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppliedRule:
     rule: str
     nodes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizationOutcome:
     model: ProcessModel | None
     reason: str | None = None  # why the model was rejected; None when repaired

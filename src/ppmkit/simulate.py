@@ -65,7 +65,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationProfile:
     name: str
     block_interleave_prob: float

@@ -52,14 +52,14 @@ VIOLATION_KINDS = ("NotWFStructured", "DeadlockNoCompletion", "ImproperCompletio
                    "DeadTransition", "Unbounded", "StateSpaceExceeded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: str  # one of VIOLATION_KINDS
     witness: object = None  # marking dict, transition id, or offending node ids
     trace: tuple[str, ...] | None = None  # firing sequence from the initial marking
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoundnessReport:
     violations: tuple[Violation, ...]
     states_explored: int

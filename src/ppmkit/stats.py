@@ -37,7 +37,7 @@ GROUP_A = "perspicuous"
 GROUP_B = "non-perspicuous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxplotSummary:
     median: float
     lower_hinge: float
@@ -123,7 +123,7 @@ def t_two_tailed_p(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TTestResult:
     t_value: float
     df: int
@@ -159,7 +159,7 @@ def t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricComparison:
     metric: str
     conjecture: str
@@ -169,7 +169,7 @@ class MetricComparison:
     significant: bool  # p < 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupComparison:
     group_a_size: int
     group_b_size: int

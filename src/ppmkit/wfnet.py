@@ -47,9 +47,9 @@ class WFNet(NamedTuple):
     sink: int
 
     @staticmethod
-    def of(places, transitions, source: str = SOURCE_PLACE, sink: str = SINK_PLACE) -> WFNet:
+    def of(places, transitions) -> WFNet:
         """The net of places and transitions given by id, each transition
-        as (id, pre, post) with place ids."""
+        as (id, pre, post) with place ids; the source is i and the sink o."""
         places = tuple(sorted(places))
         ts = sorted(transitions, key=itemgetter(0))
         number = {p: k for k, p in enumerate(places)}
@@ -57,19 +57,19 @@ class WFNet(NamedTuple):
             raise ValueError("duplicate place ids")
         if len({t[0] for t in ts}) != len(ts):
             raise ValueError("duplicate transition ids")
-        if source not in number or sink not in number:
+        if SOURCE_PLACE not in number or SINK_PLACE not in number:
             raise ValueError("source and sink must be places")
         for tid, pre, post in ts:
             for p in sorted(pre) + sorted(post):
                 if p not in number:
                     raise ValueError(f"transition {tid} touches unknown place {p}")
-            if source in post:
+            if SOURCE_PLACE in post:
                 raise ValueError(f"transition {tid} feeds the source place")
-            if sink in pre:
+            if SINK_PLACE in pre:
                 raise ValueError(f"transition {tid} consumes the sink place")
         n = number.__getitem__
         return _numbered(places, [t[0] for t in ts], [tuple(sorted(map(n, t[1]))) for t in ts],
-                         [tuple(sorted(map(n, t[2]))) for t in ts], n(source), n(sink))
+                         [tuple(sorted(map(n, t[2]))) for t in ts], n(SOURCE_PLACE), n(SINK_PLACE))
 
 
 def _numbered(places: tuple[str, ...], ids: list[str], pre: list[tuple[int, ...]],

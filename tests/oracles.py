@@ -56,6 +56,7 @@ from ppmkit.eventlog import (
     LogFormatError,
     ModelingEvent,
     ObjectType,
+    _QUOTE_LIMIT,
     _check_events,
     expand_reconnect,
     format_timestamp,
@@ -1017,6 +1018,14 @@ def _is_int(text: str) -> bool:
     return re.fullmatch("0|-?[1-9][0-9]*", text) is not None and len(text.lstrip("-")) <= 640
 
 
+def _shown(text: str) -> str:
+    """A refused field as its message quotes it: whole, or when longer than
+    _QUOTE_LIMIT characters its first _QUOTE_LIMIT and its length."""
+    if len(text) > _QUOTE_LIMIT:
+        return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+    return repr(text)
+
+
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 _OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
 
@@ -1026,7 +1035,7 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
         raise LogFormatError(f"expected 10 fields, got {len(row)}", line)
     raw_seq, raw_ts, raw_kind, oid, raw_otype, x, y, label, src, tgt = row
     if not _is_int(raw_seq):
-        raise LogFormatError(f"bad seq {raw_seq!r}", line)
+        raise LogFormatError(f"bad seq {_shown(raw_seq)}", line)
     seq = int(raw_seq)
     try:
         ts = parse_timestamp(raw_ts)
@@ -1034,16 +1043,16 @@ def _parse_row(row: list[str], line: int) -> ModelingEvent:
         raise LogFormatError(str(exc), line) from None
     kind = _KIND_BY_VALUE.get(raw_kind)
     if kind is None:
-        raise LogFormatError(f"unknown event {raw_kind!r}", line)
+        raise LogFormatError(f"unknown event {_shown(raw_kind)}", line)
     otype = _OBJECT_TYPE_BY_VALUE.get(raw_otype)
     if otype is None:
-        raise LogFormatError(f"unknown object type {raw_otype!r}", line)
+        raise LogFormatError(f"unknown object type {_shown(raw_otype)}", line)
     if bool(x) != bool(y):
         raise LogFormatError("x and y must be given together", line)
     position = None
     if x:
         if not (_is_int(x) and _is_int(y)):
-            raise LogFormatError(f"bad coordinates {x!r},{y!r}", line)
+            raise LogFormatError(f"bad coordinates {_shown(x)},{_shown(y)}", line)
         position = (int(x), int(y))
     expected = KIND_OBJECT_TYPE[kind]
     if otype is not expected:
@@ -1082,7 +1091,7 @@ def parse_log_row_by_row(text: str) -> tuple[list[ModelingEvent], bool]:
         if header is None:
             raise LogFormatError("empty input, expected header row", 1)
         if header != CSV_HEADER.split(","):
-            raise LogFormatError(f"bad header {','.join(header)!r}", 1)
+            raise LogFormatError(f"bad header {_shown(','.join(header))}", 1)
         # A record's number is its first line; a quoted field may span lines.
         line = reader.line_num + 1
         for row in reader:
@@ -1277,8 +1286,10 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
                                 f", got {v['kind']!r}")
             trace = None if v["trace"] is None else _strings(v["trace"], "trace")
             violations.append(Violation(v["kind"], _witness(v["kind"], v["witness"]), trace))
-        sound = SoundnessReport(tuple(violations),
-                                typed(s["states_explored"], "states_explored", int))
+        explored = typed(s["states_explored"], "states_explored", int)
+        if explored < 0:
+            raise ValueError(f"states_explored must be a non-negative int, got {explored}")
+        sound = SoundnessReport(tuple(violations), explored)
         if s["verdict"] != sound.verdict:
             raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
                              f"{sound.verdict!r} from its violations")

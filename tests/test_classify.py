@@ -34,8 +34,10 @@ from ppmkit.eventlog import EventClass, ObjectType, _Skeleton, expand_reconnect,
 from ppmkit.metrics import SessionMetrics
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.normalize import AppliedRule, NormalizationOutcome
-from ppmkit.soundness import VIOLATION_KINDS, SoundnessReport, Violation
+from ppmkit.soundness import DEFAULT_MAX_STATES, VIOLATION_KINDS, SoundnessReport, Violation
 from ppmkit.replay import replay
+from ppmkit.simulate import PROFILES
+from ppmkit.stats import compare_groups
 
 
 def test_diamond_session_perspicuous(diamond_log):
@@ -145,6 +147,56 @@ def test_report_json_round_trip(diamond_log):
     assert [dataclasses.replace(b, completion_seq=0) for b in report.blocks] == list(again.blocks)
     # serializing the deserialized form is a fixed point
     assert again.to_json() == text
+
+
+# Per stage, a log and a state cap whose classify report has that stage.
+_STAGE_LOGS = {
+    "Sound": (None, DEFAULT_MAX_STATES),
+    "StateSpaceExceeded": (None, 1),
+    "MixedGateway": (csv_log("CREATE_ACTIVITY a", "CREATE_ACTIVITY b", "CREATE_XOR g",
+                             "CREATE_ACTIVITY c", "CREATE_ACTIVITY d", "CREATE_EDGE e1 a g",
+                             "CREATE_EDGE e2 b g", "CREATE_EDGE e3 g c", "CREATE_EDGE e4 g d"),
+                     DEFAULT_MAX_STATES),
+    "NotWFStructured": (csv_log("CREATE_ACTIVITY a", "CREATE_ACTIVITY b", "CREATE_EDGE e1 a b",
+                                "CREATE_EDGE e2 b a"), DEFAULT_MAX_STATES),
+    # an AND split closed by an XOR join
+    "Unsound": (csv_log("CREATE_START_EVENT s", "CREATE_AND p", "CREATE_ACTIVITY b",
+                        "CREATE_ACTIVITY c", "CREATE_XOR q", "CREATE_END_EVENT t",
+                        "CREATE_EDGE e1 s p", "CREATE_EDGE e2 p b", "CREATE_EDGE e3 p c",
+                        "CREATE_EDGE e4 b q", "CREATE_EDGE e5 c q", "CREATE_EDGE e6 q t"),
+                DEFAULT_MAX_STATES),
+}
+
+
+def _records(report: SessionReport) -> list:
+    verdict = report.verdict
+    records = [report, report.metrics, *report.blocks, verdict, verdict.normalization,
+               *verdict.normalization.applied_rules]
+    if verdict.soundness is not None:
+        records += [verdict.soundness, *verdict.soundness.violations]
+    return records
+
+
+def test_records_are_slotted_and_frozen(diamond_log, churn_log, rewire_log):
+    """Every record a classify report, a load, a replay or compare_groups
+    builds has no __dict__, and none of its fields can be assigned."""
+    reports = [classify_session(churn_log), classify_session(rewire_log)]
+    for stage, (text, max_states) in _STAGE_LOGS.items():
+        report = classify_session(diamond_log if text is None else parse_log(text), max_states)
+        assert report.verdict.stage == stage
+        reports += [report, SessionReport.from_json(report.to_json())]
+    records = [r for report in reports for r in _records(report)]
+    assert {type(r).__name__ for r in records} >= {
+        "Block", "AppliedRule", "Violation", "SoundnessReport"}
+    model = replay(rewire_log)
+    records += [*model.nodes.values(), *model.edges.values()]
+    comparison = compare_groups(reports, metrics=("tot_time",))
+    records += [comparison, *comparison.rows, comparison.rows[0].group_a,
+                comparison.rows[0].test, PROFILES["structured"]]
+    for record in records:
+        assert not hasattr(record, "__dict__"), record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
 
 
 # Per stage, the normalization reason and soundness violations that give it.

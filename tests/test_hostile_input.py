@@ -94,6 +94,47 @@ def test_parse_log_refuses_an_integer_too_long_for_int(seq, x, message):
     assert_parses_as_the_row_loop(f"{CSV_HEADER}\n{row}\n")
 
 
+_ROW = "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,5,5,,,"
+
+
+def _long_field(index: int, char: str) -> tuple[str, str]:
+    """_ROW with field `index` made 5,000 characters of `char`, and that field."""
+    fields = _ROW.split(",")
+    fields[index] = char * 5000
+    return ",".join(fields), fields[index]
+
+
+@pytest.mark.parametrize("index, char, refusal", [
+    (0, "1", "bad seq {}"), (1, "2", "bad timestamp {}"), (2, "E", "unknown event {}"),
+    (4, "T", "unknown object type {}"), (5, "1", "bad coordinates {},'5'"),
+    (6, "1", "bad coordinates '5',{}"),
+], ids=["seq", "timestamp", "event", "object_type", "x", "y"])
+def test_parse_log_quotes_a_long_refused_field_cut(index, char, refusal):
+    """A refusal quotes at most 200 characters of a field and then gives
+    its length, however long the field is."""
+    row, field = _long_field(index, char)
+    cut = f"{field[:200]!r}... (5000 characters)"
+    with pytest.raises(LogFormatError) as err:
+        parse_log(f"{CSV_HEADER}\n{row}\n")
+    assert str(err.value) == refusal.format(cut) + " at line 2"
+    assert_parses_as_the_row_loop(f"{CSV_HEADER}\n{row}\n")
+
+
+def test_parse_log_quotes_a_long_header_cut():
+    header = CSV_HEADER + "," + "h" * 5000
+    with pytest.raises(LogFormatError) as err:
+        parse_log(f"{header}\n{_ROW}\n")
+    assert str(err.value) == f"bad header {header[:200]!r}... ({len(header)} characters) at line 1"
+    assert_parses_as_the_row_loop(f"{header}\n{_ROW}\n")
+
+
+def test_parse_timestamp_quotes_a_stamp_of_200_characters_whole_and_cuts_a_longer_one():
+    for length, shown in ((200, repr("2" * 200)), (201, f"{'2' * 200!r}... (201 characters)")):
+        with pytest.raises(ValueError) as err:
+            parse_timestamp("2" * length)
+        assert str(err.value) == f"bad timestamp {shown}"
+
+
 def test_parse_log_reads_integers_of_640_digits_under_the_least_int_limit():
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no digit limit on int()")
@@ -257,6 +298,13 @@ def test_report_value_of_wrong_type_is_refused(path, value):
         SessionReport.from_json(_with(REPORTS[0], path, value))
 
 
+def test_negative_states_explored_is_refused():
+    text = _with(REPORTS[0], ("verdict", "soundness", "states_explored"), -7)
+    assert json.loads(text)["verdict"]["stage"] == "Sound"
+    with pytest.raises(ValueError, match="^states_explored must be a non-negative int, got -7$"):
+        SessionReport.from_json(text)
+
+
 # A block of REPORTS[0] (split g1, join g2) that no detector could find.
 IMPOSSIBLE_BLOCKS = [
     ("members", ["zz", "a", "a"], "lacks its split or join"),
@@ -340,6 +388,7 @@ def _contradicts_its_blocks(report: SessionReport) -> bool:
 @example(text=_with(_with(REPORTS[0], ("blocks", 0, "members"), ["g1"]), ("session_id",), 1))
 @example(text=_with(_with(REPORTS[0], ("verdict", "normalization", "reason"), "mixed gateway: g"),
                     ("verdict", "normalization", "rejected"), True))  # rejected, yet soundness
+@example(text=_with(REPORTS[0], ("verdict", "soundness", "states_explored"), -7))
 @settings(max_examples=300)
 def test_loader_refuses_what_the_oracle_refuses_and_impossible_blocks(text):
     """The loader gives what the constructor-built oracle gives: an equal

@@ -219,13 +219,6 @@ class TestWFNetValidation:
         assert net.post[0] == (2, 2) and net.pre[1] == (2, 2)
         assert net.producers[2] == [0, 0] and net.consumers[2] == [1, 1]
 
-    def test_source_and_sink_are_named_by_id(self):
-        net = WFNet.of(("start", "end", "p"), [("a", ("start",), ("p",)), ("b", ("p",), ("end",))],
-                       source="start", sink="end")
-        assert net.places == ("end", "p", "start")
-        assert (net.source, net.sink) == (2, 0)
-        assert named(net).transitions[0] == ("a", ("start",), ("p",))
-
 
 class TestWfStructured:
     def test_linear_ok(self):
