@@ -158,8 +158,9 @@ class PerspicuityVerdict:
         verdict = self.soundness.verdict
         if verdict in (SOUND, UNKNOWN):  # a few comparisons: stats reads it for every report
             return "Sound" if verdict == SOUND else "StateSpaceExceeded"
-        if any(v.kind == "NotWFStructured" for v in self.soundness.violations):
-            return "NotWFStructured"
+        for v in self.soundness.violations:
+            if v.kind == "NotWFStructured":
+                return "NotWFStructured"
         return "Unsound"
 
     @property

@@ -134,10 +134,10 @@ _INTS = re.compile(f"(?:{_INT}\0)*{_INT}")  # a column, NUL-joined
 _QUOTE_LIMIT = 200  # characters of a field a refusal quotes; a longer one is cut
 
 
-def _quote(text: str) -> str:
-    """repr(text), cut after _QUOTE_LIMIT characters and then given its length."""
+def _quote(text: str, show=repr) -> str:
+    """show(text), cut after _QUOTE_LIMIT characters and then given its length."""
     cut = f"... ({len(text)} characters)" if len(text) > _QUOTE_LIMIT else ""
-    return repr(text[:_QUOTE_LIMIT]) + cut
+    return show(text[:_QUOTE_LIMIT]) + cut
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -271,9 +271,9 @@ class _Skeleton:
         otype, event_class = KIND_OBJECT_TYPE[kind], KIND_CLASS[kind]
         if event_class is _CREATE:
             if oid in types:
-                raise LogFormatError(f"duplicate create of object {oid}")
+                raise LogFormatError(f"duplicate create of object {_quote(oid, str)}")
             if self._strict and oid in self._used:
-                raise LogFormatError(f"recreation of deleted object {oid}")
+                raise LogFormatError(f"recreation of deleted object {_quote(oid, str)}")
             self._used.add(oid)
             if otype is _EDGE:
                 self._link(oid, ev.source_id, ev.target_id)
@@ -283,9 +283,9 @@ class _Skeleton:
             return
         if types.get(oid) is not otype:
             if oid in types:
-                raise LogFormatError(f"object {oid} changes type")
+                raise LogFormatError(f"object {_quote(oid, str)} changes type")
             verb = "deleted" if oid in self._used else "unknown"
-            raise LogFormatError(f"action on {verb} object {oid}")
+            raise LogFormatError(f"action on {verb} object {_quote(oid, str)}")
         if event_class is _RECONNECT:
             self.reconnected = True
             self._unlink(oid)
@@ -300,7 +300,8 @@ class _Skeleton:
     def _link(self, eid: str, s: str, t: str) -> None:
         outs = self._out  # one entry per live node
         if s not in outs or t not in outs:
-            raise LogFormatError(f"edge {eid} ends at {t if s in outs else s}, not a live node")
+            end = _quote(t if s in outs else s, str)
+            raise LogFormatError(f"edge {_quote(eid, str)} ends at {end}, not a live node")
         self.types[eid], self.ends[eid] = _EDGE, (s, t)
         outs[s][eid], self._in[t][eid] = t, s
 

@@ -23,12 +23,21 @@ do not reduce; one that passes it goes to the explorer, and every Unsound
 or Unknown report comes from it alone.
 
 Exploration is breadth-first with deterministic transition order, so
-witnesses and traces are reproducible. A marking that strictly dominates
-one of its ancestors proves the net unbounded (the pumping run can
-repeat), which rules out soundness immediately; the walk is skipped on
-acyclic nets, whose runs are all finite. The cap on explored markings
-(max_states, set by `classify --max-states`) turns pathological nets into
-an honest Unknown instead of an endless run.
+witnesses and traces are reproducible. A marking is one int, place k in
+bits [k*W, (k+1)*W), the top one a guard. W is one more than the bit
+length of N = max(most inputs of a transition, 1 + g*(max_states + 1)),
+g the largest token gain of a firing or 0. Every marking made lies at
+most max_states + 1 firings from the initial one, each adding at most g
+tokens, so no count exceeds N and none reaches its guard; no arc weight
+does either, so no subtraction borrows across fields. With G the guards,
+t is enabled in m when ((m | G) - take_t) & G == G, and m dominates a
+when ((m | G) - a) & G == G. A marking that strictly dominates one of
+its ancestors proves the net unbounded (the pumping run can repeat),
+which rules out soundness immediately; the walk is skipped when a Kahn
+pass over the places finds no cycle and every transition has an input,
+as then every run is finite. The cap on explored markings (max_states,
+set by `classify --max-states`) turns pathological nets into an honest
+Unknown instead of an endless run.
 
 A report's verdict is not stored but read off its violations: none is
 Sound, a StateSpaceExceeded (the cap) is Unknown, anything else Unsound.
@@ -38,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 
 from .wfnet import WFNet, uncovered
 
@@ -70,8 +78,9 @@ class SoundnessReport:
         Unsound otherwise."""
         if not self.violations:
             return SOUND
-        if any(v.kind == "StateSpaceExceeded" for v in self.violations):
-            return UNKNOWN
+        for v in self.violations:  # a loop, not any(): stats reads every report's
+            if v.kind == "StateSpaceExceeded":
+                return UNKNOWN
         return UNSOUND
 
 
@@ -90,10 +99,7 @@ def check_soundness(net: WFNet, max_states: int = DEFAULT_MAX_STATES) -> Soundne
         return SoundnessReport((), 2)
     offending = uncovered(net)
     if offending:
-        return SoundnessReport(
-            violations=(Violation("NotWFStructured", witness=offending),),
-            states_explored=0,
-        )
+        return SoundnessReport((Violation("NotWFStructured", witness=offending),), 0)
     return _explore(net, max_states)
 
 
@@ -210,65 +216,61 @@ def _reduces(net: WFNet) -> bool:
 
 
 def _explore(net: WFNet, max_states: int) -> SoundnessReport:
-    """Decide soundness of a WF-structured net from its reachable markings."""
-    # Per transition: id, input bitmask, inputs of weight > 1, token change per place and in all.
-    compiled = []
-    for tid, ins, outs in zip(net.transitions, net.pre, net.post):
-        change: dict[int, int] = {}
+    """Decide soundness of a WF-structured net from its reachable markings,
+    each packed into one int (see the module docstring)."""
+    gains = [len(outs) - len(ins) for ins, outs in zip(net.pre, net.post)]
+    width = max(max(map(len, net.pre), default=0),
+                1 + max(max(gains, default=0), 0) * (max_states + 1)).bit_length() + 1
+    bit = [1 << k * width for k in range(len(net.places))]  # one token on place k
+    field, ones = (1 << width) - 1, sum(bit)
+    guards = ones << width - 1  # a field minus what it lacks keeps its guard bit
+    # Per transition: id, tokens taken, token change per place and in all.
+    # consumers[k + 1]: the takers of place k, whose guard bit ends at (k + 1) * width.
+    compiled, consumers = [], [0] * (len(bit) + 1)
+    for n, (tid, ins, outs, gain) in enumerate(zip(net.transitions, net.pre, net.post, gains)):
+        take = sum(map(bit.__getitem__, ins))
+        compiled.append((tid, take, sum(map(bit.__getitem__, outs)) - take, gain))
         for k in ins:
-            change[k] = change.get(k, 0) - 1
-        heavy = tuple((k, -d) for k, d in change.items() if d < -1)
-        for k in outs:
-            change[k] = change.get(k, 0) + 1
-        compiled.append((tid, sum(1 << k for k in set(ins)), heavy,
-                         tuple((k, d) for k, d in change.items() if d), len(outs) - len(ins)))
-    consumers = [sum(1 << n for n in set(ts)) for ts in net.consumers]  # per place, its takers
+            consumers[k + 1] |= 1 << n
     free = sum(1 << n for n, ins in enumerate(net.pre) if not ins)  # candidates in every marking
     pumpable = _may_run_forever(net)
-    o_idx = net.sink
-
-    initial = tuple(1 if k == net.source else 0 for k in range(len(net.places)))
-    final = tuple(1 if k == o_idx else 0 for k in range(len(net.places)))
+    initial, final = bit[net.source], bit[net.sink]
 
     # preds[m] = [(marking, transition fired to reach m), ...]. Past the initial
-    # marking, the first entry is where the breadth-first search first reached
-    # m; walks back stop at `initial` by identity, as entries hold stored keys.
-    preds: dict[tuple[int, ...], list[tuple[tuple[int, ...], str]]] = {initial: []}
-    total = {initial: 1}  # tokens per marking
-    stuck: set[tuple[int, ...]] = set()  # markings that enable nothing
-    fired: set[str] = set()
+    # marking, the first entry is where the breadth-first search first reached m.
+    preds: dict[int, list[tuple[int, str]]] = {initial: []}
+    total = {initial: 1}  # tokens per marking, kept where the walk reads them
+    stuck: set[int] = set()  # markings that enable nothing
+    fired = 0  # bit n: transition n fired
     queue = deque([initial])
 
-    def trace_to(m: tuple[int, ...]) -> tuple[str, ...]:
+    def trace_to(m: int) -> tuple[str, ...]:
         steps = []
-        while m is not initial:
+        while m != initial:
             m, tid = preds[m][0]
             steps.append(tid)
         return tuple(reversed(steps))
 
-    def as_dict(m: tuple[int, ...]) -> dict[str, int]:
-        return {net.places[k]: c for k, c in enumerate(m) if c}
+    def as_dict(m: int) -> dict[str, int]:
+        return {p: c for k, p in enumerate(net.places) if (c := m >> k * width & field)}
 
     while queue:
         m = queue.popleft()
-        support, candidates = 0, free
-        for k, c in enumerate(m):
-            if c:
-                support |= 1 << k
-                candidates |= consumers[k]
-        enabled = False
+        guarded, candidates = m | guards, free
+        marked = (guarded - ones) & guards
+        while marked:
+            low = marked & -marked
+            marked ^= low
+            candidates |= consumers[low.bit_length() // width]
+        enabled = 0
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            tid, inputs, heavy, change, gain = compiled[low.bit_length() - 1]
-            if inputs & ~support or heavy and any(m[k] < c for k, c in heavy):
+            tid, take, delta, gain = compiled[low.bit_length() - 1]
+            if (guarded - take) & guards != guards:
                 continue
-            enabled = True
-            marked = list(m)
-            for k, d in change:
-                marked[k] += d
-            child = tuple(marked)
-            fired.add(tid)
+            enabled |= low
+            child = m + delta
             seen = preds.get(child)
             if seen is not None:
                 seen.append((m, tid))
@@ -277,26 +279,19 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
             # firing sequence between them repeats forever, so nets whose runs
             # are all finite skip the walk. A strict dominator holds more
             # tokens: ancestors with as many or more skip the comparison.
-            tokens = total[m] + gain
-            anc = m if pumpable else None
-            while anc is not None:
-                if total[anc] < tokens and all(a >= b for a, b in zip(child, anc)):
-                    return SoundnessReport(
-                        violations=(
-                            Violation("Unbounded", witness=as_dict(child),
-                                      trace=trace_to(m) + (tid,)),
-                        ),
-                        states_explored=len(preds),
-                    )
-                anc = preds[anc][0][0] if anc is not initial else None
+            if pumpable:
+                total[child] = tokens = total[m] + gain
+                anc = m
+                while anc is not None:
+                    if total[anc] < tokens and ((child | guards) - anc) & guards == guards:
+                        unbounded = Violation("Unbounded", as_dict(child), trace_to(m) + (tid,))
+                        return SoundnessReport((unbounded,), len(preds))
+                    anc = preds[anc][0][0] if anc != initial else None
             preds[child] = [(m, tid)]
-            total[child] = tokens
             if len(preds) > max_states:
-                return SoundnessReport(
-                    violations=(Violation("StateSpaceExceeded"),),
-                    states_explored=len(preds),
-                )
+                return SoundnessReport((Violation("StateSpaceExceeded"),), len(preds))
             queue.append(child)
+        fired |= enabled
         if not enabled:
             stuck.add(m)
 
@@ -304,34 +299,28 @@ def _explore(net: WFNet, max_states: int) -> SoundnessReport:
 
     # Option to complete: every reachable marking must reach the completion
     # marking. Witness preference: a stuck marking over a live-locked one.
-    completing: set[tuple[int, ...]] = set()
-    if final in preds:
-        completing.add(final)
-        stack = [final]
-        while stack:
-            for prev, _ in preds[stack.pop()]:
-                if prev not in completing:
-                    completing.add(prev)
-                    stack.append(prev)
+    completing = {final} if final in preds else set()
+    stack = list(completing)
+    while stack:
+        for prev, _ in preds[stack.pop()]:
+            if prev not in completing:
+                completing.add(prev)
+                stack.append(prev)
     stranded = [m for m in preds if m not in completing]
     if stranded:
         witness = next((m for m in stranded if m in stuck), stranded[0])
-        violations.append(
-            Violation("DeadlockNoCompletion", witness=as_dict(witness),
-                      trace=trace_to(witness))
-        )
+        violations.append(Violation("DeadlockNoCompletion", as_dict(witness), trace_to(witness)))
 
     # Proper completion: a token on the sink means exactly the completion
     # marking, nothing more.
+    sink = field << net.sink * width
     for m in preds:
-        if m[o_idx] >= 1 and m != final:
-            violations.append(
-                Violation("ImproperCompletion", witness=as_dict(m), trace=trace_to(m))
-            )
+        if m & sink and m != final:
+            violations.append(Violation("ImproperCompletion", as_dict(m), trace_to(m)))
             break
 
-    for tid in net.transitions:
-        if tid not in fired:
+    for n, tid in enumerate(net.transitions):
+        if not fired >> n & 1:
             violations.append(Violation("DeadTransition", witness=tid))
 
     return SoundnessReport(tuple(violations), len(preds))
@@ -342,10 +331,17 @@ def _may_run_forever(net: WFNet) -> bool:
     either every run is finite, so no marking strictly dominates an ancestor."""
     if not all(net.pre):
         return True
-    # On places, p -> q when a transition takes p and gives q.
-    try:
-        TopologicalSorter({p: {q for t in ts for q in net.post[t]}
-                           for p, ts in enumerate(net.consumers)}).prepare()
-    except CycleError:
-        return True
-    return False
+    # Kahn's algorithm: a place clears once all its producers have fired and a
+    # transition fires once all its inputs have cleared; a cycle's never clear.
+    waiting = list(map(len, net.pre))  # inputs not cleared, per transition
+    givers = list(map(len, net.producers))  # producers not fired, per place
+    cleared = [p for p, n in enumerate(givers) if not n]
+    for p in cleared:  # grows while it is walked
+        for t in net.consumers[p]:
+            waiting[t] -= 1
+            if not waiting[t]:
+                for q in net.post[t]:
+                    givers[q] -= 1
+                    if not givers[q]:
+                        cleared.append(q)
+    return len(cleared) < len(givers)

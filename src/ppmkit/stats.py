@@ -193,11 +193,11 @@ def compare_groups(reports, exclude_unknown: bool = False,
     exclude_unknown. Metric values that are not applicable for a session
     are dropped per metric, never the whole session.
     """
-    pool = list(reports)
-    if exclude_unknown:
-        pool = [r for r in pool if r.verdict.stage != "StateSpaceExceeded"]
-    group_a = [r for r in pool if r.verdict.perspicuous]
-    group_b = [r for r in pool if not r.verdict.perspicuous]
+    group_a, group_b = [], []  # one pass, one stage read per report
+    for r in reports:
+        stage = r.verdict.stage
+        if not (exclude_unknown and stage == "StateSpaceExceeded"):
+            (group_a if stage == "Sound" else group_b).append(r)  # Sound: perspicuous
     if not group_a:
         raise ValueError(f"group {GROUP_A} is empty")
     if not group_b:

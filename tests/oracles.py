@@ -13,14 +13,15 @@ and durations from timedelta's fields,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
-these definitions composed. Seven are the package's own earlier paths: the replay as
+these definitions composed. Eight are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
 whatever it finds, the net as string-keyed transitions that WFNet.of
 sorts and numbers, the chart in two passes over the events, the CSV
 writer field by field, the event rule as a function that names the
-first broken field (`event_problem`) and the log reader as a loop that
-parses each row on its own (`parse_log_row_by_row`). The net oracles read a numbered
-WFNet back by ids through `named`.
+first broken field (`event_problem`), the log reader as a loop that
+parses each row on its own (`parse_log_row_by_row`) and the explorer's
+acyclicity test as a graphlib toposort (`may_run_forever_by_toposort`).
+The net oracles read a numbered WFNet back by ids through `named`.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
 """
@@ -37,6 +38,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 from itertools import count
 from typing import NamedTuple
 from xml.sax.saxutils import quoteattr
@@ -483,6 +485,20 @@ def explore_every_transition(net: WFNet, max_states: int) -> SoundnessReport:
             violations.append(Violation("DeadTransition", witness=t.id))
 
     return SoundnessReport(tuple(violations), len(parent))
+
+
+def may_run_forever_by_toposort(net: WFNet) -> bool:
+    """Whether the net has a transition without inputs, or a cycle that
+    graphlib's TopologicalSorter finds among the places, p -> q when a
+    transition takes p and gives q."""
+    if not all(net.pre):
+        return True
+    try:
+        TopologicalSorter({p: {q for t in ts for q in net.post[t]}
+                           for p, ts in enumerate(net.consumers)}).prepare()
+    except CycleError:
+        return True
+    return False
 
 
 def edge_disjoint_path_count(model: ProcessModel, source: str, sink: str,

@@ -128,6 +128,30 @@ def test_parse_log_quotes_a_long_header_cut():
     assert_parses_as_the_row_loop(f"{header}\n{_ROW}\n")
 
 
+_STAMP = "2010-11-15T10:00:0{}.000Z"
+
+
+@pytest.mark.parametrize("rows, refusal", [
+    ([f"1,{_STAMP.format(0)},MOVE_ACTIVITY,{{}},ACTIVITY,5,5,,,"],
+     "action on unknown object {} at line 2"),
+    ([f"1,{_STAMP.format(0)},CREATE_EDGE,e,EDGE,,,,{{}},{{}}"],
+     "edge e ends at {}, not a live node at line 2"),
+    ([f"1,{_STAMP.format(0)},CREATE_ACTIVITY,{{}},ACTIVITY,5,5,,,",
+      f"2,{_STAMP.format(1)},CREATE_ACTIVITY,{{}},ACTIVITY,5,5,,,"],
+     "duplicate create of object {} at line 3"),
+], ids=["unknown_object", "edge_end", "duplicate_create"])
+def test_lifecycle_refusals_cut_a_long_object_id(rows, refusal):
+    """A lifecycle refusal prints an id of 200 characters or fewer whole,
+    and a longer one cut after 200 characters and then given its length."""
+    for length, shown in ((200, "a" * 200), (201, f"{'a' * 200}... (201 characters)"),
+                          (5000, f"{'a' * 200}... (5000 characters)")):
+        text = "\n".join([CSV_HEADER] + [row.replace("{}", "a" * length) for row in rows]) + "\n"
+        with pytest.raises(LogFormatError) as err:
+            parse_log(text)
+        assert str(err.value) == refusal.format(shown)
+        assert_parses_as_the_row_loop(text)
+
+
 def test_parse_timestamp_quotes_a_stamp_of_200_characters_whole_and_cuts_a_longer_one():
     for length, shown in ((200, repr("2" * 200)), (201, f"{'2' * 200!r}... (201 characters)")):
         with pytest.raises(ValueError) as err:

@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import event_logs
@@ -10,6 +10,7 @@ from golden_cases import build
 from oracles import (
     brute_force_soundness,
     explore_every_transition,
+    may_run_forever_by_toposort,
     named,
     random_wfnet,
     reduces_in_rounds,
@@ -333,7 +334,17 @@ def small_nets(draw):
     return WFNet.of(line, transitions), acyclic
 
 
+# b takes three tokens from q, which never holds one. A field as wide as
+# the token counts alone need lets that subtraction borrow from the next
+# place, and b would fire on an empty q.
+HEAVY_ARC_NET = WFNet.of(["i", "o", "p", "q"], [("a", ["i"], ["p"]),
+                                                ("b", ["p", "q", "q", "q"], ["o"])])
+
+
 @given(small_nets(), st.integers(1, 200))
+@example((HEAVY_ARC_NET, True), 1)
+@example((HEAVY_ARC_NET, True), 2)
+@example((HEAVY_ARC_NET, True), DEFAULT_MAX_STATES)
 @settings(max_examples=300, deadline=None)
 def test_explorer_matches_testing_every_transition(drawn, cap):
     net, acyclic = drawn
@@ -343,6 +354,24 @@ def test_explorer_matches_testing_every_transition(drawn, cap):
     assert soundness_dict(report) == soundness_dict(explore_every_transition(net, cap))
     assert all(c > 0 for v in report.violations if isinstance(v.witness, dict)
                for c in v.witness.values())
+
+
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_MAX_STATES])
+def test_net_without_transitions_matches_the_oracle(cap):
+    net = WFNet.of(["i", "o"], [])
+    report = _explore(net, cap)
+    assert kinds(report) == ["DeadlockNoCompletion"]
+    assert soundness_dict(report) == soundness_dict(explore_every_transition(net, cap))
+
+
+@given(st.one_of(small_nets().map(lambda drawn: drawn[0]), block_models(flip=True)))
+@example(WFNet.of(["i", "o", "p"], [("a", [], ["p"]), ("b", ["i"], ["o"])]))  # input-free
+@example(WFNet.of(["i", "o", "p"], [("a", ["i"], ["p"]), ("b", ["p"], ["p"]),
+                                    ("c", ["p"], ["o"])]))  # a self-loop
+@example(WFNet.of(["i", "o", "p"], [("a", ["i"], ["p", "p"]), ("b", ["p", "p"], ["o"])]))
+@settings(max_examples=300, deadline=None)
+def test_kahn_acyclicity_test_matches_the_toposort(net):
+    assert _may_run_forever(net) == may_run_forever_by_toposort(net)
 
 
 def net_of(model):
