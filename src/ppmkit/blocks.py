@@ -23,7 +23,7 @@ climb, the undated splits then present as gateways of two or more out-flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from fractions import Fraction
 from operator import itemgetter
@@ -41,6 +41,20 @@ class Block:
     completion_seq: int  # event at which the pair first formed a block
     interval: tuple[datetime, datetime]  # first to last member create
     whole: bool  # no foreign node created inside the member-create span
+
+    def __init__(self, split: str, join: str, members: frozenset[str], completion_seq: int,
+                 interval: tuple[datetime, datetime], whole: bool):
+        # The slot setters (after the class) skip the frozen __setattr__.
+        _set_split(self, split)
+        _set_join(self, join)
+        _set_members(self, members)
+        _set_completion_seq(self, completion_seq)
+        _set_interval(self, interval)
+        _set_whole(self, whole)
+
+
+(_set_split, _set_join, _set_members, _set_completion_seq, _set_interval,
+ _set_whole) = (Block.__dict__[f.name].__set__ for f in fields(Block))
 
 
 def _reverse_postorder(out: dict[str, dict[str, str]], start: str) -> list[str]:

@@ -14,7 +14,11 @@ One writer, session_json, states the report's JSON layout: json.dumps's
 indent-2 form with keys in a fixed order and collections sorted, each leaf
 from the C string and number formatters. The loader checks each field's
 type once, builds the objects through their constructors, and refuses a
-block no detector could find and block metrics its own blocks do not give.
+block no detector could find, metrics no session gives and block metrics
+its own blocks do not give. It reads a report's block stamps as one
+column, through eventlog.parse_timestamps, with the same per-stamp
+fallback; a report any block check refuses is read again one block at a
+time, so the error is the first bad block's own.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
-from .blocks import Block, detect_blocks, max_simul_block, perc_blocks_as_whole
-from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamp
+from .blocks import Block, detect_blocks, max_simul_block
+from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamps
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import ProcessModel, read_json, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
@@ -185,21 +189,23 @@ class PerspicuityVerdict:
         outcome = NormalizationOutcome(None, reason, tuple(applied))  # JSON carries no model
         if rejected != outcome.rejected:
             raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
-        sound = None
-        if data["soundness"] is not None:
-            s = data["soundness"]
+        sound, s = None, data["soundness"]
+        if s is not None:
             violations = []
             for v in s["violations"]:
-                if v["kind"] not in VIOLATION_KINDS:
+                kind = v["kind"]
+                if kind not in VIOLATION_KINDS:
                     raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
-                                    f", got {v['kind']!r}")
-                trace = None if v["trace"] is None else _strings(v["trace"], "trace")
-                shape, fits = _WITNESSES.get(v["kind"], _MARKING)
-                if not fits(v["witness"]):
-                    raise TypeError(f"{v['kind']} witness must be {shape}, got {v['witness']!r}")
-                witness = v["witness"]  # a NotWFStructured list loads as its tuple
-                witness = tuple(witness) if type(witness) is list else witness
-                violations.append(Violation(v["kind"], witness, trace))
+                                    f", got {kind!r}")
+                trace = v["trace"]
+                trace = None if trace is None else _strings(trace, "trace")
+                witness = v["witness"]
+                shape, fits = _WITNESSES.get(kind, _MARKING)
+                if not fits(witness):
+                    raise TypeError(f"{kind} witness must be {shape}, got {witness!r}")
+                # a NotWFStructured list loads as its tuple
+                violations.append(Violation(kind, tuple(witness) if type(witness) is list
+                                            else witness, trace))
             explored = typed(s["states_explored"], "states_explored", int)
             if explored < 0:
                 raise ValueError(f"states_explored must be a non-negative int, got {explored}")
@@ -217,6 +223,57 @@ class PerspicuityVerdict:
             raise ValueError(f"stage {stage!r} does not match {verdict.stage!r} "
                              "from its evidence")
         return verdict
+
+
+def _blocks(items) -> tuple[list[Block], list[str]]:
+    """The blocks of a report's JSON list and, in block order, why any is
+    one no detector could find. Each rule is checked in the order a
+    block's fields are read, but all stamps are read as one column between
+    the two loops: only on a single block is a refusal surely its own.
+    """
+    heads, stamps = [], []
+    for b in items:
+        split, join, pair, whole = head = b["split"], b["join"], b["interval"], b["whole"]
+        if type(split) is not str or type(join) is not str or type(whole) is not bool:
+            raise TypeError("block split and join must be strings and whole a bool, "
+                            f"got {split!r}, {join!r}, {whole!r}")
+        if (type(pair) is not list or len(pair) != 2
+                or type(pair[0]) is not str or type(pair[1]) is not str):
+            raise TypeError(f"interval must be a list of two strings, got {pair!r}")
+        heads.append(head)
+        stamps += pair
+    times = iter(parse_timestamps(stamps))
+    blocks, problems = [], []
+    for b, (split, join, _, whole), start, end in zip(items, heads, times, times):
+        names = _strings(b["members"], "members")
+        members = frozenset(names)
+        problem = ("lacks its split or join" if split not in members or join not in members
+                   else "repeats a member" if len(members) < len(names)
+                   else "ends before it starts" if end < start else None)
+        if problem:
+            problems.append(f"block {split!r}/{join!r} {problem}")
+        # completion_seq is not serialized; JSON-level round-trip only
+        blocks.append(Block(split, join, members, 0, (start, end), whole))
+    return blocks, problems
+
+
+def _check_metrics(m: dict) -> None:
+    """Refuse metric values, each an int, a float or null by now, that no
+    session gives."""
+    total, create = m["tot_time"], m["tot_create_time"]
+    share, avg = m["perc_num_elements_with_moves"], m["avg_move_on_moved_elements"]
+    if total < 0:
+        raise ValueError(f"tot_time must be at least 0, got {total!r}")
+    if not 0 <= create <= total:
+        raise ValueError(f"tot_create_time must lie between 0 and tot_time {total!r}, "
+                         f"got {create!r}")
+    if not 0 <= share <= 1:
+        raise ValueError(f"perc_num_elements_with_moves must lie between 0 and 1, got {share!r}")
+    if avg is not None and avg < 1:
+        raise ValueError(f"avg_move_on_moved_elements must be at least 1, got {avg!r}")
+    if (avg is None) != (share == 0):
+        raise ValueError("avg_move_on_moved_elements must be null exactly when "
+                         f"perc_num_elements_with_moves is 0, got {_scalar(avg)} and {share!r}")
 
 
 def classify_model(model: ProcessModel,
@@ -242,34 +299,19 @@ class SessionReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
         """Rebuild from the JSON form; a missing key, a value of the wrong
-        type, a block no detector could find or block metrics its blocks do
-        not give raises ValueError."""
-        problems = []  # raised after every other check, in block order
-
-        def block(b: dict) -> Block:
-            split, join, pair, whole = b["split"], b["join"], b["interval"], b["whole"]
-            # Inline checks, not a typed() call per field: a report holds many blocks.
-            if type(split) is not str or type(join) is not str or type(whole) is not bool:
-                raise TypeError("block split and join must be strings and whole a bool, "
-                                f"got {split!r}, {join!r}, {whole!r}")
-            if type(pair) is not list or len(pair) != 2:
-                raise TypeError(f"interval must be a list of two strings, got {pair!r}")
-            # parse_timestamp raises TypeError for a stamp that is no string
-            interval = parse_timestamp(pair[0]), parse_timestamp(pair[1])
-            names = _strings(b["members"], "members")
-            members = frozenset(names)
-            problem = ("lacks its split or join" if split not in members or join not in members
-                       else "repeats a member" if len(members) < len(names)
-                       else "ends before it starts" if interval[1] < interval[0] else None)
-            if problem:
-                problems.append(f"block {split!r}/{join!r} {problem}")
-            # completion_seq is not serialized; JSON-level round-trip only
-            return Block(split, join, members, 0, interval, whole)
-
+        type, a block no detector could find, metrics no session gives or
+        block metrics its blocks do not give raises ValueError."""
         try:
-            blocks = tuple(map(block, data["blocks"]))
+            try:
+                blocks, problems = _blocks(data["blocks"])
+            except (KeyError, TypeError, ValueError):  # one block at a time, to word the first
+                blocks, problems = [], []
+                for b in data["blocks"]:
+                    more, found = _blocks([b])
+                    blocks += more
+                    problems += found
             report = cls(typed(data["session_id"], "session_id", str),
-                         SessionMetrics.from_dict(data["metrics"]), blocks,
+                         SessionMetrics.from_dict(data["metrics"]), tuple(blocks),
                          PerspicuityVerdict.from_dict(data["verdict"]))
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
@@ -279,9 +321,11 @@ class SessionReport:
             raise ValueError(f"bad number: {exc}") from None
         if problems:
             raise ValueError(problems[0])
-        whole = perc_blocks_as_whole(blocks)  # compared as JSON writes it
-        if (report.metrics.max_simul_block != max_simul_block(blocks) or data["metrics"][
-                "perc_num_block_as_a_whole"] != (whole if whole is None else float(whole))):
+        _check_metrics(data["metrics"])
+        # k / n is the float nearest k/n, as float(Fraction(k, n)) is: what JSON holds
+        whole = sum(b.whole for b in blocks) / len(blocks) if blocks else None
+        if (report.metrics.max_simul_block != max_simul_block(blocks)
+                or data["metrics"]["perc_num_block_as_a_whole"] != whole):
             raise ValueError("block metrics do not match the report's blocks")
         return report
 

@@ -159,6 +159,22 @@ def parse_timestamp(text: str) -> datetime:
     return ts
 
 
+def parse_timestamps(stamps) -> list[datetime]:
+    """parse_timestamp of each stamp, read as one column: one match and
+    one fromisoformat map when every stamp has millisecond digits, else
+    parse_timestamp per stamp, which words the first bad one."""
+    joined = "\0".join(stamps)
+    if _MS_STAMPS.fullmatch(joined):
+        # six fraction digits and "+00:00", a form fromisoformat reads on every Python
+        parts = joined.replace("Z", "000+00:00").split("\0")
+        try:
+            if len(parts) == len(stamps):  # else a stamp holds NUL
+                return list(map(datetime.fromisoformat, parts))
+        except ValueError:  # a stamp's shape but no such date
+            pass
+    return list(map(parse_timestamp, stamps))
+
+
 def format_timestamp(ts: datetime) -> str:
     """The form parse_timestamp reads; sub-millisecond digits are dropped."""
     if ts.tzinfo is not None:
@@ -349,13 +365,7 @@ def _events(rows: list[list[str]]) -> list[ModelingEvent]:
     seq, _, kind, _, otype, x, y = rows[0][:7]
     if _INTS.fullmatch("\0".join(seqs)) is None:
         raise ValueError(f"bad seq {_quote(seq)}")
-    joined = "\0".join(stamps)
-    try:  # six fraction digits and "+00:00", a form fromisoformat reads on every Python
-        times = _MS_STAMPS.fullmatch(joined) and list(map(
-            datetime.fromisoformat, joined.replace("Z", "000+00:00").split("\0")))
-    except ValueError:  # a stamp's shape but no such date: parse_timestamp words it
-        times = None
-    times = times or list(map(parse_timestamp, stamps))
+    times = parse_timestamps(stamps)
     members = list(map(_KIND_BY_VALUE.get, kinds))
     if None in members:
         raise ValueError(f"unknown event {_quote(kind)}")

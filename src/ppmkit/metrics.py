@@ -43,24 +43,38 @@ class SessionMetrics:
     tot_time: Fraction
     tot_create_time: Fraction
 
+    def __init__(self, max_simul_block: int, perc_num_block_as_a_whole: Fraction | None,
+                 avg_move_on_moved_elements: Fraction | None,
+                 perc_num_elements_with_moves: Fraction, tot_time: Fraction,
+                 tot_create_time: Fraction):
+        # The slot setters (after the class) skip the frozen __setattr__.
+        _set_max(self, max_simul_block)
+        _set_whole(self, perc_num_block_as_a_whole)
+        _set_avg(self, avg_move_on_moved_elements)
+        _set_moved(self, perc_num_elements_with_moves)
+        _set_tot(self, tot_time)
+        _set_create(self, tot_create_time)
+
     @classmethod
     def from_dict(cls, data: dict) -> "SessionMetrics":
-        def frac(name: str, optional: bool = False) -> Fraction | None:
-            value = data[name]
-            if value is None and optional:
-                return None
-            if type(value) not in (int, float):  # a bool is an int, but no metric
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            return Fraction(value)
-
         return cls(typed(data["max_simul_block"], "max_simul_block", int),
-                   frac("perc_num_block_as_a_whole", optional=True),
-                   frac("avg_move_on_moved_elements", optional=True),
-                   frac("perc_num_elements_with_moves"), frac("tot_time"), frac("tot_create_time"))
+                   *[_fraction(data[name], name) for name in METRIC_NAMES[1:]])
+
+
+def _fraction(value, name: str) -> Fraction | None:
+    """A metric read from JSON: an int or a float (a bool is an int, but no
+    metric), or null where the metric may be undefined."""
+    if value is None and name in ("perc_num_block_as_a_whole", "avg_move_on_moved_elements"):
+        return None
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return Fraction(*value.as_integer_ratio())  # exact; raises as Fraction(value) does
 
 
 #: JSON field order for SessionMetrics.
 METRIC_NAMES = tuple(f.name for f in fields(SessionMetrics))
+_set_max, _set_whole, _set_avg, _set_moved, _set_tot, _set_create = (
+    SessionMetrics.__dict__[name].__set__ for name in METRIC_NAMES)
 
 
 def compute_session_metrics(log: EventLog, blocks: list[Block]) -> SessionMetrics:

@@ -1331,7 +1331,7 @@ def report_from_dict(data: dict) -> SessionReport:
         if (type(split), type(join), type(whole)) != (str, str, bool):
             raise TypeError("block split and join must be strings and whole a bool, "
                             f"got {split!r}, {join!r}, {whole!r}")
-        if type(pair) is not list or len(pair) != 2:
+        if type(pair) is not list or len(pair) != 2 or {type(pair[0]), type(pair[1])} != {str}:
             raise TypeError(f"interval must be a list of two strings, got {pair!r}")
         interval = parse_timestamp(pair[0]), parse_timestamp(pair[1])
         members = frozenset(_strings(b["members"], "members"))

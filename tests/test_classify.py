@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -18,8 +19,10 @@ from conftest import (
     rewired_blocks,
     simulated_logs,
 )
+import golden
 from golden_cases import GOLDEN_CASES, build
-from oracles import reference_report, report_json, session_dict, verdict_dict
+from oracles import reference_report, report_from_dict, report_json, session_dict, verdict_dict
+from ppmkit import eventlog
 from ppmkit.blocks import Block
 from ppmkit.cli import main as cli_main
 from ppmkit.classify import (
@@ -389,3 +392,55 @@ def test_session_matches_the_reference_pipeline_on_rewired_blocks(log):
 @settings(max_examples=30, deadline=None)
 def test_session_matches_the_reference_pipeline_on_loops(log):
     _matches_reference(log)
+
+
+def _seed_7_logs():
+    """The seed-7 cohort and rework sessions of the benchmark, parsed."""
+    return [parse_log(s.csv_text, s.session_id)
+            for w in ("cohort", "rework") for s in golden.workloads.GENERATORS[w](7)]
+
+
+@pytest.fixture(scope="module")
+def seed_7_reports():
+    return [classify_session(log).to_json() for log in _seed_7_logs()]
+
+
+def _counting_parse_timestamp(monkeypatch) -> list:
+    """Wrap eventlog.parse_timestamp, through which every stamp a column
+    read does not take is parsed; the list returned holds one entry a call."""
+    calls, parse = [], eventlog.parse_timestamp
+    monkeypatch.setattr(eventlog, "parse_timestamp", lambda text: calls.append(text) or parse(text))
+    return calls
+
+
+def test_valid_reports_read_their_stamps_as_one_column(seed_7_reports, monkeypatch):
+    calls = _counting_parse_timestamp(monkeypatch)
+    loaded = [SessionReport.from_json(text) for text in seed_7_reports]
+    assert calls == []
+    assert sum(len(r.blocks) for r in loaded) > 300
+    assert [r.to_json() for r in loaded] == seed_7_reports
+
+
+def test_a_stamp_with_one_fraction_digit_loads_one_stamp_at_a_time(seed_7_reports, monkeypatch):
+    data = json.loads(seed_7_reports[0])
+    data["blocks"][0]["interval"][1] = data["blocks"][0]["interval"][1][:21] + "Z"  # ".7Z"
+    calls = _counting_parse_timestamp(monkeypatch)
+    report = SessionReport.from_dict(data)
+    assert len(calls) == 2 * len(data["blocks"])
+    assert report.blocks == report_from_dict(data).blocks
+    assert report.blocks[0].interval[1].microsecond % 100_000 == 0
+
+
+def test_loaded_and_classified_sessions_hold_no_reference_cycle(seed_7_reports):
+    """Refcounting frees what a corpus load and a classify leave behind, so
+    the cyclic collector finds nothing to free there."""
+    gc.collect()
+    gc.disable()
+    try:
+        reports = [classify_session(log) for log in _seed_7_logs()]
+        loaded = [SessionReport.from_json(text) for text in seed_7_reports]
+        assert [r.to_json() for r in loaded] == [r.to_json() for r in reports]
+        del reports, loaded
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

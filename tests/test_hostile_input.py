@@ -322,6 +322,14 @@ def test_report_value_of_wrong_type_is_refused(path, value):
         SessionReport.from_json(_with(REPORTS[0], path, value))
 
 
+def test_interval_item_that_is_no_string_is_refused_in_the_loaders_words():
+    text = _with(REPORTS[0], ("blocks", 0, "interval"), [5, "2010-11-15T10:00:15.000Z"])
+    refusal = ("wrong value type: interval must be a list of two strings, "
+               "got [5, '2010-11-15T10:00:15.000Z']")
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        SessionReport.from_json(text)
+
+
 def test_negative_states_explored_is_refused():
     text = _with(REPORTS[0], ("verdict", "soundness", "states_explored"), -7)
     assert json.loads(text)["verdict"]["stage"] == "Sound"
@@ -394,6 +402,48 @@ def _has_impossible_block(data: dict) -> bool:
     return False
 
 
+# Metric values no session gives, each with the refusal it draws.
+IMPOSSIBLE_METRICS = [
+    ({"tot_time": -5.0, "tot_create_time": 0.0}, "tot_time must be at least 0, got -5.0"),
+    ({"tot_create_time": -1.5}, "tot_create_time must lie between 0 and tot_time"),
+    ({"tot_time": 2.0, "tot_create_time": 3.0}, "tot_create_time must lie between 0 and "
+                                                "tot_time 2.0, got 3.0"),
+    ({"perc_num_elements_with_moves": 7.5},
+     "perc_num_elements_with_moves must lie between 0 and 1, got 7.5"),
+    ({"perc_num_elements_with_moves": -0.5}, "perc_num_elements_with_moves must lie between"),
+    ({"avg_move_on_moved_elements": -2.0}, "avg_move_on_moved_elements must be at least 1, "
+                                           "got -2.0"),
+    ({"avg_move_on_moved_elements": 0.5}, "avg_move_on_moved_elements must be at least 1"),
+    ({"avg_move_on_moved_elements": None}, "avg_move_on_moved_elements must be null exactly "
+                                           "when perc_num_elements_with_moves is 0, got null"),
+    ({"perc_num_elements_with_moves": 0}, "avg_move_on_moved_elements must be null exactly "
+                                          "when perc_num_elements_with_moves is 0, got "),
+]
+_IMPOSSIBLE_METRIC_REFUSAL = re.compile(
+    r"(tot_time|tot_create_time|perc_num_elements_with_moves|avg_move_on_moved_elements)"
+    r" must (be at least|lie between|be null exactly when) .*")
+
+
+@pytest.mark.parametrize("metrics, refusal", IMPOSSIBLE_METRICS)
+def test_impossible_metrics_are_refused(metrics, refusal):
+    text = _contradicted(0, metrics)
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+        SessionReport.from_json(text)
+    assert _has_impossible_metrics(json.loads(text)["metrics"])
+    report_from_dict(json.loads(text))  # the constructors take them
+
+
+def _has_impossible_metrics(m: dict) -> bool:
+    """Whether metrics the oracle loads hold a value no session gives: a
+    negative total time, a create time outside it, a moved share outside
+    [0, 1], fewer than one move per moved element, or moves per moved
+    element given exactly when no element moved."""
+    total, create = m["tot_time"], m["tot_create_time"]
+    share, avg = m["perc_num_elements_with_moves"], m["avg_move_on_moved_elements"]
+    return (total < 0 or not 0 <= create <= total or not 0 <= share <= 1
+            or (avg is not None and avg < 1) or (avg is None) != (share == 0))
+
+
 def _contradicts_its_blocks(report: SessionReport) -> bool:
     """Whether a report's block metrics differ from the most blocks open at
     once and the share of whole blocks, as JSON writes it, of its blocks."""
@@ -413,17 +463,28 @@ def _contradicts_its_blocks(report: SessionReport) -> bool:
 @example(text=_with(_with(REPORTS[0], ("verdict", "normalization", "reason"), "mixed gateway: g"),
                     ("verdict", "normalization", "rejected"), True))  # rejected, yet soundness
 @example(text=_with(REPORTS[0], ("verdict", "soundness", "states_explored"), -7))
+@example(text=_with(REPORTS[0], ("blocks", 0, "interval"), [5, "2010-11-15T10:00:15.000Z"]))
+@example(text=_with(REPORTS[0], ("metrics", "tot_time"), -5.0))
+@example(text=_with(REPORTS[0], ("metrics", "tot_create_time"), 1e9))
+@example(text=_with(REPORTS[0], ("metrics", "perc_num_elements_with_moves"), 7.5))
+@example(text=_with(REPORTS[0], ("metrics", "avg_move_on_moved_elements"), -2.0))
+@example(text=_with(REPORTS[0], ("metrics", "avg_move_on_moved_elements"), None))
+@example(text=_with(REPORTS[0], ("metrics", "perc_num_elements_with_moves"), 0))
+@example(text=_with(_with(REPORTS[0], ("metrics", "tot_time"), -5.0), ("blocks", 0, "whole"),
+                    False))  # impossible metrics are refused before contradicted ones
 @settings(max_examples=300)
 def test_loader_refuses_what_the_oracle_refuses_and_impossible_blocks(text):
     """The loader gives what the constructor-built oracle gives: an equal
     report, or the same exception type and message. Of what the oracle
     accepts it refuses exactly the reports with an impossible block, after
-    every other check, and then those whose block metrics their blocks do
-    not give."""
+    every other check, then those with metrics no session gives, and then
+    those whose block metrics their blocks do not give."""
     data = json.loads(text)
     new, old = _outcome(SessionReport.from_dict, data), _outcome(report_from_dict, data)
     if isinstance(old, SessionReport) and _has_impossible_block(data):
         assert new[0] is ValueError and _BLOCK_REFUSAL.fullmatch(new[1]), new
+    elif isinstance(old, SessionReport) and _has_impossible_metrics(data["metrics"]):
+        assert new[0] is ValueError and _IMPOSSIBLE_METRIC_REFUSAL.fullmatch(new[1]), new
     elif isinstance(old, SessionReport) and _contradicts_its_blocks(old):
         assert new == (ValueError, _METRICS_REFUSAL)
     else:
