@@ -16,8 +16,8 @@ reaches in reverse postorder and keeps the tree in lists by rank, settled
 in one sweep unless a flow enters a node from a higher rank. One pass
 answers every split whose dominator subtree no flow leaves, by a climb up
 the tree from each join; a split no pass answered roots its own. The dating
-walk applies the log's creates and deletes to the validator's skeleton,
-eventlog._Skeleton, and after each edge create or delete tests, by the same
+walk applies the log's creates and deletes to a new eventlog._Skeleton, the
+model's graph class, and after each edge create or delete tests, by the same
 climb, the undated splits then present as gateways of two or more out-flows.
 """
 
@@ -76,15 +76,15 @@ def _reverse_postorder(out: dict[str, dict[str, str]], start: str) -> list[str]:
     return post
 
 
-def _dominator_tree(graph, root: str):
+def _dominator_tree(graph: _Skeleton, root: str):
     """The nodes `root` reaches in reverse postorder, their ranks, and per
     rank the rank of its immediate dominator and its ways in (0 at the root).
 
     Cooper, Harvey & Kennedy's iterative algorithm (2001) on ranks, over the
-    `_out` dicts of a ProcessModel or a _Skeleton. An in-flow (p, v) from p
-    other than v is a way into v unless v dominates p. With no in-flow from
-    a higher rank one sweep settles every node, each after its in-flows'
-    sources; only a reach with such a back flow sweeps until none changes.
+    graph's `_out` dicts. An in-flow (p, v) from p other than v is a way
+    into v unless v dominates p. With no in-flow from a higher rank one
+    sweep settles every node, each after its in-flows' sources; only a
+    reach with such a back flow sweeps until none changes.
     """
     out = graph._out
     order = _reverse_postorder(out, root)
@@ -118,7 +118,7 @@ def _dominator_tree(graph, root: str):
     return order, rank, idom, ways
 
 
-def _block_members(graph, s: str, j: str, pos: dict[str, int],
+def _block_members(graph: _Skeleton, s: str, j: str, pos: dict[str, int],
                    span: range) -> frozenset[str] | None:
     """The members of the block from split `s` to join `j`, or None when an
     interior node has an edge to or from outside; `j` has two edge-disjoint
@@ -143,7 +143,7 @@ def _block_members(graph, s: str, j: str, pos: dict[str, int],
     return frozenset(members) if sealed else None
 
 
-def _close_blocks(graph, joins, tree, answers: dict[int, range], pos: dict[str, int]):
+def _close_blocks(graph: _Skeleton, joins, tree, answers: dict[int, range], pos: dict[str, int]):
     """Yield (split, join, members) for each of `joins` that closes a block
     at an answered split of `tree`, a _dominator_tree; `answers` maps the
     rank of a split to the span of `pos` its descendants take.
@@ -165,7 +165,7 @@ def _close_blocks(graph, joins, tree, answers: dict[int, range], pos: dict[str, 
                     yield order[v], j, members
 
 
-def _closed_subtrees(model: ProcessModel, tree, splits: list[int]):
+def _closed_subtrees(graph: _Skeleton, tree, splits: list[int]):
     """Number a _dominator_tree in preorder, so that each subtree is a range;
     return each node's number and the range of each of `splits`, ranks,
     whose subtree no flow leaves."""
@@ -180,7 +180,7 @@ def _closed_subtrees(model: ProcessModel, tree, splits: list[int]):
         free[v] = pre[v] + 1
     lo, hi = pre[:], pre[:]  # extremes of pre a subtree's flows reach
     for v in range(len(order) - 1, 0, -1):
-        for w in model._out[order[v]].values():
+        for w in graph._out[order[v]].values():
             lo[v], hi[v] = min(lo[v], pre[rank[w]]), max(hi[v], pre[rank[w]])
         up = idom[v]
         lo[up], hi[up] = min(lo[up], lo[v]), max(hi[up], hi[v])
@@ -201,21 +201,21 @@ def find_block_pairs(model: ProcessModel) -> list[tuple[str, str, frozenset[str]
     pass answered yet roots the next pass, in the order the nodes were
     added, which mostly follows the flow.
     """
-    gateways = [g for g, node in model.nodes.items() if node.type in GATEWAY_TYPES]
+    gateways = [g for g, t in model._graph.types.items() if t in GATEWAY_TYPES]
     unanswered = {g: None for g in gateways if model.out_degree(g) >= 2}
     joins = [g for g in gateways if model.in_degree(g) >= 2]
     pairs = []
     while unanswered:
         root = next(iter(unanswered))
-        tree = order, rank, _, _ = _dominator_tree(model, root)
+        tree = order, rank, _, _ = _dominator_tree(model._graph, root)
         pos, answers = rank, {0: range(len(order))}
         inner = [k for k in map(rank.get, unanswered) if k]  # reached, but not the root
         if inner:  # only a tree holding other splits needs the subtree ranges
-            pos, closed = _closed_subtrees(model, tree, inner)
+            pos, closed = _closed_subtrees(model._graph, tree, inner)
             answers.update(closed)
         for k in answers:
             del unanswered[order[k]]
-        pairs.extend(_close_blocks(model, joins, tree, answers, pos))
+        pairs.extend(_close_blocks(model._graph, joins, tree, answers, pos))
     pairs.sort(key=itemgetter(0, 1))
     return pairs
 
@@ -239,8 +239,8 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
     of each, so later edits neither extend a block's interval nor change
     its whole-block status.
 
-    One walk applies the log's creates and deletes to a _Skeleton, the
-    class that validated it, keeps the node creates in order with each
+    One walk applies the log's creates and deletes to a new _Skeleton, the
+    model's graph class, keeps the node creates in order with each
     node's latest, and tests each pair of the model until it first
     qualifies. A new node is isolated, so only an edge create or a delete
     triggers a test, and only of the undated splits created by then that
@@ -287,9 +287,7 @@ def detect_blocks(model: ProcessModel, log: EventLog) -> list[Block]:
                 del joins[j]
             if not joins:
                 del pending[s]
-    if (current.ends != {e.id: (e.source, e.target) for e in model.edges.values()}
-            or types != {**{n.id: n.type for n in model.nodes.values()},
-                         **dict.fromkeys(model.edges, _EDGE)}):
+    if current.ends != model._graph.ends or types != model._graph.types:
         raise ValueError("model is not the final model of the log")
     blocks.sort(key=lambda b: (b.completion_seq, b.split, b.join))
     return blocks

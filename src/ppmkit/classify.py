@@ -185,14 +185,14 @@ class PerspicuityVerdict:
         reason = typed(norm["reason"], "reason", str, type(None))
         applied = [AppliedRule(typed(r["rule"], "applied rule", str),
                                _strings(r["nodes"], "applied rule nodes"))
-                   for r in norm["applied_rules"]]
+                   for r in typed(norm["applied_rules"], "applied_rules", list)]
         outcome = NormalizationOutcome(None, reason, tuple(applied))  # JSON carries no model
         if rejected != outcome.rejected:
             raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
         sound, s = None, data["soundness"]
         if s is not None:
             violations = []
-            for v in s["violations"]:
+            for v in typed(s["violations"], "violations", list):
                 kind = v["kind"]
                 if kind not in VIOLATION_KINDS:
                     raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
@@ -302,11 +302,12 @@ class SessionReport:
         type, a block no detector could find, metrics no session gives or
         block metrics its blocks do not give raises ValueError."""
         try:
+            items = typed(data["blocks"], "blocks", list)
             try:
-                blocks, problems = _blocks(data["blocks"])
+                blocks, problems = _blocks(items)
             except (KeyError, TypeError, ValueError):  # one block at a time, to word the first
                 blocks, problems = [], []
-                for b in data["blocks"]:
+                for b in items:
                     more, found = _blocks([b])
                     blocks += more
                     problems += found

@@ -12,9 +12,9 @@ parse_log checks each row rule once, on whole columns: on all rows of a
 log, and only when that refuses, on one row at a time to name the first
 bad line.
 
-Every EventLog keeps the lifecycle rule of _Skeleton, the structure the
-events build, so every EventLog replays; block dating walks the same
-skeleton.
+Every EventLog keeps the lifecycle rule of _Skeleton, the graph the events
+build and ProcessModel holds, so every EventLog replays; block dating walks
+the same graph class.
 """
 
 from __future__ import annotations
@@ -263,9 +263,10 @@ def _checked_log(session_id: str, events: list[ModelingEvent], reconnects: bool)
 
 
 class _Skeleton:
-    """The lifecycle rule, checked while applying events to what the block
-    search reads: each live object's type, each edge's ends, and
-    ProcessModel's adjacency dicts, which a reader looks at itself.
+    """ProcessModel's graph, which the block search reads: each live
+    object's type, each edge's ends, and per node its in- and out-flows in
+    order, edge id to the node at the other end. `apply` edits it by events
+    and checks the lifecycle rule; ProcessModel calls the edits directly.
 
     A create needs a free id, and under `strict` one never used before. An
     edge create or reconnect needs two live nodes as ends. Every other
@@ -294,8 +295,7 @@ class _Skeleton:
             if otype is _EDGE:
                 self._link(oid, ev.source_id, ev.target_id)
             else:
-                types[oid] = otype
-                self._out[oid], self._in[oid] = {}, {}
+                self._add(oid, otype)
             return
         if types.get(oid) is not otype:
             if oid in types:
@@ -306,12 +306,11 @@ class _Skeleton:
             self.reconnected = True
             self._unlink(oid)
             self._link(oid, ev.source_id, ev.target_id)
-        elif event_class is _DELETE and otype is _EDGE:
-            self._unlink(oid)
         elif event_class is _DELETE:
-            for eid in {**self._out[oid], **self._in[oid]}:
-                self._unlink(eid)
-            del types[oid], self._out[oid], self._in[oid]
+            (self._unlink if otype is _EDGE else self._drop)(oid)
+
+    def _add(self, nid: str, otype: ObjectType) -> None:
+        self.types[nid], self._out[nid], self._in[nid] = otype, {}, {}
 
     def _link(self, eid: str, s: str, t: str) -> None:
         outs = self._out  # one entry per live node
@@ -324,6 +323,21 @@ class _Skeleton:
     def _unlink(self, eid: str) -> None:
         s, t = self.ends.pop(eid)
         del self.types[eid], self._out[s][eid], self._in[t][eid]
+
+    def _drop(self, nid: str) -> dict[str, str]:
+        """Unlink a node's edges and drop the node; return the edges' ids."""
+        for eid in (edges := {**self._out[nid], **self._in[nid]}):
+            self._unlink(eid)
+        del self.types[nid], self._out[nid], self._in[nid]
+        return edges
+
+    def copy(self) -> "_Skeleton":
+        """The same graph in new dicts, with no lifecycle history."""
+        clone = _Skeleton()
+        clone.types, clone.ends = dict(self.types), dict(self.ends)
+        clone._out = {n: dict(ways) for n, ways in self._out.items()}
+        clone._in = {n: dict(ways) for n, ways in self._in.items()}
+        return clone
 
 
 def _check_events(events, lines: list[int] | None = None) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eventlog import ObjectType
+from .eventlog import ObjectType, _Skeleton
 
 NODE_TYPES = (
     ObjectType.START_EVENT,
@@ -25,7 +25,7 @@ GATEWAY_TYPES = (ObjectType.XOR, ObjectType.AND)
 
 _KEEP = object()  # update_node's label when it stays (None is a label)
 
-_TYPE_NAMES = {str: "a string", int: "an int", bool: "a bool", type(None): "null"}
+_TYPE_NAMES = {str: "a string", int: "an int", bool: "a bool", type(None): "null", list: "a list"}
 
 
 def typed(value, name: str, *types: type):
@@ -81,10 +81,7 @@ class ProcessModel:
     def __init__(self, nodes=(), edges=()):
         self.nodes: dict[str, Node] = {}
         self.edges: dict[str, Edge] = {}
-        # Per node, its incoming and outgoing edge ids, in order, each
-        # mapped to the node at the edge's other end.
-        self._in: dict[str, dict[str, str]] = {}
-        self._out: dict[str, dict[str, str]] = {}
+        self._graph = _Skeleton()  # the types, ends and adjacency
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -93,34 +90,30 @@ class ProcessModel:
     # -- mutation ---------------------------------------------------------
 
     def add_node(self, node: Node):
-        if node.id in self.nodes or node.id in self.edges:
+        if node.id in self._graph.types:  # node and edge ids
             raise ValueError(f"duplicate object id {node.id}")
         self.nodes[node.id] = node
-        self._in[node.id] = {}
-        self._out[node.id] = {}
+        self._graph._add(node.id, node.type)
 
     def add_edge(self, edge: Edge):
-        if edge.id in self.edges or edge.id in self.nodes:
+        if edge.id in self._graph.types:
             raise ValueError(f"duplicate object id {edge.id}")
         if edge.source not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown source {edge.source}")
         if edge.target not in self.nodes:
             raise ValueError(f"edge {edge.id} has unknown target {edge.target}")
         self.edges[edge.id] = edge
-        self._out[edge.source][edge.id] = edge.target
-        self._in[edge.target][edge.id] = edge.source
+        self._graph._link(edge.id, edge.source, edge.target)
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every incident edge."""
-        if node_id not in self.nodes:
-            raise KeyError(node_id)
-        for eid in {**self._out[node_id], **self._in[node_id]}:
-            self.remove_edge(eid)
-        del self.nodes[node_id], self._in[node_id], self._out[node_id]
+        del self.nodes[node_id]
+        for eid in self._graph._drop(node_id):
+            del self.edges[eid]
 
     def remove_edge(self, edge_id: str):
-        edge = self.edges.pop(edge_id)
-        del self._out[edge.source][edge_id], self._in[edge.target][edge_id]
+        del self.edges[edge_id]
+        self._graph._unlink(edge_id)
 
     def update_node(self, node_id: str, *, type: ObjectType | None = None,
                     label: str | None | object = _KEEP,
@@ -130,28 +123,28 @@ class ProcessModel:
         node = Node(node_id, old.type if type is None else type,
                     old.label if label is _KEEP else label,
                     old.position if position is None else position)
-        self.nodes[node_id] = node
+        self.nodes[node_id], self._graph.types[node_id] = node, node.type
         return node
 
     # -- queries ----------------------------------------------------------
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        return [self.edges[eid] for eid in self._in.get(node_id, ())]
+        return [self.edges[eid] for eid in self._graph._in.get(node_id, ())]
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        return [self.edges[eid] for eid in self._out.get(node_id, ())]
+        return [self.edges[eid] for eid in self._graph._out.get(node_id, ())]
 
     def predecessors(self, node_id: str) -> list[str]:
-        return list(self._in[node_id].values()) if node_id in self._in else []
+        return list(self._graph._in.get(node_id, {}).values())
 
     def successors(self, node_id: str) -> list[str]:
-        return list(self._out[node_id].values()) if node_id in self._out else []
+        return list(self._graph._out.get(node_id, {}).values())
 
     def in_degree(self, node_id: str) -> int:
-        return len(self._in.get(node_id, ()))
+        return len(self._graph._in.get(node_id, ()))
 
     def out_degree(self, node_id: str) -> int:
-        return len(self._out.get(node_id, ()))
+        return len(self._graph._out.get(node_id, ()))
 
     def is_gateway(self, node_id: str) -> bool:
         return self.nodes[node_id].type in GATEWAY_TYPES
@@ -164,10 +157,8 @@ class ProcessModel:
 
     def copy(self) -> "ProcessModel":
         clone = ProcessModel()
-        clone.nodes = dict(self.nodes)
-        clone.edges = dict(self.edges)
-        clone._in = {n: dict(incident) for n, incident in self._in.items()}
-        clone._out = {n: dict(incident) for n, incident in self._out.items()}
+        clone.nodes, clone.edges = dict(self.nodes), dict(self.edges)
+        clone._graph = self._graph.copy()
         return clone
 
     def __eq__(self, other) -> bool:
@@ -213,7 +204,7 @@ class ProcessModel:
 
         model = cls()
         try:
-            for nd in data.get("nodes", []):
+            for nd in typed(data.get("nodes", []), "nodes", list):
                 model.add_node(
                     Node(
                         id=typed(nd["id"], "node id", str),
@@ -222,14 +213,15 @@ class ProcessModel:
                         position=point(nd.get("x", 0), nd.get("y", 0)),
                     )
                 )
-            for ed in data.get("edges", []):
+            for ed in typed(data.get("edges", []), "edges", list):
                 model.add_edge(
                     Edge(
                         id=typed(ed["id"], "edge id", str),
                         source=typed(ed["source"], "source", str),
                         target=typed(ed["target"], "target", str),
                         label=typed(ed.get("label"), "label", str, type(None)),
-                        bendpoints=tuple(point(x, y) for x, y in ed.get("bendpoints", [])),
+                        bendpoints=tuple(point(x, y) for x, y in
+                                         typed(ed.get("bendpoints", []), "bendpoints", list)),
                     )
                 )
             return model

@@ -77,12 +77,10 @@ def _hits(model: ProcessModel) -> _Hits:
 
 
 def _fresh(model: ProcessModel, base: str) -> str:
-    if base not in model.nodes and base not in model.edges:
-        return base
-    n = 2
-    while f"{base}_{n}" in model.nodes or f"{base}_{n}" in model.edges:
-        n += 1
-    return f"{base}_{n}"
+    fresh, n, taken = base, 2, model._graph.types  # node and edge ids
+    while fresh in taken:
+        fresh, n = f"{base}_{n}", n + 1
+    return fresh
 
 
 def _meeting_gateway(model: ProcessModel, node: str, forward: bool,

@@ -8,7 +8,7 @@ way graphical editors do.
 The fold applies each create and delete to eventlog._Skeleton, the
 lifecycle rule the log was checked by, and keeps each object's last label,
 position and bendpoints beside it. Nodes and edges are built once, at the
-end, in creation order; the model takes over the skeleton's adjacency dicts.
+end, in creation order; the skeleton becomes the model's graph.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def replay(log: EventLog) -> ProcessModel:
                    for n, t in skeleton.types.items() if t is not ObjectType.EDGE}
     model.edges = {e: Edge(e, s, t, labels[e], tuple(bends[e]))
                    for e, (s, t) in skeleton.ends.items()}
-    model._in, model._out = skeleton._in, skeleton._out
+    model._graph = skeleton
     return model
 
 

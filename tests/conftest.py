@@ -76,11 +76,13 @@ _NODE_KINDS = {
 
 
 def model_state(model: ProcessModel):
-    """Everything a model holds, each dict in its order: nodes, edges and
-    the per-node adjacency."""
+    """Everything a model holds, each dict in its order: nodes, edges, and
+    its graph's types, ends and per-node adjacency."""
+    graph = model._graph
     return (list(model.nodes.items()), list(model.edges.items()),
-            [(n, list(ways.items())) for n, ways in model._in.items()],
-            [(n, list(ways.items())) for n, ways in model._out.items()])
+            list(graph.types.items()), list(graph.ends.items()),
+            [(n, list(ways.items())) for n, ways in graph._in.items()],
+            [(n, list(ways.items())) for n, ways in graph._out.items()])
 
 
 def csv_log(*steps: str) -> str:

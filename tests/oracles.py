@@ -1288,7 +1288,7 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
     reason = typed(norm["reason"], "reason", str, type(None))
     applied = [AppliedRule(typed(r["rule"], "applied rule", str),
                            _strings(r["nodes"], "applied rule nodes"))
-               for r in norm["applied_rules"]]
+               for r in typed(norm["applied_rules"], "applied_rules", list)]
     outcome = NormalizationOutcome(model=None, reason=reason, applied_rules=tuple(applied))
     if rejected != outcome.rejected:
         raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
@@ -1296,7 +1296,7 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
     if data["soundness"] is not None:
         s = data["soundness"]
         violations = []
-        for v in s["violations"]:
+        for v in typed(s["violations"], "violations", list):
             if v["kind"] not in VIOLATION_KINDS:
                 raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
                                 f", got {v['kind']!r}")
@@ -1338,7 +1338,7 @@ def report_from_dict(data: dict) -> SessionReport:
         return Block(split, join, members, 0, interval, whole)
 
     try:
-        blocks = tuple(map(block, data["blocks"]))
+        blocks = tuple(map(block, typed(data["blocks"], "blocks", list)))
         return SessionReport(
             session_id=typed(data["session_id"], "session_id", str),
             metrics=_metrics_from_dict(data["metrics"]),

@@ -192,7 +192,15 @@ class TestDetectBlocks:
             redrawn.edges[eid] = dataclasses.replace(final.edges[eid], label="flow",
                                                  bendpoints=((1, 2),))
         assert redrawn != final
-        assert detect_blocks(redrawn, diamond_log) == detect_blocks(final, diamond_log)
+        # The JSON round trip builds the graph in id order, not creation
+        # order, and a flow drawn again moves to the end of the graph's ends.
+        redrawn_flow = final.copy()
+        redrawn_flow.remove_edge("e1")
+        redrawn_flow.add_edge(final.edges["e1"])
+        expected = detect_blocks(final, diamond_log)
+        for model in (redrawn, ProcessModel.from_json(final.to_json()), final.copy(),
+                      redrawn_flow):
+            assert detect_blocks(model, diamond_log) == expected
 
     def test_refuses_a_log_that_does_not_replay(self):
         # A flow to no node cannot be in a log, so the dating walk never
@@ -638,11 +646,11 @@ def _assert_matches_maxflow(model):
     for s in model.nodes:
         # The climb from every node to s asks for members exactly at the
         # nodes s reaches by two edge-disjoint paths.
-        tree = order, rank, _, _ = _dominator_tree(model, s)
+        tree = order, rank, _, _ = _dominator_tree(model._graph, s)
         climbed = []
         with mock.patch.object(blocks_module, "_block_members",
                                lambda graph, split, j, pos, span: climbed.append(j)):
-            assert list(_close_blocks(model, model.nodes, tree,
+            assert list(_close_blocks(model._graph, model.nodes, tree,
                                       {0: range(len(order))}, rank)) == []
         for v in model.nodes:
             assert (v in climbed) == (edge_disjoint_path_count(model, s, v) >= 2), (s, v)
@@ -716,7 +724,7 @@ def test_dominator_search_matches_maxflow_on_multigraphs(model):
 @settings(max_examples=300, deadline=None)
 def test_dominator_tree_matches_the_definition(model):
     for root in model.nodes:
-        order, _, idom, ways = _dominator_tree(model, root)
+        order, _, idom, ways = _dominator_tree(model._graph, root)
         assert ({order[k]: order[d] for k, d in enumerate(idom) if k},
                 {order[k]: n for k, n in enumerate(ways) if k}
                 ) == dominators_by_removal(model, root), root

@@ -334,8 +334,7 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--model", str(model_path))
         assert code == 1
         assert out == ""
-        assert err == (f"error: {model_path}: wrong value type: "
-                       "'int' object is not iterable\n")
+        assert err == f"error: {model_path}: wrong value type: nodes must be a list, got 5\n"
 
     def test_model_numeric_id_exits_1(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"

@@ -312,6 +312,15 @@ def test_model_value_of_wrong_type_is_refused(path, value):
         ProcessModel.from_json(_with(MODELS[0], path, value))
 
 
+@pytest.mark.parametrize("path", [("nodes",), ("edges",), ("edges", 0, "bendpoints")])
+@pytest.mark.parametrize("value", [{}, "", 5])
+def test_model_list_of_wrong_type_is_refused(path, value):
+    # An empty object or string iterates as no items; it is no list all the same.
+    refusal = f"wrong value type: {path[-1]} must be a list, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        ProcessModel.from_json(_with(MODELS[0], path, value))
+
+
 @pytest.mark.parametrize("path, value", [
     (("blocks", 0, "members"), "abc"), (("blocks", 0, "whole"), "yes"),
     (("blocks", 0, "split"), 7), (("blocks", 0, "join"), None),
@@ -320,6 +329,17 @@ def test_model_value_of_wrong_type_is_refused(path, value):
 def test_report_value_of_wrong_type_is_refused(path, value):
     with pytest.raises(ValueError, match="^wrong value type: "):
         SessionReport.from_json(_with(REPORTS[0], path, value))
+
+
+@pytest.mark.parametrize("path", [("blocks",), ("verdict", "normalization", "applied_rules"),
+                                  ("verdict", "soundness", "violations")])
+@pytest.mark.parametrize("value", [{}, "", float("inf")])
+def test_report_list_of_wrong_type_is_refused(path, value):
+    text = _with(REPORTS[0], path, value)
+    refusal = f"wrong value type: {path[-1]} must be a list, got {value!r}"
+    for load in (SessionReport.from_dict, report_from_dict):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            load(json.loads(text))
 
 
 def test_interval_item_that_is_no_string_is_refused_in_the_loaders_words():
@@ -464,6 +484,8 @@ def _contradicts_its_blocks(report: SessionReport) -> bool:
                     ("verdict", "normalization", "rejected"), True))  # rejected, yet soundness
 @example(text=_with(REPORTS[0], ("verdict", "soundness", "states_explored"), -7))
 @example(text=_with(REPORTS[0], ("blocks", 0, "interval"), [5, "2010-11-15T10:00:15.000Z"]))
+@example(text=_with(REPORTS[0], ("blocks",), {}))
+@example(text=_with(REPORTS[0], ("verdict", "soundness", "violations"), ""))
 @example(text=_with(REPORTS[0], ("metrics", "tot_time"), -5.0))
 @example(text=_with(REPORTS[0], ("metrics", "tot_create_time"), 1e9))
 @example(text=_with(REPORTS[0], ("metrics", "perc_num_elements_with_moves"), 7.5))

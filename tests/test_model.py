@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import scan_adjacency
 from ppmkit.eventlog import ObjectType
-from ppmkit.model import Edge, Node, ProcessModel
+from ppmkit.model import NODE_TYPES, Edge, Node, ProcessModel
 
 
 def linear_model():
@@ -166,10 +166,13 @@ def mutate(model: ProcessModel, data, fresh: str):
     """One random mutation; node and edge ids come from `fresh`."""
     nodes, edges = sorted(model.nodes), sorted(model.edges)
     op = data.draw(st.sampled_from(
-        ["add_node"] + ["add_edge"] * 2 * bool(nodes) + ["remove_node"] * bool(nodes)
+        ["add_node"] + ["add_edge"] * 2 * bool(nodes) + ["remove_node", "retype"] * bool(nodes)
         + ["remove_edge", "move_edge", "move_edge"] * bool(edges)))
     if op == "add_node":
         model.add_node(Node(f"n{fresh}", ObjectType.ACTIVITY))
+    elif op == "retype":
+        model.update_node(data.draw(st.sampled_from(nodes)),
+                          type=data.draw(st.sampled_from(NODE_TYPES)))
     elif op == "add_edge":
         source, target = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
         model.add_edge(Edge(f"e{fresh}", source, target))
@@ -187,6 +190,13 @@ def mutate(model: ProcessModel, data, fresh: str):
         model.add_edge(replace(edge, **{end: data.draw(st.sampled_from(nodes))}))
 
 
+def assert_graph_agrees(model: ProcessModel):
+    """The graph's types and ends are the records' node types and edge ends."""
+    assert model._graph.types == {**{n.id: n.type for n in model.nodes.values()},
+                                  **dict.fromkeys(model.edges, ObjectType.EDGE)}
+    assert model._graph.ends == {e.id: (e.source, e.target) for e in model.edges.values()}
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_adjacency_index_matches_edge_scan(data):
@@ -197,7 +207,9 @@ def test_adjacency_index_matches_edge_scan(data):
             clone = model.copy()
             mutate(clone, data, f"{step}c")
             assert (model.nodes, model.edges, adjacency(model)) == before
+            assert_graph_agrees(model)
             model = clone
         else:
             mutate(model, data, str(step))
         assert adjacency(model) == scanned(model)
+        assert_graph_agrees(model)
