@@ -100,10 +100,13 @@ _CREATE, _DELETE, _RECONNECT, _EDGE = (EventClass.CREATE, EventClass.DELETE,
 _MOVE, _EDGE_ENDED = EventClass.MOVE, (EventKind.CREATE_EDGE, EventKind.RECONNECT_EDGE)
 
 # CSV field values: each kind's member (a dict lookup costs less than
-# EventKind(raw)), the type names, and the type name each kind implies.
+# EventKind(raw)), the type names, and the type name each kind implies;
+# per member, the two names serialize_log writes (.value costs more).
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 _TYPE_VALUES = {otype.value for otype in ObjectType}
 _TYPE_OF_KIND = {kind.value: otype.value for kind, otype in KIND_OBJECT_TYPE.items()}
+_KIND_NAME = {kind: kind.value for kind in EventKind}
+_TYPE_NAME = {kind: otype.value for kind, otype in KIND_OBJECT_TYPE.items()}
 
 
 class LogFormatError(ValueError):
@@ -177,7 +180,7 @@ def parse_timestamps(stamps) -> list[datetime]:
 
 def format_timestamp(ts: datetime) -> str:
     """The form parse_timestamp reads; sub-millisecond digits are dropped."""
-    if ts.tzinfo is not None:
+    if ts.tzinfo is not None and ts.tzinfo is not timezone.utc:
         ts = ts.astimezone(timezone.utc)
     return "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" % (
         ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, ts.microsecond // 1000)
@@ -466,8 +469,8 @@ def serialize_log(log: EventLog) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     # csv writes an int through str and None as an empty field.
-    writer.writerows((ev.seq, format_timestamp(ev.timestamp), ev.kind.value, ev.object_id,
-                      ev.object_type.value, *(ev.position or (None, None)), ev.label,
+    writer.writerows((ev.seq, format_timestamp(ev.timestamp), _KIND_NAME[ev.kind], ev.object_id,
+                      _TYPE_NAME[ev.kind], *(ev.position or (None, None)), ev.label,
                       ev.source_id, ev.target_id) for ev in log.events)
     return out.getvalue()
 

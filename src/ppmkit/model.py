@@ -156,10 +156,15 @@ class ProcessModel:
         )
 
     def copy(self) -> "ProcessModel":
-        clone = ProcessModel()
-        clone.nodes, clone.edges = dict(self.nodes), dict(self.edges)
-        clone._graph = self._graph.copy()
-        return clone
+        return ProcessModel._of(dict(self.nodes), dict(self.edges), self._graph.copy())
+
+    @classmethod
+    def _of(cls, nodes: dict, edges: dict, graph: _Skeleton) -> "ProcessModel":
+        """The model of these records and the graph they make, with no edit
+        replayed and no second graph built."""
+        model = cls.__new__(cls)
+        model.nodes, model.edges, model._graph = nodes, edges, graph
+        return model
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProcessModel):

@@ -54,13 +54,10 @@ def replay(log: EventLog) -> ProcessModel:
                 bends[oid].pop()
             if step != _DROP_BEND:
                 bends[oid].append(ev.position or (0, 0))
-    model = ProcessModel()
-    model.nodes = {n: Node(n, t, labels[n], spots[n])
-                   for n, t in skeleton.types.items() if t is not ObjectType.EDGE}
-    model.edges = {e: Edge(e, s, t, labels[e], tuple(bends[e]))
-                   for e, (s, t) in skeleton.ends.items()}
-    model._graph = skeleton
-    return model
+    return ProcessModel._of({n: Node(n, t, labels[n], spots[n])
+                             for n, t in skeleton.types.items() if t is not ObjectType.EDGE},
+                            {e: Edge(e, s, t, labels[e], tuple(bends[e]))
+                             for e, (s, t) in skeleton.ends.items()}, skeleton)
 
 
 def replay_until(log: EventLog, cutoff: int | datetime) -> ProcessModel:

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 
 import pytest
 
+from ppmkit.blocks import detect_blocks
 from ppmkit.classify import classify_session
-from ppmkit.eventlog import EventKind, parse_log, serialize_log
+from ppmkit.eventlog import EventKind, ObjectType, parse_log, serialize_log
 from ppmkit.replay import replay
 from ppmkit.simulate import (
     EPOCH,
@@ -24,6 +26,22 @@ class TestSplitMix64:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
         assert rng.next_u64() == 0x06C45D188009454F
+
+    def test_draw_known_answers(self):
+        # the draws every cohort is made of, pinned so a faster generator
+        # must keep the stream: randint(-40, 40) rejects masked draws
+        rng = SplitMix64(0)
+        assert [rng.random() for _ in range(3)] == [
+            0.8833108082136426, 0.43152799704850997, 0.026433771592597743]
+        rng = SplitMix64(0)
+        assert [rng.randint(-40, 40) for _ in range(6)] == [7, 39, -13, 20, 27, -2]
+        rng = SplitMix64(0)
+        assert [rng.randint(0, 1000) for _ in range(4)] == [431, 500, 335, 492]
+        rng = SplitMix64(0)
+        assert [rng.choice("abcdefg") for _ in range(6)] == list("eedcbe")
+        items = list(range(10))
+        SplitMix64(0).shuffle(items)
+        assert items == [2, 0, 9, 5, 7, 8, 6, 3, 1, 4]
 
     def test_seed_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
@@ -76,6 +94,16 @@ class TestProfiles:
             SimulationProfile("x", 0.0, -1.0, 4.0)
         with pytest.raises(ValueError, match="mean_gap must be positive"):
             SimulationProfile("x", 0.0, 0.2, 0.0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            for prob in ("block_interleave_prob", "p_defect"):
+                with pytest.raises(ValueError, match=rf"{prob} must be in \[0, 1\], got {value}"):
+                    dataclasses.replace(PROFILES["structured"], **{prob: value})
+            with pytest.raises(ValueError,
+                               match=f"move_rate must be non-negative and finite, got {value}"):
+                SimulationProfile("x", 0.0, value, 4.0)
+            with pytest.raises(ValueError,
+                               match=f"mean_gap must be positive and finite, got {value}"):
+                SimulationProfile("x", 0.0, 0.2, value)
 
 
 def test_default_template_shape():
@@ -89,6 +117,20 @@ def test_default_template_shape():
 def test_structured_session_rebuilds_template_exactly():
     log = simulate(PROFILES["structured"])
     assert replay(log) == default_template()
+
+
+def test_defective_session_leaves_the_template_alone():
+    # every session edits its own copy of the one template a process builds
+    defective = dataclasses.replace(PROFILES["chaotic"], p_defect=1.0, seed=5)
+    assert replay(simulate(defective)) != default_template()
+    template = default_template()
+    assert template.nodes["and2s"].type is ObjectType.AND
+    assert template.nodes["and2j"].type is ObjectType.AND
+    log = simulate(PROFILES["structured"])
+    assert replay(log) == template
+    # detect_blocks refuses a model whose graph is not the log's, so this
+    # also sees a copy that shares its graph with the template
+    assert len(detect_blocks(template, log)) == 3
 
 
 def test_structured_sessions_are_perspicuous():
@@ -171,6 +213,22 @@ class TestCohort:
         logs = simulate_cohort(PROFILES["chaotic"], sessions=3, seed=7)
         texts = {serialize_log(x) for x in logs}
         assert len(texts) == 3
+
+    # sha256 of the serialized logs of simulate_cohort(PROFILES[name], 3, seed)
+    @pytest.mark.parametrize("name, seed, digest", [
+        ("structured", 0, "5d7fd513a4edf51de0df95aba3d9b88b57870e2792d3537fccb1ceab699b6bb5"),
+        ("structured", 7, "1a2a2b7a2a5bacbe3ff6ee6b983d3fa8e6c2e7b5fd991eb8e926dfc0349bb837"),
+        ("chaotic", 0, "6b66da0289fb35fb3ef0daa337778deab21a66d2c3005c31e2e7a5dd9f6db55c"),
+        ("chaotic", 7, "78910b63680dad26a49f00b713543bf852bc2dca29bcdef89f526e9dcbce5472"),
+        ("slow", 0, "27c10ec5468b160cc23db037a0a0c376b0af6ecb0775d615778f9e78f0e31a3e"),
+        ("slow", 7, "83f7339b9f47b326f1e35bc532f27ebc5fc0f1b26c45a20dc381e3247176788d"),
+        ("fast", 0, "7a168c3d3bbf65991e318a6a12c0826f49512352331dfc84907463f478f7fa22"),
+        ("fast", 7, "1f6f787baae82c56e088e79b1bb5ac0843646ff4d72baae2579d443f5032abfd"),
+    ])
+    def test_cohort_bytes_pinned(self, name, seed, digest):
+        logs = simulate_cohort(PROFILES[name], 3, seed)
+        text = "".join(serialize_log(log) for log in logs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_positive_count_required(self):
         with pytest.raises(ValueError, match="sessions must be positive"):
