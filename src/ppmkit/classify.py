@@ -28,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
 from .blocks import Block, detect_blocks, max_simul_block
-from .eventlog import EventLog, expand_reconnect, format_timestamp, parse_timestamps
+from .eventlog import EventLog, _quote, expand_reconnect, format_timestamp, parse_timestamps
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import ProcessModel, read_json, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
@@ -67,7 +67,7 @@ def _strings(value, name: str) -> tuple[str, ...]:
             return tuple(value)
         except TypeError:
             pass
-    raise TypeError(f"{name} must be a list of strings, got {value!r}")
+    raise TypeError(f"{name} must be a list of strings, got {_quote(value)}")
 
 
 # The writer states the json.dumps(indent=2) layout of a report and takes each
@@ -188,7 +188,7 @@ class PerspicuityVerdict:
                    for r in typed(norm["applied_rules"], "applied_rules", list)]
         outcome = NormalizationOutcome(None, reason, tuple(applied))  # JSON carries no model
         if rejected != outcome.rejected:
-            raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
+            raise ValueError(f"rejected {rejected} does not match reason {_quote(reason)}")
         sound, s = None, data["soundness"]
         if s is not None:
             violations = []
@@ -196,31 +196,32 @@ class PerspicuityVerdict:
                 kind = v["kind"]
                 if kind not in VIOLATION_KINDS:
                     raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
-                                    f", got {kind!r}")
+                                    f", got {_quote(kind)}")
                 trace = v["trace"]
                 trace = None if trace is None else _strings(trace, "trace")
                 witness = v["witness"]
                 shape, fits = _WITNESSES.get(kind, _MARKING)
                 if not fits(witness):
-                    raise TypeError(f"{kind} witness must be {shape}, got {witness!r}")
+                    raise TypeError(f"{kind} witness must be {shape}, got {_quote(witness)}")
                 # a NotWFStructured list loads as its tuple
                 violations.append(Violation(kind, tuple(witness) if type(witness) is list
                                             else witness, trace))
             explored = typed(s["states_explored"], "states_explored", int)
             if explored < 0:
-                raise ValueError(f"states_explored must be a non-negative int, got {explored}")
+                raise ValueError("states_explored must be a non-negative int, "
+                                 f"got {_quote(explored)}")
             sound = SoundnessReport(tuple(violations), explored)
             if s["verdict"] != sound.verdict:
-                raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
+                raise ValueError(f"soundness verdict {_quote(s['verdict'])} does not match "
                                  f"{sound.verdict!r} from its violations")
         perspicuous, stage = typed(data["perspicuous"], "perspicuous", bool), data["stage"]
         if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}")
+            raise ValueError(f"unknown stage {_quote(stage)}")
         if perspicuous != (stage == "Sound"):
-            raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
+            raise ValueError(f"perspicuous {perspicuous} does not match stage {_quote(stage)}")
         verdict = cls(outcome, sound)
         if stage != verdict.stage:
-            raise ValueError(f"stage {stage!r} does not match {verdict.stage!r} "
+            raise ValueError(f"stage {_quote(stage)} does not match {verdict.stage!r} "
                              "from its evidence")
         return verdict
 
@@ -236,10 +237,10 @@ def _blocks(items) -> tuple[list[Block], list[str]]:
         split, join, pair, whole = head = b["split"], b["join"], b["interval"], b["whole"]
         if type(split) is not str or type(join) is not str or type(whole) is not bool:
             raise TypeError("block split and join must be strings and whole a bool, "
-                            f"got {split!r}, {join!r}, {whole!r}")
+                            f"got {_quote(split)}, {_quote(join)}, {_quote(whole)}")
         if (type(pair) is not list or len(pair) != 2
                 or type(pair[0]) is not str or type(pair[1]) is not str):
-            raise TypeError(f"interval must be a list of two strings, got {pair!r}")
+            raise TypeError(f"interval must be a list of two strings, got {_quote(pair)}")
         heads.append(head)
         stamps += pair
     times = iter(parse_timestamps(stamps))
@@ -251,7 +252,7 @@ def _blocks(items) -> tuple[list[Block], list[str]]:
                    else "repeats a member" if len(members) < len(names)
                    else "ends before it starts" if end < start else None)
         if problem:
-            problems.append(f"block {split!r}/{join!r} {problem}")
+            problems.append(f"block {_quote(split)}/{_quote(join)} {problem}")
         # completion_seq is not serialized; JSON-level round-trip only
         blocks.append(Block(split, join, members, 0, (start, end), whole))
     return blocks, problems
@@ -263,17 +264,19 @@ def _check_metrics(m: dict) -> None:
     total, create = m["tot_time"], m["tot_create_time"]
     share, avg = m["perc_num_elements_with_moves"], m["avg_move_on_moved_elements"]
     if total < 0:
-        raise ValueError(f"tot_time must be at least 0, got {total!r}")
+        raise ValueError(f"tot_time must be at least 0, got {_quote(total)}")
     if not 0 <= create <= total:
-        raise ValueError(f"tot_create_time must lie between 0 and tot_time {total!r}, "
-                         f"got {create!r}")
+        raise ValueError(f"tot_create_time must lie between 0 and tot_time {_quote(total)}, "
+                         f"got {_quote(create)}")
     if not 0 <= share <= 1:
-        raise ValueError(f"perc_num_elements_with_moves must lie between 0 and 1, got {share!r}")
+        raise ValueError("perc_num_elements_with_moves must lie between 0 and 1, "
+                         f"got {_quote(share)}")
     if avg is not None and avg < 1:
-        raise ValueError(f"avg_move_on_moved_elements must be at least 1, got {avg!r}")
+        raise ValueError(f"avg_move_on_moved_elements must be at least 1, got {_quote(avg)}")
     if (avg is None) != (share == 0):
         raise ValueError("avg_move_on_moved_elements must be null exactly when "
-                         f"perc_num_elements_with_moves is 0, got {_scalar(avg)} and {share!r}")
+                         "perc_num_elements_with_moves is 0, "
+                         f"got {_quote(_scalar(avg), str)} and {_quote(share)}")
 
 
 def classify_model(model: ProcessModel,

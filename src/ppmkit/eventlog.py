@@ -137,8 +137,11 @@ _INTS = re.compile(f"(?:{_INT}\0)*{_INT}")  # a column, NUL-joined
 _QUOTE_LIMIT = 200  # characters of a field a refusal quotes; a longer one is cut
 
 
-def _quote(text: str, show=repr) -> str:
-    """show(text), cut after _QUOTE_LIMIT characters and then given its length."""
+def _quote(text, show=repr) -> str:
+    """show(text), cut after _QUOTE_LIMIT characters and then given its
+    length; a value that is no string is quoted as its repr."""
+    if type(text) is not str:
+        text, show = repr(text), str
     cut = f"... ({len(text)} characters)" if len(text) > _QUOTE_LIMIT else ""
     return show(text[:_QUOTE_LIMIT]) + cut
 
@@ -268,58 +271,65 @@ def _checked_log(session_id: str, events: list[ModelingEvent], reconnects: bool)
 class _Skeleton:
     """ProcessModel's graph, which the block search reads: each live
     object's type, each edge's ends, and per node its in- and out-flows in
-    order, edge id to the node at the other end. `apply` edits it by events
-    and checks the lifecycle rule; ProcessModel calls the edits directly.
+    order, edge id to the node at the other end.
 
-    A create needs a free id, and under `strict` one never used before. An
-    edge create or reconnect needs two live nodes as ends. Every other
-    event needs a live object of the type it was created with. Deleting a
-    node deletes its edges, so a later event on one of them acts on a
-    deleted object.
+    Its edits state the structure rule that logs and models share, each
+    refusal a ValueError: `_add` and `_link` refuse an id in use, and
+    `_link` then a flow end that is not a live node. ProcessModel calls
+    them directly. `apply` edits it by events and adds the rules that
+    belong to logs: under `strict` a deleted id is never created again,
+    and every other event needs a live object of the type it was created
+    with. Deleting a node deletes its edges, so a later event on one of
+    them acts on a deleted object. `_deleted` keeps every id deleted so
+    far, for `strict` and to word a refusal.
     """
 
-    __slots__ = ("types", "ends", "_out", "_in", "_used", "_strict", "reconnected")
+    __slots__ = ("types", "ends", "_out", "_in", "_deleted", "_strict", "reconnected")
 
     def __init__(self, strict: bool = False):
         self.types, self.ends, self._out, self._in = {}, {}, {}, {}
-        self._used, self._strict, self.reconnected = set(), strict, False  # _used: for `strict`
+        self._deleted, self._strict, self.reconnected = set(), strict, False
 
     def apply(self, ev: ModelingEvent) -> None:
-        """Apply an event; one that breaks the rule raises LogFormatError
-        without a line."""
+        """Apply an event; one that breaks a rule raises ValueError (a
+        lifecycle rule LogFormatError) without a line."""
         oid, kind, types = ev.object_id, ev.kind, self.types
         otype, event_class = KIND_OBJECT_TYPE[kind], KIND_CLASS[kind]
         if event_class is _CREATE:
-            if oid in types:
-                raise LogFormatError(f"duplicate create of object {_quote(oid, str)}")
-            if self._strict and oid in self._used:
+            if self._strict and oid in self._deleted:
                 raise LogFormatError(f"recreation of deleted object {_quote(oid, str)}")
-            self._used.add(oid)
             if otype is _EDGE:
                 self._link(oid, ev.source_id, ev.target_id)
             else:
                 self._add(oid, otype)
-            return
-        if types.get(oid) is not otype:
+        elif types.get(oid) is not otype:
             if oid in types:
                 raise LogFormatError(f"object {_quote(oid, str)} changes type")
-            verb = "deleted" if oid in self._used else "unknown"
+            verb = "deleted" if oid in self._deleted else "unknown"
             raise LogFormatError(f"action on {verb} object {_quote(oid, str)}")
-        if event_class is _RECONNECT:
+        elif event_class is _RECONNECT:
             self.reconnected = True
             self._unlink(oid)
             self._link(oid, ev.source_id, ev.target_id)
         elif event_class is _DELETE:
-            (self._unlink if otype is _EDGE else self._drop)(oid)
+            self._deleted.add(oid)
+            if otype is _EDGE:
+                self._unlink(oid)
+            else:
+                self._deleted.update(self._drop(oid))
 
     def _add(self, nid: str, otype: ObjectType) -> None:
+        if nid in self.types:
+            raise ValueError(f"duplicate object id {_quote(nid, str)}")
         self.types[nid], self._out[nid], self._in[nid] = otype, {}, {}
 
     def _link(self, eid: str, s: str, t: str) -> None:
+        if eid in self.types:
+            raise ValueError(f"duplicate object id {_quote(eid, str)}")
         outs = self._out  # one entry per live node
         if s not in outs or t not in outs:
             end = _quote(t if s in outs else s, str)
-            raise LogFormatError(f"edge {_quote(eid, str)} ends at {end}, not a live node")
+            raise ValueError(f"edge {_quote(eid, str)} ends at {end}, not a live node")
         self.types[eid], self.ends[eid] = _EDGE, (s, t)
         outs[s][eid], self._in[t][eid] = t, s
 
@@ -336,10 +346,11 @@ class _Skeleton:
 
     def copy(self) -> "_Skeleton":
         """The same graph in new dicts, with no lifecycle history."""
-        clone = _Skeleton()
+        clone = _Skeleton.__new__(_Skeleton)
         clone.types, clone.ends = dict(self.types), dict(self.ends)
         clone._out = {n: dict(ways) for n, ways in self._out.items()}
         clone._in = {n: dict(ways) for n, ways in self._in.items()}
+        clone._deleted, clone._strict, clone.reconnected = set(), False, False
         return clone
 
 
@@ -363,7 +374,7 @@ def _check_events(events, lines: list[int] | None = None) -> bool:
                     raise LogFormatError("timestamp regression")
             prev = ev
             apply(ev)
-    except LogFormatError as exc:
+    except ValueError as exc:  # LogFormatError too
         if lines is None:
             raise ValueError(f"{exc} at seq {ev.seq}") from None
         raise LogFormatError(str(exc), lines[index]) from None
@@ -420,10 +431,10 @@ def parse_log(data: bytes | str, session_id: str = "") -> EventLog:
     Raises LogFormatError with a 1-based line number on input that is not
     UTF-8 or not CSV (a NUL included), any malformed row, unknown event
     name, an object type other than the one the event name implies, seq or
-    timestamp disorder, missing edge endpoints, an edge whose ends are not
-    live nodes, action on a never-created or deleted object (an edge of a
-    deleted node included), an object changing type, or recreation of a
-    previously deleted object id.
+    timestamp disorder, missing edge endpoints, a create of an id in use,
+    an edge whose ends are not live nodes, action on a never-created or
+    deleted object (an edge of a deleted node included), an object
+    changing type, or recreation of a previously deleted object id.
     """
     if isinstance(data, bytes):
         try:

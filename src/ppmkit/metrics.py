@@ -18,7 +18,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 from .blocks import Block, max_simul_block, perc_blocks_as_whole
-from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, expand_reconnect
+from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, _quote, expand_reconnect
 from .model import typed
 
 
@@ -67,7 +67,7 @@ def _fraction(value, name: str) -> Fraction | None:
     if value is None and name in ("perc_num_block_as_a_whole", "avg_move_on_moved_elements"):
         return None
     if type(value) is not float and type(value) is not int:
-        raise TypeError(f"{name} must be a number, got {value!r}")
+        raise TypeError(f"{name} must be a number, got {_quote(value)}")
     return Fraction(*value.as_integer_ratio())  # exact; raises as Fraction(value) does
 
 

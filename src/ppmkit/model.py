@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eventlog import ObjectType, _Skeleton
+from .eventlog import ObjectType, _quote, _Skeleton
 
 NODE_TYPES = (
     ObjectType.START_EVENT,
@@ -33,16 +33,21 @@ def typed(value, name: str, *types: type):
     bool is no int; anything else raises TypeError."""
     if type(value) not in types:
         wanted = " or ".join(_TYPE_NAMES[t] for t in types)
-        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+        raise TypeError(f"{name} must be {wanted}, got {_quote(value)}")
     return value
 
 
 def read_json(text: str):
-    """json.loads, refusing input nested too deep for it with ValueError."""
+    """json.loads, refusing with ValueError input nested too deep for it
+    and, in words of its own, an integer longer than int() reads."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the wording differs between Python versions
+        raise ValueError("JSON integer has too many digits") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +74,9 @@ class Edge:
 class ProcessModel:
     """A mutable directed graph of modeling constructs.
 
-    Edge endpoints must exist as nodes. Parallel edges and self-loops are
+    add_node and add_edge are the graph's own edits, a log's too: they
+    refuse an id in use and a flow end that is not a live node, and no
+    lifecycle rule of a log. Parallel edges and self-loops are
     representable; whether they make sense is a question for validation
     stages further down the pipeline, not for the container.
 
@@ -90,20 +97,12 @@ class ProcessModel:
     # -- mutation ---------------------------------------------------------
 
     def add_node(self, node: Node):
-        if node.id in self._graph.types:  # node and edge ids
-            raise ValueError(f"duplicate object id {node.id}")
-        self.nodes[node.id] = node
         self._graph._add(node.id, node.type)
+        self.nodes[node.id] = node
 
     def add_edge(self, edge: Edge):
-        if edge.id in self._graph.types:
-            raise ValueError(f"duplicate object id {edge.id}")
-        if edge.source not in self.nodes:
-            raise ValueError(f"edge {edge.id} has unknown source {edge.source}")
-        if edge.target not in self.nodes:
-            raise ValueError(f"edge {edge.id} has unknown target {edge.target}")
-        self.edges[edge.id] = edge
         self._graph._link(edge.id, edge.source, edge.target)
+        self.edges[edge.id] = edge
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every incident edge."""
@@ -207,13 +206,18 @@ class ProcessModel:
         def point(x, y) -> tuple[int, int]:
             return typed(x, "x", int), typed(y, "y", int)
 
+        def node_type(name) -> ObjectType:
+            if name not in NODE_TYPES:  # each equals its name, a str Enum
+                raise ValueError(f"invalid node type {_quote(name)}")
+            return ObjectType(name)
+
         model = cls()
         try:
             for nd in typed(data.get("nodes", []), "nodes", list):
                 model.add_node(
                     Node(
                         id=typed(nd["id"], "node id", str),
-                        type=ObjectType(nd["type"]),
+                        type=node_type(nd["type"]),
                         label=typed(nd.get("label"), "label", str, type(None)),
                         position=point(nd.get("x", 0), nd.get("y", 0)),
                     )

@@ -286,13 +286,17 @@ def simulate(profile: SimulationProfile, session_id: str = "") -> EventLog:
     interleaved = rng.random() < profile.block_interleave_prob
 
     builder = _SessionBuilder(rng, profile.mean_gap)
-    if interleaved:
-        _emit_creates_scattered(builder, target, temp_count=rng.randint(1, 3))
-        bendpoint_pairs = 3
-    else:
-        _emit_creates_tidy(builder, target)
-        bendpoint_pairs = 0
-    _emit_moves(builder, target, profile.move_rate, bendpoint_pairs)
+    try:
+        if interleaved:
+            _emit_creates_scattered(builder, target, temp_count=rng.randint(1, 3))
+            bendpoint_pairs = 3
+        else:
+            _emit_creates_tidy(builder, target)
+            bendpoint_pairs = 0
+        _emit_moves(builder, target, profile.move_rate, bendpoint_pairs)
+    except OverflowError:  # a gap or the clock past what timedelta or datetime holds
+        raise ValueError("mean_gap must keep a session's clock within datetime's range, "
+                         f"got {profile.mean_gap}") from None
 
     name = session_id or f"{profile.name}_{profile.seed}"
     return EventLog(session_id=name, events=tuple(builder.events))

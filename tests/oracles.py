@@ -1042,6 +1042,18 @@ def _shown(text: str) -> str:
     return repr(text)
 
 
+def _shown_json(value) -> str:
+    """A refused JSON value as its message quotes it: a string as _shown
+    gives it, anything else its repr, whole or cut after _QUOTE_LIMIT
+    characters and then given its length."""
+    if isinstance(value, str):
+        return _shown(value)
+    text = repr(value)
+    if len(text) > _QUOTE_LIMIT:
+        return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+    return text
+
+
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 _OBJECT_TYPE_BY_VALUE = {otype.value: otype for otype in ObjectType}
 
@@ -1249,7 +1261,7 @@ def _metrics_from_dict(data: dict) -> SessionMetrics:
         if value is None and optional:
             return None
         if type(value) not in (int, float):  # a bool is an int, but no metric
-            raise TypeError(f"{name} must be a number, got {value!r}")
+            raise TypeError(f"{name} must be a number, got {_shown_json(value)}")
         return Fraction(value)
 
     return SessionMetrics(
@@ -1278,7 +1290,7 @@ def _witness(kind: str, w):
             isinstance(p, str) and isinstance(n, int) and not isinstance(n, bool)
             for p, n in w.items())
     if not ok:
-        raise TypeError(f"{kind} witness must be {shape}, got {w!r}")
+        raise TypeError(f"{kind} witness must be {shape}, got {_shown_json(w)}")
     return tuple(w) if kind == "NotWFStructured" else w
 
 
@@ -1291,7 +1303,7 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
                for r in typed(norm["applied_rules"], "applied_rules", list)]
     outcome = NormalizationOutcome(model=None, reason=reason, applied_rules=tuple(applied))
     if rejected != outcome.rejected:
-        raise ValueError(f"rejected {rejected} does not match reason {reason!r}")
+        raise ValueError(f"rejected {rejected} does not match reason {_shown_json(reason)}")
     sound = None
     if data["soundness"] is not None:
         s = data["soundness"]
@@ -1299,7 +1311,7 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
         for v in typed(s["violations"], "violations", list):
             if v["kind"] not in VIOLATION_KINDS:
                 raise TypeError(f"violation kind must be one of {', '.join(VIOLATION_KINDS)}"
-                                f", got {v['kind']!r}")
+                                f", got {_shown_json(v['kind'])}")
             trace = None if v["trace"] is None else _strings(v["trace"], "trace")
             violations.append(Violation(v["kind"], _witness(v["kind"], v["witness"]), trace))
         explored = typed(s["states_explored"], "states_explored", int)
@@ -1307,11 +1319,11 @@ def _verdict_from_dict(data: dict) -> PerspicuityVerdict:
             raise ValueError(f"states_explored must be a non-negative int, got {explored}")
         sound = SoundnessReport(tuple(violations), explored)
         if s["verdict"] != sound.verdict:
-            raise ValueError(f"soundness verdict {s['verdict']!r} does not match "
+            raise ValueError(f"soundness verdict {_shown_json(s['verdict'])} does not match "
                              f"{sound.verdict!r} from its violations")
     perspicuous, stage = typed(data["perspicuous"], "perspicuous", bool), data["stage"]
     if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
+        raise ValueError(f"unknown stage {_shown_json(stage)}")
     if perspicuous != (stage == "Sound"):
         raise ValueError(f"perspicuous {perspicuous} does not match stage {stage!r}")
     verdict = PerspicuityVerdict(normalization=outcome, soundness=sound)
@@ -1330,9 +1342,9 @@ def report_from_dict(data: dict) -> SessionReport:
         split, join, pair, whole = b["split"], b["join"], b["interval"], b["whole"]
         if (type(split), type(join), type(whole)) != (str, str, bool):
             raise TypeError("block split and join must be strings and whole a bool, "
-                            f"got {split!r}, {join!r}, {whole!r}")
+                            f"got {_shown_json(split)}, {_shown_json(join)}, {_shown_json(whole)}")
         if type(pair) is not list or len(pair) != 2 or {type(pair[0]), type(pair[1])} != {str}:
-            raise TypeError(f"interval must be a list of two strings, got {pair!r}")
+            raise TypeError(f"interval must be a list of two strings, got {_shown_json(pair)}")
         interval = parse_timestamp(pair[0]), parse_timestamp(pair[1])
         members = frozenset(_strings(b["members"], "members"))
         return Block(split, join, members, 0, interval, whole)

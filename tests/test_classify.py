@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import re
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CLASHING_IDS,
     FIXTURES,
     back_to_front_chains,
     csv_log,
@@ -33,7 +36,8 @@ from ppmkit.classify import (
     classify_session,
     session_json,
 )
-from ppmkit.eventlog import EventClass, ObjectType, _Skeleton, expand_reconnect, parse_log
+from ppmkit.eventlog import (EventClass, EventLog, ModelingEvent, ObjectType, _Skeleton,
+                             expand_reconnect, parse_log)
 from ppmkit.metrics import SessionMetrics
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.normalize import AppliedRule, NormalizationOutcome
@@ -392,6 +396,58 @@ def test_session_matches_the_reference_pipeline_on_rewired_blocks(log):
 @settings(max_examples=30, deadline=None)
 def test_session_matches_the_reference_pipeline_on_loops(log):
     _matches_reference(log)
+
+
+def _renamed(log: EventLog, names: dict[str, str]) -> EventLog:
+    return EventLog(log.session_id, [
+        ModelingEvent(ev.seq, ev.timestamp, ev.kind, names[ev.object_id], ev.position, ev.label,
+                      names.get(ev.source_id), names.get(ev.target_id)) for ev in log.events])
+
+
+@st.composite
+def renamed_logs(draw):
+    """A log of event_logs, rewired_blocks or loops, and a one-to-one map
+    of its object ids onto names from CLASHING_IDS (then x0, x1, ...):
+    drawn in any order, or so that the names sort in the reverse order of
+    the ids they replace."""
+    log = draw(st.one_of(event_logs(max_events=30), rewired_blocks(), loops()))
+    ids = sorted({ev.object_id for ev in log.events})
+    pool = draw(st.permutations(CLASHING_IDS + [f"x{k}" for k in range(len(ids))]))[:len(ids)]
+    if draw(st.booleans()):
+        pool = sorted(pool, reverse=True)
+    return log, dict(zip(ids, pool))
+
+
+def _block_key(block: Block, name=str) -> tuple:
+    return (name(block.split), name(block.join), frozenset(map(name, block.members)),
+            block.interval, block.whole)
+
+
+@given(case=renamed_logs())
+@settings(max_examples=100, deadline=None)
+def test_renaming_ids_leaves_the_report_unchanged(case):
+    """Renaming object ids one to one changes no metric, stage, rule count
+    or violation kind, maps the blocks one to one, and keeps the markings
+    explored unless the net is unbounded or the search hit its cap."""
+    log, names = case
+    try:
+        report = classify_session(log)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            classify_session(_renamed(log, names))
+        return
+    renamed = classify_session(_renamed(log, names))
+    verdict, other = report.verdict, renamed.verdict
+    assert renamed.metrics == report.metrics and other.stage == verdict.stage
+    assert (len(other.normalization.applied_rules)
+            == len(verdict.normalization.applied_rules))
+    assert (Counter(map(_block_key, renamed.blocks))
+            == Counter(_block_key(b, names.get) for b in report.blocks))
+    if verdict.soundness is not None:
+        kinds = Counter(v.kind for v in verdict.soundness.violations)
+        assert Counter(v.kind for v in other.soundness.violations) == kinds
+        if not {"Unbounded", "StateSpaceExceeded"} & set(kinds):
+            assert other.soundness.states_explored == verdict.soundness.states_explored
 
 
 def _seed_7_logs():

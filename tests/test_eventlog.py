@@ -45,6 +45,7 @@ from ppmkit.eventlog import (
     parse_log,
     parse_timestamp,
     serialize_log,
+    _Skeleton,
 )
 from ppmkit.simulate import PROFILES, simulate
 
@@ -319,7 +320,7 @@ class TestEventLogValidation:
             ev(1, EventKind.CREATE_ACTIVITY, "a"),
             ev(2, EventKind.CREATE_ACTIVITY, "a"),
         ]
-        with pytest.raises(ValueError, match="duplicate create"):
+        with pytest.raises(ValueError, match="^duplicate object id a at seq 2$"):
             EventLog("s", events)
 
     def test_node_delete_ends_its_flows(self):
@@ -390,6 +391,22 @@ class TestParseLog:
         ]
         with pytest.raises(LogFormatError, match="recreation of deleted object"):
             parse_log("\n".join(rows) + "\n")
+
+    def test_strict_refuses_a_live_duplicate_as_one_and_a_recreation_before_a_dead_end(self):
+        rows = [CSV_HEADER, "1,2010-11-15T10:00:00.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,",
+                "2,2010-11-15T10:00:01.000Z,CREATE_ACTIVITY,b,ACTIVITY,,,,,",
+                "3,2010-11-15T10:00:02.000Z,CREATE_EDGE,e,EDGE,,,,a,b"]
+        for last, refusal in (
+                ("4,2010-11-15T10:00:03.000Z,CREATE_ACTIVITY,a,ACTIVITY,,,,,",
+                 "duplicate object id a at line 5"),
+                ("4,2010-11-15T10:00:03.000Z,CREATE_EDGE,e,EDGE,,,,ghost,b",
+                 "duplicate object id e at line 5")):
+            with pytest.raises(LogFormatError, match=f"^{refusal}$"):
+                parse_log("\n".join(rows + [last]) + "\n")
+        gone = rows + ["4,2010-11-15T10:00:03.000Z,DELETE_ACTIVITY,a,ACTIVITY,,,,,",
+                       "5,2010-11-15T10:00:04.000Z,CREATE_EDGE,e,EDGE,,,,ghost,b"]
+        with pytest.raises(LogFormatError, match="^recreation of deleted object e at line 6$"):
+            parse_log("\n".join(gone) + "\n")
 
     def test_type_flip_names_its_line(self):
         rows = [
@@ -876,3 +893,44 @@ def test_parse_routes_agree_with_the_row_loop(name):
         events = list(parse_log(_PLAIN).events)
         events[1] = dataclasses.replace(events[1], **expected)
         assert list(parse_log(text).events) == events
+
+
+def _graph_state(graph: _Skeleton):
+    """A skeleton's graph, its adjacency in order."""
+    return (list(graph.types.items()), list(graph.ends.items()),
+            [(n, list(ways.items())) for n, ways in graph._out.items()],
+            [(n, list(ways.items())) for n, ways in graph._in.items()])
+
+
+def test_skeleton_copy_equals_its_source_and_is_independent():
+    source = _Skeleton(strict=True)
+    for event in (ev(1, EventKind.CREATE_ACTIVITY, "a"), ev(2, EventKind.CREATE_XOR, "x"),
+                  ev(3, EventKind.CREATE_EDGE, "e", source="a", target="x"),
+                  ev(4, EventKind.CREATE_EDGE, "f", source="x", target="x"),
+                  ev(5, EventKind.RECONNECT_EDGE, "e", source="x", target="a"),
+                  ev(6, EventKind.CREATE_ACTIVITY, "b"), ev(7, EventKind.DELETE_ACTIVITY, "b")):
+        source.apply(event)
+    before = _graph_state(source)
+    clone = source.copy()
+    assert _graph_state(clone) == before
+    # a bare graph: no deleted ids, not strict, no reconnect seen
+    assert (clone._deleted, clone._strict, clone.reconnected) == (set(), False, False)
+    clone._drop("x")
+    clone._add("b", ObjectType.ACTIVITY)
+    assert _graph_state(source) == before
+    source._drop("a")
+    assert [n for n, _ in clone.types.items()] == ["a", "b"]
+
+
+def test_apply_works_on_a_copied_bare_skeleton():
+    clone = _Skeleton().copy()
+    for event in (ev(1, EventKind.CREATE_ACTIVITY, "a"), ev(2, EventKind.CREATE_ACTIVITY, "b"),
+                  ev(3, EventKind.CREATE_EDGE, "e", source="a", target="b"),
+                  ev(4, EventKind.RECONNECT_EDGE, "e", source="b", target="a"),
+                  ev(5, EventKind.DELETE_ACTIVITY, "a"), ev(6, EventKind.CREATE_ACTIVITY, "a")):
+        clone.apply(event)
+    assert clone.reconnected and list(clone.types) == ["b", "a"] and clone.ends == {}
+    with pytest.raises(LogFormatError, match="^action on deleted object e$"):
+        clone.apply(ev(7, EventKind.MOVE_EDGE_LABEL, "e", position=(1, 1)))
+    with pytest.raises(ValueError, match="^duplicate object id b$"):
+        clone.apply(ev(8, EventKind.CREATE_XOR, "b"))

@@ -29,6 +29,7 @@ from ppmkit.eventlog import (
 from ppmkit.model import ProcessModel
 from ppmkit.replay import replay
 from ppmkit.simulate import PROFILES, simulate_cohort
+from ppmkit.soundness import VIOLATION_KINDS
 
 
 def parse_or_refuse(data):
@@ -138,7 +139,7 @@ _STAMP = "2010-11-15T10:00:0{}.000Z"
      "edge e ends at {}, not a live node at line 2"),
     ([f"1,{_STAMP.format(0)},CREATE_ACTIVITY,{{}},ACTIVITY,5,5,,,",
       f"2,{_STAMP.format(1)},CREATE_ACTIVITY,{{}},ACTIVITY,5,5,,,"],
-     "duplicate create of object {} at line 3"),
+     "duplicate object id {} at line 3"),
 ], ids=["unknown_object", "edge_end", "duplicate_create"])
 def test_lifecycle_refusals_cut_a_long_object_id(rows, refusal):
     """A lifecycle refusal prints an id of 200 characters or fewer whole,
@@ -157,6 +158,81 @@ def test_parse_timestamp_quotes_a_stamp_of_200_characters_whole_and_cuts_a_longe
         with pytest.raises(ValueError) as err:
             parse_timestamp("2" * length)
         assert str(err.value) == f"bad timestamp {shown}"
+
+
+def _cut(text: str, show=repr) -> str:
+    return show(text[:200]) + (f"... ({len(text)} characters)" if len(text) > 200 else "")
+
+
+# JSON values the loaders quote in a refusal, each set at the paths given
+# (of MODELS[0], or of the first report with a violation), with the
+# refusal and whether it shows a string as repr does or as it is.
+_JSON_QUOTES = [
+    ("model", [("nodes", 0, "type")], "invalid node type {}", repr),
+    ("model", [("nodes", 0, "id"), ("nodes", 1, "id")], "duplicate object id {}", str),
+    ("model", [("edges", 0, "source")], "edge e1 ends at {}, not a live node", str),
+    ("report", [("verdict", "stage")], "unknown stage {}", repr),
+    ("report", [("verdict", "soundness", "violations", 0, "kind")],
+     f"wrong value type: violation kind must be one of {', '.join(VIOLATION_KINDS)}, got {{}}",
+     repr),
+    ("report", [("metrics", "tot_time")], "wrong value type: tot_time must be a number, got {}",
+     repr),
+    ("report", [("blocks", 0, "members")],
+     "wrong value type: members must be a list of strings, got {}", repr),
+]
+
+
+def _json_with(loader: str, paths, value):
+    """The JSON text and the loaders of a model or report with `value` at `paths`."""
+    if loader == "model":
+        text, loads = MODELS[0], [ProcessModel.from_json]
+    else:
+        text = next(r for r in REPORTS if '"kind"' in r)
+        loads = [SessionReport.from_json, lambda t: report_from_dict(json.loads(t))]
+    for path in paths:
+        text = _with(text, path, value)
+    return text, loads
+
+
+@pytest.mark.parametrize("loader, paths, refusal, show", _JSON_QUOTES,
+                         ids=["node_type", "duplicate_id", "edge_end", "stage", "violation_kind",
+                              "metric", "members"])
+def test_json_refusals_cut_a_long_string(loader, paths, refusal, show):
+    """A JSON refusal quotes a string value of 200 characters whole, and a
+    longer one cut after 200 characters and then given its length, as a
+    CSV refusal does; the oracle's own wordings agree."""
+    for length in (200, 201, 5000):
+        text, loads = _json_with(loader, paths, "a" * length)
+        for load in loads:
+            with pytest.raises(ValueError) as err:
+                load(text)
+            assert str(err.value) == refusal.format(_cut("a" * length, show))
+
+
+@pytest.mark.parametrize("loader, path, name", [
+    ("model", ("nodes", 0, "id"), "node id"), ("report", ("session_id",), "session_id"),
+    ("report", ("blocks", 0, "interval"), "interval"),
+])
+def test_json_refusals_cut_a_long_value_that_is_no_string(loader, path, name):
+    value = list(range(3000))
+    text, loads = _json_with(loader, [path], value)
+    wanted = "a list of two strings" if name == "interval" else "a string"
+    for load in loads:
+        with pytest.raises(ValueError) as err:
+            load(text)
+        assert str(err.value) == (f"wrong value type: {name} must be {wanted}, "
+                                  f"got {_cut(repr(value), str)}")
+
+
+@pytest.mark.parametrize("loader, path", [("model", ("nodes", 0, "x")),
+                                          ("report", ("metrics", "max_simul_block"))])
+def test_json_integer_too_long_for_int_is_refused_in_fixed_words(loader, path):
+    # At 5,000 digits json.loads refuses under int()'s default limit of
+    # 4,300, in words that differ between Python versions.
+    text, loads = _json_with(loader, [path], 987654321)
+    text = text.replace("987654321", "1" * 5000)
+    with pytest.raises(ValueError, match="^JSON integer has too many digits$"):
+        loads[0](text)
 
 
 def test_parse_log_reads_integers_of_640_digits_under_the_least_int_limit():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -104,6 +105,15 @@ class TestProfiles:
             with pytest.raises(ValueError,
                                match=f"mean_gap must be positive and finite, got {value}"):
                 SimulationProfile("x", 0.0, 0.2, value)
+
+    def test_mean_gap_past_the_clock_range_is_refused(self):
+        # 1e10 s a gap runs the clock past year 9999; 1e300 overflows timedelta
+        for gap in (1e10, 1e300):
+            profile = dataclasses.replace(PROFILES["structured"], mean_gap=gap)
+            refusal = f"mean_gap must keep a session's clock within datetime's range, got {gap}"
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                simulate(profile)
+        assert simulate(dataclasses.replace(PROFILES["structured"], mean_gap=1e9)).events
 
 
 def test_default_template_shape():
