@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from xml.sax.saxutils import quoteattr
 
-from .eventlog import KIND_CLASS, EventClass, EventLog, expand_reconnect
+from .eventlog import KIND_CLASS, EventClass, EventLog, _quote, expand_reconnect
 
 ROW_HEIGHT = 20.0  # pixels per row when the spec leaves the height open
 
@@ -56,7 +56,7 @@ def _quoted(value: str, name: str) -> str:
         return f'"{value}"'
     bad = _NOT_XML.search(value)
     if bad:
-        raise ValueError(f"{name} {value!r} holds {bad.group()!r}, which XML cannot carry")
+        raise ValueError(f"{name} {_quote(value)} holds {bad.group()!r}, which XML cannot carry")
     return quoteattr(value)
 
 

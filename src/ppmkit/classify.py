@@ -23,12 +23,12 @@ time, so the error is the first bad block's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
 from .blocks import Block, detect_blocks, max_simul_block
-from .eventlog import EventLog, _quote, expand_reconnect, format_timestamp, parse_timestamps
+from .eventlog import (EventLog, _quote, _record, expand_reconnect, format_timestamp,
+                       parse_timestamps)
 from .metrics import METRIC_NAMES, SessionMetrics, compute_session_metrics
 from .model import ProcessModel, read_json, typed
 from .normalize import AppliedRule, NormalizationOutcome, normalize
@@ -143,7 +143,7 @@ def session_json(session_id: str, metrics: SessionMetrics, blocks,
     return _object("", *fields) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class PerspicuityVerdict:
     normalization: NormalizationOutcome
     soundness: SoundnessReport | None  # None exactly when normalization rejected
@@ -289,7 +289,7 @@ def classify_model(model: ProcessModel,
     return PerspicuityVerdict(outcome, check_soundness(to_wfnet(outcome.model), max_states))
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SessionReport:
     session_id: str
     metrics: SessionMetrics

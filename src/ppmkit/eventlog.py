@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -146,6 +146,25 @@ def _quote(text, show=repr) -> str:
     return show(text[:_QUOTE_LIMIT]) + cut
 
 
+def _record(cls):
+    """cls as a frozen slotted dataclass whose __init__, made as dataclasses
+    makes its own, sets each field through its slot's __set__ (the frozen
+    __setattr__ costs about twice as much), then calls __post_init__."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    ns, params, body = {"__name__": cls.__module__}, [], ""
+    for f in fields(cls):
+        ns[f"_s_{f.name}"], ns[f"_d_{f.name}"] = cls.__dict__[f.name].__set__, f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=_d_{f.name}")
+        body += f"\n    _s_{f.name}(self, {f.name})"
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    exec(compile(f"def __init__(self, {', '.join(params)}):{body}", "<_record>", "exec"), ns)
+    cls.__init__ = init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    return cls
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse a UTC timestamp of exactly the shape YYYY-MM-DDThh:mm:ss.fZ.
 
@@ -189,9 +208,9 @@ def format_timestamp(ts: datetime) -> str:
         ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, ts.microsecond // 1000)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ModelingEvent:
-    """One timestamped editor action on one model object."""
+    """One timestamped editor action on one model object; __post_init__ checks its fields."""
 
     seq: int
     timestamp: datetime
@@ -202,29 +221,19 @@ class ModelingEvent:
     source_id: str | None = None
     target_id: str | None = None
 
-    def __init__(self, seq: int, timestamp: datetime, kind: EventKind, object_id: str,
-                 position: tuple[int, int] | None = None, label: str | None = None,
-                 source_id: str | None = None, target_id: str | None = None):
+    def __post_init__(self):
+        kind = self.kind
         if not isinstance(kind, EventKind):
             raise ValueError(f"unknown event kind {kind!r}")
-        if seq < 1:
-            raise ValueError(f"seq must be positive, got {seq}")
-        if not object_id:
+        if self.seq < 1:
+            raise ValueError(f"seq must be positive, got {self.seq}")
+        if not self.object_id:
             raise ValueError("object_id must be non-empty")
         if kind in _EDGE_ENDED:
-            if not source_id or not target_id:
+            if not self.source_id or not self.target_id:
                 raise ValueError(f"{kind.value} requires source_id and target_id")
-        elif source_id or target_id:
+        elif self.source_id or self.target_id:
             raise ValueError(f"{kind.value} must not carry edge endpoints")
-        # The slot setters (after the class) skip the frozen __setattr__.
-        _set_seq(self, seq)
-        _set_timestamp(self, timestamp)
-        _set_kind(self, kind)
-        _set_object_id(self, object_id)
-        _set_position(self, position)
-        _set_label(self, label)
-        _set_source_id(self, source_id)
-        _set_target_id(self, target_id)
 
     @property
     def object_type(self) -> ObjectType:
@@ -233,11 +242,6 @@ class ModelingEvent:
     @property
     def event_class(self) -> EventClass:
         return KIND_CLASS[self.kind]
-
-
-(_set_seq, _set_timestamp, _set_kind, _set_object_id, _set_position, _set_label,
- _set_source_id, _set_target_id) = (ModelingEvent.__dict__[f.name].__set__
-                                    for f in fields(ModelingEvent))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ for a session (no blocks, no moves) are None rather than 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from datetime import timedelta
 from fractions import Fraction
 
 from .blocks import Block, max_simul_block, perc_blocks_as_whole
-from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, _quote, expand_reconnect
+from .eventlog import _CREATE, _MOVE, KIND_CLASS, EventLog, _quote, _record, expand_reconnect
 from .model import typed
 
 
@@ -34,7 +34,7 @@ def tot_time(log: EventLog) -> Fraction:
     return _seconds(log.events[-1].timestamp - log.events[0].timestamp)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SessionMetrics:
     max_simul_block: int
     perc_num_block_as_a_whole: Fraction | None
@@ -42,18 +42,6 @@ class SessionMetrics:
     perc_num_elements_with_moves: Fraction
     tot_time: Fraction
     tot_create_time: Fraction
-
-    def __init__(self, max_simul_block: int, perc_num_block_as_a_whole: Fraction | None,
-                 avg_move_on_moved_elements: Fraction | None,
-                 perc_num_elements_with_moves: Fraction, tot_time: Fraction,
-                 tot_create_time: Fraction):
-        # The slot setters (after the class) skip the frozen __setattr__.
-        _set_max(self, max_simul_block)
-        _set_whole(self, perc_num_block_as_a_whole)
-        _set_avg(self, avg_move_on_moved_elements)
-        _set_moved(self, perc_num_elements_with_moves)
-        _set_tot(self, tot_time)
-        _set_create(self, tot_create_time)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionMetrics":
@@ -73,8 +61,6 @@ def _fraction(value, name: str) -> Fraction | None:
 
 #: JSON field order for SessionMetrics.
 METRIC_NAMES = tuple(f.name for f in fields(SessionMetrics))
-_set_max, _set_whole, _set_avg, _set_moved, _set_tot, _set_create = (
-    SessionMetrics.__dict__[name].__set__ for name in METRIC_NAMES)
 
 
 def compute_session_metrics(log: EventLog, blocks: list[Block]) -> SessionMetrics:

@@ -9,9 +9,8 @@ sorted by id so serialization is deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .eventlog import ObjectType, _quote, _Skeleton
+from .eventlog import ObjectType, _quote, _record, _Skeleton
 
 NODE_TYPES = (
     ObjectType.START_EVENT,
@@ -50,7 +49,7 @@ def read_json(text: str):
         raise ValueError("JSON integer has too many digits") from None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Node:
     id: str
     type: ObjectType
@@ -62,7 +61,7 @@ class Node:
             raise ValueError(f"invalid node type {self.type.value} for node {self.id}")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Edge:
     id: str
     source: str

@@ -19,19 +19,19 @@ model once, before its first edit.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .eventlog import ObjectType
+from .eventlog import ObjectType, _record
 from .model import GATEWAY_TYPES, Edge, Node, ProcessModel
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class AppliedRule:
     rule: str
     nodes: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class NormalizationOutcome:
     model: ProcessModel | None
     reason: str | None = None  # why the model was rejected; None when repaired

@@ -19,10 +19,10 @@ sessions a process ran before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
-from .eventlog import EventKind, EventLog, ModelingEvent, ObjectType
+from .eventlog import EventKind, EventLog, ModelingEvent, ObjectType, _record
 from .model import NODE_TYPES, Edge, Node, ProcessModel
 
 MASK64 = (1 << 64) - 1
@@ -69,7 +69,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SimulationProfile:
     name: str
     block_interleave_prob: float

@@ -46,8 +46,8 @@ Sound, a StateSpaceExceeded (the cap) is Unknown, anything else Unsound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from .eventlog import _record
 from .wfnet import WFNet, uncovered
 
 DEFAULT_MAX_STATES = 100_000
@@ -60,14 +60,14 @@ VIOLATION_KINDS = ("NotWFStructured", "DeadlockNoCompletion", "ImproperCompletio
                    "DeadTransition", "Unbounded", "StateSpaceExceeded")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Violation:
     kind: str  # one of VIOLATION_KINDS
     witness: object = None  # marking dict, transition id, or offending node ids
     trace: tuple[str, ...] | None = None  # firing sequence from the initial marking
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SoundnessReport:
     violations: tuple[Violation, ...]
     states_explored: int

@@ -15,11 +15,12 @@ which Python 3.12 made compensated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import reduce
 from operator import add, truediv
 from statistics import median
 
+from .eventlog import _record
 from .metrics import METRIC_NAMES
 
 #: Which conjecture each metric belongs to: C1 = structured modeling,
@@ -37,7 +38,7 @@ GROUP_A = "perspicuous"
 GROUP_B = "non-perspicuous"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class BoxplotSummary:
     median: float
     lower_hinge: float
@@ -123,7 +124,7 @@ def t_two_tailed_p(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TTestResult:
     t_value: float
     df: int
@@ -159,7 +160,7 @@ def t_test(group_a: list[float], group_b: list[float]) -> TTestResult:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MetricComparison:
     metric: str
     conjecture: str
@@ -169,7 +170,7 @@ class MetricComparison:
     significant: bool  # p < 0.05
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GroupComparison:
     group_a_size: int
     group_b_size: int

@@ -13,14 +13,15 @@ and durations from timedelta's fields,
 the lifecycle rule by replaying into a ProcessModel, the report codec as
 json.dumps over a dict form and a loader that builds every object through
 its constructor, and a session's whole report (`reference_report`) as
-these definitions composed. Eight are the package's own earlier paths: the replay as
+these definitions composed. Nine are the package's own earlier paths: the replay as
 one ProcessModel update per event (`apply_event`), normalization on copies
 whatever it finds, the net as string-keyed transitions that WFNet.of
 sorts and numbers, the chart in two passes over the events, the CSV
 writer field by field, the event rule as a function that names the
 first broken field (`event_problem`), the log reader as a loop that
 parses each row on its own (`parse_log_row_by_row`) and the explorer's
-acyclicity test as a graphlib toposort (`may_run_forever_by_toposort`).
+acyclicity test as a graphlib toposort (`may_run_forever_by_toposort`), and
+each record's constructor as dataclasses' own frozen one (`plain_record`).
 The net oracles read a numbered WFNet back by ids through `named`.
 Slow and dumb on purpose. `iter_states` is a plain test helper: it yields
 the model after each event of a replay.
@@ -34,7 +35,7 @@ import json
 import random
 import re
 from collections import deque
-from dataclasses import replace
+from dataclasses import field, fields, make_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import lru_cache
@@ -1558,3 +1559,12 @@ def reference_report(log: EventLog) -> tuple[SessionMetrics, list[Block], str]:
     if not wf_structured_by_arcs(net)[0]:
         return metrics, blocks, "NotWFStructured"
     return metrics, blocks, brute_force_soundness(net)
+
+
+def plain_record(cls) -> type:
+    """cls's fields, defaults and __post_init__ under the __init__ that
+    dataclass(frozen=True, slots=True) writes itself, which assigns each
+    field through the frozen class's object.__setattr__."""
+    specs = [(f.name, f.type, field(default=f.default)) for f in fields(cls)]
+    post = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return make_dataclass(cls.__qualname__, specs, namespace=post, frozen=True, slots=True)

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,7 +24,8 @@ from conftest import (
 )
 import golden
 from golden_cases import GOLDEN_CASES, build
-from oracles import reference_report, report_from_dict, report_json, session_dict, verdict_dict
+from oracles import (iter_states, reference_report, report_from_dict, report_json, session_dict,
+                     verdict_dict)
 from ppmkit import eventlog
 from ppmkit.blocks import Block
 from ppmkit.cli import main as cli_main
@@ -36,8 +37,8 @@ from ppmkit.classify import (
     classify_session,
     session_json,
 )
-from ppmkit.eventlog import (EventClass, EventLog, ModelingEvent, ObjectType, _Skeleton,
-                             expand_reconnect, parse_log)
+from ppmkit.eventlog import (EventClass, EventKind, EventLog, ModelingEvent, ObjectType,
+                             _Skeleton, expand_reconnect, parse_log)
 from ppmkit.metrics import SessionMetrics
 from ppmkit.model import Edge, ProcessModel
 from ppmkit.normalize import AppliedRule, NormalizationOutcome
@@ -448,6 +449,84 @@ def test_renaming_ids_leaves_the_report_unchanged(case):
         assert Counter(v.kind for v in other.soundness.violations) == kinds
         if not {"Unbounded", "StateSpaceExceeded"} & set(kinds):
             assert other.soundness.states_explored == verdict.soundness.states_explored
+
+
+def _same_refusal_or_reports(log: EventLog, changed: EventLog):
+    """Both logs' reports, or None when classify refuses both alike."""
+    try:
+        report = classify_session(log)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            classify_session(changed)
+        return None
+    return report, classify_session(changed)
+
+
+_ANY_LOG = st.one_of(event_logs(max_events=30), rewired_blocks(), loops())
+
+
+@given(log=_ANY_LOG, ms=st.integers(-10**12, 10**12))
+@settings(max_examples=100, deadline=None)
+def test_shifting_time_shifts_only_the_block_intervals(log, ms):
+    """Adding a whole number of milliseconds to every stamp gives the same
+    report, apart from every block interval, which shifts by as much."""
+    shift = timedelta(milliseconds=ms)
+    shifted = EventLog(log.session_id, [dataclasses.replace(ev, timestamp=ev.timestamp + shift)
+                                        for ev in log.events])
+    reports = _same_refusal_or_reports(log, shifted)
+    if reports is not None:
+        report, moved = reports
+        blocks = tuple(dataclasses.replace(b, interval=tuple(t + shift for t in b.interval))
+                       for b in report.blocks)
+        assert moved == dataclasses.replace(report, blocks=blocks)
+
+
+@st.composite
+def inert_moves(draw):
+    """A log of event_logs, rewired_blocks or loops, the same log with 1-5
+    MOVE_EDGE_LABEL events inserted on edges live at that point (seqs
+    renumbered, each stamped as the event before it), and the ids moved."""
+    log, graph, live = draw(_ANY_LOG), _Skeleton(), []
+    for ev in log.events:
+        graph.apply(ev)
+        live.append(sorted(graph.ends))  # the edges live after each event
+    spots = [i for i, edges in enumerate(live) if edges]
+    assume(spots)
+    after: dict[int, list[str]] = {}
+    for i, pick in draw(st.lists(st.tuples(st.sampled_from(spots), st.integers(0, 99)),
+                                 min_size=1, max_size=5)):
+        after.setdefault(i, []).append(live[i][pick % len(live[i])])
+    events = []
+    for i, ev in enumerate(log.events):
+        events.append(dataclasses.replace(ev, seq=len(events) + 1))
+        for edge in after.get(i, ()):
+            events.append(ModelingEvent(len(events) + 1, ev.timestamp,
+                                        EventKind.MOVE_EDGE_LABEL, edge))
+    return log, EventLog(log.session_id, events), [e for i in sorted(after) for e in after[i]]
+
+
+@given(case=inert_moves())
+@settings(max_examples=100, deadline=None)
+def test_inert_moves_change_only_the_move_metrics(case):
+    """An edge-label drag changes no block, stage or violation kind; it is
+    one more move, and its edge counts as moved."""
+    log, inserted, edges = case
+    reports = _same_refusal_or_reports(log, inserted)
+    if reports is None:
+        return
+    report, other = reports
+    assert list(map(_block_key, other.blocks)) == list(map(_block_key, report.blocks))
+    verdict, after = report.verdict, other.verdict
+    assert after.stage == verdict.stage
+    if verdict.soundness is not None:
+        assert ([v.kind for v in after.soundness.violations]
+                == [v.kind for v in verdict.soundness.violations])
+    events = expand_reconnect(log).events
+    moves = [ev.object_id for ev in events if ev.event_class is EventClass.MOVE] + edges
+    created = {ev.object_id for ev in events if ev.event_class is EventClass.CREATE}
+    assert other.metrics == dataclasses.replace(
+        report.metrics, avg_move_on_moved_elements=Fraction(len(moves), len(set(moves))),
+        perc_num_elements_with_moves=Fraction(len(set(moves)), len(created)))
 
 
 def _seed_7_logs():

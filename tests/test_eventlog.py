@@ -614,8 +614,8 @@ def test_constructor_refuses_exactly_what_the_rule_names(seq, kind, object_id, s
 
 
 def test_constructor_signature_is_the_fields():
-    """The hand-written __init__ takes the dataclass fields, in order, with
-    their defaults."""
+    """The __init__ _record makes takes the dataclass fields, in order,
+    with their defaults."""
     params = inspect.signature(ModelingEvent).parameters.values()
     empty, missing = inspect.Parameter.empty, dataclasses.MISSING
     assert [(p.name, p.kind, p.default) for p in params] == [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_parses_as_the_row_loop, event_logs, load_fixture
 from oracles import _most_blocks_at_once, report_from_dict
+from ppmkit.chart import PPMChartSpec, render_ppmchart
 from ppmkit.classify import SessionReport, classify_model, classify_session
 from ppmkit.cli import main
 from ppmkit.eventlog import (
@@ -151,6 +152,22 @@ def test_lifecycle_refusals_cut_a_long_object_id(rows, refusal):
             parse_log(text)
         assert str(err.value) == refusal.format(shown)
         assert_parses_as_the_row_loop(text)
+
+
+@pytest.mark.parametrize("name, char", [("object id", "\x01"), ("color move", "\x0b")],
+                         ids=["object_id", "colour"])
+def test_chart_refusals_cut_a_long_object_id_or_colour(name, char):
+    """A chart refusal quotes an object id or a colour of 200 characters
+    whole, and a longer one cut after 200 characters and then given its
+    length, as log and JSON refusals do."""
+    for length in (200, 5000):
+        value = "a" * (length - 1) + char
+        oid, colors = (value, {}) if name == "object id" else ("a", {"move": value})
+        log = parse_log(f"{CSV_HEADER}\n{_ROW.replace(',a,', f',{oid},')}\n")
+        spec = PPMChartSpec(colors={**PPMChartSpec().colors, **colors})
+        with pytest.raises(ValueError) as err:
+            render_ppmchart(log, spec)
+        assert str(err.value) == f"{name} {_cut(value)} holds {char!r}, which XML cannot carry"
 
 
 def test_parse_timestamp_quotes_a_stamp_of_200_characters_whole_and_cuts_a_longer_one():
